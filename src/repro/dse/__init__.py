@@ -10,10 +10,7 @@ from repro.dse.campaign import (
     config_key,
     config_to_dict,
     evaluate_guarded,
-    load_journal,
     run_table1_campaign,
-    write_atomic,
-    write_atomic_bytes,
 )
 from repro.dse.config import (
     ArchitectureConfiguration,
@@ -52,6 +49,12 @@ from repro.dse.protocols import (
 )
 from repro.dse.protocols import Evaluator as EvaluatorProtocol
 from repro.dse.space import DesignSpace, paper_space
+from repro.dse.sweep import (
+    JournaledSweep,
+    load_journal,
+    write_atomic,
+    write_atomic_bytes,
+)
 from repro.dse.table1 import (
     PAPER_TABLE1,
     Table1Row,
@@ -70,7 +73,7 @@ __all__ = [
     "ArchitectureEvaluator", "EvaluationResult", "Evaluator",
     "EvaluatorProtocol", "BatchEvaluator", "supports_batching",
     "ExhaustiveExplorer", "ExplorationOutcome", "GreedyExplorer",
-    "ParallelCampaignRunner",
+    "ParallelCampaignRunner", "JournaledSweep",
     "LookupCell", "LookupSweepResult", "LookupSweepRunner", "plan_cells",
     "SdcSweepResult", "SdcSweepRunner", "SdcTrial",
     "plan_trials", "run_sdc_sweep", "vulnerability_row",

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,6 +49,7 @@ from repro.dse.evaluator import (
     EvaluationResult,
 )
 from repro.dse.protocols import Evaluator
+from repro.dse.sweep import JOURNAL_VERSION, JournaledSweep, write_atomic
 from repro.dse.table1 import PAPER_TABLE1, Table1Row
 from repro.errors import (
     CampaignError,
@@ -61,8 +60,6 @@ from repro.errors import (
 from repro.estimation.area import estimate_area
 from repro.estimation.power import estimate_power
 from repro.obs import get_registry
-
-JOURNAL_VERSION = 1
 
 
 # -- configuration (de)serialisation -----------------------------------------------
@@ -84,91 +81,6 @@ def config_key(config: ArchitectureConfiguration) -> str:
     """
     payload = config_to_dict(config.with_cam_latency(1))
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-# -- journal I/O -------------------------------------------------------------------
-
-
-def write_atomic_bytes(path: str, data: bytes) -> None:
-    """Write *data* to *path* via fsync'd temp file + atomic rename.
-
-    A crash at any point leaves either the old file or the new one —
-    never a torn hybrid, and never a zero-length stub. The containing
-    directory is fsync'd too, so the rename itself survives power loss.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".campaign-",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    dir_fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Write *text* to *path* via fsync'd temp file + atomic rename."""
-    write_atomic_bytes(path, text.encode("utf-8"))
-
-
-def _record_line(record: Dict[str, object]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def load_journal(path: str) -> Tuple[List[Dict[str, object]], int]:
-    """Parse a journal, tolerating a crash-torn *tail* record only.
-
-    Returns ``(records, discarded)``. A crash while appending can tear at
-    most the final line, so an unparseable or incomplete **last** line is
-    an expected artifact: it is counted in *discarded* (and the
-    configuration simply re-evaluated). An invalid line anywhere
-    **before** the last one cannot be produced by a crash — it means the
-    journal itself is damaged (truncated editor save, disk corruption,
-    concurrent writer) and silently re-evaluating would mask data loss,
-    so it raises :class:`~repro.errors.CampaignError` naming the bad
-    line numbers.
-    """
-    records: List[Dict[str, object]] = []
-    bad_lines: List[Tuple[int, str]] = []
-    last_content_line = 0
-    with open(path, encoding="utf-8") as handle:
-        raw = handle.read()
-    for number, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        last_content_line = number
-        try:
-            record = json.loads(line)
-        except ValueError:
-            bad_lines.append((number, "unparseable JSON"))
-            continue
-        if not isinstance(record, dict) or record.get("v") != JOURNAL_VERSION \
-                or "key" not in record or "status" not in record:
-            bad_lines.append((number, "not a journal record"))
-            continue
-        records.append(record)
-    mid_file = [(n, why) for n, why in bad_lines if n != last_content_line]
-    if mid_file:
-        where = ", ".join(f"line {n}: {why}" for n, why in mid_file)
-        raise CampaignError(
-            f"journal {path!r} is damaged mid-file ({where}); a crash can "
-            f"only tear the final record, so this is journal corruption, "
-            f"not a crash artifact — repair or remove the journal before "
-            f"resuming")
-    return records, len(bad_lines)
 
 
 # -- structured outcomes -----------------------------------------------------------
@@ -405,46 +317,26 @@ def evaluate_guarded(evaluator: Evaluator,
         return result_to_record(result, config)
 
 
-class CampaignRunner:
+class CampaignRunner(JournaledSweep):
     """Journal-backed, fault-isolating wrapper around an evaluator.
 
     Duck-type compatible with :class:`Evaluator` (``evaluate(config)``),
     so explorers run on top of it unchanged: journal hits short-circuit,
     fresh evaluations are guarded and persisted, and failures surface as
     :class:`~repro.errors.EvaluationFailureError` (which the explorers
-    treat as a dead end, not a crash).
+    treat as a dead end, not a crash). Journal, resume and sweeps run on
+    the shared :class:`~repro.dse.sweep.JournaledSweep` engine.
     """
+
+    _key = staticmethod(config_key)
 
     def __init__(self, evaluator: Evaluator,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
                  policy: Optional[CampaignPolicy] = None):
+        super().__init__(journal_path, resume)
         self.evaluator = evaluator
-        self.journal_path = journal_path
         self.policy = policy or CampaignPolicy()
-        self.resumed = 0
-        self.discarded_records = 0
-        self._records: Dict[str, Dict[str, object]] = {}
-        self._replayed_keys: set = set()
-        if resume:
-            if journal_path is None:
-                raise CampaignError("resume requested without a journal")
-            if os.path.exists(journal_path):
-                records, discarded = load_journal(journal_path)
-                self.discarded_records = discarded
-                for record in records:
-                    self._records[record["key"]] = record
-                self._replayed_keys = set(self._records)
-                if discarded:
-                    # Compact away the torn tail so the journal is clean
-                    # before new records are appended after it.
-                    write_atomic(journal_path, "".join(
-                        _record_line(r) + "\n" for r in records))
-        elif journal_path is not None and os.path.exists(journal_path) \
-                and os.path.getsize(journal_path) > 0:
-            raise CampaignError(
-                f"journal {journal_path!r} already exists; resume the "
-                f"campaign (resume=True / --resume) or remove the file")
 
     # -- evaluator-compatible surface ---------------------------------------------
 
@@ -460,16 +352,10 @@ class CampaignRunner:
         key = config_key(config)
         record = self._records.get(key)
         if record is None:
-            record = self._evaluate_fresh(config, key,
-                                          max_cycles=max_cycles)
-        elif key in self._replayed_keys:
-            self._replayed_keys.discard(key)
-            self.resumed += 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter(
-                    "dse_resumed_total",
-                    "evaluations replayed from a journal").inc()
+            record = self._persist(key, self._measure_here(
+                config, max_cycles=max_cycles))
+        else:
+            self._count_resumed(key)
         if record["status"] == "ok":
             return result_from_record(record)
         raise EvaluationFailureError(record["message"],
@@ -489,11 +375,7 @@ class CampaignRunner:
             raise CampaignError(
                 f"refusing to seed a malformed record for key {key!r}")
         self._records[key] = record
-        if self.journal_path is not None:
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(_record_line(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+        self._append(record)
 
     def failure_reason(self, config: ArchitectureConfiguration
                        ) -> Optional[str]:
@@ -526,31 +408,24 @@ class CampaignRunner:
     def evaluate_batch(self, configs: Sequence[ArchitectureConfiguration]
                        ) -> List[Optional[EvaluationResult]]:
         """Aligned results for *configs*; ``None`` marks a failure."""
-        self.run(configs)
-        out: List[Optional[EvaluationResult]] = []
-        for config in configs:
-            record = self._records[config_key(config)]
-            out.append(result_from_record(record)
-                       if record["status"] == "ok" else None)
-        return out
+        return [result_from_record(record) if record["status"] == "ok"
+                else None for record in self.run(configs).records]
 
     # -- sweep driver -------------------------------------------------------------
 
     def run(self, configs: Sequence[ArchitectureConfiguration]
             ) -> CampaignResult:
-        """Sweep *configs* in order; never raises on a bad configuration."""
-        ordered: List[Dict[str, object]] = []
-        results: List[EvaluationResult] = []
-        failures: List[EvaluationFailure] = []
-        for config in configs:
-            try:
-                results.append(self.evaluate(config))
-            except EvaluationFailureError as exc:
-                failures.append(exc.failure)
-            ordered.append(self._records[config_key(config)])
-        return CampaignResult(records=ordered, results=results,
-                              failures=failures, resumed=self.resumed,
-                              discarded_records=self.discarded_records)
+        """Sweep *configs*; never raises on a bad configuration. Records
+        come back in input order whatever the job count, so the rendered
+        artifact is byte-identical to a sequential run's."""
+        records = self._sweep(configs)
+        return CampaignResult(
+            records=records,
+            results=[result_from_record(r) for r in records
+                     if r["status"] == "ok"],
+            failures=[failure_from_record(r) for r in records
+                      if r["status"] != "ok"],
+            resumed=self.resumed, discarded_records=self.discarded_records)
 
     @property
     def quarantined(self) -> List[ArchitectureConfiguration]:
@@ -566,12 +441,11 @@ class CampaignRunner:
                 counts[kind] = counts.get(kind, 0) + count
         return counts
 
-    # -- internals ----------------------------------------------------------------
+    # -- engine hooks -------------------------------------------------------------
 
-    def _evaluate_fresh(self, config: ArchitectureConfiguration,
-                        key: str,
-                        max_cycles: Optional[int] = None
-                        ) -> Dict[str, object]:
+    def _measure_here(self, config: ArchitectureConfiguration,
+                      max_cycles: Optional[int] = None
+                      ) -> Dict[str, object]:
         policy = self.policy if max_cycles is None else \
             dataclasses.replace(self.policy, cycle_budget=max_cycles)
         registry = get_registry()
@@ -583,23 +457,15 @@ class CampaignRunner:
                 "wall-clock latency per in-process evaluation",
                 ("status",)
             ).observe(registry.time() - t0, status=record["status"])
-        return self._persist(key, record)
-
-    def _persist(self, key: str,
-                 record: Dict[str, object]) -> Dict[str, object]:
-        self._records[key] = record
-        self._publish_record_metrics(record)
-        if self.journal_path is not None:
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(_record_line(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
         return record
 
-    @staticmethod
-    def _publish_record_metrics(record: Dict[str, object]) -> None:
-        """Status/retry/quarantine counters for one fresh record; shared
-        by the sequential path and the parallel runner's pool results."""
+    def _failed_record(self, config: ArchitectureConfiguration, error: str,
+                       message: str) -> Dict[str, object]:
+        return failure_to_record(EvaluationFailure(
+            config=config, error=error, message=message))
+
+    def _publish(self, record: Dict[str, object]) -> None:
+        """Status/retry/quarantine counters for one fresh record."""
         registry = get_registry()
         if not registry.enabled:
             return

@@ -19,38 +19,34 @@ feasible sizes (``table1 --prefixes``); it cannot execute a sequential
 scan over 10⁶ entries per datagram, which is exactly the regime this
 sweep is for.
 
-Campaign semantics match every other sweep in :mod:`repro.dse`: cells
-journal to the same fsync'd JSONL format (:func:`load_journal` parses it
-unchanged), a killed sweep resumes without repeating a measurement,
-``--jobs N`` fans cells out over a process pool, and sequential /
-parallel / resumed runs render and serialise byte-identically. Worker
-processes never touch the metrics registry; the parent publishes each
-cell's routing counters at persist time from the record itself, so the
-observability story is also identical across execution modes.
+The sweep runs on the shared :class:`~repro.dse.sweep.JournaledSweep`
+engine, like every other sweep in :mod:`repro.dse`: cells journal to the
+same fsync'd JSONL format, a killed sweep resumes without repeating a
+measurement, ``--jobs N`` fans cells out over a process pool whose dead
+workers are survived by re-probing their cells one at a time, and
+sequential / parallel / resumed runs render, serialise and journal
+byte-identically. Worker processes never touch the metrics registry; the
+parent publishes each cell's routing counters at persist time from the
+record itself, so the observability story is also identical across
+execution modes.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import BrokenExecutor
-from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import multiprocessing
-
-from repro.dse.campaign import (
-    JOURNAL_VERSION,
-    _record_line,
-    load_journal,
-    write_atomic,
-)
 from repro.dse.config import (
     ALL_TABLE_KINDS,
     ArchitectureConfiguration,
 )
-from repro.dse.parallel import default_start_method
+from repro.dse.sweep import (
+    JOURNAL_VERSION,
+    JournaledSweep,
+    failed_record,
+    write_atomic,
+)
 from repro.errors import CampaignError, ReproError
 from repro.estimation.lookup import LookupEstimate, estimate_lookup_point
 from repro.obs import get_registry
@@ -123,15 +119,8 @@ def plan_cells(kinds: Sequence[str], prefix_counts: Sequence[int],
 # -- measurement (runs in the parent or a pool worker) ------------------------------
 
 
-def measure_cell(cell: LookupCell) -> Dict[str, object]:
-    """One cell -> one journal record (never raises for ReproError).
-
-    The metrics registry is disabled for the duration: the parent
-    publishes this record's counters at persist time, so sequential and
-    parallel sweeps account identically (pool workers could not publish
-    into the parent's registry anyway).
-    """
-    base: Dict[str, object] = {
+def _identity(cell: LookupCell) -> Dict[str, object]:
+    return {
         "v": JOURNAL_VERSION,
         "key": cell.key,
         "kind": cell.kind,
@@ -139,6 +128,18 @@ def measure_cell(cell: LookupCell) -> Dict[str, object]:
         "lookups": cell.lookups,
         "seed": cell.seed,
     }
+
+
+def measure_cell(cell: LookupCell, context=None) -> Dict[str, object]:
+    """One cell -> one journal record (never raises for ReproError).
+
+    *context* is unused: every cell synthesizes its own FIB. The metrics
+    registry is disabled for the duration: the parent publishes this
+    record's counters at persist time, so sequential and parallel sweeps
+    account identically (pool workers could not publish into the
+    parent's registry anyway).
+    """
+    base = _identity(cell)
     registry = get_registry()
     was_enabled = registry.enabled
     registry.disable()
@@ -166,15 +167,6 @@ def measure_cell(cell: LookupCell) -> Dict[str, object]:
         if was_enabled:
             registry.enable()
     return base
-
-
-def measure_chunk(payloads: List[Dict[str, object]]
-                  ) -> List[Dict[str, object]]:
-    """Measure a chunk of cell payloads in a pool worker."""
-    return [measure_cell(LookupCell(
-        kind=payload["kind"], prefix_count=payload["prefix_count"],
-        lookups=payload["lookups"], seed=payload["seed"]))
-        for payload in payloads]
 
 
 def estimate_from_record(record: Dict[str, object]) -> LookupEstimate:
@@ -274,8 +266,16 @@ class LookupSweepResult:
 # -- the runner --------------------------------------------------------------------
 
 
-class LookupSweepRunner:
+class LookupSweepRunner(JournaledSweep):
     """Journal-backed, optionally parallel scaling-sweep driver."""
+
+    measure = staticmethod(measure_cell)
+    resumed_metric = ("lookup_sweep_resumed_total",
+                      "sweep cells replayed from a journal")
+    # One cell per chunk by default: cells differ in cost by orders of
+    # magnitude (10² vs 10⁶ prefixes), so fine-grained scheduling beats
+    # amortisation here.
+    default_chunk_size = 1
 
     def __init__(self,
                  kinds: Optional[Sequence[str]] = None,
@@ -285,132 +285,31 @@ class LookupSweepRunner:
                  jobs: int = 1,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None):
-        if jobs < 1:
-            raise CampaignError(f"jobs must be >= 1, got {jobs}")
+                 chunk_size: Optional[int] = None):
+        super().__init__(journal_path, resume, jobs=jobs,
+                         chunk_size=chunk_size)
         self.kinds = tuple(kinds) if kinds is not None else ALL_TABLE_KINDS
         self.prefix_counts = tuple(sorted(prefix_counts)) \
             if prefix_counts is not None else DEFAULT_PREFIX_COUNTS
         self.lookups = lookups
         self.seed = seed
-        self.jobs = jobs
-        self.journal_path = journal_path
-        self.chunk_size = chunk_size
-        self.start_method = start_method or default_start_method()
-        self.resumed = 0
-        self.discarded_records = 0
-        self._records: Dict[str, Dict[str, object]] = {}
-        self._replayed_keys: set = set()
-        if resume:
-            if journal_path is None:
-                raise CampaignError("resume requested without a journal")
-            if os.path.exists(journal_path):
-                records, discarded = load_journal(journal_path)
-                self.discarded_records = discarded
-                for record in records:
-                    self._records[record["key"]] = record
-                self._replayed_keys = set(self._records)
-                if discarded:
-                    write_atomic(journal_path, "".join(
-                        _record_line(r) + "\n" for r in records))
-        elif journal_path is not None and os.path.exists(journal_path) \
-                and os.path.getsize(journal_path) > 0:
-            raise CampaignError(
-                f"journal {journal_path!r} already exists; resume the "
-                f"sweep (resume=True / --resume) or remove the file")
-
-    # -- sweep driver -------------------------------------------------------------
 
     def run(self) -> LookupSweepResult:
         """Measure every planned cell; never raises for a cell whose
         structure rejects the workload (recorded ``failed``)."""
-        registry = get_registry()
-        plan = plan_cells(self.kinds, self.prefix_counts,
-                          self.lookups, self.seed)
-        pending: List[LookupCell] = []
-        for cell in plan:
-            key = cell.key
-            if key in self._records:
-                if key in self._replayed_keys:
-                    self._replayed_keys.discard(key)
-                    self.resumed += 1
-                    if registry.enabled:
-                        registry.counter(
-                            "lookup_sweep_resumed_total",
-                            "sweep cells replayed from a journal").inc()
-            else:
-                pending.append(cell)
-        if pending and self.jobs > 1:
-            pending = self._run_pool(pending)
-        for cell in pending:
-            if cell.key not in self._records:
-                self._persist(cell.key, measure_cell(cell))
-        ordered = [self._records[cell.key] for cell in plan]
+        records = self._sweep(plan_cells(self.kinds, self.prefix_counts,
+                                         self.lookups, self.seed))
         return LookupSweepResult(
-            records=ordered, kinds=self.kinds,
+            records=records, kinds=self.kinds,
             prefix_counts=self.prefix_counts, lookups=self.lookups,
             seed=self.seed, resumed=self.resumed,
             discarded_records=self.discarded_records)
 
-    # -- internals ----------------------------------------------------------------
+    def _failed_record(self, cell: LookupCell, error: str,
+                       message: str) -> Dict[str, object]:
+        return failed_record(_identity(cell), error, message)
 
-    def _run_pool(self, pending: List[LookupCell]) -> List[LookupCell]:
-        """Fan *pending* out over a process pool; returns the cells the
-        pool never finished (measured in-parent by the caller)."""
-        chunks = self._chunked(pending)
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)),
-            mp_context=multiprocessing.get_context(self.start_method))
-        try:
-            futures = []
-            for chunk in chunks:
-                payloads = [{
-                    "kind": cell.kind,
-                    "prefix_count": cell.prefix_count,
-                    "lookups": cell.lookups,
-                    "seed": cell.seed,
-                } for cell in chunk]
-                futures.append((pool.submit(measure_chunk, payloads),
-                                chunk))
-            for future, chunk in futures:
-                try:
-                    records = future.result()
-                except BrokenExecutor:
-                    # pool died: the caller measures what's left
-                    # in-process — slower, never wrong
-                    break
-                for cell, record in zip(chunk, records):
-                    self._persist(cell.key, record)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return [cell for cell in pending
-                if cell.key not in self._records]
-
-    def _chunked(self, pending: Sequence[LookupCell]
-                 ) -> List[List[LookupCell]]:
-        size = self.chunk_size
-        if size is None:
-            # One cell per chunk by default: cells differ in cost by
-            # orders of magnitude (10² vs 10⁶ prefixes), so fine-grained
-            # scheduling beats amortisation here.
-            size = 1
-        return [list(pending[i:i + size])
-                for i in range(0, len(pending), size)]
-
-    def _persist(self, key: str,
-                 record: Dict[str, object]) -> Dict[str, object]:
-        self._records[key] = record
-        self._publish_record_metrics(record)
-        if self.journal_path is not None:
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(_record_line(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        return record
-
-    @staticmethod
-    def _publish_record_metrics(record: Dict[str, object]) -> None:
+    def _publish(self, record: Dict[str, object]) -> None:
         """Routing/cell counters for one fresh record.
 
         Published in the parent only — the measurement itself runs with

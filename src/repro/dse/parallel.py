@@ -2,37 +2,31 @@
 
 The paper's point is *fast* evaluation of protocol-processor design
 spaces, and a sweep is embarrassingly parallel: every simulate+estimate
-turn is independent of every other. :class:`ParallelCampaignRunner` fans
-a sweep out over a process pool while keeping every guarantee of the
-sequential :class:`~repro.dse.campaign.CampaignRunner` it extends:
+turn is independent of every other. :class:`ParallelCampaignRunner` runs
+a campaign on the shared :class:`~repro.dse.sweep.JournaledSweep` engine
+with ``jobs`` worker processes, keeping every guarantee of the sequential
+:class:`~repro.dse.campaign.CampaignRunner` it extends:
 
 * **one evaluator per worker** — the pool initializer builds the
   evaluator (workload, routes, golden router) once per process, so the
   per-configuration cost is simulation, not setup;
-* **cheap transport** — configurations travel to workers as the existing
-  :func:`~repro.dse.campaign.config_to_dict` payloads and results come
-  back as journal records; area/power are reconstructed in the parent
-  through the same pure estimation functions, so a parallel sweep is
-  bit-for-bit identical to a sequential one;
-* **chunked dispatch** — work is handed out in chunks to amortise IPC,
-  with a bounded in-flight window so a pool crash only voids the work
-  actually running;
 * **per-worker cycle-budget enforcement** — each worker runs the same
   :func:`~repro.dse.campaign.evaluate_guarded` deadline/retry loop the
-  sequential runner uses;
-* **crashed workers are survivable** — if a worker process dies (signal,
-  ``os._exit``, OOM kill), the pool is torn down, the configurations
-  that were in flight are re-probed one at a time in a fresh
-  single-worker pool, and any configuration that kills its prober is
-  quarantined as an :class:`~repro.dse.campaign.EvaluationFailure` with
-  error :class:`~repro.errors.WorkerCrashError`; everything else
-  continues in a refilled pool;
-* **deterministic output** — results are re-ordered to input order, so a
-  parallel Table 1 renders byte-identically to the sequential one;
-* **journal + resume keep working** — journal writes stay in the parent
-  (fsync'd, append-only, exactly as before), and ``resume=True`` skips
-  every already-journalled configuration *before* anything is
-  dispatched to the pool.
+  sequential runner uses, and results come back as journal records;
+  area/power are reconstructed in the parent through the same pure
+  estimation functions, so a parallel sweep is bit-for-bit identical to
+  a sequential one;
+* **deterministic output and journal** — the engine persists records in
+  input order, so both the rendered Table 1 and the journal bytes match
+  a ``jobs=1`` run;
+* **crashed workers are survivable** — the engine re-probes every
+  configuration a dead worker left unfinished one at a time, and one
+  that kills its prober too is quarantined as an
+  :class:`~repro.dse.campaign.EvaluationFailure` with error
+  :class:`~repro.errors.WorkerCrashError`;
+* **journal + resume keep working** — journal writes stay in the parent,
+  and ``resume=True`` skips every already-journalled configuration
+  *before* anything is dispatched to the pool.
 
 With ``jobs=1`` no pool is created and the behaviour is exactly the
 sequential runner's.
@@ -40,65 +34,24 @@ sequential runner's.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-from repro.dse.campaign import (
-    CampaignPolicy,
-    CampaignResult,
-    CampaignRunner,
-    EvaluationFailure,
-    config_key,
-    config_to_dict,
-    evaluate_guarded,
-    failure_from_record,
-    failure_to_record,
-    result_from_record,
-)
+from repro.dse.campaign import CampaignPolicy, CampaignRunner, evaluate_guarded
 from repro.dse.config import ArchitectureConfiguration
-from repro.dse.evaluator import EvaluationResult
-from repro.errors import CampaignError, WorkerCrashError
-from repro.obs import get_registry
-
-#: work item: (journal key, configuration) — the key is precomputed in
-#: the parent so workers never need to agree on canonicalisation
-_Item = Tuple[str, ArchitectureConfiguration]
-
-_worker_evaluator = None
-_worker_policy = None
+from repro.dse.sweep import JournaledSweep
+from repro.errors import CampaignError
 
 
-def _init_worker(factory, policy: CampaignPolicy) -> None:
+def _campaign_context(factory, policy: CampaignPolicy):
     """Pool initializer: build the evaluator once per worker process."""
-    global _worker_evaluator, _worker_policy
-    _worker_evaluator = factory()
-    _worker_policy = policy
+    return factory(), policy
 
 
-def _evaluate_chunk(payloads: List[Dict[str, object]]
-                    ) -> List[Dict[str, object]]:
-    """Evaluate a chunk of config payloads; returns journal records.
-
-    Runs in a worker. Every contained failure class is already folded
-    into a ``failed`` record by :func:`evaluate_guarded`, so a returned
-    list is always aligned with the input chunk.
-    """
-    records = []
-    for payload in payloads:
-        config = ArchitectureConfiguration(**payload)
-        records.append(evaluate_guarded(_worker_evaluator, config,
-                                        _worker_policy))
-    return records
-
-
-def default_start_method() -> str:
-    """``fork`` where available (cheap, inherits the imported package);
-    otherwise the platform default."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
+def _evaluate(config: ArchitectureConfiguration,
+              context) -> Dict[str, object]:
+    """One guarded evaluation in a worker; always returns a record."""
+    evaluator, policy = context
+    return evaluate_guarded(evaluator, config, policy)
 
 
 class ParallelCampaignRunner(CampaignRunner):
@@ -114,323 +67,23 @@ class ParallelCampaignRunner(CampaignRunner):
     running on top of it expand whole search frontiers concurrently.
     """
 
+    measure = staticmethod(_evaluate)
+
     def __init__(self, evaluator_factory,
                  jobs: int = 2,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
                  policy: Optional[CampaignPolicy] = None,
-                 chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None):
-        if jobs < 1:
-            raise CampaignError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise CampaignError(
-                f"chunk_size must be >= 1, got {chunk_size}")
+                 chunk_size: Optional[int] = None):
         if not callable(evaluator_factory):
             raise CampaignError(
                 "evaluator_factory must be a callable returning an "
                 "evaluator (it is invoked once per worker process)")
-        super().__init__(evaluator_factory(), journal_path=journal_path,
-                         resume=resume, policy=policy)
+        JournaledSweep.__init__(self, journal_path, resume, jobs=jobs,
+                                chunk_size=chunk_size)
         self.evaluator_factory = evaluator_factory
-        self.jobs = jobs
-        self.chunk_size = chunk_size
-        self.start_method = start_method or default_start_method()
-        #: worker deaths observed (pool teardowns), for reporting
-        self.worker_crashes = 0
-        # cumulative worker-busy seconds (sum of chunk latencies), the
-        # numerator of the pool-utilisation gauge published per sweep
-        self._busy_seconds = 0.0
+        self.evaluator = evaluator_factory()
+        self.policy = policy or CampaignPolicy()
 
-    # -- sweep driver -------------------------------------------------------------
-
-    def run(self, configs: Sequence[ArchitectureConfiguration]
-            ) -> CampaignResult:
-        """Sweep *configs*; results come back in input order regardless
-        of completion order, so the rendered artifact is byte-identical
-        to a sequential run's."""
-        registry = get_registry()
-        t0 = registry.time() if registry.enabled else 0.0
-        self._busy_seconds = 0.0
-        pending: List[_Item] = []
-        dispatched = set()
-        for config in configs:
-            key = config_key(config)
-            if key in self._records:
-                if key in self._replayed_keys:
-                    self._replayed_keys.discard(key)
-                    self.resumed += 1
-                    if registry.enabled:
-                        registry.counter(
-                            "dse_resumed_total",
-                            "evaluations replayed from a journal").inc()
-            elif key not in dispatched:
-                dispatched.add(key)
-                pending.append((key, config))
-        if pending and self.jobs > 1:
-            self._run_pool(pending)
-            if registry.enabled:
-                wall = registry.time() - t0
-                if wall > 0:
-                    registry.gauge(
-                        "dse_worker_utilization",
-                        "fraction of pool worker-seconds spent evaluating "
-                        "during the most recent sweep"
-                    ).set(min(self._busy_seconds / (wall * self.jobs), 1.0))
-        for key, config in pending:
-            # jobs == 1, or stragglers a dying pool never reached
-            if key not in self._records:
-                self._evaluate_fresh(config, key)
-
-        ordered: List[Dict[str, object]] = []
-        results: List[EvaluationResult] = []
-        failures: List[EvaluationFailure] = []
-        for config in configs:
-            record = self._records[config_key(config)]
-            ordered.append(record)
-            if record["status"] == "ok":
-                results.append(result_from_record(record))
-            else:
-                failures.append(failure_from_record(record))
-        return CampaignResult(records=ordered, results=results,
-                              failures=failures, resumed=self.resumed,
-                              discarded_records=self.discarded_records)
-
-    # -- pool orchestration -------------------------------------------------------
-
-    def _run_pool(self, pending: List[_Item]) -> None:
-        """Drive *pending* to completion across pool generations.
-
-        Each generation either finishes cleanly or dies with a bounded
-        set of in-flight suspects; suspects are resolved one by one in
-        single-worker pools (crash -> quarantine, success -> record), so
-        every generation makes strict progress and a deterministic
-        crasher cannot deadlock or starve the sweep.
-        """
-        while pending:
-            suspects = self._dispatch(pending)
-            for key, config in suspects:
-                self._probe(key, config)
-            if suspects:
-                self._after_broken_generation(len(suspects))
-            pending = [(key, config) for key, config in pending
-                       if key not in self._records]
-
-    def _dispatch(self, pending: List[_Item]) -> List[_Item]:
-        """One pool generation. Persists every completed record; returns
-        the items that were in flight when the pool broke ([] = clean)."""
-        registry = get_registry()
-        chunk_seconds = registry.histogram(
-            "dse_chunk_seconds",
-            "wall-clock latency per dispatched pool chunk"
-        ) if registry.enabled else None
-        queue_depth = registry.gauge(
-            "dse_inflight_chunks",
-            "chunks dispatched to the pool and not yet completed"
-        ) if registry.enabled else None
-        chunks = self._chunked(pending)
-        in_flight: Dict[object, List[_Item]] = {}
-        submitted_at: Dict[object, float] = {}
-        suspects: List[_Item] = []
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)),
-            mp_context=multiprocessing.get_context(self.start_method),
-            initializer=_init_worker,
-            initargs=(self.evaluator_factory, self.policy))
-        try:
-            broken = False
-            stalled = False
-            while (chunks or in_flight) and not broken:
-                # bounded window: at most one queued chunk per worker, so
-                # a pool death voids little and suspects stay few
-                while chunks and len(in_flight) < 2 * self.jobs:
-                    chunk = chunks.pop(0)
-                    try:
-                        future = pool.submit(_evaluate_chunk, [
-                            config_to_dict(config) for _, config in chunk])
-                    except BrokenExecutor:
-                        broken = True
-                        suspects.extend(chunk)
-                        break
-                    in_flight[future] = chunk
-                    if registry.enabled:
-                        submitted_at[future] = registry.time()
-                        registry.counter(
-                            "dse_chunks_dispatched_total",
-                            "chunks handed to the process pool").inc()
-                if queue_depth is not None:
-                    queue_depth.set(len(in_flight))
-                if not in_flight:
-                    break
-                done, _ = wait(in_flight,
-                               timeout=self._heartbeat_seconds(),
-                               return_when=FIRST_COMPLETED)
-                if not done:
-                    # heartbeat deadline passed with zero completions: a
-                    # supervisor may declare the pool stalled (terminate
-                    # it and resolve the in-flight work via probes); the
-                    # unsupervised default keeps waiting forever, which
-                    # is the pre-supervision behaviour.
-                    if self._handle_stall(pool, in_flight):
-                        broken = True
-                        stalled = True
-                        for chunk in in_flight.values():
-                            suspects.extend(chunk)
-                        in_flight.clear()
-                    continue
-                # persist clean completions first: a future that finished
-                # before the pool died still carries a usable result
-                for future in done:
-                    if future.exception() is None:
-                        chunk = in_flight.pop(future)
-                        self._observe_chunk(future, submitted_at,
-                                            chunk_seconds, registry)
-                        for (key, _), record in zip(chunk, future.result()):
-                            self._persist(key, record)
-                for future in done:
-                    if future not in in_flight:
-                        continue
-                    chunk = in_flight.pop(future)
-                    self._observe_chunk(future, submitted_at,
-                                        chunk_seconds, registry)
-                    exc = future.exception()
-                    if isinstance(exc, BrokenExecutor):
-                        broken = True
-                        suspects.extend(chunk)
-                    else:
-                        # an exception escaped the worker's guarded loop
-                        # (not a ReproError): contain it per config
-                        for key, config in chunk:
-                            self._persist(key, failure_to_record(
-                                EvaluationFailure(
-                                    config=config,
-                                    error=type(exc).__name__,
-                                    message=str(exc))))
-            if broken:
-                if not stalled:
-                    # a stall is counted by its supervisor, not as a crash
-                    self.worker_crashes += 1
-                    if registry.enabled:
-                        registry.counter(
-                            "dse_worker_crashes_total",
-                            "pool teardowns after a worker process died"
-                        ).inc()
-                for chunk in in_flight.values():
-                    suspects.extend(chunk)
-        finally:
-            if queue_depth is not None:
-                queue_depth.set(0)
-            pool.shutdown(wait=False, cancel_futures=True)
-        return suspects
-
-    def _observe_chunk(self, future, submitted_at, chunk_seconds,
-                       registry) -> None:
-        t0 = submitted_at.pop(future, None)
-        if t0 is None or chunk_seconds is None:
-            return
-        elapsed = registry.time() - t0
-        self._busy_seconds += elapsed
-        chunk_seconds.observe(elapsed)
-
-    # -- supervision seams (no-ops here; see repro.service.supervisor) ------------
-
-    def _heartbeat_seconds(self) -> Optional[float]:
-        """Longest silence (no chunk completion) tolerated before the
-        stall handler is consulted; ``None`` waits forever."""
-        return None
-
-    def _probe_timeout_seconds(self) -> Optional[float]:
-        """Wall-clock ceiling for a single-config probe; ``None`` waits
-        forever (a probe can only end by completing or dying)."""
-        return None
-
-    def _handle_stall(self, pool: ProcessPoolExecutor,
-                      in_flight: Dict[object, List[_Item]]) -> bool:
-        """Called when a heartbeat deadline passes with zero completions.
-
-        Return True to declare the pool stalled: the dispatcher then
-        treats every in-flight item as a suspect (exactly like a worker
-        death) and the caller is expected to have terminated the stuck
-        workers. The base runner never declares a stall.
-        """
-        return False
-
-    def _after_broken_generation(self, suspects: int) -> None:
-        """Called once per pool generation that ended broken (crash or
-        stall), after its suspects were resolved. Supervisors use this
-        for backoff and pool shrinking; the base runner does nothing."""
-
-    @staticmethod
-    def _terminate_pool_processes(pool: ProcessPoolExecutor) -> int:
-        """Best-effort SIGTERM of a pool's worker processes.
-
-        Needed when workers are *stuck*, not dead: ``shutdown`` would
-        join them (blocking on the very stall being escaped), so the
-        supervisor kills them first and lets the executor observe the
-        deaths as a broken pool. Returns the number of processes
-        signalled.
-        """
-        processes = getattr(pool, "_processes", None) or {}
-        terminated = 0
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-                terminated += 1
-            except (OSError, ValueError):  # already dead / closed
-                pass
-        return terminated
-
-    def _probe(self, key: str, config: ArchitectureConfiguration) -> None:
-        """Re-run one crash suspect alone in a fresh single-worker pool.
-
-        A clean result clears the suspect; a second death convicts it and
-        it is quarantined as a :class:`WorkerCrashError` failure; a probe
-        that exceeds the probe timeout (supervised runners only) is
-        terminated and quarantined as a :class:`WorkerStallError`.
-        """
-        from repro.errors import WorkerStallError
-        pool = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=multiprocessing.get_context(self.start_method),
-            initializer=_init_worker,
-            initargs=(self.evaluator_factory, self.policy))
-        try:
-            future = pool.submit(_evaluate_chunk, [config_to_dict(config)])
-            try:
-                [record] = future.result(
-                    timeout=self._probe_timeout_seconds())
-            except FuturesTimeoutError:
-                self._terminate_pool_processes(pool)
-                record = failure_to_record(EvaluationFailure(
-                    config=config, error=WorkerStallError.__name__,
-                    message=(f"probe of {config.describe()} made no "
-                             f"progress within "
-                             f"{self._probe_timeout_seconds()}s and was "
-                             f"terminated")))
-            except BrokenExecutor as exc:
-                self.worker_crashes += 1
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter(
-                        "dse_worker_crashes_total",
-                        "pool teardowns after a worker process died").inc()
-                record = failure_to_record(EvaluationFailure(
-                    config=config, error=WorkerCrashError.__name__,
-                    message=(f"worker process died evaluating "
-                             f"{config.describe()}: {exc}")))
-            except Exception as exc:
-                record = failure_to_record(EvaluationFailure(
-                    config=config, error=type(exc).__name__,
-                    message=str(exc)))
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        self._persist(key, record)
-
-    def _chunked(self, pending: Sequence[_Item]) -> List[List[_Item]]:
-        size = self.chunk_size
-        if size is None:
-            # aim for ~4 chunks per worker: coarse enough to amortise
-            # IPC, fine enough to keep the pool busy to the end
-            size = max(1, len(pending) // (self.jobs * 4))
-        return [list(pending[i:i + size])
-                for i in range(0, len(pending), size)]
+    def _context_spec(self):
+        return _campaign_context, (self.evaluator_factory, self.policy)

@@ -7,18 +7,22 @@ fault-free golden run with the :class:`~repro.verify.DifferentialOracle`,
 and distil a per-configuration vulnerability row — SDC rate, detection
 coverage, mean faults-to-failure.
 
-Everything hard-won by the performance campaigns is reused, not
-reinvented:
+Both sweeps run on the shared :class:`~repro.dse.sweep.JournaledSweep`
+engine, so everything hard-won by the performance campaigns is reused,
+not reinvented:
 
 * **journal + resume** — every classified trial is appended to the same
-  fsync'd JSONL journal format (:func:`~repro.dse.campaign.load_journal`
-  parses it unchanged), so a killed sweep resumes without repeating a
-  single simulation and its final ``--output`` JSON is byte-identical;
+  fsync'd JSONL journal format, so a killed sweep resumes without
+  repeating a single simulation and its final ``--output`` JSON is
+  byte-identical;
 * **parallelism** — trials fan out over a process pool; each worker
-  keeps a per-process oracle cache so the golden reference for a
-  configuration is simulated once per worker, not once per trial. A
-  broken pool degrades to in-parent evaluation of the remaining trials
-  instead of aborting the sweep;
+  builds its workload once and keeps an oracle cache, so the golden
+  reference for a configuration is simulated once per worker, not once
+  per trial. Records are persisted in plan order, so the journal is
+  byte-identical to a sequential run's. A worker that dies does not end
+  the sweep: the trials it left unfinished are re-probed one at a time,
+  and a trial that kills its prober too is recorded failed with
+  ``WorkerCrashError``;
 * **determinism** — trial seeds derive from
   :func:`~repro.faults.seeds.derive_seed`\\ ``(seed, config_key, site,
   index)``, so results do not depend on job count, completion order, or
@@ -31,25 +35,17 @@ reinvented:
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import BrokenExecutor
-from concurrent.futures.process import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import multiprocessing
-
-from repro.dse.campaign import (
+from repro.dse.campaign import config_key, config_to_dict
+from repro.dse.config import ArchitectureConfiguration
+from repro.dse.sweep import (
     JOURNAL_VERSION,
-    _record_line,
-    config_from_dict,
-    config_key,
-    config_to_dict,
-    load_journal,
+    JournaledSweep,
+    failed_record,
     write_atomic,
 )
-from repro.dse.config import ArchitectureConfiguration
-from repro.dse.parallel import default_start_method
 from repro.errors import CampaignError, ReproError
 from repro.estimation.lookup import estimate_protection_overhead
 from repro.faults.datapath import FAULT_SITES
@@ -122,10 +118,8 @@ def plan_trials(configs: Sequence[ArchitectureConfiguration],
     return plan
 
 
-def _classify_trial(oracle: DifferentialOracle,
-                    trial: SdcTrial) -> Dict[str, object]:
-    """One trial -> one journal record (never raises for ReproError)."""
-    base: Dict[str, object] = {
+def _trial_identity(trial: SdcTrial) -> Dict[str, object]:
+    return {
         "v": JOURNAL_VERSION,
         "key": trial.key,
         "config": config_to_dict(trial.config),
@@ -135,58 +129,63 @@ def _classify_trial(oracle: DifferentialOracle,
         "rate": trial.rate,
         "max_faults": trial.max_faults,
     }
+
+
+class _DatapathOracles:
+    """A process's oracle cache: one golden simulation per
+    configuration, shared by every trial of it."""
+
+    def __init__(self, routes, packets, max_cycles: Optional[int],
+                 backend: Optional[str]):
+        self.routes = routes
+        self.packets = packets
+        self.max_cycles = max_cycles
+        self.backend = backend
+        self._oracles: Dict[str, DifferentialOracle] = {}
+
+    def __call__(self, config: ArchitectureConfiguration
+                 ) -> DifferentialOracle:
+        key = config_key(config)
+        oracle = self._oracles.get(key)
+        if oracle is None:
+            oracle = DifferentialOracle(config, self.routes, self.packets,
+                                        max_cycles=self.max_cycles,
+                                        backend=self.backend)
+            self._oracles[key] = oracle
+        return oracle
+
+
+def _classify_trial(trial: SdcTrial,
+                    oracles: _DatapathOracles) -> Dict[str, object]:
+    """One trial -> one journal record (never raises for ReproError)."""
+    oracle = oracles(trial.config)
     try:
         outcome = oracle.classify(
             seed=trial.seed, rate=trial.rate, sites=(trial.site,),
             max_faults=trial.max_faults)
     except ReproError as exc:
-        base["status"] = "failed"
-        base["error"] = type(exc).__name__
-        base["message"] = str(exc)
-        return base
-    base["status"] = "ok"
-    base["outcome"] = outcome.to_dict()
-    return base
+        return failed_record(_trial_identity(trial), type(exc).__name__,
+                             str(exc))
+    return {**_trial_identity(trial), "status": "ok",
+            "outcome": outcome.to_dict()}
 
 
-# -- worker side -------------------------------------------------------------------
-
-_worker_workload: Optional[Tuple[list, list, Optional[int],
-                                 Optional[str]]] = None
-_worker_oracles: Dict[str, DifferentialOracle] = {}
-
-
-def _init_sdc_worker(routes, packets, max_cycles,
-                     backend: Optional[str] = None) -> None:
-    global _worker_workload
-    _worker_workload = (routes, packets, max_cycles, backend)
-    _worker_oracles.clear()
-
-
-def _classify_chunk(payloads: List[Dict[str, object]]
-                    ) -> List[Dict[str, object]]:
-    """Classify a chunk of trial payloads in a pool worker.
-
-    The per-process oracle cache means one golden simulation per
-    configuration per worker, amortised over every trial in its chunks.
-    """
-    routes, packets, max_cycles, backend = _worker_workload
-    records = []
-    for payload in payloads:
-        config = ArchitectureConfiguration(**payload["config"])
-        trial = SdcTrial(
-            config=config, site=payload["site"], index=payload["trial"],
-            seed=payload["seed"], rate=payload["rate"],
-            max_faults=payload["max_faults"])
-        cache_key = config_key(config)
-        oracle = _worker_oracles.get(cache_key)
-        if oracle is None:
-            oracle = DifferentialOracle(config, routes, packets,
-                                        max_cycles=max_cycles,
-                                        backend=backend)
-            _worker_oracles[cache_key] = oracle
-        records.append(_classify_trial(oracle, trial))
-    return records
+def _publish_trial(registry, record: Dict[str, object]
+                   ) -> Optional[Dict[str, object]]:
+    """Trial and outcome counters shared by both sweeps; returns the
+    outcome of an ``ok`` record for the caller's injection counters."""
+    registry.counter(
+        "sdc_trials_total",
+        "classified injection trials by status", ("status",)
+    ).inc(status=record["status"])
+    if record["status"] != "ok":
+        return None
+    outcome = record["outcome"]
+    registry.counter(
+        "sdc_outcomes_total",
+        "injection trials by oracle classification", ("outcome",)
+    ).inc(outcome=outcome["outcome"])
+    return outcome
 
 
 # -- results -----------------------------------------------------------------------
@@ -285,7 +284,7 @@ class SdcSweepResult:
 # -- the runner --------------------------------------------------------------------
 
 
-class SdcSweepRunner:
+class SdcSweepRunner(JournaledSweep):
     """Journal-backed, optionally parallel SDC-sweep driver.
 
     *routes*/*packets* default to the same deterministic workload the
@@ -293,6 +292,10 @@ class SdcSweepRunner:
     ``worst_case_workload``), so vulnerability numbers are measured on
     exactly the workload the performance numbers were.
     """
+
+    measure = staticmethod(_classify_trial)
+    resumed_metric = ("sdc_resumed_total",
+                      "injection trials replayed from a journal")
 
     def __init__(self,
                  routes: Optional[Sequence[RouteEntry]] = None,
@@ -309,10 +312,7 @@ class SdcSweepRunner:
                  journal_path: Optional[str] = None,
                  resume: bool = False,
                  chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  backend: Optional[str] = None):
-        if jobs < 1:
-            raise CampaignError(f"jobs must be >= 1, got {jobs}")
         if trials < 1:
             raise CampaignError(f"trials must be >= 1, got {trials}")
         chosen = tuple(sites) if sites is not None else FAULT_SITES
@@ -321,6 +321,8 @@ class SdcSweepRunner:
             raise CampaignError(
                 f"unknown fault sites {unknown}; "
                 f"valid sites are {sorted(FAULT_SITES)}")
+        super().__init__(journal_path, resume, jobs=jobs,
+                         chunk_size=chunk_size)
         self.routes = list(routes) if routes is not None \
             else generate_routes(entries)
         self.packets = list(packets) if packets is not None \
@@ -333,65 +335,15 @@ class SdcSweepRunner:
         self.max_cycles = max_cycles
         #: simulation engine, inherited by every pool worker
         self.backend = backend
-        self.jobs = jobs
-        self.journal_path = journal_path
-        self.chunk_size = chunk_size
-        self.start_method = start_method or default_start_method()
-        self.resumed = 0
-        self.discarded_records = 0
-        self._records: Dict[str, Dict[str, object]] = {}
-        self._replayed_keys: set = set()
-        self._oracles: Dict[str, DifferentialOracle] = {}
-        if resume:
-            if journal_path is None:
-                raise CampaignError("resume requested without a journal")
-            if os.path.exists(journal_path):
-                records, discarded = load_journal(journal_path)
-                self.discarded_records = discarded
-                for record in records:
-                    self._records[record["key"]] = record
-                self._replayed_keys = set(self._records)
-                if discarded:
-                    write_atomic(journal_path, "".join(
-                        _record_line(r) + "\n" for r in records))
-        elif journal_path is not None and os.path.exists(journal_path) \
-                and os.path.getsize(journal_path) > 0:
-            raise CampaignError(
-                f"journal {journal_path!r} already exists; resume the "
-                f"sweep (resume=True / --resume) or remove the file")
-
-    # -- sweep driver -------------------------------------------------------------
 
     def run(self, configs: Sequence[ArchitectureConfiguration]
             ) -> SdcSweepResult:
         """Sweep every ``config x site x trial``; never raises for a
         configuration whose golden run fails (those trials are recorded
         ``failed`` and excluded from the rates)."""
-        registry = get_registry()
-        plan = plan_trials(configs, self.sites, self.trials, self.rate,
-                           self.seed, self.max_faults)
-        pending: List[SdcTrial] = []
-        for trial in plan:
-            key = trial.key
-            if key in self._records:
-                if key in self._replayed_keys:
-                    self._replayed_keys.discard(key)
-                    self.resumed += 1
-                    if registry.enabled:
-                        registry.counter(
-                            "sdc_resumed_total",
-                            "injection trials replayed from a journal"
-                        ).inc()
-            else:
-                pending.append(trial)
-        if pending and self.jobs > 1:
-            pending = self._run_pool(pending)
-        for trial in pending:
-            if trial.key not in self._records:
-                self._persist(trial.key, _classify_trial(
-                    self._oracle(trial.config), trial))
-
-        ordered = [self._records[trial.key] for trial in plan]
+        ordered = self._sweep(plan_trials(
+            configs, self.sites, self.trials, self.rate, self.seed,
+            self.max_faults))
         rows = []
         offset = 0
         per_config = len(self.sites) * self.trials
@@ -405,94 +357,24 @@ class SdcSweepRunner:
             resumed=self.resumed,
             discarded_records=self.discarded_records)
 
-    # -- internals ----------------------------------------------------------------
+    # -- engine hooks -------------------------------------------------------------
 
-    def _oracle(self, config: ArchitectureConfiguration
-                ) -> DifferentialOracle:
-        key = config_key(config)
-        oracle = self._oracles.get(key)
-        if oracle is None:
-            oracle = DifferentialOracle(config, self.routes, self.packets,
-                                        max_cycles=self.max_cycles,
-                                        backend=self.backend)
-            self._oracles[key] = oracle
-        return oracle
+    def _context_spec(self):
+        return _DatapathOracles, (self.routes, self.packets,
+                                  self.max_cycles, self.backend)
 
-    def _run_pool(self, pending: List[SdcTrial]) -> List[SdcTrial]:
-        """Fan *pending* out over a process pool; returns the trials the
-        pool never finished (evaluated in-parent by the caller)."""
-        chunks = self._chunked(pending)
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)),
-            mp_context=multiprocessing.get_context(self.start_method),
-            initializer=_init_sdc_worker,
-            initargs=(self.routes, self.packets, self.max_cycles,
-                      self.backend))
-        try:
-            futures = []
-            for chunk in chunks:
-                payloads = [{
-                    "config": config_to_dict(trial.config),
-                    "site": trial.site, "trial": trial.index,
-                    "seed": trial.seed, "rate": trial.rate,
-                    "max_faults": trial.max_faults,
-                } for trial in chunk]
-                futures.append((pool.submit(_classify_chunk, payloads),
-                                chunk))
-            for future, chunk in futures:
-                try:
-                    records = future.result()
-                except BrokenExecutor:
-                    # pool died: the caller classifies what's left
-                    # in-process — slower, never wrong
-                    break
-                for trial, record in zip(chunk, records):
-                    self._persist(trial.key, record)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return [trial for trial in pending
-                if trial.key not in self._records]
+    def _failed_record(self, trial: SdcTrial, error: str,
+                       message: str) -> Dict[str, object]:
+        return failed_record(_trial_identity(trial), error, message)
 
-    def _chunked(self, pending: Sequence[SdcTrial]) -> List[List[SdcTrial]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, len(pending) // (self.jobs * 4))
-        return [list(pending[i:i + size])
-                for i in range(0, len(pending), size)]
-
-    def _persist(self, key: str,
-                 record: Dict[str, object]) -> Dict[str, object]:
-        self._records[key] = record
-        self._publish_record_metrics(record)
-        if self.journal_path is not None:
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(_record_line(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        return record
-
-    @staticmethod
-    def _publish_record_metrics(record: Dict[str, object]) -> None:
-        """Injection/outcome counters for one fresh trial record.
-
-        Published in the parent only — pool workers never touch the
-        registry — so sequential and parallel sweeps account
-        identically and a resumed trial is never double-counted.
-        """
+    def _publish(self, record: Dict[str, object]) -> None:
+        """Injection/outcome counters for one fresh trial record."""
         registry = get_registry()
         if not registry.enabled:
             return
-        registry.counter(
-            "sdc_trials_total",
-            "classified injection trials by status", ("status",)
-        ).inc(status=record["status"])
-        if record["status"] != "ok":
+        outcome = _publish_trial(registry, record)
+        if outcome is None:
             return
-        outcome = record["outcome"]
-        registry.counter(
-            "sdc_outcomes_total",
-            "injection trials by oracle classification", ("outcome",)
-        ).inc(outcome=outcome["outcome"])
         injections = registry.counter(
             "sdc_injections_total",
             "datapath faults actually applied", ("site",))
@@ -571,10 +453,8 @@ def plan_memory_trials(kinds: Sequence[str], protections: Sequence[str],
     return plan
 
 
-def _classify_memory_trial(oracle: MemoryDifferentialOracle,
-                           trial: MemoryTrial) -> Dict[str, object]:
-    """One trial -> one journal record (never raises for ReproError)."""
-    base: Dict[str, object] = {
+def _memory_identity(trial: MemoryTrial) -> Dict[str, object]:
+    return {
         "v": JOURNAL_VERSION,
         "key": trial.key,
         "mode": "memory",
@@ -585,64 +465,44 @@ def _classify_memory_trial(oracle: MemoryDifferentialOracle,
         "seed": trial.seed,
         "flips": trial.flips,
     }
+
+
+class _MemoryOracles:
+    """A process's FIB, traffic and oracle cache: the workload is built
+    once per process, one clean golden build per (kind, protection)."""
+
+    def __init__(self, prefixes: int, fib_seed: int, lookups: int,
+                 traffic_seed: int):
+        # Workers re-synthesize the FIB deterministically from the scalar
+        # parameters instead of shipping ~N route objects per process.
+        self.routes = synthesize_fib(prefixes, seed=fib_seed)
+        self.addresses = zipf_addresses(self.routes, lookups,
+                                        seed=traffic_seed)
+        self._oracles: Dict[Tuple[str, str], MemoryDifferentialOracle] = {}
+
+    def __call__(self, kind: str,
+                 protection: str) -> MemoryDifferentialOracle:
+        cell = (kind, protection)
+        oracle = self._oracles.get(cell)
+        if oracle is None:
+            oracle = MemoryDifferentialOracle(
+                kind, protection, self.routes, self.addresses)
+            self._oracles[cell] = oracle
+        return oracle
+
+
+def _classify_memory_trial(trial: MemoryTrial,
+                           oracles: _MemoryOracles) -> Dict[str, object]:
+    """One trial -> one journal record (never raises for ReproError)."""
+    oracle = oracles(trial.kind, trial.protection)
     try:
         outcome = oracle.classify(seed=trial.seed, site=trial.site,
                                   flips=trial.flips)
     except ReproError as exc:
-        base["status"] = "failed"
-        base["error"] = type(exc).__name__
-        base["message"] = str(exc)
-        return base
-    base["status"] = "ok"
-    base["outcome"] = outcome.to_dict()
-    return base
-
-
-# -- worker side -------------------------------------------------------------------
-
-_memory_worker_workload: Optional[Tuple[int, int, int, int]] = None
-_memory_worker_oracles: Dict[Tuple[str, str], MemoryDifferentialOracle] = {}
-
-
-def _init_memory_worker(prefixes: int, fib_seed: int, lookups: int,
-                        traffic_seed: int) -> None:
-    # Workers re-synthesize the FIB deterministically from the scalar
-    # parameters instead of shipping ~N route objects per process.
-    global _memory_worker_workload
-    _memory_worker_workload = (prefixes, fib_seed, lookups, traffic_seed)
-    _memory_worker_oracles.clear()
-
-
-def _memory_workload(prefixes: int, fib_seed: int, lookups: int,
-                     traffic_seed: int):
-    routes = synthesize_fib(prefixes, seed=fib_seed)
-    addresses = zipf_addresses(routes, lookups, seed=traffic_seed)
-    return routes, addresses
-
-
-def _classify_memory_chunk(payloads: List[Dict[str, object]]
-                           ) -> List[Dict[str, object]]:
-    """Classify a chunk of memory-trial payloads in a pool worker.
-
-    The per-process oracle cache means one clean golden build per
-    (kind, protection) cell per worker."""
-    prefixes, fib_seed, lookups, traffic_seed = _memory_worker_workload
-    routes, addresses = _memory_workload(prefixes, fib_seed, lookups,
-                                         traffic_seed)
-    records = []
-    for payload in payloads:
-        trial = MemoryTrial(
-            kind=payload["kind"], protection=payload["protection"],
-            site=payload["site"], index=payload["trial"],
-            seed=payload["seed"], flips=payload["flips"])
-        cache_key = (trial.kind, trial.protection)
-        oracle = _memory_worker_oracles.get(cache_key)
-        if oracle is None:
-            oracle = MemoryDifferentialOracle(
-                trial.kind, trial.protection, routes, addresses)
-            _memory_worker_oracles[cache_key] = oracle
-        records.append(_classify_memory_trial(oracle, trial))
-    return records
+        return failed_record(_memory_identity(trial), type(exc).__name__,
+                             str(exc))
+    return {**_memory_identity(trial), "status": "ok",
+            "outcome": outcome.to_dict()}
 
 
 # -- results -----------------------------------------------------------------------
@@ -747,8 +607,12 @@ class MemorySweepResult:
 # -- the runner --------------------------------------------------------------------
 
 
-class MemorySweepRunner:
+class MemorySweepRunner(JournaledSweep):
     """Journal-backed, optionally parallel table-state sweep driver."""
+
+    measure = staticmethod(_classify_memory_trial)
+    resumed_metric = ("sdc_resumed_total",
+                      "injection trials replayed from a journal")
 
     def __init__(self,
                  kinds: Optional[Sequence[str]] = None,
@@ -763,10 +627,7 @@ class MemorySweepRunner:
                  jobs: int = 1,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None):
-        if jobs < 1:
-            raise CampaignError(f"jobs must be >= 1, got {jobs}")
+                 chunk_size: Optional[int] = None):
         if trials < 1:
             raise CampaignError(f"trials must be >= 1, got {trials}")
         if prefixes < 1:
@@ -789,6 +650,8 @@ class MemorySweepRunner:
             raise CampaignError(
                 f"unknown protection modes {unknown}; "
                 f"valid modes are {sorted(PROTECTION_MODES)}")
+        super().__init__(journal_path, resume, jobs=jobs,
+                         chunk_size=chunk_size)
         self.kinds = tuple(k for k in TABLE_KINDS if k in chosen_kinds)
         self.protections = tuple(p for p in PROTECTION_MODES
                                  if p in chosen_protections)
@@ -799,63 +662,12 @@ class MemorySweepRunner:
         self.seed = seed
         self.fib_seed = fib_seed
         self.traffic_seed = traffic_seed
-        self.jobs = jobs
-        self.journal_path = journal_path
-        self.chunk_size = chunk_size
-        self.start_method = start_method or default_start_method()
-        self.resumed = 0
-        self.discarded_records = 0
-        self._records: Dict[str, Dict[str, object]] = {}
-        self._replayed_keys: set = set()
-        self._oracles: Dict[Tuple[str, str], MemoryDifferentialOracle] = {}
-        self._workload: Optional[tuple] = None
-        if resume:
-            if journal_path is None:
-                raise CampaignError("resume requested without a journal")
-            if os.path.exists(journal_path):
-                records, discarded = load_journal(journal_path)
-                self.discarded_records = discarded
-                for record in records:
-                    self._records[record["key"]] = record
-                self._replayed_keys = set(self._records)
-                if discarded:
-                    write_atomic(journal_path, "".join(
-                        _record_line(r) + "\n" for r in records))
-        elif journal_path is not None and os.path.exists(journal_path) \
-                and os.path.getsize(journal_path) > 0:
-            raise CampaignError(
-                f"journal {journal_path!r} already exists; resume the "
-                f"sweep (resume=True / --resume) or remove the file")
-
-    # -- sweep driver -------------------------------------------------------------
 
     def run(self) -> MemorySweepResult:
         """Sweep every ``kind x protection x site x trial``."""
-        registry = get_registry()
-        plan = plan_memory_trials(self.kinds, self.protections,
-                                  self.trials, self.flips, self.seed)
-        pending: List[MemoryTrial] = []
-        for trial in plan:
-            key = trial.key
-            if key in self._records:
-                if key in self._replayed_keys:
-                    self._replayed_keys.discard(key)
-                    self.resumed += 1
-                    if registry.enabled:
-                        registry.counter(
-                            "sdc_resumed_total",
-                            "injection trials replayed from a journal"
-                        ).inc()
-            else:
-                pending.append(trial)
-        if pending and self.jobs > 1:
-            pending = self._run_pool(pending)
-        for trial in pending:
-            if trial.key not in self._records:
-                self._persist(trial.key, _classify_memory_trial(
-                    self._oracle(trial.kind, trial.protection), trial))
-
-        ordered = [self._records[trial.key] for trial in plan]
+        ordered = self._sweep(plan_memory_trials(
+            self.kinds, self.protections, self.trials, self.flips,
+            self.seed))
         rows = []
         offset = 0
         for kind in self.kinds:
@@ -874,109 +686,37 @@ class MemorySweepRunner:
             resumed=self.resumed,
             discarded_records=self.discarded_records)
 
-    # -- internals ----------------------------------------------------------------
-
-    def _get_workload(self):
-        if self._workload is None:
-            self._workload = _memory_workload(
-                self.prefixes, self.fib_seed, self.lookups,
-                self.traffic_seed)
-        return self._workload
-
-    def _oracle(self, kind: str,
-                protection: str) -> MemoryDifferentialOracle:
-        cell = (kind, protection)
-        oracle = self._oracles.get(cell)
-        if oracle is None:
-            routes, addresses = self._get_workload()
-            oracle = MemoryDifferentialOracle(
-                kind, protection, routes, addresses)
-            self._oracles[cell] = oracle
-        return oracle
-
     def _protection_cost(self, kind: str,
                          protection: str) -> Dict[str, object]:
         """Table-1-style pricing of the cell's protection hardware,
         measured on the clean golden build (deterministic, so rows are
         byte-identical across sequential/parallel/resumed runs)."""
-        oracle = self._oracle(kind, protection)
+        oracle = self._local_context()(kind, protection)
         _ = oracle.golden
         return estimate_protection_overhead(
             kind, protection, self.prefixes,
             oracle.mean_lookup_steps, oracle.table_memory_bytes,
             oracle.protected_records if protection != "none" else 0)
 
-    def _run_pool(self, pending: List[MemoryTrial]) -> List[MemoryTrial]:
-        """Fan *pending* out over a process pool; returns the trials the
-        pool never finished (evaluated in-parent by the caller)."""
-        chunks = self._chunked(pending)
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)),
-            mp_context=multiprocessing.get_context(self.start_method),
-            initializer=_init_memory_worker,
-            initargs=(self.prefixes, self.fib_seed, self.lookups,
-                      self.traffic_seed))
-        try:
-            futures = []
-            for chunk in chunks:
-                payloads = [{
-                    "kind": trial.kind, "protection": trial.protection,
-                    "site": trial.site, "trial": trial.index,
-                    "seed": trial.seed, "flips": trial.flips,
-                } for trial in chunk]
-                futures.append((pool.submit(_classify_memory_chunk,
-                                            payloads), chunk))
-            for future, chunk in futures:
-                try:
-                    records = future.result()
-                except BrokenExecutor:
-                    # pool died: the caller classifies what's left
-                    # in-process — slower, never wrong
-                    break
-                for trial, record in zip(chunk, records):
-                    self._persist(trial.key, record)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return [trial for trial in pending
-                if trial.key not in self._records]
+    # -- engine hooks -------------------------------------------------------------
 
-    def _chunked(self, pending: Sequence[MemoryTrial]
-                 ) -> List[List[MemoryTrial]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, len(pending) // (self.jobs * 4))
-        return [list(pending[i:i + size])
-                for i in range(0, len(pending), size)]
+    def _context_spec(self):
+        return _MemoryOracles, (self.prefixes, self.fib_seed, self.lookups,
+                                self.traffic_seed)
 
-    def _persist(self, key: str,
-                 record: Dict[str, object]) -> Dict[str, object]:
-        self._records[key] = record
-        self._publish_record_metrics(record)
-        if self.journal_path is not None:
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(_record_line(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        return record
+    def _failed_record(self, trial: MemoryTrial, error: str,
+                       message: str) -> Dict[str, object]:
+        return failed_record(_memory_identity(trial), error, message)
 
-    @staticmethod
-    def _publish_record_metrics(record: Dict[str, object]) -> None:
+    def _publish(self, record: Dict[str, object]) -> None:
         """Parent-side, persist-time-only metrics (same discipline as
         the datapath sweep: resumed trials never double-count)."""
         registry = get_registry()
         if not registry.enabled:
             return
-        registry.counter(
-            "sdc_trials_total",
-            "classified injection trials by status", ("status",)
-        ).inc(status=record["status"])
-        if record["status"] != "ok":
+        outcome = _publish_trial(registry, record)
+        if outcome is None:
             return
-        outcome = record["outcome"]
-        registry.counter(
-            "sdc_outcomes_total",
-            "injection trials by oracle classification", ("outcome",)
-        ).inc(outcome=outcome["outcome"])
         injections = registry.counter(
             "sdc_memory_injections_total",
             "table-state bit flips actually applied",

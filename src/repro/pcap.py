@@ -114,7 +114,7 @@ def write_pcap(path: str, packets: Iterable[CapturedPacket],
     leaves either the previous capture or the complete new one, never a
     truncated file a later ``read_pcap`` would choke on.
     """
-    from repro.dse.campaign import write_atomic_bytes
+    from repro.dse.sweep import write_atomic_bytes
 
     packets = list(packets)
     write_atomic_bytes(path, to_pcap_bytes(packets, linktype=linktype))

@@ -30,7 +30,7 @@ import json
 import os
 from typing import Dict, Optional
 
-from repro.dse.campaign import JOURNAL_VERSION, write_atomic
+from repro.dse.sweep import JOURNAL_VERSION, write_atomic
 from repro.errors import CacheIntegrityError
 from repro.obs import get_registry
 

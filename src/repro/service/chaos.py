@@ -36,7 +36,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.dse.campaign import CampaignRunner, load_journal
+from repro.dse.campaign import CampaignRunner
+from repro.dse.sweep import load_journal
 from repro.faults.process import ChaosEvaluatorFactory, corrupt_file, \
     truncate_file
 from repro.obs import get_registry

@@ -51,9 +51,8 @@ from repro.dse.campaign import (
     CampaignPolicy,
     CampaignResult,
     config_from_dict,
-    load_journal,
-    write_atomic,
 )
+from repro.dse.sweep import load_journal, write_atomic
 from repro.dse.config import TABLE_KINDS, paper_configurations
 from repro.errors import (
     CampaignError,

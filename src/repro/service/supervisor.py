@@ -95,7 +95,6 @@ class SupervisedCampaignRunner(ParallelCampaignRunner):
                  resume: bool = False,
                  policy: Optional[CampaignPolicy] = None,
                  chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  supervision: Optional[SupervisionPolicy] = None,
                  cache: Optional[EvaluationCache] = None,
                  seed: int = 0,
@@ -103,8 +102,7 @@ class SupervisedCampaignRunner(ParallelCampaignRunner):
                  time_fn: Callable[[], float] = time.monotonic):
         super().__init__(evaluator_factory, jobs=jobs,
                          journal_path=journal_path, resume=resume,
-                         policy=policy, chunk_size=chunk_size,
-                         start_method=start_method)
+                         policy=policy, chunk_size=chunk_size)
         self.supervision = supervision or SupervisionPolicy()
         self.cache = cache
         self.sleep_fn = sleep_fn

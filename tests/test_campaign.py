@@ -318,7 +318,7 @@ class TestMismatchDiagnostics:
 class TestAtomicWrite:
     def test_crash_mid_write_leaves_the_old_file_intact(
             self, tmp_path, monkeypatch):
-        from repro.dse.campaign import write_atomic_bytes
+        from repro.dse.sweep import write_atomic_bytes
 
         target = tmp_path / "table1.json"
         target.write_bytes(b"old")

@@ -34,7 +34,8 @@ CASES = {
     "memory-jobs1": (MEMORY + ["--jobs", "1"], True),
     "memory-jobs2": (MEMORY + ["--jobs", "2"], True),
     # the parallel campaign journal was written in completion order
-    # when these digests were pinned, so only its output is pinned
+    # when these digests were pinned, so only its output is pinned;
+    # test_sweep_engine.py checks that journal against a jobs=1 run
     "table1-jobs2": (TABLE1 + ["--jobs", "2"], False),
 }
 
