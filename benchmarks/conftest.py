@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dse import Evaluator
+from repro.dse import ArchitectureEvaluator
 from repro.workload import generate_routes, worst_case_workload
 
 
@@ -26,4 +26,4 @@ def worst_packets(routes100):
 
 @pytest.fixture(scope="session")
 def evaluator(routes100, worst_packets):
-    return Evaluator(routes=routes100, packets=worst_packets)
+    return ArchitectureEvaluator(routes=routes100, packets=worst_packets)

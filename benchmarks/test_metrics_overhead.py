@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from repro.dse import ArchitectureConfiguration, Evaluator
+from repro.dse import ArchitectureConfiguration, ArchitectureEvaluator
 from repro.obs import get_registry
 
 REPEATS = 7
@@ -29,7 +29,7 @@ def best_of(fn, repeats=REPEATS):
 
 class TestMetricsOverhead:
     def test_recording_costs_under_five_percent(self):
-        evaluator = Evaluator(table_entries=30, packet_batch=4)
+        evaluator = ArchitectureEvaluator(table_entries=30, packet_batch=4)
         registry = get_registry()
         evaluate = lambda: evaluator.evaluate(CONFIG)
         evaluate()  # warm caches (route tables, code generation paths)
@@ -55,7 +55,8 @@ class TestMetricsOverhead:
         try:
             registry.disable()
             before = registry.snapshot()
-            Evaluator(table_entries=20, packet_batch=2).evaluate(CONFIG)
+            ArchitectureEvaluator(table_entries=20,
+                                  packet_batch=2).evaluate(CONFIG)
             after = registry.snapshot()
         finally:
             registry.enabled = was_enabled

@@ -29,7 +29,6 @@ import pytest
 from repro.dse import (
     ArchitectureEvaluator,
     CampaignRunner,
-    ParallelCampaignRunner,
     paper_space,
 )
 
@@ -53,10 +52,7 @@ class ThrottledEvaluator:
 
 def _sweep(factory, jobs, configs):
     """One timed sweep; returns (wall seconds, campaign)."""
-    if jobs == 1:
-        runner = CampaignRunner(factory())
-    else:
-        runner = ParallelCampaignRunner(factory, jobs=jobs, chunk_size=1)
+    runner = CampaignRunner(factory(), jobs=jobs, chunk_size=1)
     start = time.perf_counter()
     campaign = runner.run(configs)
     return time.perf_counter() - start, campaign

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 
-from repro.dse import CampaignRunner, Evaluator, config_key
+from repro.dse import ArchitectureEvaluator, CampaignRunner, config_key
 from repro.faults import ChaosEvaluatorFactory, corrupt_file
 from repro.service import CampaignService, SupervisionPolicy
 from repro.service.jobs import normalise_plan, plan_configs
@@ -33,7 +33,7 @@ def _run(service, plan=PLAN):
 
 def test_service_recovery_and_cache(benchmark, tmp_path):
     configs = plan_configs(normalise_plan(PLAN))
-    baseline = CampaignRunner(Evaluator(
+    baseline = CampaignRunner(ArchitectureEvaluator(
         table_entries=PLAN["entries"],
         packet_batch=PLAN["packets"])).run(configs)
 

@@ -10,9 +10,9 @@ Run:  python examples/design_space_exploration.py
 """
 
 from repro.dse import (
+    ArchitectureEvaluator,
     DesignConstraints,
     DesignSpace,
-    Evaluator,
     GreedyExplorer,
     generate_table1,
     pareto_front,
@@ -23,7 +23,7 @@ from repro.reporting import render_rows
 
 
 def main() -> None:
-    evaluator = Evaluator(table_entries=100, packet_batch=10)
+    evaluator = ArchitectureEvaluator(table_entries=100, packet_batch=10)
 
     print("=== Table 1 (paper) vs this reproduction ===")
     rows = generate_table1(evaluator)

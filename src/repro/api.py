@@ -25,33 +25,41 @@ the deep modules later costs nothing. The deep module paths
 importable but are **not** covered by any stability promise; this module
 is.
 
-``jobs=N`` fans design-space sweeps out over a ``multiprocessing``
-process pool (one evaluator per worker); the default ``jobs=1`` is the
-plain sequential path. Parallel output is byte-identical to sequential
-output, and the crash-safe ``journal``/``resume`` options work the same
-either way.
+Table 1 and the explorer always run on one
+:class:`~repro.dse.campaign.CampaignRunner`; every sweep runs on the
+journaled sweep engine (:mod:`repro.dse.sweep`). ``jobs=N`` fans a sweep
+out over a ``multiprocessing`` process pool (one evaluator per worker);
+the default ``jobs=1`` measures in this process. Parallel output is
+byte-identical to sequential output, and the crash-safe
+``journal``/``resume`` options work the same either way.
+
+The ``taco-explore`` command line (:mod:`repro.cli`) is a thin argparse
+layer over this module: it calls nothing else.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.conformance import ConformanceReport
 from repro.conformance import run_conformance as _run_conformance
 from repro.dse.campaign import (
     CampaignPolicy,
+    CampaignResult,
     CampaignRunner,
     run_table1_campaign,
 )
-from repro.dse.config import ArchitectureConfiguration
+from repro.dse.config import (
+    ALL_TABLE_KINDS,
+    TABLE_KINDS,
+    ArchitectureConfiguration,
+)
 from repro.dse.evaluator import (
     DEFAULT_EVALUATION_MAX_CYCLES,
     ArchitectureEvaluator,
     EvaluationResult,
 )
 from repro.dse.explorer import ExplorationOutcome, GreedyExplorer
-from repro.dse.parallel import ParallelCampaignRunner
 from repro.dse.pareto import DesignConstraints
 from repro.dse.sdc import (
     DEFAULT_MEMORY_FLIPS,
@@ -70,7 +78,13 @@ from repro.dse.lookup_sweep import (
     LookupSweepRunner,
 )
 from repro.dse.space import DesignSpace
-from repro.dse.table1 import Table1Row, generate_table1, render_table1
+from repro.dse.sweep import write_atomic
+from repro.dse.table1 import (
+    Table1Row,
+    render_table1,
+    shape_checks,
+    table1_to_dict,
+)
 from repro.faults.control import (
     ATTACK_KINDS,
     AssaultReport,
@@ -78,12 +92,30 @@ from repro.faults.control import (
 )
 from repro.faults.flaps import FlapSchedule
 from repro.faults.scenario import ChaosScenario, ResilienceReport
-from repro.pcap import ReplayReport, read_pcap
+from repro.reporting import describe_machine, render_hazard_summary, to_dot
+from repro.pcap import (
+    ReplayReport,
+    attach_taps,
+    merged_capture,
+    read_pcap,
+    write_pcap,
+)
 from repro.pcap import replay as _replay
 from repro.obs import MetricsRegistry, get_registry, render_snapshot
+from repro.programs.machine import build_machine
 from repro.programs.runner import RunOptions
-from repro.tta.backends import SimulatorBackend, available_backends
-from repro.router.network import line_topology, ring_topology
+from repro.tta.backends import (
+    BACKEND_AUTO,
+    SimulatorBackend,
+    available_backends,
+)
+from repro.router.network import (
+    Network,
+    RipngRun,
+    line_topology,
+    ring_topology,
+    seed_fib_routes,
+)
 from repro.service import (
     CampaignService,
     JobRecord,
@@ -95,11 +127,15 @@ from repro.service import (
 __all__ = [
     "evaluate",
     "table1",
+    "table1_campaign",
     "lookup_sweep",
     "explore",
+    "explore_campaign",
     "backends",
+    "describe",
     "conformance",
     "replay_pcap",
+    "ripng",
     "run_assault",
     "run_chaos",
     "sdc_sweep",
@@ -109,8 +145,17 @@ __all__ = [
     "metrics",
     "metrics_registry",
     "render_metrics",
+    "render_hazard_summary",
     "render_table1",
+    "shape_checks",
+    "table1_to_dict",
+    "write_atomic",
+    "ALL_TABLE_KINDS",
+    "BACKEND_AUTO",
+    "DEFAULT_EVALUATION_MAX_CYCLES",
+    "TABLE_KINDS",
     "ArchitectureConfiguration",
+    "CampaignResult",
     "CampaignService",
     "DesignConstraints",
     "DesignSpace",
@@ -124,6 +169,7 @@ __all__ = [
     "ReplayReport",
     "MemorySweepResult",
     "ResilienceReport",
+    "RipngRun",
     "RunOptions",
     "SdcSweepResult",
     "SimulatorBackend",
@@ -133,14 +179,28 @@ __all__ = [
 ]
 
 
-def _evaluator_factory(entries: int, packets: int, hazards: bool,
-                       backend: Optional[str] = None):
-    """A picklable factory (``partial`` over the class) so the same spec
-    builds the evaluator in the parent and in every pool worker —
-    including the chosen simulation backend."""
-    return partial(ArchitectureEvaluator, table_entries=entries,
-                   packet_batch=packets, detect_hazards=hazards,
-                   backend=backend)
+def _evaluator(*, entries: int, packets: int, hazards: bool,
+               backend: Optional[str], prefixes: Optional[int] = None,
+               seed: int = 2026) -> ArchitectureEvaluator:
+    """The evaluator behind every evaluation entry point: the paper's
+    *entries*-route workload, or a synthesized *prefixes*-route FIB."""
+    routes = None
+    if prefixes is not None:
+        from repro.workload.fib import synthesize_fib
+        routes = synthesize_fib(prefixes, seed=seed)
+    return ArchitectureEvaluator(routes=routes, table_entries=entries,
+                                 packet_batch=packets,
+                                 detect_hazards=hazards, backend=backend)
+
+
+def _campaign(*, jobs: int, journal: Optional[str], resume: bool,
+              cycle_budget: Optional[int], **workload) -> CampaignRunner:
+    """The one campaign runner every Table 1 and explorer run goes
+    through, whatever the job count and whether or not it journals."""
+    policy = CampaignPolicy(
+        cycle_budget=cycle_budget or DEFAULT_EVALUATION_MAX_CYCLES)
+    return CampaignRunner(_evaluator(**workload), journal_path=journal,
+                          resume=resume, policy=policy, jobs=jobs)
 
 
 def backends() -> List[SimulatorBackend]:
@@ -152,19 +212,6 @@ def backends() -> List[SimulatorBackend]:
     the ``backend=`` argument anywhere in this facade.
     """
     return available_backends()
-
-
-def _runner(factory, *, jobs: int, journal: Optional[str], resume: bool,
-            cycle_budget: Optional[int]
-            ) -> Union[CampaignRunner, ParallelCampaignRunner]:
-    policy = CampaignPolicy(
-        cycle_budget=cycle_budget or DEFAULT_EVALUATION_MAX_CYCLES)
-    if jobs > 1:
-        return ParallelCampaignRunner(
-            factory, jobs=jobs, journal_path=journal, resume=resume,
-            policy=policy)
-    return CampaignRunner(factory(), journal_path=journal, resume=resume,
-                          policy=policy)
 
 
 def evaluate(config: ArchitectureConfiguration, *,
@@ -183,39 +230,53 @@ def evaluate(config: ArchitectureConfiguration, *,
     points — a single evaluation always runs in-process.
     """
     del jobs  # a single evaluation has nothing to fan out
-    factory = _evaluator_factory(entries, packets, hazards, backend)
-    return factory().evaluate(config, max_cycles=max_cycles)
+    evaluator = _evaluator(entries=entries, packets=packets,
+                           hazards=hazards, backend=backend)
+    return evaluator.evaluate(config, max_cycles=max_cycles)
 
 
-def table1(*, entries: int = 100,
-           packets: int = 12,
-           jobs: int = 1,
-           journal: Optional[str] = None,
-           resume: bool = False,
-           cycle_budget: Optional[int] = None,
-           hazards: bool = False,
-           backend: Optional[str] = None) -> List[Table1Row]:
-    """Regenerate the paper's Table 1 (nine rows, paper values attached).
-
-    With ``jobs > 1`` the nine evaluations fan out over a process pool;
-    the returned rows — and their rendering via :func:`render_table1` —
-    are byte-identical to the sequential result. ``journal``/``resume``
-    make the sweep crash-safe exactly as on the CLI. Configurations that
-    fail under a journal-backed run are quarantined and absent from the
-    returned rows.
-    """
-    factory = _evaluator_factory(entries, packets, hazards, backend)
-    if jobs == 1 and journal is None and not resume and not cycle_budget:
-        return generate_table1(factory())
-    runner = _runner(factory, jobs=jobs, journal=journal, resume=resume,
-                     cycle_budget=cycle_budget)
-    rows, _ = run_table1_campaign(runner)
+def table1(**options) -> List[Table1Row]:
+    """Regenerate the paper's Table 1 (nine rows, paper values attached):
+    the rows of :func:`table1_campaign`, which takes the same keyword
+    options."""
+    rows, _ = table1_campaign(**options)
     return rows
+
+
+def table1_campaign(*, entries: int = 100,
+                    packets: int = 12,
+                    jobs: int = 1,
+                    journal: Optional[str] = None,
+                    resume: bool = False,
+                    cycle_budget: Optional[int] = None,
+                    hazards: bool = False,
+                    backend: Optional[str] = None,
+                    prefixes: Optional[int] = None,
+                    seed: int = 2026,
+                    kinds: Sequence[str] = TABLE_KINDS
+                    ) -> Tuple[List[Table1Row], CampaignResult]:
+    """Table 1 rows plus the campaign that produced them.
+
+    Every configuration is evaluated by one :class:`CampaignRunner`:
+    with ``jobs > 1`` over a process pool, and the rows — and their
+    rendering via :func:`render_table1` — are byte-identical to a
+    sequential run. ``journal``/``resume`` make the sweep crash-safe
+    exactly as on the CLI. Configurations whose evaluation fails are
+    quarantined: absent from the rows, listed in the campaign's
+    ``failures``. *prefixes* replaces the paper workload with a
+    synthesized BGP-shaped FIB (seeded by *seed*); *kinds* picks the
+    table options (:data:`ALL_TABLE_KINDS` adds the post-paper ones).
+    """
+    runner = _campaign(entries=entries, packets=packets, hazards=hazards,
+                       backend=backend, prefixes=prefixes, seed=seed,
+                       jobs=jobs, journal=journal, resume=resume,
+                       cycle_budget=cycle_budget)
+    return run_table1_campaign(runner, kinds)
 
 
 def lookup_sweep(*, kinds=None,
                  prefix_counts=None,
-                 lookups: int = DEFAULT_LOOKUPS,
+                 lookups: Optional[int] = None,
                  seed: int = 2026,
                  jobs: int = 1,
                  journal: Optional[str] = None,
@@ -227,7 +288,8 @@ def lookup_sweep(*, kinds=None,
     steps under Zipf-skewed traffic, and derives required clock / area /
     power through the calibrated analytic models
     (:mod:`repro.estimation.lookup`). Defaults sweep all five kinds at
-    ``(100, 1000, 10000, 100000, 1000000)`` prefixes.
+    ``(100, 1000, 10000, 100000, 1000000)`` prefixes with
+    ``DEFAULT_LOOKUPS`` probes per cell.
 
     ``jobs``/``journal``/``resume`` behave exactly as in :func:`table1`:
     parallel, resumed, and sequential sweeps produce byte-identical
@@ -236,42 +298,100 @@ def lookup_sweep(*, kinds=None,
     runner = LookupSweepRunner(
         kinds=kinds,
         prefix_counts=prefix_counts or DEFAULT_PREFIX_COUNTS,
-        lookups=lookups, seed=seed, jobs=jobs, journal_path=journal,
-        resume=resume)
+        lookups=DEFAULT_LOOKUPS if lookups is None else lookups,
+        seed=seed, jobs=jobs, journal_path=journal, resume=resume)
     return runner.run()
 
 
-def explore(*, space: Optional[DesignSpace] = None,
-            max_area: Optional[float] = None,
-            max_power: Optional[float] = None,
-            jobs: int = 1,
-            entries: int = 100,
-            packets: int = 12,
-            journal: Optional[str] = None,
-            resume: bool = False,
-            cycle_budget: Optional[int] = None,
-            hazards: bool = False,
-            backend: Optional[str] = None) -> ExplorationOutcome:
-    """Run the heuristic design-space explorer.
+def explore(**options) -> ExplorationOutcome:
+    """Run the heuristic design-space explorer: the outcome of
+    :func:`explore_campaign`, which takes the same keyword options."""
+    outcome, _ = explore_campaign(**options)
+    return outcome
 
-    With ``jobs > 1`` the explorer expands each search frontier (all
-    restart points, all neighbours of the current best) concurrently
-    over a process pool.
+
+def explore_campaign(*, space: Optional[DesignSpace] = None,
+                     max_area: Optional[float] = None,
+                     max_power: Optional[float] = None,
+                     jobs: int = 1,
+                     entries: int = 100,
+                     packets: int = 12,
+                     journal: Optional[str] = None,
+                     resume: bool = False,
+                     cycle_budget: Optional[int] = None,
+                     hazards: bool = False,
+                     backend: Optional[str] = None
+                     ) -> Tuple[ExplorationOutcome, CampaignResult]:
+    """The explorer's outcome plus the campaign of every evaluation it
+    made.
+
+    The explorer runs on one :class:`CampaignRunner`, which expands each
+    search frontier (all restart points, all neighbours of the current
+    best) as one batch — over a process pool when ``jobs > 1``. It visits
+    the same configurations in the same order at every job count, so the
+    outcome is byte-identical whatever *jobs* is. ``journal``/``resume``
+    behave as in :func:`table1_campaign`.
     """
-    constraints = DesignConstraints(max_area_mm2=max_area,
-                                    max_power_w=max_power)
-    factory = _evaluator_factory(entries, packets, hazards, backend)
-    if jobs > 1 or journal is not None or resume or cycle_budget:
-        evaluator = _runner(factory, jobs=jobs, journal=journal,
-                            resume=resume, cycle_budget=cycle_budget)
-    else:
-        evaluator = factory()
-    explorer = GreedyExplorer(evaluator, constraints)
-    return explorer.explore(space or DesignSpace())
+    runner = _campaign(entries=entries, packets=packets, hazards=hazards,
+                       backend=backend, jobs=jobs, journal=journal,
+                       resume=resume, cycle_budget=cycle_budget)
+    explorer = GreedyExplorer(runner, DesignConstraints(
+        max_area_mm2=max_area, max_power_w=max_power))
+    outcome = explorer.explore(space or DesignSpace())
+    return outcome, runner.result()
+
+
+def describe(config: ArchitectureConfiguration, *,
+             fmt: str = "text") -> str:
+    """The top-level description of *config*'s processor instance: a
+    datasheet (``fmt="text"``) or a Graphviz graph (``fmt="dot"``)."""
+    machine = build_machine(config)
+    return to_dot(machine) if fmt == "dot" else describe_machine(machine)
+
+
+def _network(topology: str, routers: int, prefixes: Optional[int] = None,
+             fib_seed: int = 2026) -> Network:
+    """A line or ring of RIPng routers. With *prefixes*, every router is
+    sized for the whole synthesized FIB plus the prefixes the topology
+    itself originates, and the FIB is originated across the routers
+    before anything runs, so convergence spreads a realistic table."""
+    builders = {"line": line_topology, "ring": ring_topology}
+    if topology not in builders:
+        raise ValueError(f"unknown topology {topology!r}; "
+                         f"choose 'line' or 'ring'")
+    if not prefixes:
+        return builders[topology](routers)
+    network = builders[topology](
+        routers, table_capacity=prefixes + 4 * routers + 8)
+    seed_fib_routes(network, prefixes, seed=fib_seed)
+    return network
+
+
+def ripng(*, topology: str = "line",
+          routers: int = 4,
+          prefixes: Optional[int] = None,
+          fib_seed: int = 2026,
+          capture: Optional[str] = None) -> RipngRun:
+    """Run RIPng to convergence on a line or ring of *routers*.
+
+    *prefixes* originates a synthesized FIB of that many routes across
+    the routers first (seeded by *fib_seed*). *capture* taps every link
+    and writes the run's frames to that path as a classic pcap, which
+    :func:`replay_pcap` can replay.
+    """
+    network = _network(topology, routers, prefixes, fib_seed)
+    taps = attach_taps(network) if capture else None
+    report = network.run_until_converged()
+    captured = write_pcap(capture, merged_capture(taps)) if capture \
+        else None
+    return RipngRun(topology=topology, network=network, report=report,
+                    captured=captured, capture_path=capture)
 
 
 def run_chaos(*, topology: str = "line",
               routers: int = 5,
+              prefixes: Optional[int] = None,
+              fib_seed: int = 2026,
               seed: int = 0,
               drop: float = 0.0,
               corrupt: float = 0.0,
@@ -283,18 +403,13 @@ def run_chaos(*, topology: str = "line",
               chaos_seconds: float = 300.0) -> ResilienceReport:
     """Run one seeded fault-injection scenario and report resilience.
 
-    Same seed, same report, bit for bit, on any machine.
+    Same seed, same report, bit for bit, on any machine. *prefixes*
+    originates a synthesized FIB across the routers first, as in
+    :func:`ripng`.
     """
-    if topology == "line":
-        network = line_topology(routers)
-    elif topology == "ring":
-        network = ring_topology(routers)
-    else:
-        raise ValueError(f"unknown topology {topology!r}; "
-                         f"choose 'line' or 'ring'")
     scenario = ChaosScenario.uniform(
-        network, seed=seed, drop=drop, corrupt=corrupt,
-        duplicate=duplicate, reorder=reorder,
+        _network(topology, routers, prefixes, fib_seed), seed=seed,
+        drop=drop, corrupt=corrupt, duplicate=duplicate, reorder=reorder,
         latency_steps=latency_steps, jitter_steps=jitter_steps,
         flaps=flaps if flaps is not None and len(flaps) else None,
         chaos_seconds=chaos_seconds)
@@ -341,15 +456,8 @@ def run_assault(*, topology: str = "line",
     asserts graceful degradation: no exceptions, no poisoned routes
     installed, reconvergence, and every attack visible in drop counters.
     """
-    if topology == "line":
-        network = line_topology(routers)
-    elif topology == "ring":
-        network = ring_topology(routers)
-    else:
-        raise ValueError(f"unknown topology {topology!r}; "
-                         f"choose 'line' or 'ring'")
     assault = ControlPlaneAssault(
-        network, victim=victim, seed=seed,
+        _network(topology, routers), victim=victim, seed=seed,
         kinds=tuple(kinds) if kinds else ATTACK_KINDS,
         attack_rounds=attack_rounds, burst_per_round=burst_per_round)
     return assault.run()

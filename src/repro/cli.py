@@ -27,10 +27,14 @@ Subcommands:
 * ``metrics`` — render a metrics snapshot (live, or the ``metrics``
   section of a saved ``--output`` JSON) as a table.
 
-``table1`` and ``explore`` run as crash-safe campaigns when given
-``--journal`` (resume with ``--resume``) and fan out over a process pool
-with ``--jobs N`` (parallel output is byte-identical to sequential);
-``--hazards`` attaches the TTA hazard detector to every simulation.
+This module is a thin argparse layer over :mod:`repro.api`: each
+subcommand turns its flags into one facade call and prints the result.
+
+``table1`` and ``explore`` always run on one campaign runner, which
+journals with ``--journal`` (resume with ``--resume``) and fans out over
+a process pool with ``--jobs N``; stdout, ``--output`` and the journal
+are byte-identical at every job count. ``--hazards`` attaches the TTA
+hazard detector to every simulation.
 ``--backend interpreter|compiled|auto`` (on ``table1``/``evaluate``/
 ``explore``/``sdc``/``submit``) selects the simulation engine; the
 ``compiled`` fast path produces bit-identical reports and falls back to
@@ -47,81 +51,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from typing import Optional, Sequence
 
-from repro.dse import (
-    ArchitectureConfiguration,
-    ArchitectureEvaluator,
-    CampaignPolicy,
-    CampaignRunner,
-    DesignConstraints,
-    DesignSpace,
-    GreedyExplorer,
-    ParallelCampaignRunner,
-    generate_table1,
-    render_table1,
-    run_table1_campaign,
-    shape_checks,
-    write_atomic,
+from repro import api
+from repro.api import write_atomic
+from repro.errors import (
+    CampaignError,
+    FaultInjectionError,
+    ReproError,
+    ServiceError,
 )
-from repro.dse.evaluator import DEFAULT_EVALUATION_MAX_CYCLES
-from repro.dse.table1 import table1_to_dict
-from repro.ipv6.address import Ipv6Prefix
-from repro.obs import get_registry, render_snapshot
-from repro.router.network import (
-    line_topology,
-    ring_topology,
-    seed_fib_routes,
-)
-from repro.tta.backends import BACKEND_AUTO, available_backends
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("table1", "explore", "lookup-sweep"):
-        from repro.errors import CampaignError
-        handler = {"table1": _cmd_table1, "explore": _cmd_explore,
-                   "lookup-sweep": _cmd_lookup_sweep}[args.command]
-        try:
-            return handler(args)
-        except CampaignError as exc:
-            print(f"campaign error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "evaluate":
-        return _cmd_evaluate(args)
-    if args.command == "ripng":
-        return _cmd_ripng(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "sdc":
-        from repro.errors import CampaignError
-        try:
-            return _cmd_sdc(args)
-        except CampaignError as exc:
-            print(f"campaign error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "conformance":
-        return _cmd_conformance(args)
-    if args.command == "assault":
-        return _cmd_assault(args)
-    if args.command == "describe":
-        return _cmd_describe(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command in ("submit", "serve", "jobs", "service-chaos"):
-        from repro.errors import ServiceError
-        handler = {"submit": _cmd_submit, "serve": _cmd_serve,
-                   "jobs": _cmd_jobs,
-                   "service-chaos": _cmd_service_chaos}[args.command]
-        try:
-            return handler(args)
-        except ServiceError as exc:
-            print(f"service error: {exc}", file=sys.stderr)
-            return 2
-    parser.print_help()
-    return 2
+    handler = _HANDLERS.get(args.command)
+    if handler is None:
+        parser.print_help()
+        return 2
+    try:
+        return handler(args)
+    except CampaignError as exc:
+        print(f"campaign error: {exc}", file=sys.stderr)
+        return 2
+    except ServiceError as exc:
+        print(f"service error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,8 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lookup-sweep",
         help="scaling sweep: every table kind at 10^2..10^6 prefixes")
     sweep.add_argument("--kind", action="append", default=None,
-                       choices=("sequential", "balanced-tree", "cam",
-                                "multibit-trie", "bloom"),
+                       choices=api.ALL_TABLE_KINDS,
                        help="table kind to sweep (repeatable; "
                             "default: all five)")
     sweep.add_argument("--prefixes", type=int, nargs="+", default=None,
@@ -167,13 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default 2000)")
     sweep.add_argument("--seed", type=int, default=2026,
                        help="root seed (sweeps replay bit-for-bit)")
-    sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="fan cells out over N worker processes "
-                            "(default 1; output is byte-identical)")
-    sweep.add_argument("--journal", default=None, metavar="PATH",
-                       help="crash-safe JSONL journal of every cell")
-    sweep.add_argument("--resume", action="store_true",
-                       help="replay the journal and skip measured cells")
+    _add_sweep_arguments(sweep, "cell")
     _add_output_argument(sweep)
 
     ev = sub.add_parser("evaluate", help="evaluate one configuration")
@@ -181,8 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--fu-sets", type=int, default=1,
                     help="matcher/counter/comparator count")
     ev.add_argument("--table", default="sequential",
-                    choices=("sequential", "balanced-tree", "cam",
-                             "multibit-trie", "bloom"))
+                    choices=api.ALL_TABLE_KINDS)
     ev.add_argument("--entries", type=int, default=100)
     ev.add_argument("--hazards", action="store_true",
                     help="attach the hazard detector and print its report")
@@ -294,8 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "bit flips by default, stored-FIB (memory-state) "
                     "flips with --prefixes")
     sdc.add_argument("--table", action="append", default=None,
-                     choices=("sequential", "balanced-tree", "cam",
-                              "multibit-trie", "bloom"),
+                     choices=api.ALL_TABLE_KINDS,
                      help="routing-table kind to sweep (repeatable; "
                           "datapath default: sequential/balanced-tree/"
                           "cam; memory default: all five)")
@@ -336,13 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="routing table size (default 20)")
     sdc.add_argument("--packets", type=int, default=4,
                      help="measurement batch size (default 4)")
-    sdc.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="fan trials out over N worker processes "
-                          "(default 1; output is byte-identical)")
-    sdc.add_argument("--journal", default=None, metavar="PATH",
-                     help="crash-safe JSONL journal of every trial")
-    sdc.add_argument("--resume", action="store_true",
-                     help="replay the journal and skip completed trials")
+    _add_sweep_arguments(sdc, "trial")
     _add_backend_argument(sdc)
     _add_output_argument(sdc)
 
@@ -351,8 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     desc.add_argument("--buses", type=int, default=3)
     desc.add_argument("--fu-sets", type=int, default=1)
     desc.add_argument("--table", default="cam",
-                      choices=("sequential", "balanced-tree", "cam",
-                               "multibit-trie", "bloom"))
+                      choices=api.ALL_TABLE_KINDS)
     desc.add_argument("--format", dest="fmt", default="text",
                       choices=("text", "dot"))
 
@@ -426,25 +366,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    choices = tuple(backend.name for backend in available_backends()) \
-        + (BACKEND_AUTO,)
+    choices = tuple(backend.name for backend in api.backends()) \
+        + (api.BACKEND_AUTO,)
     parser.add_argument("--backend", default=None, choices=choices,
                         help="simulation engine (default: interpreter; "
                              "'compiled' is the bit-identical fast path, "
                              "'auto' picks the fastest)")
 
 
-def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_sweep_arguments(parser: argparse.ArgumentParser,
+                         item: str) -> None:
+    """``--jobs``/``--journal``/``--resume``, shared by every sweep."""
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan the sweep out over N worker processes "
-                             "(default 1 = sequential; output is "
-                             "byte-identical either way)")
+                        help=f"fan {item}s out over N worker processes "
+                             f"(default 1; output is byte-identical)")
     parser.add_argument("--journal", default=None, metavar="PATH",
-                        help="crash-safe JSONL journal of every evaluation")
+                        help=f"crash-safe JSONL journal of every {item}")
     parser.add_argument("--resume", action="store_true",
-                        help="replay the journal and skip completed configs")
+                        help=f"replay the journal and skip journalled "
+                             f"{item}s")
+
+
+def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_sweep_arguments(parser, "evaluation")
     parser.add_argument("--cycle-budget", type=int,
-                        default=DEFAULT_EVALUATION_MAX_CYCLES,
+                        default=api.DEFAULT_EVALUATION_MAX_CYCLES,
                         help="per-evaluation cycle deadline (one retry at "
                              "4x before quarantine)")
     parser.add_argument("--hazards", action="store_true",
@@ -468,8 +414,13 @@ def _write_json(path: str, payload: dict) -> None:
     """
     if "metrics" not in payload:
         payload = dict(payload)
-        payload["metrics"] = get_registry().snapshot()
+        payload["metrics"] = api.metrics()
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _report_resumed(count: int, noun: str, journal: str) -> None:
+    if count:
+        print(f"(resumed {count} {noun}(s) from {journal})", file=sys.stderr)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -482,72 +433,43 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     else:
-        snapshot = get_registry().snapshot()
+        snapshot = api.metrics()
     if args.fmt == "json":
         print(json.dumps(snapshot, indent=2, sort_keys=True))
     else:
-        print(render_snapshot(snapshot))
+        print(api.render_metrics(snapshot))
     return 0
 
 
-def _evaluator_factory(args: argparse.Namespace):
-    """Picklable evaluator spec shared by the parent and pool workers."""
-    routes = None
-    if getattr(args, "prefixes", None) is not None:
-        from repro.workload.fib import synthesize_fib
-        routes = synthesize_fib(args.prefixes,
-                                seed=getattr(args, "seed", 2026))
-    return partial(ArchitectureEvaluator,
-                   routes=routes,
-                   table_entries=args.entries,
-                   packet_batch=getattr(args, "packets", 12),
-                   detect_hazards=args.hazards,
-                   backend=getattr(args, "backend", None))
-
-
-def _make_campaign_runner(factory, args: argparse.Namespace
-                          ) -> CampaignRunner:
-    policy = CampaignPolicy(cycle_budget=args.cycle_budget)
-    if args.jobs > 1:
-        return ParallelCampaignRunner(
-            factory, jobs=args.jobs, journal_path=args.journal,
-            resume=args.resume, policy=policy)
-    return CampaignRunner(factory(), journal_path=args.journal,
-                          resume=args.resume, policy=policy)
+def _campaign_options(args: argparse.Namespace) -> dict:
+    """The campaign knobs ``table1`` and ``explore`` share."""
+    return {"jobs": args.jobs, "journal": args.journal,
+            "resume": args.resume, "cycle_budget": args.cycle_budget,
+            "hazards": args.hazards, "backend": args.backend}
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.dse.config import ALL_TABLE_KINDS, TABLE_KINDS
-
-    kinds = ALL_TABLE_KINDS if args.kinds == "all" else TABLE_KINDS
-    factory = _evaluator_factory(args)
-    campaign = None
-    runner = None
-    if args.journal or args.jobs > 1:
-        runner = _make_campaign_runner(factory, args)
-        rows, campaign = run_table1_campaign(runner, kinds=kinds)
-    else:
-        rows = generate_table1(factory(), kinds=kinds)
-    text = render_table1(rows)
-    if campaign is not None:
-        for failure in campaign.failures:
-            text += f"\nquarantined: {failure.render()}"
+    rows, campaign = api.table1_campaign(
+        entries=args.entries, packets=args.packets,
+        prefixes=args.prefixes, seed=args.seed,
+        kinds=api.ALL_TABLE_KINDS if args.kinds == "all"
+        else api.TABLE_KINDS,
+        **_campaign_options(args))
+    text = api.render_table1(rows)
+    for failure in campaign.failures:
+        text += f"\nquarantined: {failure.render()}"
     print(text)
     # shape_checks self-guards: with an incomplete paper grid it
     # reports that single violation, and extended kinds ride along
     # unconstrained.
-    violations = shape_checks(rows)
+    violations = api.shape_checks(rows)
     if args.output:
-        _write_json(args.output, table1_to_dict(rows, violations))
-    if campaign is not None:
-        if args.hazards:
-            from repro.reporting import render_hazard_summary
-            print(render_hazard_summary(runner.hazard_counts()))
-        if campaign.resumed:
-            print(f"(resumed {campaign.resumed} evaluation(s) "
-                  f"from {args.journal})", file=sys.stderr)
-        if campaign.failures:
-            return 3
+        _write_json(args.output, api.table1_to_dict(rows, violations))
+    if args.hazards:
+        print(api.render_hazard_summary(campaign.hazard_counts()))
+    _report_resumed(campaign.resumed, "evaluation", args.journal)
+    if campaign.failures:
+        return 3
     if violations:
         print("\nshape violations:")
         for violation in violations:
@@ -558,37 +480,28 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_lookup_sweep(args: argparse.Namespace) -> int:
-    from repro.dse.lookup_sweep import (
-        DEFAULT_LOOKUPS,
-        LookupSweepRunner,
-    )
-
-    runner = LookupSweepRunner(
-        kinds=args.kind, prefix_counts=args.prefixes,
-        lookups=args.lookups if args.lookups is not None
-        else DEFAULT_LOOKUPS,
-        seed=args.seed, jobs=args.jobs,
-        journal_path=args.journal, resume=args.resume)
-    result = runner.run()
+    result = api.lookup_sweep(
+        kinds=args.kind, prefix_counts=args.prefixes, lookups=args.lookups,
+        seed=args.seed, jobs=args.jobs, journal=args.journal,
+        resume=args.resume)
     print(result.render())
     if args.output:
         _write_json(args.output, result.to_dict())
-    if result.resumed:
-        print(f"(resumed {result.resumed} cell(s) from {args.journal})",
-              file=sys.stderr)
+    _report_resumed(result.resumed, "cell", args.journal)
     failed = sum(r["status"] != "ok" for r in result.records)
     return 3 if failed else 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = ArchitectureConfiguration(
+def _config(args: argparse.Namespace) -> "api.ArchitectureConfiguration":
+    return api.ArchitectureConfiguration(
         bus_count=args.buses, matchers=args.fu_sets,
         counters=args.fu_sets, comparators=args.fu_sets,
         table_kind=args.table)
-    evaluator = ArchitectureEvaluator(table_entries=args.entries,
-                                      detect_hazards=args.hazards,
-                                      backend=args.backend)
-    result = evaluator.evaluate(config)
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    result = api.evaluate(_config(args), entries=args.entries,
+                          hazards=args.hazards, backend=args.backend)
     print(result.summary())
     if args.output:
         _write_json(args.output, result.to_dict())
@@ -599,31 +512,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from repro.reporting import aggregate_hazard_counts, render_hazard_summary
-
-    constraints = DesignConstraints(max_area_mm2=args.max_area,
-                                    max_power_w=args.max_power)
-    args.entries = getattr(args, "entries", 100)
-    factory = _evaluator_factory(args)
-    runner = None
-    if args.journal or args.jobs > 1:
-        runner = _make_campaign_runner(factory, args)
-    explorer = GreedyExplorer(runner if runner is not None else factory(),
-                              constraints)
-    outcome = explorer.explore(DesignSpace())
+    outcome, campaign = api.explore_campaign(
+        max_area=args.max_area, max_power=args.max_power,
+        **_campaign_options(args))
     print(f"evaluations used: {outcome.evaluations_used}")
     if args.output:
         _write_json(args.output, outcome.to_dict())
-    if runner is not None and runner.resumed:
-        print(f"(resumed {runner.resumed} evaluation(s) "
-              f"from {args.journal})", file=sys.stderr)
-    for config in (runner.quarantined if runner is not None
-                   else outcome.failed):
+    _report_resumed(campaign.resumed, "evaluation", args.journal)
+    for config in campaign.quarantined:
         print(f"quarantined: {config.describe()}")
     if args.hazards:
-        counts = runner.hazard_counts() if runner is not None \
-            else aggregate_hazard_counts(outcome.evaluated)
-        print(render_hazard_summary(counts))
+        print(api.render_hazard_summary(campaign.hazard_counts()))
     if outcome.best is None:
         print("no configuration satisfies the constraints")
         return 1
@@ -631,59 +530,25 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_scenario_network(args: argparse.Namespace):
-    """Topology for the ripng/chaos commands, optionally FIB-seeded.
-
-    With ``--prefixes`` every router's table is sized for the full
-    synthesized FIB plus the connected/closing prefixes the topology
-    itself originates, and the routes are distributed before the
-    simulation starts so convergence spreads a realistic table.
-    """
-    builder = line_topology if args.topology == "line" else ring_topology
-    prefixes = getattr(args, "prefixes", None)
-    if prefixes:
-        capacity = prefixes + 4 * args.routers + 8
-        network = builder(args.routers, table_capacity=capacity)
-        seeded = seed_fib_routes(network, prefixes, seed=args.fib_seed)
-        print(f"originated {seeded} synthesized routes "
+def _announce_fib(args: argparse.Namespace) -> None:
+    """``ripng``/``chaos --prefixes N``: name the FIB the routers get."""
+    if args.prefixes:
+        print(f"originated {args.prefixes} synthesized routes "
               f"(fib seed {args.fib_seed})")
-    else:
-        network = builder(args.routers)
-    return network
 
 
 def _cmd_ripng(args: argparse.Namespace) -> int:
-    network = _build_scenario_network(args)
-    taps = None
-    if args.capture:
-        from repro.pcap import attach_taps
-        taps = attach_taps(network)
-    report = network.run_until_converged()
-    if taps is not None:
-        from repro.pcap import merged_capture, write_pcap
-        count = write_pcap(args.capture, merged_capture(taps))
-        print(f"captured {count} frames to {args.capture}")
-    print(f"{args.topology} of {args.routers}: converged={report.converged} "
-          f"in {report.rounds} rounds, "
-          f"{report.messages_delivered} datagrams exchanged")
+    _announce_fib(args)
+    run = api.ripng(topology=args.topology, routers=args.routers,
+                    prefixes=args.prefixes, fib_seed=args.fib_seed,
+                    capture=args.capture)
+    print(run.render())
     if args.output:
-        _write_json(args.output, {
-            "topology": args.topology,
-            "routers": args.routers,
-            "converged": report.converged,
-            "rounds": report.rounds,
-            "messages_delivered": report.messages_delivered,
-            "time_elapsed": report.time_elapsed,
-        })
-    probe = Ipv6Prefix.parse("2001:db8:0:1::/64")
-    for name in network.routers:
-        print(f"  {name}: metric to {probe} = "
-              f"{network.route_metric(name, probe)}")
-    return 0 if report.converged else 1
+        _write_json(args.output, run.to_dict())
+    return 0 if run.report.converged else 1
 
 
 def _parse_flap(spec: str):
-    from repro.errors import FaultInjectionError
     parts = spec.split(":")
     if len(parts) != 4:
         raise FaultInjectionError(
@@ -696,22 +561,19 @@ def _parse_flap(spec: str):
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.faults import ChaosScenario, FlapSchedule
-
-    network = _build_scenario_network(args)
+    _announce_fib(args)
     try:
-        flaps = FlapSchedule()
+        flaps = api.FlapSchedule()
         for spec in args.flap:
             endpoint, down_at, up_at = _parse_flap(spec)
             flaps.flap(endpoint, down_at=down_at, up_at=up_at)
-        scenario = ChaosScenario.uniform(
-            network, seed=args.seed, drop=args.drop, corrupt=args.corrupt,
+        report = api.run_chaos(
+            topology=args.topology, routers=args.routers,
+            prefixes=args.prefixes, fib_seed=args.fib_seed,
+            seed=args.seed, drop=args.drop, corrupt=args.corrupt,
             duplicate=args.duplicate, reorder=args.reorder,
             latency_steps=args.latency, jitter_steps=args.jitter,
-            flaps=flaps if len(flaps) else None,
-            chaos_seconds=args.chaos_seconds)
-        report = scenario.run()
+            flaps=flaps, chaos_seconds=args.chaos_seconds)
     except ReproError as exc:
         print(f"chaos scenario failed: {exc}", file=sys.stderr)
         return 2
@@ -723,54 +585,31 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_sdc(args: argparse.Namespace) -> int:
+    common = {"trials": args.trials, "seed": args.seed, "jobs": args.jobs,
+              "journal": args.journal, "resume": args.resume}
     if args.prefixes is not None:
-        return _cmd_sdc_memory(args)
-    from repro.dse.sdc import SdcSweepRunner
-
-    tables = args.table or ["sequential", "balanced-tree", "cam"]
-    configs = [ArchitectureConfiguration(bus_count=buses, table_kind=table)
-               for table in tables for buses in args.buses]
-    runner = SdcSweepRunner(
-        entries=args.entries, packet_batch=args.packets,
-        sites=args.site, trials=args.trials, rate=args.rate,
-        seed=args.seed, max_faults=args.max_faults,
-        jobs=args.jobs, journal_path=args.journal, resume=args.resume,
-        backend=args.backend)
-    result = runner.run(configs)
+        result = api.memory_sdc_sweep(
+            kinds=args.table, protections=args.protection,
+            prefixes=args.prefixes, lookups=args.lookups, flips=args.flips,
+            fib_seed=args.fib_seed, **common)
+    else:
+        configs = [api.ArchitectureConfiguration(bus_count=buses,
+                                                 table_kind=table)
+                   for table in args.table or api.TABLE_KINDS
+                   for buses in args.buses]
+        result = api.sdc_sweep(
+            configs, entries=args.entries, packets=args.packets,
+            sites=args.site, rate=args.rate, max_faults=args.max_faults,
+            backend=args.backend, **common)
     print(result.render())
     if args.output:
         _write_json(args.output, result.to_dict())
-    if result.resumed:
-        print(f"(resumed {result.resumed} trial(s) from {args.journal})",
-              file=sys.stderr)
-    failed = sum(row["failed"] for row in result.rows)
-    return 3 if failed else 0
-
-
-def _cmd_sdc_memory(args: argparse.Namespace) -> int:
-    from repro.dse.sdc import MemorySweepRunner
-
-    runner = MemorySweepRunner(
-        kinds=args.table, protections=args.protection,
-        prefixes=args.prefixes, lookups=args.lookups,
-        trials=args.trials, flips=args.flips,
-        seed=args.seed, fib_seed=args.fib_seed,
-        jobs=args.jobs, journal_path=args.journal, resume=args.resume)
-    result = runner.run()
-    print(result.render())
-    if args.output:
-        _write_json(args.output, result.to_dict())
-    if result.resumed:
-        print(f"(resumed {result.resumed} trial(s) from {args.journal})",
-              file=sys.stderr)
+    _report_resumed(result.resumed, "trial", args.journal)
     failed = sum(row["failed"] for row in result.rows)
     return 3 if failed else 0
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
-    from repro import api
-    from repro.errors import ReproError
-
     try:
         report = api.conformance(table_kind=args.table,
                                  mac=not args.no_mac,
@@ -796,9 +635,6 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 
 
 def _cmd_assault(args: argparse.Namespace) -> int:
-    from repro import api
-    from repro.errors import ReproError
-
     try:
         report = api.run_assault(topology=args.topology,
                                  routers=args.routers, seed=args.seed,
@@ -815,8 +651,6 @@ def _cmd_assault(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro import api
-
     if args.plan is not None:
         try:
             plan = json.loads(args.plan)
@@ -835,8 +669,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro import api
-
     service = api.campaign_service(
         args.root, jobs=args.jobs, cache=not args.no_cache,
         heartbeat=args.heartbeat, job_timeout=args.job_timeout,
@@ -854,8 +686,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
-    from repro import api
-
     service = api.campaign_service(args.root)
     if args.poll:
         progress = service.poll(args.poll)
@@ -876,8 +706,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def _cmd_service_chaos(args: argparse.Namespace) -> int:
-    from repro import api
-
     report = api.service_chaos(args.root, entries=args.entries,
                                packets=args.packets, jobs=args.jobs,
                                seed=args.seed)
@@ -888,19 +716,19 @@ def _cmd_service_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    from repro.programs.machine import build_machine
-    from repro.reporting import describe_machine, to_dot
-
-    config = ArchitectureConfiguration(
-        bus_count=args.buses, matchers=args.fu_sets,
-        counters=args.fu_sets, comparators=args.fu_sets,
-        table_kind=args.table)
-    machine = build_machine(config)
-    if args.fmt == "dot":
-        print(to_dot(machine), end="")
-    else:
-        print(describe_machine(machine), end="")
+    print(api.describe(_config(args), fmt=args.fmt), end="")
     return 0
+
+
+_HANDLERS = {
+    "table1": _cmd_table1, "lookup-sweep": _cmd_lookup_sweep,
+    "evaluate": _cmd_evaluate, "explore": _cmd_explore,
+    "ripng": _cmd_ripng, "conformance": _cmd_conformance,
+    "assault": _cmd_assault, "chaos": _cmd_chaos, "sdc": _cmd_sdc,
+    "describe": _cmd_describe, "submit": _cmd_submit, "serve": _cmd_serve,
+    "jobs": _cmd_jobs, "service-chaos": _cmd_service_chaos,
+    "metrics": _cmd_metrics,
+}
 
 
 if __name__ == "__main__":

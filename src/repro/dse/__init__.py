@@ -10,6 +10,7 @@ from repro.dse.campaign import (
     config_key,
     config_to_dict,
     evaluate_guarded,
+    generate_table1,
     run_table1_campaign,
 )
 from repro.dse.config import (
@@ -17,11 +18,7 @@ from repro.dse.config import (
     PAPER_CONFIGURATIONS,
     paper_configurations,
 )
-from repro.dse.evaluator import (
-    ArchitectureEvaluator,
-    EvaluationResult,
-    Evaluator,
-)
+from repro.dse.evaluator import ArchitectureEvaluator, EvaluationResult
 from repro.dse.explorer import (
     ExhaustiveExplorer,
     ExplorationOutcome,
@@ -33,14 +30,12 @@ from repro.dse.lookup_sweep import (
     LookupSweepRunner,
     plan_cells,
 )
-from repro.dse.parallel import ParallelCampaignRunner
 from repro.dse.pareto import DesignConstraints, pareto_front, select_best
 from repro.dse.sdc import (
     SdcSweepResult,
     SdcSweepRunner,
     SdcTrial,
     plan_trials,
-    run_sdc_sweep,
     vulnerability_row,
 )
 from repro.dse.protocols import (
@@ -58,7 +53,6 @@ from repro.dse.sweep import (
 from repro.dse.table1 import (
     PAPER_TABLE1,
     Table1Row,
-    generate_table1,
     render_table1,
     shape_checks,
 )
@@ -70,13 +64,13 @@ __all__ = [
     "config_from_dict", "config_key", "config_to_dict", "evaluate_guarded",
     "ArchitectureConfiguration", "PAPER_CONFIGURATIONS",
     "paper_configurations",
-    "ArchitectureEvaluator", "EvaluationResult", "Evaluator",
+    "ArchitectureEvaluator", "EvaluationResult",
     "EvaluatorProtocol", "BatchEvaluator", "supports_batching",
     "ExhaustiveExplorer", "ExplorationOutcome", "GreedyExplorer",
-    "ParallelCampaignRunner", "JournaledSweep",
+    "JournaledSweep",
     "LookupCell", "LookupSweepResult", "LookupSweepRunner", "plan_cells",
     "SdcSweepResult", "SdcSweepRunner", "SdcTrial",
-    "plan_trials", "run_sdc_sweep", "vulnerability_row",
+    "plan_trials", "vulnerability_row",
     "DesignConstraints", "pareto_front", "select_best",
     "DesignSpace", "paper_space",
     "PAPER_TABLE1", "Table1Row", "generate_table1", "render_table1",

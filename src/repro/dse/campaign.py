@@ -2,10 +2,12 @@
 
 A *campaign* is a long-running sweep of evaluations — an exhaustive
 enumeration, a Table 1 regeneration, or a heuristic explorer's walk. The
-bare :class:`~repro.dse.evaluator.Evaluator` raises on the first bad
-configuration, which forfeits every result a long sweep already earned.
-:class:`CampaignRunner` wraps an evaluator with the resilience a
-production sweep needs:
+bare :class:`~repro.dse.evaluator.ArchitectureEvaluator` raises on the
+first bad configuration, which forfeits every result a long sweep
+already earned. :class:`CampaignRunner` wraps an evaluator with the
+resilience a production sweep needs, and is the one path every Table 1
+and explorer run takes — in memory or journalled, in this process or
+over a ``jobs``-worker pool:
 
 * **fault isolation** — a failing configuration becomes a structured
   :class:`EvaluationFailure` record (error class, message, cycle/pc,
@@ -49,7 +51,7 @@ from repro.dse.evaluator import (
     EvaluationResult,
 )
 from repro.dse.protocols import Evaluator
-from repro.dse.sweep import JOURNAL_VERSION, JournaledSweep, write_atomic
+from repro.dse.sweep import JOURNAL_VERSION, JournaledSweep
 from repro.dse.table1 import PAPER_TABLE1, Table1Row
 from repro.errors import (
     CampaignError,
@@ -130,6 +132,14 @@ class CampaignResult:
     def quarantined(self) -> List[ArchitectureConfiguration]:
         return [f.config for f in self.failures if f.quarantined]
 
+    def hazard_counts(self) -> Dict[str, int]:
+        """Hazard occurrences summed over every record."""
+        counts: Dict[str, int] = {}
+        for record in self.records:
+            for kind, count in record.get("hazards", {}).items():
+                counts[kind] = counts.get(kind, 0) + count
+        return counts
+
     def render(self) -> str:
         """The campaign's final artifact: one deterministic text table.
 
@@ -174,9 +184,6 @@ class CampaignResult:
             "resumed": self.resumed,
             "discarded_records": self.discarded_records,
         }
-
-    def write_output(self, path: str) -> None:
-        write_atomic(path, self.render() + "\n")
 
 
 # -- record <-> result conversion --------------------------------------------------
@@ -281,10 +288,9 @@ def evaluate_guarded(evaluator: Evaluator,
 
     Returns the journal record (``status`` ``ok`` or ``failed``) and never
     raises for the failure classes a campaign contains
-    (:class:`~repro.errors.ReproError`). This is the unit of work shared
-    by the sequential :class:`CampaignRunner` and the process-pool workers
-    of :class:`~repro.dse.parallel.ParallelCampaignRunner` — each worker
-    enforces the cycle budget locally, exactly like the sequential path.
+    (:class:`~repro.errors.ReproError`). This is the unit of work of a
+    :class:`CampaignRunner`, in this process and in its pool workers
+    alike — each worker enforces the cycle budget locally.
     """
     budget = policy.cycle_budget
     retries = 0
@@ -317,24 +323,52 @@ def evaluate_guarded(evaluator: Evaluator,
         return result_to_record(result, config)
 
 
+def _campaign_context(evaluator: Evaluator, policy: CampaignPolicy):
+    """The measurement context of a campaign, in the parent and in every
+    pool worker: the runner's evaluator and its deadline policy."""
+    return evaluator, policy
+
+
+def _evaluate(config: ArchitectureConfiguration,
+              context) -> Dict[str, object]:
+    """One guarded evaluation; always returns a record."""
+    evaluator, policy = context
+    return evaluate_guarded(evaluator, config, policy)
+
+
 class CampaignRunner(JournaledSweep):
-    """Journal-backed, fault-isolating wrapper around an evaluator.
+    """Journal-backed, fault-isolating wrapper around an evaluator — the
+    one runner every Table 1 and explorer sweep goes through.
 
     Duck-type compatible with :class:`Evaluator` (``evaluate(config)``),
     so explorers run on top of it unchanged: journal hits short-circuit,
     fresh evaluations are guarded and persisted, and failures surface as
     :class:`~repro.errors.EvaluationFailureError` (which the explorers
-    treat as a dead end, not a crash). Journal, resume and sweeps run on
-    the shared :class:`~repro.dse.sweep.JournaledSweep` engine.
+    treat as a dead end, not a crash). It is a
+    :class:`~repro.dse.protocols.BatchEvaluator` too, so explorers expand
+    whole search frontiers through :meth:`evaluate_batch` and visit the
+    same configurations in the same order at every job count.
+
+    Journal, resume and sweeps run on the shared
+    :class:`~repro.dse.sweep.JournaledSweep` engine. With ``jobs > 1`` a
+    sweep fans out over that many worker processes, each holding its own
+    copy of *evaluator* (inherited on ``fork``, pickled otherwise) and
+    enforcing the cycle budget locally; records come back in input order
+    and area/power are recomputed in the parent, so the output and the
+    journal are byte-identical to a ``jobs=1`` run.
     """
 
     _key = staticmethod(config_key)
+    measure = staticmethod(_evaluate)
 
     def __init__(self, evaluator: Evaluator,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 policy: Optional[CampaignPolicy] = None):
-        super().__init__(journal_path, resume)
+                 policy: Optional[CampaignPolicy] = None,
+                 *, jobs: int = 1,
+                 chunk_size: Optional[int] = None):
+        super().__init__(journal_path, resume, jobs=jobs,
+                         chunk_size=chunk_size)
         self.evaluator = evaluator
         self.policy = policy or CampaignPolicy()
 
@@ -418,7 +452,14 @@ class CampaignRunner(JournaledSweep):
         """Sweep *configs*; never raises on a bad configuration. Records
         come back in input order whatever the job count, so the rendered
         artifact is byte-identical to a sequential run's."""
-        records = self._sweep(configs)
+        return self._result(self._sweep(configs))
+
+    def result(self) -> CampaignResult:
+        """Every record this runner holds, in the order it first recorded
+        them — the campaign behind an explorer's many small sweeps."""
+        return self._result(list(self._records.values()))
+
+    def _result(self, records: List[Dict[str, object]]) -> CampaignResult:
         return CampaignResult(
             records=records,
             results=[result_from_record(r) for r in records
@@ -433,15 +474,10 @@ class CampaignRunner(JournaledSweep):
                 for r in self._records.values()
                 if r["status"] == "failed" and r.get("quarantined", True)]
 
-    def hazard_counts(self) -> Dict[str, int]:
-        """Hazard occurrences summed over every recorded evaluation."""
-        counts: Dict[str, int] = {}
-        for record in self._records.values():
-            for kind, count in record.get("hazards", {}).items():
-                counts[kind] = counts.get(kind, 0) + count
-        return counts
-
     # -- engine hooks -------------------------------------------------------------
+
+    def _context_spec(self):
+        return _campaign_context, (self.evaluator, self.policy)
 
     def _measure_here(self, config: ArchitectureConfiguration,
                       max_cycles: Optional[int] = None
@@ -545,3 +581,12 @@ def run_table1_campaign(runner: CampaignRunner,
                       measured=result)
             for result in campaign.results]
     return rows, campaign
+
+
+def generate_table1(evaluator: Optional[Evaluator] = None,
+                    kinds: Sequence[str] = TABLE_KINDS) -> List[Table1Row]:
+    """Table 1 rows for *evaluator* (default: the paper's workload), run
+    as an in-memory :class:`CampaignRunner` sweep."""
+    rows, _ = run_table1_campaign(
+        CampaignRunner(evaluator or ArchitectureEvaluator()), kinds)
+    return rows

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.dse.config import ArchitectureConfiguration
 from repro.errors import FunctionalMismatchError
@@ -54,7 +54,7 @@ class EvaluationResult:
     feasible: bool
     area: Optional[AreaBreakdown]
     power: Optional[PowerBreakdown]
-    #: None when the result was reconstructed from a campaign journal
+    #: None when the result was reconstructed from a campaign record
     #: (the scalar metrics above are preserved; the raw run is not)
     run: Optional[ForwardingRunResult]
 
@@ -171,10 +171,6 @@ class ArchitectureEvaluator:
             required_clock_hz=clock, feasible=feasible,
             area=area, power=power, run=run)
 
-    def evaluate_all(self, configs: Sequence[ArchitectureConfiguration]
-                     ) -> List[EvaluationResult]:
-        return [self.evaluate(c) for c in configs]
-
     # -- internals --------------------------------------------------------------------
 
     def _run(self, config: ArchitectureConfiguration,
@@ -213,8 +209,3 @@ class ArchitectureEvaluator:
             latency = next_latency
         assert run is not None
         return run, config.with_cam_latency(latency)
-
-
-#: Backwards-compatible name — the concrete class predates the formal
-#: :class:`repro.dse.protocols.Evaluator` protocol it now satisfies.
-Evaluator = ArchitectureEvaluator

@@ -87,8 +87,8 @@ class ExhaustiveExplorer:
         results: List[EvaluationResult] = []
         failed: List[ArchitectureConfiguration] = []
         if supports_batching(self.evaluator):
-            # one call for the whole space: a pool-backed evaluator
-            # (ParallelCampaignRunner) sweeps it concurrently
+            # one call for the whole space: a CampaignRunner with
+            # jobs > 1 sweeps it concurrently
             for config, result in zip(
                     configs, self.evaluator.evaluate_batch(configs)):
                 if result is None:

@@ -41,12 +41,7 @@ from repro.dse.config import (
     ALL_TABLE_KINDS,
     ArchitectureConfiguration,
 )
-from repro.dse.sweep import (
-    JOURNAL_VERSION,
-    JournaledSweep,
-    failed_record,
-    write_atomic,
-)
+from repro.dse.sweep import JOURNAL_VERSION, JournaledSweep, failed_record
 from repro.errors import CampaignError, ReproError
 from repro.estimation.lookup import LookupEstimate, estimate_lookup_point
 from repro.obs import get_registry
@@ -258,9 +253,6 @@ class LookupSweepResult:
             "seed": self.seed,
             "cells": cells,
         }
-
-    def write_output(self, path: str) -> None:
-        write_atomic(path, self.render() + "\n")
 
 
 # -- the runner --------------------------------------------------------------------

@@ -8,8 +8,7 @@ duck type is now written down:
 * :class:`Evaluator` — anything that can evaluate one configuration.
   Satisfied by :class:`~repro.dse.evaluator.ArchitectureEvaluator`,
   :class:`~repro.dse.campaign.CampaignRunner`,
-  :class:`~repro.dse.campaign.PoisonedEvaluator`, the
-  :class:`~repro.dse.parallel.ParallelCampaignRunner`, and any test stub
+  :class:`~repro.dse.campaign.PoisonedEvaluator`, and any test stub
   with the right method.
 * :class:`BatchEvaluator` — an evaluator that can additionally evaluate a
   *batch* of configurations at once (typically concurrently). Explorers

@@ -40,12 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dse.campaign import config_key, config_to_dict
 from repro.dse.config import ArchitectureConfiguration
-from repro.dse.sweep import (
-    JOURNAL_VERSION,
-    JournaledSweep,
-    failed_record,
-    write_atomic,
-)
+from repro.dse.sweep import JOURNAL_VERSION, JournaledSweep, failed_record
 from repro.errors import CampaignError, ReproError
 from repro.estimation.lookup import estimate_protection_overhead
 from repro.faults.datapath import FAULT_SITES
@@ -277,9 +272,6 @@ class SdcSweepResult:
             "records": list(self.records),
         }
 
-    def write_output(self, path: str) -> None:
-        write_atomic(path, self.render() + "\n")
-
 
 # -- the runner --------------------------------------------------------------------
 
@@ -380,16 +372,6 @@ class SdcSweepRunner(JournaledSweep):
             "datapath faults actually applied", ("site",))
         for site, count in sorted(outcome["faults_by_site"].items()):
             injections.inc(count, site=site)
-
-
-def run_sdc_sweep(configs: Sequence[ArchitectureConfiguration],
-                  **kwargs) -> SdcSweepResult:
-    """One-shot convenience over :class:`SdcSweepRunner`.
-
-    Keyword arguments are the runner's; ``journal_path``/``resume``
-    and ``jobs`` behave exactly as in the performance campaigns.
-    """
-    return SdcSweepRunner(**kwargs).run(configs)
 
 
 # ===================================================================================
@@ -599,9 +581,6 @@ class MemorySweepResult:
             "outcome_totals": self.outcome_totals,
             "records": list(self.records),
         }
-
-    def write_output(self, path: str) -> None:
-        write_atomic(path, self.render() + "\n")
 
 
 # -- the runner --------------------------------------------------------------------

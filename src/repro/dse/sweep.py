@@ -1,7 +1,7 @@
 """One journaled sweep engine under every design-space sweep.
 
 Every sweep in :mod:`repro.dse` — the Table 1 and explorer campaigns
-(:mod:`repro.dse.campaign`, :mod:`repro.dse.parallel`), the datapath and
+(:mod:`repro.dse.campaign`), the datapath and
 memory SDC sweeps (:mod:`repro.dse.sdc`) and the lookup scaling sweep
 (:mod:`repro.dse.lookup_sweep`) — is a plan of keyed items, each measured
 independently into one JSON record. :class:`JournaledSweep` is the one

@@ -16,12 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dse.config import (
-    ArchitectureConfiguration,
-    TABLE_KINDS,
-    paper_configurations,
-)
-from repro.dse.evaluator import EvaluationResult, Evaluator
+from repro.dse.config import TABLE_KINDS
+from repro.dse.evaluator import EvaluationResult
 
 ROW_LABELS = ("1BUS/1FU", "3BUS/1FU", "3BUS/3CNT,3CMP,3M")
 
@@ -96,21 +92,6 @@ def table1_to_dict(rows: Sequence["Table1Row"],
     if violations is not None:
         payload["shape_violations"] = list(violations)
     return payload
-
-
-def generate_table1(evaluator: Optional[Evaluator] = None,
-                    kinds: Sequence[str] = TABLE_KINDS) -> List[Table1Row]:
-    """Evaluate all nine configurations and pair them with paper values."""
-    evaluator = evaluator or Evaluator()
-    rows: List[Table1Row] = []
-    paper_by_key: Dict[Tuple[str, str], PaperRow] = {
-        (r.table_kind, r.config_label): r for r in PAPER_TABLE1}
-    for kind in kinds:
-        for config in paper_configurations(kind):
-            result = evaluator.evaluate(config)
-            paper = paper_by_key.get((kind, config.label()))
-            rows.append(Table1Row(paper=paper, measured=result))
-    return rows
 
 
 def format_clock(clock_hz: float) -> str:

@@ -38,8 +38,8 @@ from repro.faults.seeds import derive_seed, make_rng
 class _ChaosEvaluator:
     """Evaluator wrapper that injects process-level faults on targets.
 
-    Built by :class:`ChaosEvaluatorFactory` inside the worker process;
-    ``evaluate`` consults the sentinel directory before every injection
+    Built by :class:`ChaosEvaluatorFactory` and copied into every pool
+    worker; ``evaluate`` consults the sentinel directory before every injection
     so each fault fires at most once per campaign (across *all* workers,
     probes, and pool generations).
     """

@@ -9,7 +9,6 @@ semantics, and reports cycles-per-datagram plus utilisation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -67,11 +66,6 @@ class RunOptions:
     def effective_max_cycles(self) -> int:
         return DEFAULT_RUN_MAX_CYCLES if self.max_cycles is None \
             else self.max_cycles
-
-
-#: kwargs of the pre-RunOptions run_forwarding signature that now live on
-#: the options object; still accepted, with a DeprecationWarning
-_LEGACY_OPTION_KWARGS = ("detect_hazards", "instrument", "program_factory")
 
 
 @dataclass
@@ -150,32 +144,16 @@ def run_forwarding(config: ArchitectureConfiguration,
                    options: Optional[RunOptions] = None,
                    max_cycles: Optional[int] = None,
                    verify: Optional[bool] = None,
-                   backend: Optional[str] = None,
-                   **legacy) -> ForwardingRunResult:
+                   backend: Optional[str] = None) -> ForwardingRunResult:
     """Simulate one batch of datagrams through a fresh machine.
 
     Execution and observation knobs travel on *options* (a
     :class:`RunOptions`); *max_cycles*, *verify* and *backend* stay
     first-class keyword shortcuts that override the options object when
-    given. The pre-options ``detect_hazards=`` / ``instrument=`` /
-    ``program_factory=`` keywords still work but emit a
-    ``DeprecationWarning``.
+    given.
     """
-    if options is None:
-        options = RunOptions()
-    if legacy:
-        unknown = [key for key in legacy if key not in _LEGACY_OPTION_KWARGS]
-        if unknown:
-            raise TypeError(
-                f"run_forwarding() got unexpected keyword arguments "
-                f"{sorted(unknown)}")
-        warnings.warn(
-            f"passing {sorted(legacy)} to run_forwarding() directly is "
-            f"deprecated; put them on a RunOptions (options=...) instead",
-            DeprecationWarning, stacklevel=2)
-        options = options.merged(**legacy)
-    options = options.merged(max_cycles=max_cycles, verify=verify,
-                             backend=backend)
+    options = (options or RunOptions()).merged(
+        max_cycles=max_cycles, verify=verify, backend=backend)
 
     if machine is None:
         machine = build_machine(config, table_capacity=max(len(routes), 100))

@@ -5,10 +5,7 @@ from repro.reporting.architecture import (
     describe_machine,
     to_dot,
 )
-from repro.reporting.hazards import (
-    aggregate_hazard_counts,
-    render_hazard_summary,
-)
+from repro.reporting.hazards import render_hazard_summary
 from repro.reporting.reliability import render_vulnerability_table
 from repro.reporting.tables import render_rows, render_sweep
 from repro.reporting.utilization import (
@@ -20,6 +17,6 @@ from repro.reporting.utilization import (
 
 __all__ = ["render_rows", "render_sweep", "render_vulnerability_table",
            "architecture_manifest", "describe_machine", "to_dot",
-           "aggregate_hazard_counts", "render_hazard_summary",
+           "render_hazard_summary",
            "idle_units", "module_utilization", "render_utilization",
            "saturated_units"]

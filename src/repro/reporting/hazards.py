@@ -2,21 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
-
-from repro.dse.evaluator import EvaluationResult
-
-
-def aggregate_hazard_counts(results: Iterable[EvaluationResult]
-                            ) -> Dict[str, int]:
-    """Sum hazard occurrences over results that carry a hazard report."""
-    counts: Dict[str, int] = {}
-    for result in results:
-        if result.run is None or result.run.hazard_report is None:
-            continue
-        for kind, count in result.run.hazard_report.by_kind().items():
-            counts[kind] = counts.get(kind, 0) + count
-    return counts
+from typing import Dict, Optional
 
 
 def render_hazard_summary(counts: Optional[Dict[str, int]]) -> str:

@@ -58,6 +58,49 @@ class ConvergenceReport:
     diagnosis: Optional[Any] = None
 
 
+#: the prefix a RIPng run reports every router's metric to (r0's first
+#: link network, so the metrics read as hop counts along the topology)
+PROBE_PREFIX = "2001:db8:0:1::/64"
+
+
+@dataclass
+class RipngRun:
+    """One RIPng convergence run over a topology, with its capture."""
+
+    topology: str
+    network: "Network"
+    report: ConvergenceReport
+    #: frames written to *capture_path*, when the run was captured
+    captured: Optional[int] = None
+    capture_path: Optional[str] = None
+
+    def render(self) -> str:
+        report = self.report
+        lines = []
+        if self.captured is not None:
+            lines.append(f"captured {self.captured} frames to "
+                         f"{self.capture_path}")
+        lines.append(f"{self.topology} of {len(self.network.routers)}: "
+                     f"converged={report.converged} in {report.rounds} "
+                     f"rounds, {report.messages_delivered} datagrams "
+                     f"exchanged")
+        probe = Ipv6Prefix.parse(PROBE_PREFIX)
+        for name in self.network.routers:
+            lines.append(f"  {name}: metric to {probe} = "
+                         f"{self.network.route_metric(name, probe)}")
+        return "\n".join(lines)
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "topology": self.topology,
+            "routers": len(self.network.routers),
+            "converged": self.report.converged,
+            "rounds": self.report.rounds,
+            "messages_delivered": self.report.messages_delivered,
+            "time_elapsed": self.report.time_elapsed,
+        }
+
+
 class Network:
     """A topology of :class:`Ipv6Router` instances joined by links."""
 

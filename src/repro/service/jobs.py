@@ -192,8 +192,8 @@ class CampaignService:
         self.supervision = supervision or SupervisionPolicy()
         self.campaign_policy = campaign_policy
         self.seed = seed
-        #: chaos/testing seam: wraps the picklable evaluator factory
-        #: before it is handed to pool workers
+        #: chaos/testing seam: wraps the evaluator factory before the
+        #: job's evaluator is built from it
         self.evaluator_wrapper = evaluator_wrapper
         self.sleep_fn = sleep_fn
         self.last_runner: Optional[SupervisedCampaignRunner] = None
@@ -402,7 +402,7 @@ class CampaignService:
                 os.path.join(self.root, "cache"), namespace=namespace)
         journal = self._journal_path(job.job_id)
         return SupervisedCampaignRunner(
-            factory, jobs=self.jobs, journal_path=journal,
+            factory(), jobs=self.jobs, journal_path=journal,
             resume=os.path.exists(journal) and os.path.getsize(journal) > 0,
             policy=self.campaign_policy, supervision=self.supervision,
             cache=cache, seed=self.seed, sleep_fn=self.sleep_fn)

@@ -1,6 +1,6 @@
 """Supervised campaign execution: heartbeats, deadlines, degradation.
 
-:class:`SupervisedCampaignRunner` extends the parallel runner with the
+:class:`SupervisedCampaignRunner` extends the campaign runner with the
 control-plane duties a long-lived service owes its jobs — the split the
 fast-programmable-router literature draws between a fast data path and a
 resilient management plane:
@@ -31,7 +31,7 @@ resilient management plane:
   entries are quarantined and transparently recomputed.
 
 With no supervision policy and no cache this class behaves exactly like
-:class:`~repro.dse.parallel.ParallelCampaignRunner`.
+:class:`~repro.dse.campaign.CampaignRunner`.
 """
 
 from __future__ import annotations
@@ -40,9 +40,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.dse.campaign import CampaignPolicy, CampaignResult
+from repro.dse.campaign import (
+    CampaignPolicy,
+    CampaignResult,
+    CampaignRunner,
+    config_key,
+)
 from repro.dse.config import ArchitectureConfiguration
-from repro.dse.parallel import ParallelCampaignRunner
+from repro.dse.protocols import Evaluator
 from repro.errors import JobTimeoutError
 from repro.faults.seeds import derive_seed, make_rng
 from repro.obs import get_registry
@@ -81,15 +86,15 @@ class SupervisionPolicy:
         return None
 
 
-class SupervisedCampaignRunner(ParallelCampaignRunner):
-    """A :class:`ParallelCampaignRunner` under service supervision.
+class SupervisedCampaignRunner(CampaignRunner):
+    """A pool-backed :class:`CampaignRunner` under service supervision.
 
     *sleep_fn* / *time_fn* are injectable so tests replay backoff and
     deadline behaviour without real waiting; *seed* pins the backoff
     jitter stream.
     """
 
-    def __init__(self, evaluator_factory,
+    def __init__(self, evaluator: Evaluator,
                  jobs: int = 2,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
@@ -100,9 +105,9 @@ class SupervisedCampaignRunner(ParallelCampaignRunner):
                  seed: int = 0,
                  sleep_fn: Callable[[float], None] = time.sleep,
                  time_fn: Callable[[], float] = time.monotonic):
-        super().__init__(evaluator_factory, jobs=jobs,
-                         journal_path=journal_path, resume=resume,
-                         policy=policy, chunk_size=chunk_size)
+        super().__init__(evaluator, journal_path=journal_path,
+                         resume=resume, policy=policy, jobs=jobs,
+                         chunk_size=chunk_size)
         self.supervision = supervision or SupervisionPolicy()
         self.cache = cache
         self.sleep_fn = sleep_fn
@@ -150,7 +155,6 @@ class SupervisedCampaignRunner(ParallelCampaignRunner):
         transient failure in one campaign can never haunt the next."""
         if self.cache is None:
             return
-        from repro.dse.campaign import config_key
         for config in configs:
             key = config_key(config)
             if key in self._records:

@@ -6,9 +6,9 @@ import pytest
 
 from repro.dse import (
     ArchitectureConfiguration,
+    ArchitectureEvaluator,
     CampaignPolicy,
     CampaignRunner,
-    Evaluator,
     PoisonedEvaluator,
     generate_table1,
     load_journal,
@@ -39,7 +39,7 @@ POISON = ArchitectureConfiguration(
 
 
 def small_evaluator(**kwargs):
-    return Evaluator(table_entries=20, packet_batch=4, **kwargs)
+    return ArchitectureEvaluator(table_entries=20, packet_batch=4, **kwargs)
 
 
 class CountingEvaluator:

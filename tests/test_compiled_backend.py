@@ -226,13 +226,6 @@ class TestFallback:
 
 
 class TestRunOptions:
-    def test_legacy_kwargs_warn_and_still_work(self):
-        routes, packets = _workload()
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            result = run_forwarding(CONFIG, routes, packets,
-                                    detect_hazards=True)
-        assert result.hazard_report is not None
-
     def test_unknown_kwargs_raise(self):
         routes, packets = _workload()
         with pytest.raises(TypeError, match="unexpected keyword"):

@@ -270,9 +270,9 @@ class TestDetectorWiring:
 
 class TestForwardingIntegration:
     def test_generated_programs_are_hazard_free(self):
-        from repro.dse import ArchitectureConfiguration, Evaluator
-        evaluator = Evaluator(table_entries=20, packet_batch=4,
-                              detect_hazards=True)
+        from repro.dse import ArchitectureConfiguration, ArchitectureEvaluator
+        evaluator = ArchitectureEvaluator(table_entries=20, packet_batch=4,
+                                          detect_hazards=True)
         result = evaluator.evaluate(ArchitectureConfiguration(
             bus_count=3, table_kind="sequential"))
         assert result.run.hazard_report is not None

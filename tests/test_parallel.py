@@ -12,7 +12,6 @@ from repro.dse import (
     ArchitectureConfiguration,
     ArchitectureEvaluator,
     CampaignRunner,
-    ParallelCampaignRunner,
     PoisonedEvaluator,
     config_key,
     load_journal,
@@ -64,7 +63,7 @@ def sequential(configs):
 
 @pytest.fixture(scope="module")
 def parallel(configs):
-    runner = ParallelCampaignRunner(small_factory, jobs=2, chunk_size=1)
+    runner = CampaignRunner(small_factory(), jobs=2, chunk_size=1)
     return runner.run(configs), runner
 
 
@@ -85,7 +84,7 @@ class TestDeterminism:
         assert not campaign.failures
 
     def test_jobs_1_is_the_sequential_runner(self, configs, sequential):
-        runner = ParallelCampaignRunner(small_factory, jobs=1)
+        runner = CampaignRunner(small_factory(), jobs=1)
         campaign = runner.run(configs[:3])
         assert campaign.records == sequential.records[:3]
 
@@ -101,21 +100,16 @@ class TestDeterminism:
 class TestValidation:
     def test_rejects_zero_jobs(self):
         with pytest.raises(CampaignError):
-            ParallelCampaignRunner(small_factory, jobs=0)
+            CampaignRunner(small_factory(), jobs=0)
 
     def test_rejects_zero_chunk_size(self):
         with pytest.raises(CampaignError):
-            ParallelCampaignRunner(small_factory, jobs=2, chunk_size=0)
-
-    def test_rejects_non_callable_factory(self):
-        with pytest.raises(CampaignError):
-            ParallelCampaignRunner(small_factory(), jobs=2)
+            CampaignRunner(small_factory(), jobs=2, chunk_size=0)
 
 
 class TestCrashSurvival:
     def test_worker_crash_is_quarantined_not_fatal(self, configs):
-        runner = ParallelCampaignRunner(CrashingEvaluator, jobs=2,
-                                        chunk_size=1)
+        runner = CampaignRunner(CrashingEvaluator(), jobs=2, chunk_size=1)
         campaign = runner.run(configs)
         assert len(campaign.records) == len(configs)
         assert len(campaign.results) == len(configs) - 1
@@ -131,8 +125,7 @@ class TestCrashSurvival:
 class TestContainedFailures:
     def test_poisoned_config_fails_in_worker_without_killing_it(
             self, configs, sequential):
-        runner = ParallelCampaignRunner(poisoned_factory, jobs=2,
-                                        chunk_size=1)
+        runner = CampaignRunner(poisoned_factory(), jobs=2, chunk_size=1)
         campaign = runner.run(configs)
         [failure] = campaign.failures
         assert failure.config == POISON
@@ -149,16 +142,15 @@ class TestResume:
     def test_parallel_resume_reevaluates_only_lost_configs(
             self, configs, sequential, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        first = ParallelCampaignRunner(small_factory, jobs=2, chunk_size=1,
-                                       journal_path=str(journal))
+        first = CampaignRunner(small_factory(), str(journal), jobs=2,
+                               chunk_size=1)
         full = first.run(configs)
         full_text = journal.read_text()
         # simulate a crash after 5 of 12 records were journalled
         lines = full_text.splitlines(keepends=True)
         journal.write_text("".join(lines[:5]))
-        second = ParallelCampaignRunner(small_factory, jobs=2, chunk_size=1,
-                                        journal_path=str(journal),
-                                        resume=True)
+        second = CampaignRunner(small_factory(), str(journal), resume=True,
+                                jobs=2, chunk_size=1)
         campaign = second.run(configs)
         assert campaign.resumed == 5
         assert campaign.render() == full.render()
@@ -223,7 +215,7 @@ class TestTransientCrashRecovery:
             small_factory, sentinel_dir=str(tmp_path / "sentinels"),
             kill_config=CRASH)
         runner = SupervisedCampaignRunner(
-            chaos, jobs=2, chunk_size=1,
+            chaos(), jobs=2, chunk_size=1,
             supervision=SupervisionPolicy(heartbeat_seconds=None),
             sleep_fn=lambda seconds: None)
         campaign = runner.run(configs)

@@ -12,7 +12,6 @@ from repro.dse.sdc import (
     SdcSweepRunner,
     SdcTrial,
     plan_trials,
-    run_sdc_sweep,
     vulnerability_row,
 )
 from repro.errors import CampaignError
@@ -30,7 +29,7 @@ SWEEP = dict(sites=SITES, trials=2, seed=3, entries=12, packet_batch=3)
 def sweep(configs=CONFIGS, **overrides):
     kwargs = dict(SWEEP)
     kwargs.update(overrides)
-    return run_sdc_sweep(configs, **kwargs)
+    return SdcSweepRunner(**kwargs).run(configs)
 
 
 @pytest.fixture(scope="module")

@@ -233,7 +233,7 @@ class TestJobDeadline:
         clock = _FakeClock()
         journal = tmp_path / "journal.jsonl"
         runner = SupervisedCampaignRunner(
-            factory, jobs=1, journal_path=str(journal),
+            factory(), jobs=1, journal_path=str(journal),
             supervision=SupervisionPolicy(job_timeout_seconds=5.0),
             sleep_fn=lambda seconds: None, time_fn=clock)
         configs = plan_configs(normalise_plan(PLAN))
@@ -244,7 +244,7 @@ class TestJobDeadline:
         assert 0 < partial_records < len(configs)
 
         resumed = SupervisedCampaignRunner(
-            factory, jobs=1, journal_path=str(journal), resume=True,
+            factory(), jobs=1, journal_path=str(journal), resume=True,
             supervision=SupervisionPolicy(job_timeout_seconds=None),
             sleep_fn=lambda seconds: None)
         campaign = resumed.run(configs)
@@ -278,7 +278,7 @@ class TestBackoff:
     def test_backoff_grows_exponentially_to_the_cap(self):
         slept = []
         runner = SupervisedCampaignRunner(
-            factory, jobs=2,
+            factory(), jobs=2,
             supervision=SupervisionPolicy(backoff_base_seconds=0.1,
                                           backoff_cap_seconds=0.35,
                                           jitter=0.0),
@@ -291,7 +291,7 @@ class TestBackoff:
         def delays(seed):
             slept = []
             runner = SupervisedCampaignRunner(
-                factory, jobs=2, seed=seed,
+                factory(), jobs=2, seed=seed,
                 supervision=SupervisionPolicy(backoff_base_seconds=0.1,
                                               backoff_cap_seconds=1.0,
                                               jitter=0.5,
@@ -307,7 +307,7 @@ class TestBackoff:
 
     def test_pool_never_shrinks_below_min_jobs(self):
         runner = SupervisedCampaignRunner(
-            factory, jobs=3,
+            factory(), jobs=3,
             supervision=SupervisionPolicy(min_jobs=2),
             sleep_fn=lambda seconds: None)
         for _ in range(4):

@@ -17,7 +17,6 @@ from repro.dse import (
     ArchitectureConfiguration,
     ArchitectureEvaluator,
     CampaignRunner,
-    ParallelCampaignRunner,
     paper_space,
 )
 from repro.dse.lookup_sweep import LookupSweepRunner
@@ -139,6 +138,6 @@ class TestPlanOrderJournal:
         sequential = tmp_path / "seq.jsonl"
         parallel = tmp_path / "par.jsonl"
         CampaignRunner(factory(), journal_path=str(sequential)).run(configs)
-        ParallelCampaignRunner(factory, jobs=2, chunk_size=1,
-                               journal_path=str(parallel)).run(configs)
+        CampaignRunner(factory(), str(parallel), jobs=2,
+                       chunk_size=1).run(configs)
         assert parallel.read_bytes() == sequential.read_bytes()

@@ -4,8 +4,8 @@ Every other sweep test compares one run mode against another, so a change
 that moves every mode the same way passes them all. These digests pin the
 actual bytes: the SHA-256 of each ``--output`` document with its
 wall-clock ``metrics`` section removed (canonical JSON), and of the
-journal where the run writes one deterministically. A digest may only
-move in a change that means to alter that sweep's output.
+journal. A digest may only move in a change that means to alter that
+sweep's output.
 """
 
 import hashlib
@@ -24,22 +24,22 @@ MEMORY = ["sdc", "--prefixes", "40", "--lookups", "30", "--trials", "1",
           "--seed", "7", "--table", "sequential", "--table", "cam",
           "--table", "bloom"]
 TABLE1 = ["table1", "--entries", "10", "--packets", "2"]
+EXPLORE = ["explore", "--max-power", "25"]
 
-#: name -> (argv, pin the journal bytes); every case writes a journal
+#: name -> argv; every case writes a journal
 CASES = {
-    "lookup-jobs1": (LOOKUP + ["--jobs", "1"], True),
-    "lookup-jobs2": (LOOKUP + ["--jobs", "2"], True),
-    "datapath-jobs1": (DATAPATH + ["--jobs", "1"], True),
-    "datapath-jobs2": (DATAPATH + ["--jobs", "2"], True),
-    "memory-jobs1": (MEMORY + ["--jobs", "1"], True),
-    "memory-jobs2": (MEMORY + ["--jobs", "2"], True),
-    # the parallel campaign journal was written in completion order
-    # when these digests were pinned, so only its output is pinned;
-    # test_sweep_engine.py checks that journal against a jobs=1 run
-    "table1-jobs2": (TABLE1 + ["--jobs", "2"], False),
+    "lookup-jobs1": LOOKUP + ["--jobs", "1"],
+    "lookup-jobs2": LOOKUP + ["--jobs", "2"],
+    "datapath-jobs1": DATAPATH + ["--jobs", "1"],
+    "datapath-jobs2": DATAPATH + ["--jobs", "2"],
+    "memory-jobs1": MEMORY + ["--jobs", "1"],
+    "memory-jobs2": MEMORY + ["--jobs", "2"],
+    "table1-jobs1": TABLE1 + ["--jobs", "1"],
+    "table1-jobs2": TABLE1 + ["--jobs", "2"],
+    "explore-jobs2": EXPLORE + ["--jobs", "2"],
 }
 
-#: name -> (output digest, journal digest or None)
+#: name -> (output digest, journal digest)
 GOLDEN = {
     "datapath-jobs1": (
         "3bc3b617209d21bb966ab5638a186523e9be3ef33b599fc3c330a155657627e5",
@@ -59,26 +59,35 @@ GOLDEN = {
     "memory-jobs2": (
         "cc1fc362f37c19fa8e00f2741f12e20383fc792ed023017756655379090d1f5e",
         "4bd69e6b52ee791f153047f4198f57a9a938d1f40eddbc43f1ffbd67061f8ec3"),
+    "table1-jobs1": (
+        "35449676f151948a0a0a1e7a0d0f27a45d8751e6fd2003cb2483385ee63916e2",
+        "7c8bf7441465080f4e29875e93bf6cf9a90bfbf6940daf4da297d5afdd60eaf0"),
     "table1-jobs2": (
         "35449676f151948a0a0a1e7a0d0f27a45d8751e6fd2003cb2483385ee63916e2",
-        None),
+        "7c8bf7441465080f4e29875e93bf6cf9a90bfbf6940daf4da297d5afdd60eaf0"),
+    "explore-jobs2": (
+        "482ace3e67794d41bec44f3cd181fafbe572025f00f6cb21e48aef53f4ea0049",
+        "b17bf52e4e6408d50e7a7cc0e0ade518308a3f5cd6baa2a45b92f84ba361f86a"),
 }
+
+
+def output_digest(argv, directory):
+    """Run one CLI command; returns the digest of its --output document."""
+    output = directory / "out.json"
+    main(list(argv) + ["--output", str(output)])
+    document = json.loads(output.read_text())
+    document.pop("metrics", None)
+    return hashlib.sha256(
+        json.dumps(document, sort_keys=True).encode()).hexdigest()
 
 
 def run_case(name, directory):
     """Run one case's CLI command; returns (output digest, journal
-    digest or None)."""
-    argv, pin_journal = CASES[name]
-    output = directory / "out.json"
+    digest)."""
     journal = directory / "journal.jsonl"
-    main(list(argv) + ["--output", str(output), "--journal", str(journal)])
-    document = json.loads(output.read_text())
-    document.pop("metrics", None)
-    output_digest = hashlib.sha256(
-        json.dumps(document, sort_keys=True).encode()).hexdigest()
-    journal_digest = hashlib.sha256(journal.read_bytes()).hexdigest() \
-        if pin_journal else None
-    return output_digest, journal_digest
+    digest = output_digest(CASES[name] + ["--journal", str(journal)],
+                           directory)
+    return digest, hashlib.sha256(journal.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -86,3 +95,19 @@ def test_sweep_output_matches_golden(name, tmp_path, capsys):
     digests = run_case(name, tmp_path)
     capsys.readouterr()
     assert digests == GOLDEN[name]
+
+
+#: runs without a journal, pinned to the digest of the journalled case
+#: named: ``table1`` and ``explore`` take the same campaign path either way
+UNJOURNALLED = {
+    "table1-jobs1": (TABLE1 + ["--jobs", "1"], "table1-jobs1"),
+    "explore-jobs1": (EXPLORE + ["--jobs", "1"], "explore-jobs2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNJOURNALLED))
+def test_unjournalled_output_matches_golden(name, tmp_path, capsys):
+    argv, pinned = UNJOURNALLED[name]
+    digest = output_digest(argv, tmp_path)
+    capsys.readouterr()
+    assert digest == GOLDEN[pinned][0]
