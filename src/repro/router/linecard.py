@@ -59,6 +59,14 @@ class LineCard:
     def pending_depth(self) -> int:
         return len(self._input)
 
+    @property
+    def input_queue(self) -> Deque[bytes]:
+        """The live receive queue, for watchers that must not poll every
+        card; it is never rebound, so a held reference sees every later
+        delivery and pop. Mutate it only through :meth:`deliver` and
+        :meth:`pop_input`."""
+        return self._input
+
     def pop_input(self) -> Optional[bytes]:
         """The ippu pulls the next pending datagram (None when empty)."""
         if self._input:

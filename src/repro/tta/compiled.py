@@ -70,14 +70,18 @@ import os
 import re
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import CycleBudgetError, SimulationError
+from repro.errors import SimulationError
 from repro.obs import get_registry
 from repro.tta.fu import FunctionalUnit
-from repro.tta.hazards import loop_signature
 from repro.tta.memory import ProgramMemory
 from repro.tta.ports import Immediate, PortKind, PortRef, WORD_MASK
 from repro.tta.processor import TacoProcessor
-from repro.tta.simulator import DEFAULT_MAX_CYCLES, Simulator
+from repro.tta.simulator import (
+    DEFAULT_MAX_CYCLES,
+    Simulator,
+    raise_budget_exhausted,
+    tick_overriders,
+)
 
 NUMPY_ENV = "REPRO_NO_NUMPY"
 """Set to ``1`` to force the pure-Python batched reduction (CI uses this
@@ -150,17 +154,6 @@ class _CompiledProgram:
         return self._np_occupancy, self._np_moves
 
 
-def _raise_budget(simulator: Simulator, max_cycles: int, pc: int) -> None:
-    """Raise exactly the interpreter's budget-exhaustion diagnosis."""
-    signature = loop_signature(simulator.pc_history)
-    detail = f"; {signature.render()}" if signature else ""
-    raise CycleBudgetError(
-        f"program did not halt within {max_cycles} cycles "
-        f"(pc={pc}){detail}",
-        cycles=max_cycles, pc=pc, loop=signature,
-        diagnosis=signature.render() if signature else None)
-
-
 def _ident(name: str) -> str:
     """A deterministic identifier fragment for an FU/port name."""
     return re.sub(r"\W", "_", name)
@@ -177,7 +170,7 @@ class _Codegen:
     def __init__(self):
         self.namespace: Dict[str, object] = {
             "SimulationError": SimulationError,
-            "_raise_budget": _raise_budget,
+            "_raise_budget": raise_budget_exhausted,
         }
         self._by_id: Dict[int, str] = {}
         self.lines: List[str] = []
@@ -598,12 +591,6 @@ def _emit_step(gen: _Codegen, processor: TacoProcessor, pc: int,
     return name
 
 
-def _tick_overriders(processor: TacoProcessor) -> List[FunctionalUnit]:
-    """FUs with a real (non-base) tick, in processor order."""
-    return [fu for fu in processor.fus.values()
-            if type(fu).tick is not FunctionalUnit.tick]
-
-
 def _emit_drive(gen: _Codegen, processor: TacoProcessor,
                 step_names: Sequence[str],
                 commit_fus: Sequence[FunctionalUnit]) -> None:
@@ -626,7 +613,7 @@ def _emit_drive(gen: _Codegen, processor: TacoProcessor,
     # card's input queue has drained (nothing delivers mid-run) its tick
     # reduces to refreshing the queue-occupancy result bit.
     ippu_fast: Dict[FunctionalUnit, str] = {}
-    for fu in _tick_overriders(processor):
+    for fu in tick_overriders(processor):
         fu_var = gen.bind(f"_f_{_ident(fu.name)}", fu)
         if fu.kind == "ippu":
             gen.bind(f"_q_{_ident(fu.name)}", fu._queue)
@@ -654,7 +641,7 @@ def _emit_drive(gen: _Codegen, processor: TacoProcessor,
     emit("            squashed += _steps[pc](cycle)")
     emit("            visits[pc] += 1")
     # Phase 5: autonomous ticks in processor order, then the NC advance.
-    for fu in _tick_overriders(processor):
+    for fu in tick_overriders(processor):
         fu_var = gen.bind(f"_f_{_ident(fu.name)}", fu)
         if fu in ippu_fast:
             queue_var = gen.bind(f"_q_{_ident(fu.name)}", fu._queue)

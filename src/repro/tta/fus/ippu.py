@@ -31,6 +31,8 @@ class InputPreprocessingUnit(FunctionalUnit):
     def __init__(self, name: str, line_cards: Sequence[LineCard],
                  slots: SlotPool):
         self.line_cards = list(line_cards)
+        #: the cards' live receive queues, so an idle tick is one any()
+        self._inputs = tuple(card.input_queue for card in self.line_cards)
         self.slots = slots
         self._queue: Deque[Tuple[int, int]] = deque()  # (slot ptr, iface)
         self._scan_index = 0
@@ -52,7 +54,15 @@ class InputPreprocessingUnit(FunctionalUnit):
         self.finish(cycle, {"r_ptr": ptr, "r_iface": iface})
 
     def tick(self, cycle: int) -> None:
-        # Autonomous DMA: admit at most one pending datagram per cycle.
+        if any(self._inputs):
+            self._admit_one()
+        # The NC-visible "entries pending" wire reflects queue occupancy,
+        # except a completion already scheduled by t_pop wins at commit.
+        self.result_bit = bool(self._queue)
+
+    def _admit_one(self) -> None:
+        """Autonomous DMA: admit at most one pending datagram, scanning
+        the cards round-robin from the one after the last admission."""
         for offset in range(len(self.line_cards)):
             card = self.line_cards[(self._scan_index + offset) % len(self.line_cards)]
             if not card.has_pending_input():
@@ -68,9 +78,6 @@ class InputPreprocessingUnit(FunctionalUnit):
             self.datagrams_admitted += 1
             self._scan_index = (card.index + 1) % len(self.line_cards)
             break
-        # The NC-visible "entries pending" wire reflects queue occupancy,
-        # except a completion already scheduled by t_pop wins at commit.
-        self.result_bit = bool(self._queue)
 
     def pending(self) -> int:
         return len(self._queue)

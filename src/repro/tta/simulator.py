@@ -15,6 +15,14 @@ Per cycle, in order:
 5. **Tick** — autonomous units (ippu/oppu DMA engines) advance; the NC
    advances to the next pc.
 
+Steps 1 and 5 visit only the FUs that need it: commit runs on FUs with
+pending completions, and tick on FUs whose class overrides it.
+
+The first :meth:`Simulator.step` decodes every instruction once into
+slots whose FU references are already resolved, so the cycle loop does
+no name lookups; port semantics stay in :class:`FunctionalUnit`'s
+``read``/``write``/``commit``.
+
 This mirrors the paper's SystemC simulator's role: functional verification
 plus total cycle count plus per-bus/per-FU utilisation.
 """
@@ -22,14 +30,15 @@ plus total cycle count plus per-bus/per-FU utilisation.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, NoReturn, Optional, Tuple
 
-from repro.errors import CycleBudgetError, SimulationError
+from repro.errors import CycleBudgetError
 from repro.obs import get_registry
+from repro.tta.fu import FunctionalUnit
 from repro.tta.hazards import PC_WINDOW, loop_signature
 from repro.tta.instruction import Move
 from repro.tta.memory import ProgramMemory
-from repro.tta.ports import Immediate, PortRef
+from repro.tta.ports import Immediate
 from repro.tta.processor import TacoProcessor
 from repro.tta.stats import SimulationReport
 
@@ -41,6 +50,31 @@ DEFAULT_MAX_CYCLES = 2_000_000
 #: latency > 1 runs several times longer than a latency-1 pass, so the
 #: paths must agree or they classify the same config differently)
 DEFAULT_RUN_MAX_CYCLES = 5_000_000
+
+#: one decoded move slot: (bus, move, guard FU or None, guard negate,
+#: source FU or None for an immediate, source port name or immediate
+#: value, destination FU, destination port name)
+Slot = Tuple[int, Move, Optional[FunctionalUnit], bool,
+             Optional[FunctionalUnit], object, FunctionalUnit, str]
+
+
+def tick_overriders(processor: TacoProcessor) -> List[FunctionalUnit]:
+    """FUs with a real (non-base) tick, in processor order."""
+    return [fu for fu in processor.fus.values()
+            if type(fu).tick is not FunctionalUnit.tick]
+
+
+def raise_budget_exhausted(simulator: "Simulator", max_cycles: int,
+                           pc: int) -> NoReturn:
+    """Raise the budget-exhaustion error, with the runaway-loop
+    diagnosis recovered from the simulator's trailing pcs."""
+    signature = loop_signature(simulator.pc_history)
+    detail = f"; {signature.render()}" if signature else ""
+    raise CycleBudgetError(
+        f"program did not halt within {max_cycles} cycles "
+        f"(pc={pc}){detail}",
+        cycles=max_cycles, pc=pc, loop=signature,
+        diagnosis=signature.render() if signature else None)
 
 
 class Simulator:
@@ -75,6 +109,11 @@ class Simulator:
         #: differs from :attr:`backend_name` when the compiled backend
         #: fell back to the interpreter because a hook was attached
         self.metrics_backend = self.backend_name
+        #: per pc: the decoded slots of that instruction (built by the
+        #: first step)
+        self._decoded: Optional[Tuple[Tuple[Slot, ...], ...]] = None
+        self._all_fus: Tuple[FunctionalUnit, ...] = ()
+        self._tick_fus: Tuple[FunctionalUnit, ...] = ()
 
     # -- public API ---------------------------------------------------------------
 
@@ -86,14 +125,8 @@ class Simulator:
         try:
             while not self.processor.nc.halted:
                 if self.cycle >= max_cycles:
-                    pc = self.processor.nc.pc
-                    signature = loop_signature(self.pc_history)
-                    detail = f"; {signature.render()}" if signature else ""
-                    raise CycleBudgetError(
-                        f"program did not halt within {max_cycles} cycles "
-                        f"(pc={pc}){detail}",
-                        cycles=max_cycles, pc=pc, loop=signature,
-                        diagnosis=signature.render() if signature else None)
+                    raise_budget_exhausted(self, max_cycles,
+                                           self.processor.nc.pc)
                 self.step()
         finally:
             # Publish even on a budget raise: the cycles were executed.
@@ -153,71 +186,107 @@ class Simulator:
 
     def step(self) -> None:
         """Execute one clock cycle."""
+        decoded = self._decoded
+        if decoded is None:
+            decoded = self._decode()
         processor = self.processor
         nc = processor.nc
+        report = self.report
+        busy = report.bus_busy_cycles
+        cycle = self.cycle
 
         # 1. commit matured results
-        for fu in processor.fus.values():
-            fu.commit(self.cycle)
+        for fu in self._all_fus:
+            if fu._pending:
+                fu.commit(cycle)
 
         # 2. fetch
-        instruction = self.program.fetch(nc.pc)
-        self.report.instructions_fetched += 1
-        self.pc_history.append(nc.pc)
+        pc = nc.pc
+        if not 0 <= pc < len(decoded):
+            self.program.fetch(pc)  # raises the out-of-range error
+        report.instructions_fetched += 1
+        self.pc_history.append(pc)
 
         # 3. guards + source reads
-        issued: List[Tuple[int, Move, int]] = []
-        for bus_index, move in enumerate(instruction.moves):
-            if move is None:
+        move_hook = self.move_hook
+        transport_filter = self.transport_filter
+        issued: List[Tuple[int, Move, int, Optional[FunctionalUnit],
+                           str]] = []
+        for (bus_index, move, guard_fu, negate, source_fu, source,
+             fu, port) in decoded[pc]:
+            # squashed when the result bit is false (or true, if negated)
+            if guard_fu is not None and (not guard_fu.result_bit) != negate:
+                report.moves_squashed += 1
+                # The slot was occupied in the instruction word; count
+                # the bus as driven, matching hardware activity.
+                busy[bus_index] += 1
+                if move_hook is not None:
+                    move_hook(cycle, pc, bus_index, move, None)
                 continue
-            if move.guard is not None:
-                guard_fu = processor.fu(move.guard.fu)
-                bit = guard_fu.result_bit
-                if move.guard.negate:
-                    bit = not bit
-                if not bit:
-                    self.report.moves_squashed += 1
-                    # The slot was occupied in the instruction word; count
-                    # the bus as driven, matching hardware activity.
-                    self.report.bus_busy_cycles[bus_index] += 1
-                    if self.move_hook is not None:
-                        self.move_hook(self.cycle, nc.pc, bus_index, move,
-                                       None)
-                    continue
-            value = self._read_source(move.source)
-            if self.transport_filter is not None:
-                move, value = self.transport_filter(
-                    self.cycle, nc.pc, bus_index, move, value)
-            if self.move_hook is not None:
-                self.move_hook(self.cycle, nc.pc, bus_index, move, value)
-            issued.append((bus_index, move, value))
+            if source_fu is None:
+                value = source
+            else:
+                value = source_fu.read(source, cycle, strict=self.strict)
+            if transport_filter is not None:
+                filtered, value = transport_filter(
+                    cycle, pc, bus_index, move, value)
+                if filtered is not move:
+                    # a fault may have redirected the destination
+                    move, fu = filtered, None
+            if move_hook is not None:
+                move_hook(cycle, pc, bus_index, move, value)
+            issued.append((bus_index, move, value, fu, port))
 
         # 4. destination writes, in bus order
-        for bus_index, move, value in issued:
-            fu, _port = processor.resolve(move.destination)
-            fu.write(move.destination.port, value, self.cycle)
-            self.report.moves_executed += 1
-            self.report.bus_busy_cycles[bus_index] += 1
+        fu_triggers = report.fu_triggers
+        for bus_index, move, value, fu, port in issued:
+            if fu is None:
+                fu, _port = processor.resolve(move.destination)
+                port = move.destination.port
+            fu.write(port, value, cycle)
+            report.moves_executed += 1
+            busy[bus_index] += 1
+            fu_triggers[fu.name] = fu.trigger_count
 
         # 5. autonomous units tick; NC advances
-        for fu in processor.fus.values():
-            fu.tick(self.cycle)
+        for fu in self._tick_fus:
+            fu.tick(cycle)
         nc.advance()
 
-        self.cycle += 1
-        self.report.cycles = self.cycle
-        for name, fu in processor.fus.items():
+        self.cycle = report.cycles = cycle + 1
+
+    def _decode(self) -> Tuple[Tuple[Slot, ...], ...]:
+        """Resolve every move of the program to its FUs, once.
+
+        Also seeds ``report.fu_triggers`` with every FU in processor
+        order; :meth:`step` then updates only the FUs it writes, the only
+        ones whose trigger count can change.
+        """
+        fus = self.processor.fus
+        decoded = []
+        for instruction in self.program:
+            slots = []
+            for bus_index, move in enumerate(instruction.moves):
+                if move is None:
+                    continue
+                guard, source = move.guard, move.source
+                if isinstance(source, Immediate):
+                    source_fu, source_operand = None, source.value
+                else:
+                    source_fu, source_operand = fus[source.fu], source.port
+                slots.append((
+                    bus_index, move,
+                    None if guard is None else fus[guard.fu],
+                    guard is not None and guard.negate,
+                    source_fu, source_operand,
+                    fus[move.destination.fu], move.destination.port))
+            decoded.append(tuple(slots))
+        self._decoded = tuple(decoded)
+        self._all_fus = tuple(fus.values())
+        self._tick_fus = tuple(tick_overriders(self.processor))
+        for name, fu in fus.items():
             self.report.fu_triggers[name] = fu.trigger_count
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _read_source(self, source) -> int:
-        if isinstance(source, Immediate):
-            return source.value
-        if isinstance(source, PortRef):
-            fu = self.processor.fu(source.fu)
-            return fu.read(source.port, self.cycle, strict=self.strict)
-        raise SimulationError(f"unreadable move source: {source!r}")
+        return self._decoded
 
 
 def simulate(processor: TacoProcessor, program: ProgramMemory,

@@ -19,6 +19,7 @@ from repro.tta import (
     ProgramMemory,
     RegisterFileUnit,
     TacoProcessor,
+    Simulator,
     nop,
     simulate,
     truncate,
@@ -290,3 +291,71 @@ class TestNonPipelinedHazard:
         ])
         with pytest.raises(SimulationError):
             simulate(processor, program)
+
+
+class TestReportMaintenance:
+    """Report fields the decoded step maintains incrementally."""
+
+    PROGRAM = [
+        Instruction.of([Move(I(3), P("cnt0", "o")),
+                        Move(I(5), P("cmp0", "o"))], 2),
+        Instruction.of([Move(I(4), P("cnt0", "t_add"))], 2),
+        Instruction.of([Move(I(1), P("cnt0", "t_inc")),
+                        Move(P("cnt0", "r"), P("gpr", "r0"))], 2),
+        Instruction.of([Move(I(0), P("nc", "halt"))], 2),
+    ]
+
+    def simulator(self, processor):
+        processor.reset()
+        return Simulator(processor, ProgramMemory(self.PROGRAM))
+
+    @staticmethod
+    def counts(processor):
+        return [(name, fu.trigger_count)
+                for name, fu in processor.fus.items()]
+
+    def test_fu_triggers_after_run_cycles(self):
+        processor = make_processor()
+        sim = self.simulator(processor)
+        for k in (1, 2, 1):
+            report = sim.run_cycles(k)
+            # every FU in processor order, untriggered ones at zero
+            assert list(report.fu_triggers.items()) == self.counts(processor)
+        assert report.fu_triggers["cnt0"] == 2
+        assert report.fu_triggers["shf0"] == 0
+        assert report.fu_triggers["cmp0"] == 0
+        assert report.fu_triggers["nc"] == 1
+
+    def test_fu_triggers_after_run(self):
+        processor = make_processor()
+        report = self.simulator(processor).run()
+        assert list(report.fu_triggers) == list(processor.fus)
+        assert list(report.fu_triggers.items()) == self.counts(processor)
+
+    def test_run_on_halted_processor_leaves_fu_triggers_empty(self):
+        processor = make_processor()
+        sim = self.simulator(processor)
+        processor.nc.halted = True
+        report = sim.run()
+        assert report.fu_triggers == {}
+        assert report.cycles == 0
+        assert report.halted
+
+    def test_transport_filter_destination_rewrite_is_written(self):
+        processor = make_processor()
+        sim = self.simulator(processor)
+
+        def misroute(cycle, pc, bus, move, value):
+            if move.destination == P("cmp0", "o"):
+                return Move(move.source, P("gpr", "r7")), value
+            return move, value
+
+        seen = []
+        sim.transport_filter = misroute
+        sim.move_hook = lambda cycle, pc, bus, move, value: \
+            seen.append(move.destination)
+        sim.run()
+        assert processor.fu("gpr").ports["r7"].value == 5
+        assert processor.fu("cmp0").ports["o"].value == 0
+        # observers see the transport as it happened on the bus
+        assert P("gpr", "r7") in seen and P("cmp0", "o") not in seen
