@@ -10,13 +10,13 @@ this experiment only measures speed).
 Method: per Table 1 configuration, build the machine and program once,
 then time ``Simulator.run`` alone — best of several repetitions — for
 each backend, reading the speed from the same
-``tta_cycles_per_second`` obs gauge production runs publish. The lazy
-numpy import and the per-shape codegen are warmed first so the numbers
-reflect steady state (a campaign's situation), not first-call costs.
+``tta_cycles_per_second`` obs gauge production runs publish. The
+per-shape codegen is warmed first so the numbers reflect steady state
+(a campaign's situation), not first-call costs.
 
 Asserts the acceptance floor: >= 5.7x on at least one configuration and
 a grid-wide median >= 5x. Printed rows report interpreter and compiled
-cycles/sec, the speedup, and whether the numpy reduction was active.
+cycles/sec and the speedup.
 
 The floors are ratios, so they move with the interpreter. The best-case
 floor was 10x against a best of 17.3x; the pre-decoded interpreter step
@@ -36,7 +36,6 @@ from repro.obs import get_registry
 from repro.programs.forwarding import MODE_BENCH, build_forwarding_program
 from repro.programs.machine import build_machine
 from repro.tta.backends import create_simulator
-from repro.tta.compiled import numpy_active
 from repro.workload import generate_routes, worst_case_workload
 
 #: measurement batch — large enough that the slowest config still runs
@@ -77,7 +76,6 @@ def _best_rate(machine, program, packets, backend: str) -> float:
 def test_compiled_speedup_over_table1_grid():
     assert get_registry().enabled, \
         "metrics must be on to read tta_cycles_per_second"
-    numpy_active()  # warm the lazy numpy import outside the timings
     routes = generate_routes(ENTRIES)
     packets = worst_case_workload(routes, PACKETS)
 
@@ -104,7 +102,6 @@ def test_compiled_speedup_over_table1_grid():
         print(f"{kind:<13} {label:<20} {interp:>12,.0f} "
               f"{compiled:>13,.0f} {speedup:>7.1f}x")
     median = statistics.median(speedups)
-    print(f"numpy reduction active: {numpy_active()}")
     print(f"best speedup: {max(speedups):.1f}x; grid median: "
           f"{median:.1f}x")
 

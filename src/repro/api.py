@@ -14,7 +14,7 @@ The one import users need::
 Every simulation entry point accepts ``backend=`` — ``"interpreter"``
 (the reference loop, the default), ``"compiled"`` (the pre-decoded fast
 path, bit-identical reports), or ``"auto"``. :func:`backends` lists
-what is registered; see :mod:`repro.tta.backends`.
+the engine names; see :mod:`repro.tta.backends`.
 
 Everything here returns the library's existing dataclasses
 (:class:`EvaluationResult`, :class:`Table1Row`,
@@ -104,11 +104,7 @@ from repro.pcap import replay as _replay
 from repro.obs import MetricsRegistry, get_registry, render_snapshot
 from repro.programs.machine import build_machine
 from repro.programs.runner import RunOptions
-from repro.tta.backends import (
-    BACKEND_AUTO,
-    SimulatorBackend,
-    available_backends,
-)
+from repro.tta.backends import BACKEND_AUTO, BACKENDS
 from repro.router.network import (
     Network,
     RipngRun,
@@ -172,7 +168,6 @@ __all__ = [
     "RipngRun",
     "RunOptions",
     "SdcSweepResult",
-    "SimulatorBackend",
     "ServiceChaosReport",
     "SupervisionPolicy",
     "Table1Row",
@@ -203,15 +198,13 @@ def _campaign(*, jobs: int, journal: Optional[str], resume: bool,
                           resume=resume, policy=policy, jobs=jobs)
 
 
-def backends() -> List[SimulatorBackend]:
-    """The registered simulation engines, in registration order.
+def backends() -> Tuple[str, ...]:
+    """The simulation engine names, reference (``"interpreter"``) first.
 
-    Each entry carries ``name``, ``description``, and an
-    ``accelerated`` property (True when the backend batches state
-    updates through numpy in this process). Pass an entry's ``name`` as
-    the ``backend=`` argument anywhere in this facade.
+    Pass one, or ``BACKEND_AUTO``, as the ``backend=`` argument anywhere
+    in this facade.
     """
-    return available_backends()
+    return tuple(BACKENDS)
 
 
 def evaluate(config: ArchitectureConfiguration, *,

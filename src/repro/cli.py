@@ -366,9 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    choices = tuple(backend.name for backend in api.backends()) \
-        + (api.BACKEND_AUTO,)
-    parser.add_argument("--backend", default=None, choices=choices,
+    parser.add_argument("--backend", default=None,
+                        choices=api.backends() + (api.BACKEND_AUTO,),
                         help="simulation engine (default: interpreter; "
                              "'compiled' is the bit-identical fast path, "
                              "'auto' picks the fastest)")

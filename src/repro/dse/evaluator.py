@@ -126,7 +126,7 @@ class ArchitectureEvaluator:
         self.constraint = constraint or ThroughputConstraint()
         self.detect_hazards = detect_hazards
         #: simulation engine for every run this evaluator makes
-        #: (None = registry default; see :mod:`repro.tta.backends`)
+        #: (None = the default backend; see :mod:`repro.tta.backends`)
         self.backend = backend
         self.evaluations = 0
 

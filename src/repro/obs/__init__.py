@@ -1,9 +1,8 @@
-"""repro.obs — unified observability: metrics, spans, profiling hooks.
+"""repro.obs — unified observability: metrics and profiling hooks.
 
 The layer every performance claim in this repository is proven against:
 a process-wide :class:`MetricsRegistry` (counters, gauges, histograms
-with labels) that the hot paths publish into, a structured span/event
-:class:`Tracer` with an injectable clock, and deterministic
+with labels) that the hot paths publish into, and deterministic
 serialisation (``snapshot()``) surfaced as the ``metrics`` section of
 every ``--output`` JSON, the ``taco-explore metrics`` subcommand, and
 ``repro.api.metrics()``.
@@ -23,18 +22,14 @@ from repro.obs.metrics import (
     render_snapshot,
     set_registry,
 )
-from repro.obs.tracer import Event, Span, Tracer
 
 __all__ = [
     "DEFAULT_BUCKETS",
     "METRICS_ENV",
     "Counter",
-    "Event",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Span",
-    "Tracer",
     "get_registry",
     "render_snapshot",
     "set_registry",

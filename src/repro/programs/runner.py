@@ -40,7 +40,7 @@ class RunOptions:
     """
 
     #: simulation engine name ("interpreter" | "compiled" | "auto");
-    #: None = the registry default
+    #: None = the default backend
     backend: Optional[str] = None
     #: cycle budget; None = DEFAULT_RUN_MAX_CYCLES
     max_cycles: Optional[int] = None

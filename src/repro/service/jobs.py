@@ -95,9 +95,9 @@ def normalise_plan(plan: Dict[str, object]) -> Dict[str, object]:
     if out["entries"] < 1 or out["packets"] < 1:
         raise ServiceError("entries and packets must be >= 1")
     if out["backend"] is not None:
-        from repro.tta.backends import get_backend
+        from repro.tta.backends import resolve_backend_name
         try:
-            get_backend(str(out["backend"]))
+            resolve_backend_name(str(out["backend"]))
         except ConfigurationError as exc:
             raise ServiceError(str(exc)) from None
         out["backend"] = str(out["backend"])

@@ -43,12 +43,9 @@ from repro.tta.backends import (
     BACKEND_AUTO,
     BACKEND_COMPILED,
     BACKEND_INTERPRETER,
+    BACKENDS,
     DEFAULT_BACKEND,
-    SimulatorBackend,
-    available_backends,
     create_simulator,
-    get_backend,
-    register_backend,
     resolve_backend_name,
 )
 from repro.tta.trace import TracingSimulator, trace_program
@@ -68,8 +65,7 @@ __all__ = [
     "Simulator", "simulate", "SimulationReport", "DEFAULT_MAX_CYCLES",
     "DEFAULT_RUN_MAX_CYCLES",
     "CompiledSimulator", "compile_program",
-    "SimulatorBackend", "available_backends", "create_simulator",
-    "get_backend", "register_backend", "resolve_backend_name",
+    "BACKENDS", "create_simulator", "resolve_backend_name",
     "BACKEND_AUTO", "BACKEND_COMPILED", "BACKEND_INTERPRETER",
     "DEFAULT_BACKEND",
     "TracingSimulator", "trace_program",

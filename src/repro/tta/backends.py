@@ -1,11 +1,9 @@
-"""Backend-selection layer: how callers pick a simulation engine.
+"""Backend selection: how callers pick a simulation engine.
 
 Every evaluation path in the repo — :func:`repro.programs.runner.run_forwarding`,
 the DSE evaluator, the campaign/service runners, and the CLI's
-``--backend`` flag — funnels simulator construction through this
-registry, so a new execution engine plugs in at exactly one place.
-
-Two backends ship:
+``--backend`` flag — constructs its simulator through
+:func:`create_simulator`, which looks the name up in :data:`BACKENDS`.
 
 ``interpreter``
     The reference cycle-accurate loop (:class:`repro.tta.simulator.Simulator`).
@@ -24,11 +22,10 @@ byte-for-byte the behaviour they always had unless they opt in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional, Type
 
 from repro.errors import ConfigurationError
-from repro.tta.compiled import CompiledSimulator, numpy_active
+from repro.tta.compiled import CompiledSimulator
 from repro.tta.memory import ProgramMemory
 from repro.tta.processor import TacoProcessor
 from repro.tta.simulator import Simulator
@@ -41,83 +38,30 @@ BACKEND_AUTO = "auto"
 #: stack resolves to this)
 DEFAULT_BACKEND = BACKEND_INTERPRETER
 
-
-@dataclass(frozen=True)
-class SimulatorBackend:
-    """One registered execution engine."""
-
-    name: str
-    description: str
-    factory: Callable[..., Simulator] = field(repr=False)
-    #: probed lazily (numpy import is deferred until someone asks)
-    accelerated_check: Callable[[], bool] = field(
-        repr=False, default=lambda: False)
-
-    @property
-    def accelerated(self) -> bool:
-        """True when the backend batches state updates through an
-        accelerated array library (numpy) in this process."""
-        return bool(self.accelerated_check())
-
-    def create(self, processor: TacoProcessor, program: ProgramMemory,
-               strict: bool = True) -> Simulator:
-        return self.factory(processor, program, strict=strict)
-
-
-_REGISTRY: Dict[str, SimulatorBackend] = {}
-
-
-def register_backend(backend: SimulatorBackend) -> SimulatorBackend:
-    """Add an engine to the registry (duplicate names are an error)."""
-    if backend.name in _REGISTRY or backend.name == BACKEND_AUTO:
-        raise ConfigurationError(
-            f"simulator backend {backend.name!r} is already registered")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def available_backends() -> List[SimulatorBackend]:
-    """Every registered engine, in registration order."""
-    return list(_REGISTRY.values())
+#: every simulation engine by name, reference first
+BACKENDS: Dict[str, Type[Simulator]] = {
+    BACKEND_INTERPRETER: Simulator,
+    BACKEND_COMPILED: CompiledSimulator,
+}
 
 
 def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Map ``None``/``"auto"`` onto a concrete registered name."""
+    """Map ``None``/``"auto"`` onto a concrete backend name; unknown
+    names are a :class:`ConfigurationError`."""
     if name is None:
-        name = DEFAULT_BACKEND
+        return DEFAULT_BACKEND
     if name == BACKEND_AUTO:
         return BACKEND_COMPILED
-    return name
-
-
-def get_backend(name: Optional[str] = None) -> SimulatorBackend:
-    """Look an engine up by name (``"auto"``/``None`` resolve first)."""
-    resolved = resolve_backend_name(name)
-    try:
-        return _REGISTRY[resolved]
-    except KeyError:
-        known = sorted(_REGISTRY) + [BACKEND_AUTO]
+    if name not in BACKENDS:
         raise ConfigurationError(
             f"unknown simulator backend {name!r}; "
-            f"choose one of {known}") from None
+            f"choose one of {sorted(BACKENDS) + [BACKEND_AUTO]}")
+    return name
 
 
 def create_simulator(processor: TacoProcessor, program: ProgramMemory,
                      strict: bool = True,
                      backend: Optional[str] = None) -> Simulator:
     """The one construction point for simulators across the repo."""
-    return get_backend(backend).create(processor, program, strict=strict)
-
-
-register_backend(SimulatorBackend(
-    name=BACKEND_INTERPRETER,
-    description="reference cycle-accurate interpreter "
-                "(supports every observation hook)",
-    factory=Simulator))
-
-register_backend(SimulatorBackend(
-    name=BACKEND_COMPILED,
-    description="pre-decoded move schedule with batched state updates; "
-                "falls back to the interpreter when a hook is attached",
-    factory=CompiledSimulator,
-    accelerated_check=numpy_active))
+    factory = BACKENDS[resolve_backend_name(backend)]
+    return factory(processor, program, strict=strict)

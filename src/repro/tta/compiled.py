@@ -45,9 +45,7 @@ grid). Three properties of the interpreter make the batching sound:
   end.
 
 The per-instruction visit counts are reduced to the report totals in one
-batched pass at run end — through numpy when it is importable (disable
-with ``REPRO_NO_NUMPY=1``), otherwise through a plain-Python loop that
-produces the same integers.
+plain-Python pass at run end.
 
 Whenever an observation hook is attached (``move_hook`` by tracers and
 the hazard detector, ``transport_filter`` by fault injectors),
@@ -66,7 +64,6 @@ the exception string on the abnormal ones.
 
 from __future__ import annotations
 
-import os
 import re
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -83,51 +80,17 @@ from repro.tta.simulator import (
     tick_overriders,
 )
 
-NUMPY_ENV = "REPRO_NO_NUMPY"
-"""Set to ``1`` to force the pure-Python batched reduction (CI uses this
-to prove the numpy and no-numpy paths are byte-identical)."""
-
-#: lazily imported numpy module (None = unavailable); importing numpy
-#: costs ~100 ms, which simulator construction should never pay eagerly
-_numpy_state: Dict[str, object] = {"checked": False, "module": None}
-
-
-def numpy_available() -> bool:
-    """True when numpy can be imported in this interpreter."""
-    if not _numpy_state["checked"]:
-        _numpy_state["checked"] = True
-        try:
-            import numpy
-            _numpy_state["module"] = numpy
-        except ImportError:  # pragma: no cover - image bakes numpy in
-            _numpy_state["module"] = None
-    return _numpy_state["module"] is not None
-
-
-def numpy_active() -> bool:
-    """True when the batched reduction will actually go through numpy."""
-    if os.environ.get(NUMPY_ENV, "") not in ("", "0"):
-        return False
-    return numpy_available()
-
-
-def _numpy():
-    return _numpy_state["module"] if numpy_available() else None
-
-
 class _CompiledProgram:
     """The pre-decoded schedule: one driver plus static accounting."""
 
-    __slots__ = ("drive", "length", "bus_count", "occupancy",
-                 "moves_per_pc", "untracked_fus", "_np_occupancy",
-                 "_np_moves")
+    __slots__ = ("drive", "length", "occupancy", "moves_per_pc",
+                 "untracked_fus")
 
-    def __init__(self, drive: Callable, length: int, bus_count: int,
+    def __init__(self, drive: Callable, length: int,
                  occupancy: Tuple[Tuple[int, ...], ...],
                  untracked_fus: Tuple[FunctionalUnit, ...]):
         self.drive = drive
         self.length = length
-        self.bus_count = bus_count
         #: per pc: bus indices whose slot is occupied (guarded or not)
         self.occupancy = occupancy
         self.moves_per_pc = tuple(len(buses) for buses in occupancy)
@@ -137,21 +100,6 @@ class _CompiledProgram:
         #: interpreter on the same processor first, which forces a
         #: fallback run
         self.untracked_fus = untracked_fus
-        self._np_occupancy = None
-        self._np_moves = None
-
-    def numpy_tables(self, np_mod):
-        """(occupancy matrix, moves vector) as cached int64 arrays."""
-        if self._np_occupancy is None:
-            matrix = np_mod.zeros((self.length, self.bus_count),
-                                  dtype=np_mod.int64)
-            for pc, buses in enumerate(self.occupancy):
-                for bus in buses:
-                    matrix[pc, bus] = 1
-            self._np_occupancy = matrix
-            self._np_moves = np_mod.asarray(self.moves_per_pc,
-                                            dtype=np_mod.int64)
-        return self._np_occupancy, self._np_moves
 
 
 def _ident(name: str) -> str:
@@ -706,8 +654,7 @@ def compile_program(processor: TacoProcessor, program: ProgramMemory,
     exec(code, gen.namespace)  # noqa: S102 - generated from the program
     return _CompiledProgram(
         drive=gen.namespace["_drive"], length=len(program),
-        bus_count=program.width, occupancy=tuple(occupancy),
-        untracked_fus=untracked)
+        occupancy=tuple(occupancy), untracked_fus=untracked)
 
 
 class CompiledSimulator(Simulator):
@@ -782,33 +729,22 @@ class CompiledSimulator(Simulator):
 
     def _finalize(self, visits: List[int]) -> None:
         """Reduce per-pc visit counts into the interpreter's report
-        totals (numpy when active, identical plain-Python otherwise)."""
+        totals."""
         compiled = self._compiled
         report = self.report
         report.cycles = self.cycle
         report.instructions_fetched += sum(visits)
         report.moves_squashed += self._drive_squashed
-        np_mod = _numpy() if numpy_active() else None
-        if np_mod is not None:
-            matrix, moves_vec = compiled.numpy_tables(np_mod)
-            counts = np_mod.asarray(visits, dtype=np_mod.int64)
-            busy = counts @ matrix
-            issued = int(counts @ moves_vec)
-            for bus, extra in enumerate(busy.tolist()):
-                report.bus_busy_cycles[bus] += extra
-        else:
-            issued = 0
-            busy_acc = [0] * compiled.bus_count
-            moves_per_pc = compiled.moves_per_pc
-            occupancy = compiled.occupancy
-            for pc, count in enumerate(visits):
-                if not count:
-                    continue
-                issued += count * moves_per_pc[pc]
-                for bus in occupancy[pc]:
-                    busy_acc[bus] += count
-            for bus, extra in enumerate(busy_acc):
-                report.bus_busy_cycles[bus] += extra
+        issued = 0
+        busy = report.bus_busy_cycles
+        moves_per_pc = compiled.moves_per_pc
+        occupancy = compiled.occupancy
+        for pc, count in enumerate(visits):
+            if not count:
+                continue
+            issued += count * moves_per_pc[pc]
+            for bus in occupancy[pc]:
+                busy[bus] += count
         # every occupied slot was either squashed or executed
         report.moves_executed += issued - self._drive_squashed
         for name, fu in self.processor.fus.items():

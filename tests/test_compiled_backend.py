@@ -1,5 +1,8 @@
-"""Compiled TTA backend: registry, bit-identity, fallback, options."""
+"""Compiled TTA backend: selection, bit-identity, fallback, options."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -22,10 +25,7 @@ from repro.tta.backends import (
     BACKEND_AUTO,
     BACKEND_COMPILED,
     BACKEND_INTERPRETER,
-    SimulatorBackend,
     create_simulator,
-    get_backend,
-    register_backend,
     resolve_backend_name,
 )
 from repro.verify import table1_grid, verify_backend
@@ -60,11 +60,7 @@ def _machine_and_program(config=CONFIG, entries=10):
 
 class TestRegistry:
     def test_discovery_lists_both_engines(self):
-        names = [backend.name for backend in api.backends()]
-        assert names[:2] == [BACKEND_INTERPRETER, BACKEND_COMPILED]
-        for backend in api.backends():
-            assert backend.description
-            assert isinstance(backend.accelerated, bool)
+        assert api.backends() == (BACKEND_INTERPRETER, BACKEND_COMPILED)
 
     def test_resolution(self):
         assert resolve_backend_name(None) == BACKEND_INTERPRETER
@@ -73,17 +69,10 @@ class TestRegistry:
 
     def test_unknown_backend_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="unknown simulator"):
-            get_backend("systemc")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend(SimulatorBackend(
-                name=BACKEND_INTERPRETER, description="dup",
-                factory=Simulator))
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend(SimulatorBackend(
-                name=BACKEND_AUTO, description="reserved",
-                factory=Simulator))
+            resolve_backend_name("systemc")
+        machine, program = _machine_and_program()
+        with pytest.raises(ConfigurationError, match="unknown simulator"):
+            create_simulator(machine.processor, program, backend="systemc")
 
     def test_create_simulator_dispatches_by_name(self):
         machine, program = _machine_and_program()
@@ -95,6 +84,45 @@ class TestRegistry:
         sim = create_simulator(machine.processor, program,
                                backend=BACKEND_AUTO)
         assert isinstance(sim, CompiledSimulator)
+
+
+#: runs the CLI in-process, then prints on its last stdout line every
+#: top-level package the run imported beyond interpreter start-up
+_IMPORT_PROBE = """
+import runpy, sys
+before = {name.partition(".")[0] for name in sys.modules}
+sys.argv = ["repro.cli"] + sys.argv[1:]
+code = 0
+try:
+    runpy.run_module("repro.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+after = {name.partition(".")[0] for name in sys.modules}
+print(code, *sorted(after - before))
+"""
+
+
+class TestImports:
+    @pytest.mark.skipif(not hasattr(sys, "stdlib_module_names"),
+                        reason="needs sys.stdlib_module_names (3.10+)")
+    def test_compiled_table1_imports_only_the_standard_library(self):
+        # The compiled backend's end-of-run reduction is plain Python; a
+        # run must not pay for importing an array library.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            api.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, "table1", "--entries",
+             "40", "--packets", "6", "--backend", "compiled"],
+            env=env, capture_output=True, text=True, timeout=120)
+        code, *imported = proc.stdout.splitlines()[-1].split()
+        assert code == "0", proc.stderr
+        assert "repro" in imported
+        # dunder entries (``__mp_main__``) are main-module aliases
+        third_party = [name for name in imported if name != "repro"
+                       and name not in sys.stdlib_module_names
+                       and not name.startswith("__")]
+        assert third_party == []
 
 
 class TestBitIdentity:

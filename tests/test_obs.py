@@ -1,4 +1,4 @@
-"""Observability layer: registry, instruments, tracer, and surfacing."""
+"""Observability layer: registry, instruments, and surfacing."""
 
 import json
 
@@ -10,25 +10,10 @@ from repro.errors import ObservabilityError
 from repro.obs import (
     METRICS_ENV,
     MetricsRegistry,
-    Tracer,
     get_registry,
     render_snapshot,
     set_registry,
 )
-
-
-class FakeClock:
-    """A deterministic clock: each read advances by *step* seconds."""
-
-    def __init__(self, step=1.0):
-        self.now = 0.0
-        self.step = step
-        self.reads = 0
-
-    def __call__(self):
-        self.reads += 1
-        self.now += self.step
-        return self.now
 
 
 @pytest.fixture
@@ -155,48 +140,6 @@ class TestRegistry:
     def test_render_empty_snapshot(self):
         registry = MetricsRegistry(enabled=False)
         assert "registry disabled" in registry.render()
-
-
-class TestTracer:
-    def test_span_durations_from_injected_clock(self, registry):
-        clock = FakeClock(step=1.0)
-        tracer = Tracer(registry, time_fn=clock)
-        histogram = registry.histogram("span_seconds", buckets=(10.0,))
-        with tracer.span("work", histogram, stage="x") as span:
-            pass
-        assert span.duration == 1.0  # two reads, one second apart
-        assert span.fields == {"stage": "x"}
-        assert histogram.count() == 1
-        assert histogram.sum() == pytest.approx(1.0)
-
-    def test_disabled_tracer_never_reads_the_clock(self):
-        registry = MetricsRegistry(enabled=False)
-        clock = FakeClock()
-        tracer = Tracer(registry, time_fn=clock)
-        with tracer.span("work") as span:
-            pass
-        assert tracer.event("e") is None
-        assert clock.reads == 0
-        assert span.duration == 0.0
-        assert tracer.spans == [] and tracer.events == []
-
-    def test_bounded_log_counts_drops(self, registry):
-        tracer = Tracer(registry, time_fn=FakeClock(), max_records=2)
-        for i in range(5):
-            tracer.event("e", i=i)
-        assert len(tracer.events) == 2
-        assert tracer.dropped == 3
-        tracer.clear()
-        assert tracer.dropped == 0 and tracer.events == []
-
-    def test_to_dict_round_trips_through_json(self, registry):
-        tracer = Tracer(registry, time_fn=FakeClock())
-        with tracer.span("s"):
-            tracer.event("e", k=1)
-        doc = json.loads(json.dumps(tracer.to_dict()))
-        assert doc["spans"][0]["name"] == "s"
-        assert doc["events"][0]["fields"] == {"k": 1}
-        assert doc["dropped"] == 0
 
 
 CONFIG = ArchitectureConfiguration(bus_count=3, table_kind="sequential")
