@@ -276,8 +276,9 @@ def lookup_sweep(*, kinds=None,
                  resume: bool = False) -> LookupSweepResult:
     """Scaling lookup sweep: every table kind at 10²–10⁶ prefixes.
 
-    Each ``(kind, prefix_count)`` cell synthesizes a BGP-shaped FIB
-    (:mod:`repro.workload.fib`), bulk-loads it, measures mean lookup
+    Each ``(kind, prefix_count)`` cell bulk-loads a BGP-shaped FIB
+    (:mod:`repro.workload.fib`, synthesized once per size and shared by
+    every kind), measures mean lookup
     steps under Zipf-skewed traffic, and derives required clock / area /
     power through the calibrated analytic models
     (:mod:`repro.estimation.lookup`). Defaults sweep all five kinds at

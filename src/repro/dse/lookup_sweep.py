@@ -5,9 +5,11 @@ edge equipment, three orders of magnitude short of a modern default-free
 zone. This campaign extends the comparison along the prefix-count axis:
 for every ``(kind, prefix_count)`` cell it
 
-1. synthesizes a realistic FIB (:func:`repro.workload.fib.synthesize_fib`
-   — BGP-shaped prefix-length histogram, aggregatable allocations),
-2. bulk-loads it into the structure under test,
+1. takes a realistic FIB (:func:`repro.workload.fib.synthesize_fib`
+   — BGP-shaped prefix-length histogram, aggregatable allocations) and
+   its Zipf traffic from a per-process memo, so every kind at one size
+   shares one synthesis,
+2. bulk-loads the FIB into the structure under test,
 3. measures mean lookup steps under Zipf-skewed traffic
    (:func:`repro.workload.fib.zipf_addresses`) via ``lookup_batch``,
 4. converts the measurement to required clock / area / power through the
@@ -41,11 +43,22 @@ from repro.dse.config import (
     ALL_TABLE_KINDS,
     ArchitectureConfiguration,
 )
-from repro.dse.sweep import JOURNAL_VERSION, JournaledSweep, failed_record
+from repro.dse.sweep import (
+    _UNBUILT,
+    JOURNAL_VERSION,
+    JournaledSweep,
+    failed_record,
+)
 from repro.errors import CampaignError, ReproError
 from repro.estimation.lookup import LookupEstimate, estimate_lookup_point
 from repro.obs import get_registry
 from repro.routing import make_table
+from repro.routing.base import (
+    LOOKUP_STEPS_METRIC,
+    LOOKUPS_METRIC,
+    UPDATE_STEPS_METRIC,
+    UPDATES_METRIC,
+)
 from repro.workload.fib import synthesize_fib, zipf_addresses
 
 #: default prefix-count axis: two to six decades
@@ -125,25 +138,49 @@ def _identity(cell: LookupCell) -> Dict[str, object]:
     }
 
 
+class _Workloads:
+    """A process's FIB and traffic memo: one synthesis per
+    ``(prefix_count, seed, lookups)``, shared by every kind at that size.
+
+    Safe to share because loading and looking up never mutate the route
+    list or the addresses (pinned by ``tests/test_shared_workload.py``).
+    A sweep fixes *seed* and *lookups*, so the memo holds at most one
+    entry per prefix count.
+    """
+
+    def __init__(self):
+        self._built: Dict[Tuple[int, int, int], Tuple[list, list]] = {}
+
+    def __call__(self, cell: LookupCell) -> Tuple[list, list]:
+        key = (cell.prefix_count, cell.seed, cell.lookups)
+        workload = self._built.get(key)
+        if workload is None:
+            routes = synthesize_fib(cell.prefix_count, seed=cell.seed)
+            addresses = zipf_addresses(routes, cell.lookups,
+                                       seed=cell.seed + 7919)
+            workload = self._built[key] = (routes, addresses)
+        return workload
+
+
 def measure_cell(cell: LookupCell, context=None) -> Dict[str, object]:
     """One cell -> one journal record (never raises for ReproError).
 
-    *context* is unused: every cell synthesizes its own FIB. The metrics
+    *context* is the process's :class:`_Workloads` memo; without one the
+    cell builds its workload in a fresh memo of its own. The metrics
     registry is disabled for the duration: the parent publishes this
     record's counters at persist time, so sequential and parallel sweeps
     account identically (pool workers could not publish into the
     parent's registry anyway).
     """
+    workloads = context if context is not None else _Workloads()
     base = _identity(cell)
     registry = get_registry()
     was_enabled = registry.enabled
     registry.disable()
     try:
-        routes = synthesize_fib(cell.prefix_count, seed=cell.seed)
+        routes, addresses = workloads(cell)
         table = make_table(cell.kind, capacity=len(routes))
         table.load(routes)
-        addresses = zipf_addresses(routes, cell.lookups,
-                                   seed=cell.seed + 7919)
         results = table.lookup_batch(addresses)
         stats = table.stats
         base["status"] = "ok"
@@ -289,13 +326,21 @@ class LookupSweepRunner(JournaledSweep):
     def run(self) -> LookupSweepResult:
         """Measure every planned cell; never raises for a cell whose
         structure rejects the workload (recorded ``failed``)."""
-        records = self._sweep(plan_cells(self.kinds, self.prefix_counts,
-                                         self.lookups, self.seed))
+        plan = plan_cells(self.kinds, self.prefix_counts, self.lookups,
+                          self.seed)
+        try:
+            records = self._sweep(plan)
+        finally:
+            # the memo holds a FIB per size: free it with the sweep
+            self._context = _UNBUILT
         return LookupSweepResult(
             records=records, kinds=self.kinds,
             prefix_counts=self.prefix_counts, lookups=self.lookups,
             seed=self.seed, resumed=self.resumed,
             discarded_records=self.discarded_records)
+
+    def _context_spec(self):
+        return _Workloads, ()
 
     def _failed_record(self, cell: LookupCell, error: str,
                        message: str) -> Dict[str, object]:
@@ -320,19 +365,12 @@ class LookupSweepRunner(JournaledSweep):
         kind = record["kind"]
         lookups = record["lookups"]
         hits = round(record["hit_rate"] * lookups)
-        lookup_counter = registry.counter(
-            "routing_lookups_total", "LPM lookups by table kind",
-            ("kind", "outcome"))
+        lookup_counter = registry.counter(*LOOKUPS_METRIC)
         lookup_counter.inc(hits, kind=kind, outcome="hit")
         lookup_counter.inc(lookups - hits, kind=kind, outcome="miss")
-        registry.counter(
-            "routing_lookup_steps_total",
-            "cumulative LPM search steps", ("kind",)
-        ).inc(round(record["mean_lookup_steps"] * lookups), kind=kind)
-        registry.counter(
-            "routing_updates_total", "table mutations", ("kind", "op")
-        ).inc(record["route_count"], kind=kind, op="insert")
-        registry.counter(
-            "routing_update_steps_total",
-            "cumulative table update steps", ("kind",)
-        ).inc(record["update_steps"], kind=kind)
+        registry.counter(*LOOKUP_STEPS_METRIC).inc(
+            round(record["mean_lookup_steps"] * lookups), kind=kind)
+        registry.counter(*UPDATES_METRIC).inc(
+            record["route_count"], kind=kind, op="insert")
+        registry.counter(*UPDATE_STEPS_METRIC).inc(
+            record["update_steps"], kind=kind)

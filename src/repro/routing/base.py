@@ -28,6 +28,20 @@ from repro.routing.entry import LookupResult, RouteEntry
 DEFAULT_CAPACITY = 100
 """The paper's design constraint: "a maximum size of 100 entries"."""
 
+#: ``(name, help, labels)`` of the routing counters, declared here once:
+#: the tables and the lookup sweep both publish through these, so the
+#: help text in a metrics snapshot does not depend on who ran first
+LOOKUPS_METRIC = ("routing_lookups_total", "longest-prefix-match lookups",
+                  ("kind", "outcome"))
+LOOKUP_STEPS_METRIC = (
+    "routing_lookup_steps_total",
+    "elements examined across lookups "
+    "(steps/lookups = comparisons per lookup)", ("kind",))
+UPDATES_METRIC = ("routing_updates_total", "route insertions and removals",
+                  ("kind", "op"))
+UPDATE_STEPS_METRIC = ("routing_update_steps_total",
+                       "elements touched by table updates", ("kind",))
+
 
 @dataclass
 class TableStatistics:
@@ -178,16 +192,11 @@ class RoutingTable(ABC):
         self.stats.record_lookup(steps, hit=entry is not None)
         registry = get_registry()
         if registry.enabled:
-            registry.counter(
-                "routing_lookups_total",
-                "longest-prefix-match lookups", ("kind", "outcome")
-            ).inc(kind=self.kind,
-                  outcome="hit" if entry is not None else "miss")
-            registry.counter(
-                "routing_lookup_steps_total",
-                "elements examined across lookups "
-                "(steps/lookups = comparisons per lookup)", ("kind",)
-            ).inc(steps, kind=self.kind)
+            registry.counter(*LOOKUPS_METRIC).inc(
+                kind=self.kind,
+                outcome="hit" if entry is not None else "miss")
+            registry.counter(*LOOKUP_STEPS_METRIC).inc(
+                steps, kind=self.kind)
         if entry is None:
             return None
         return LookupResult(entry=entry, steps=steps)
@@ -195,14 +204,9 @@ class RoutingTable(ABC):
     def _publish_update(self, steps: int, op: str) -> None:
         registry = get_registry()
         if registry.enabled:
-            registry.counter(
-                "routing_updates_total",
-                "route insertions and removals", ("kind", "op")
-            ).inc(kind=self.kind, op=op)
-            registry.counter(
-                "routing_update_steps_total",
-                "elements touched by table updates", ("kind",)
-            ).inc(steps, kind=self.kind)
+            registry.counter(*UPDATES_METRIC).inc(kind=self.kind, op=op)
+            registry.counter(*UPDATE_STEPS_METRIC).inc(
+                steps, kind=self.kind)
 
     def entries(self) -> List[RouteEntry]:
         return list(self)
@@ -255,14 +259,10 @@ class RoutingTable(ABC):
         self.stats.total_update_steps += steps
         registry = get_registry()
         if registry.enabled:
-            registry.counter(
-                "routing_updates_total",
-                "route insertions and removals", ("kind", "op")
-            ).inc(inserts, kind=self.kind, op="insert")
-            registry.counter(
-                "routing_update_steps_total",
-                "elements touched by table updates", ("kind",)
-            ).inc(steps, kind=self.kind)
+            registry.counter(*UPDATES_METRIC).inc(
+                inserts, kind=self.kind, op="insert")
+            registry.counter(*UPDATE_STEPS_METRIC).inc(
+                steps, kind=self.kind)
 
     # -- memory-state introspection/corruption seam ---------------------------
     #

@@ -18,6 +18,9 @@ from repro.dse.lookup_sweep import (
     plan_cells,
 )
 from repro.errors import CampaignError
+from repro.obs import MetricsRegistry, set_registry
+from repro.routing import make_table
+from repro.workload.fib import synthesize_fib, zipf_addresses
 
 KINDS = ("sequential", "balanced-tree", "cam", "multibit-trie", "bloom")
 SIZES = (100, 300)
@@ -149,6 +152,42 @@ class TestResults:
                                   prefix_counts=(100,), lookups=50)
         assert len(result.records) == 1
         assert result.records[0]["status"] == "ok"
+
+
+def routing_counters(action):
+    """The ``routing_*`` counters *action* publishes into a fresh
+    registry."""
+    fresh = MetricsRegistry(enabled=True)
+    previous = set_registry(fresh)
+    try:
+        action()
+    finally:
+        set_registry(previous)
+    return {name: entry for name, entry in
+            fresh.snapshot()["counters"].items()
+            if name.startswith("routing_")}
+
+
+class TestMetrics:
+    def test_sweep_reports_the_tables_own_help_text(self):
+        """The sweep publishes routing counters through the tables'
+        declarations, so their help text is the same whichever of the
+        two declares them first in a process."""
+        def use_table():
+            routes = synthesize_fib(100, seed=7)
+            table = make_table("bloom", capacity=len(routes))
+            table.load(routes)
+            table.lookup_batch(zipf_addresses(routes, 20, seed=8))
+
+        tables = routing_counters(use_table)
+        swept = routing_counters(lambda: run_sweep(kinds=("bloom",)))
+        assert set(swept) == set(tables) == {
+            "routing_lookups_total", "routing_lookup_steps_total",
+            "routing_updates_total", "routing_update_steps_total"}
+        for name, entry in swept.items():
+            assert entry["help"] == tables[name]["help"], name
+            assert entry["label_names"] == tables[name]["label_names"]
+            assert entry["values"], name
 
 
 class TestCli:
