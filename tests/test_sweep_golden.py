@@ -125,3 +125,25 @@ def test_unjournalled_output_matches_golden(name, tmp_path, capsys):
     digest = output_digest(argv, tmp_path)
     capsys.readouterr()
     assert digest == GOLDEN[pinned][0]
+
+
+#: (fetched document digest, job journal digest) of a supervised service
+#: job: ``submit --entries 10 --packets 2``, ``serve --jobs 2``, then
+#: ``jobs --fetch <id> --output``
+SERVICE_GOLDEN = (
+    "f130eb619f8bc5ff016c408769b728f21d9d31517cfbfbaf58f4039168966e9f",
+    "7c8bf7441465080f4e29875e93bf6cf9a90bfbf6940daf4da297d5afdd60eaf0")
+
+
+def test_service_job_matches_golden(tmp_path, capsys):
+    root = str(tmp_path / "svc")
+    assert main(["submit", "--root", root, "--entries", "10",
+                 "--packets", "2"]) == 0
+    job_id = capsys.readouterr().out.strip()
+    assert main(["serve", "--root", root, "--jobs", "2"]) == 0
+    digest = output_digest(["jobs", "--root", root, "--fetch", job_id],
+                           tmp_path)
+    journal = tmp_path / "svc" / "journals" / f"{job_id}.jsonl"
+    capsys.readouterr()
+    assert (digest, hashlib.sha256(journal.read_bytes()).hexdigest()) \
+        == SERVICE_GOLDEN
