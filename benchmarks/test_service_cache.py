@@ -17,7 +17,7 @@ import time
 
 from repro.dse import ArchitectureEvaluator, CampaignRunner, config_key
 from repro.faults import ChaosEvaluatorFactory, corrupt_file
-from repro.service import CampaignService, SupervisionPolicy
+from repro.service import CampaignService
 from repro.service.jobs import normalise_plan, plan_configs
 
 PLAN = {"kind": "table1", "entries": 60, "packets": 6}
@@ -53,7 +53,6 @@ def test_service_recovery_and_cache(benchmark, tmp_path):
                  seed=3)
     faulted_service = CampaignService(
         root, jobs=2, sleep_fn=lambda s: None,
-        supervision=SupervisionPolicy(backoff_base_seconds=0.0),
         evaluator_wrapper=lambda inner: ChaosEvaluatorFactory(
             inner, sentinel_dir=str(tmp_path / "sentinels"),
             kill_config=victim))

@@ -540,7 +540,8 @@ def memory_sdc_sweep(*, kinds=None,
 def campaign_service(root: str, *,
                      jobs: int = 1,
                      cache: bool = True,
-                     heartbeat: Optional[float] = 30.0,
+                     heartbeat: Optional[float] = (
+                         SupervisionPolicy.heartbeat_seconds),
                      job_timeout: Optional[float] = None,
                      min_jobs: int = 1,
                      seed: int = 0) -> CampaignService:
@@ -555,8 +556,8 @@ def campaign_service(root: str, *,
         print(svc.poll(job_id))         # progress while running
         document = svc.fetch(job_id)    # completed result + render
 
-    Jobs execute under supervision (worker heartbeats, stall teardown,
-    pool degradation, capped backoff) against a SHA-256
+    Jobs execute under supervision (stall teardown, pool degradation,
+    capped backoff, job deadline) against a SHA-256
     integrity-checked evaluation cache shared across jobs; a service
     that crashes mid-job recovers on the next start and *resumes* from
     the job's journal — fetched results are byte-identical to an
@@ -575,7 +576,7 @@ def service_chaos(root: Optional[str] = None, *,
                   jobs: int = 2,
                   seed: int = 0) -> ServiceChaosReport:
     """Run the service-level chaos campaign (see
-    :mod:`repro.service.chaos`): worker kills, stalls past the heartbeat
+    :mod:`repro.service.chaos`): worker kills, workers hung past the stall
     deadline, cache corruption/truncation, and a service crash/restart
     mid-job — each phase asserting recovery to byte-identical results
     against a clean sequential run, plus a warm-cache speedup floor.

@@ -18,7 +18,7 @@ Subcommands:
 * ``submit`` — enqueue a campaign plan on the self-healing service
   (spool directory; prints the job id);
 * ``serve`` — recover and drain the service's queued jobs under
-  supervision (heartbeats, stall teardown, pool degradation, evaluation
+  supervision (stall teardown, pool degradation, job deadline, evaluation
   cache);
 * ``jobs`` — list/poll service jobs, or fetch a completed result;
 * ``service-chaos`` — the service-level chaos campaign: worker kills,
@@ -314,10 +314,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="service spool directory")
     serve.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker-pool size per campaign (default 1)")
-    serve.add_argument("--heartbeat", type=float, default=30.0,
+    serve.add_argument("--heartbeat", type=float,
+                       default=api.SupervisionPolicy.heartbeat_seconds,
                        metavar="SECONDS",
-                       help="stall deadline: longest tolerated silence "
-                            "with zero chunk completions (default 30)")
+                       help="floor of the stall deadline, the longest "
+                            "tolerated silence with zero chunk completions "
+                            "(default %(default)s)")
     serve.add_argument("--job-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="wall-clock ceiling per job (progress is "

@@ -21,11 +21,14 @@ place that turns such a plan into records:
   chunk the pool did not finish is a crash suspect: each of its items is
   re-run alone in a fresh single-worker pool, in its place in the plan,
   and an item that kills its prober too is recorded failed with
-  :class:`~repro.errors.WorkerCrashError`. A supervisor
-  (:mod:`repro.service.supervisor`) hooks in stall detection, probe
-  deadlines, backoff and pool shrinking through the ``_heartbeat_seconds``
-  / ``_handle_stall`` / ``_probe_timeout_seconds`` /
-  ``_after_broken_generation`` seams;
+  :class:`~repro.errors.WorkerCrashError`;
+* **supervision** — every pooled sweep runs under one
+  :class:`SupervisionPolicy`. A pool that completes no chunk within the
+  stall deadline is torn down like a crashed one, and a probe that
+  outlives twice that deadline is recorded failed with
+  :class:`~repro.errors.WorkerStallError`. Each broken generation
+  shrinks the pool by one worker, down to ``min_jobs``, and backs off
+  (capped, exponential, seeded jitter) before refilling it;
 * **metrics** — each record's counters are published in the parent when
   it is persisted, never in a worker, so sequential, parallel and
   resumed sweeps account identically.
@@ -42,16 +45,69 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import random
 import tempfile
+import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import ProcessPoolExecutor
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CampaignError, WorkerCrashError, WorkerStallError
+from repro.faults.seeds import derive_seed, make_rng
 from repro.obs import get_registry
 
 JOURNAL_VERSION = 1
+
+
+# -- supervision policy ------------------------------------------------------------
+
+#: the stall deadline grows to this many times the slowest chunk a runner
+#: has seen, so a sweep of slow items is not mistaken for a hung one
+STALL_LATENCY_FACTOR = 4
+#: backoff before refilling a broken pool: min(cap, base * 2^(n-1)) for
+#: the n-th broken generation, plus up to ``BACKOFF_JITTER`` of itself
+BACKOFF_BASE_SECONDS = 0.05
+BACKOFF_CAP_SECONDS = 2.0
+BACKOFF_JITTER = 0.25
+
+#: ``(name, help)`` of the supervision metrics, declared here once
+STALLS_METRIC = ("dse_worker_stalls_total",
+                 "pools and probes terminated after a missed stall deadline")
+POOL_SHRINKS_METRIC = ("dse_pool_shrinks_total",
+                       "workers removed from the pool after broken "
+                       "generations")
+POOL_SIZE_METRIC = ("dse_pool_size",
+                    "current worker-pool size after degradation")
+BACKOFF_METRIC = ("dse_backoff_seconds_total",
+                  "seconds slept before refilling broken pools")
+
+
+@dataclass(frozen=True)
+class SupervisionPolicy:
+    """How a pooled sweep treats workers that stop making progress."""
+
+    #: floor of the stall deadline, the longest tolerated silence (no
+    #: chunk completion); None disables stall detection. The default
+    #: leaves room for a sweep's first slow chunks, before any has been
+    #: timed: the default lookup sweep at four workers on two cores goes
+    #: 32 s without a completion (EXPERIMENTS.md, E10)
+    heartbeat_seconds: Optional[float] = 120.0
+    #: wall-clock ceiling for one whole service job; None = unlimited
+    job_timeout_seconds: Optional[float] = None
+    #: shrink the pool by one worker after each broken generation, but
+    #: never below this floor
+    min_jobs: int = 1
+
+
+def backoff_delay(attempt: int, rng: random.Random) -> float:
+    """The pause before retry number *attempt* (1-based): exponential in
+    the attempt, capped, plus seeded jitter so a fleet of retriers does
+    not refill in lockstep."""
+    delay = min(BACKOFF_CAP_SECONDS,
+                BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
+    return delay * (1.0 + BACKOFF_JITTER * rng.random())
 
 
 # -- journal I/O -------------------------------------------------------------------
@@ -207,12 +263,27 @@ class JournaledSweep:
             raise CampaignError(
                 f"chunk_size must be >= 1, got {chunk_size}")
         self.journal_path = journal_path
+        #: current pool size; it shrinks under supervision, but a runner
+        #: built with jobs > 1 always measures in a pool
         self.jobs = jobs
+        self._pooled = jobs > 1
         self.chunk_size = chunk_size
         self.resumed = 0
         self.discarded_records = 0
         #: worker deaths observed (pool teardowns and convicted probes)
         self.worker_crashes = 0
+        #: the policy pooled runs follow, and its injectable sleep and
+        #: seeded jitter stream
+        self.supervision = SupervisionPolicy()
+        self.sleep_fn = time.sleep
+        self.seed_backoff(0)
+        #: pools and probes terminated after a missed stall deadline
+        self.stalls = 0
+        self.pool_shrinks = 0
+        self._broken_generations = 0
+        #: longest chunk latency seen so far; it stretches the stall
+        #: deadline (see :meth:`_stall_deadline`)
+        self.slowest_chunk_seconds = 0.0
         self._records: Dict[str, Dict[str, object]] = {}
         self._replayed_keys: set = set()
         self._context = _UNBUILT
@@ -259,6 +330,10 @@ class JournaledSweep:
     def _publish(self, record: Dict[str, object]) -> None:
         """Publish the counters of one freshly persisted record."""
 
+    def seed_backoff(self, seed: int) -> None:
+        """Pin the jitter stream of the backoff between pool refills."""
+        self._rng = make_rng(derive_seed(seed, "sweep-backoff"))
+
     # -- sweep driver -------------------------------------------------------------
 
     def _sweep(self, plan: Sequence) -> List[Dict[str, object]]:
@@ -273,7 +348,7 @@ class JournaledSweep:
             elif key not in queued:
                 queued.add(key)
                 pending.append((key, item))
-        if self.jobs == 1:
+        if not self._pooled:
             for key, item in pending:
                 self._persist(key, self._measure_here(item))
         elif pending:
@@ -326,19 +401,18 @@ class JournaledSweep:
         set of suspects, which it resolves one by one in single-worker
         pools (crash -> failed record, success -> record). Every
         generation therefore makes strict progress, and a deterministic
-        crasher can neither deadlock nor starve the sweep.
+        crasher or hung item can neither deadlock nor starve the sweep.
         """
-        registry = get_registry()
-        t0 = registry.time() if registry.enabled else 0.0
+        t0 = time.monotonic()
         self._busy_seconds = 0.0
         while pending:
-            suspects = self._dispatch(pending)
-            if suspects:
-                self._after_broken_generation(suspects)
+            if self._dispatch(pending):
+                self._degrade()
             pending = [(key, item) for key, item in pending
                        if key not in self._records]
+        registry = get_registry()
         if registry.enabled:
-            wall = registry.time() - t0
+            wall = time.monotonic() - t0
             if wall > 0:
                 registry.gauge(
                     "dse_worker_utilization",
@@ -351,10 +425,10 @@ class JournaledSweep:
         (0 = it ran clean).
 
         Finished chunks are persisted in submission order. If the pool
-        breaks (a worker died, or a supervisor declared a stall), the
-        generation is settled in that same order after the pool is shut
-        down: a finished chunk is persisted, and every item of an
-        unfinished one is probed in its place.
+        breaks (a worker died, or no chunk completed within the stall
+        deadline), the generation is settled in that same order after the
+        pool is shut down: a finished chunk is persisted, and every item
+        of an unfinished one is probed in its place.
         """
         registry = get_registry()
         chunk_seconds = registry.histogram(
@@ -392,8 +466,8 @@ class JournaledSweep:
                         broken = True
                         break
                     in_flight[future] = index
+                    submitted_at[future] = time.monotonic()
                     if registry.enabled:
-                        submitted_at[future] = registry.time()
                         registry.counter(
                             "dse_chunks_dispatched_total",
                             "chunks handed to the process pool").inc()
@@ -401,21 +475,24 @@ class JournaledSweep:
                     queue_depth.set(len(in_flight))
                 if broken or not in_flight:
                     break
-                done, _ = wait(in_flight,
-                               timeout=self._heartbeat_seconds(),
+                done, _ = wait(in_flight, timeout=self._stall_deadline(),
                                return_when=FIRST_COMPLETED)
                 if not done:
-                    # heartbeat deadline passed with zero completions: a
-                    # supervisor may declare the pool stalled (and
-                    # terminate it); the unsupervised default keeps
-                    # waiting
-                    if self._handle_stall(pool, in_flight):
-                        broken = stalled = True
+                    # no completion within the stall deadline: the stuck
+                    # workers are killed (a join would block on them) and
+                    # their chunks settled like a dead worker's
+                    self._count_stall()
+                    self._terminate_pool_processes(pool)
+                    broken = stalled = True
                     continue
                 for future in done:
                     index = in_flight.pop(future)
-                    self._observe_chunk(future, submitted_at,
-                                        chunk_seconds, registry)
+                    elapsed = time.monotonic() - submitted_at.pop(future)
+                    self._busy_seconds += elapsed
+                    self.slowest_chunk_seconds = max(
+                        self.slowest_chunk_seconds, elapsed)
+                    if chunk_seconds is not None:
+                        chunk_seconds.observe(elapsed)
                     exc = future.exception()
                     if isinstance(exc, BrokenExecutor):
                         broken = True
@@ -433,7 +510,6 @@ class JournaledSweep:
                                         finished.pop(persisted))
                     persisted += 1
             if broken and not stalled:
-                # a stall is counted by its supervisor, not as a crash
                 self._count_crash()
         finally:
             if queue_depth is not None:
@@ -458,22 +534,24 @@ class JournaledSweep:
         """Re-run one crash suspect alone in a fresh single-worker pool.
 
         A clean result clears the suspect; a second death convicts it as
-        a :class:`WorkerCrashError` failure; a probe that outlives the
-        probe timeout (supervised runners only) is terminated and
-        recorded as a :class:`WorkerStallError` failure.
+        a :class:`WorkerCrashError` failure; a probe that outlives twice
+        the stall deadline is terminated and recorded as a
+        :class:`WorkerStallError` failure.
         """
-        timeout = self._probe_timeout_seconds()
+        deadline = self._stall_deadline()
+        timeout = None if deadline is None else 2 * deadline
         pool = self._pool(1)
         try:
             future = pool.submit(_measure_chunk, self.measure, [item])
             try:
                 [record] = future.result(timeout=timeout)
             except FuturesTimeoutError:
+                self._count_stall()
                 self._terminate_pool_processes(pool)
                 record = self._failed_record(
                     item, WorkerStallError.__name__,
-                    f"probe made no progress within {timeout}s and was "
-                    f"terminated")
+                    "probe made no progress within twice the stall "
+                    "deadline and was terminated")
             except BrokenExecutor as exc:
                 self._count_crash()
                 record = self._failed_record(
@@ -507,50 +585,49 @@ class JournaledSweep:
                 "dse_worker_crashes_total",
                 "pool teardowns after a worker process died").inc()
 
-    def _observe_chunk(self, future, submitted_at, chunk_seconds,
-                       registry) -> None:
-        t0 = submitted_at.pop(future, None)
-        if t0 is None or chunk_seconds is None:
-            return
-        elapsed = registry.time() - t0
-        self._busy_seconds += elapsed
-        chunk_seconds.observe(elapsed)
+    # -- supervision --------------------------------------------------------------
 
-    # -- supervision seams (no-ops here; see repro.service.supervisor) ------------
+    def _stall_deadline(self) -> Optional[float]:
+        """Longest silence (no chunk completion) a pool may keep before it
+        is declared stalled: the policy's heartbeat, stretched to
+        ``STALL_LATENCY_FACTOR`` times the slowest chunk seen so far;
+        ``None`` waits forever."""
+        heartbeat = self.supervision.heartbeat_seconds
+        if heartbeat is None:
+            return None
+        return max(heartbeat,
+                   STALL_LATENCY_FACTOR * self.slowest_chunk_seconds)
 
-    def _heartbeat_seconds(self) -> Optional[float]:
-        """Longest silence (no chunk completion) tolerated before the
-        stall handler is consulted; ``None`` waits forever."""
-        return None
+    def _count_stall(self) -> None:
+        self.stalls += 1
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter(*STALLS_METRIC).inc()
 
-    def _probe_timeout_seconds(self) -> Optional[float]:
-        """Wall-clock ceiling for a single-item probe; ``None`` waits
-        forever (a probe can only end by completing or dying)."""
-        return None
-
-    def _handle_stall(self, pool: ProcessPoolExecutor,
-                      in_flight: Dict[Future, int]) -> bool:
-        """Called when a heartbeat deadline passes with zero completions.
-
-        Return True to declare the pool stalled: the dispatcher then
-        treats every unfinished chunk as a suspect (exactly like a worker
-        death), and the handler is expected to have terminated the stuck
-        workers. The base engine never declares a stall.
-        """
-        return False
-
-    def _after_broken_generation(self, suspects: int) -> None:
-        """Called once per pool generation that ended broken (crash or
-        stall), after its suspects were resolved. Supervisors use this
-        for backoff and pool shrinking; the base engine does nothing."""
+    def _degrade(self) -> None:
+        """After a broken generation (crash or stall): shrink the pool by
+        one worker, down to the policy's ``min_jobs``, then back off
+        before refilling it."""
+        registry = get_registry()
+        self._broken_generations += 1
+        if self.jobs > self.supervision.min_jobs:
+            self.jobs -= 1
+            self.pool_shrinks += 1
+            if registry.enabled:
+                registry.counter(*POOL_SHRINKS_METRIC).inc()
+                registry.gauge(*POOL_SIZE_METRIC).set(self.jobs)
+        delay = backoff_delay(self._broken_generations, self._rng)
+        if registry.enabled:
+            registry.counter(*BACKOFF_METRIC).inc(delay)
+        self.sleep_fn(delay)
 
     @staticmethod
     def _terminate_pool_processes(pool: ProcessPoolExecutor) -> int:
         """Best-effort SIGTERM of a pool's worker processes.
 
         Needed when workers are *stuck*, not dead: ``shutdown`` would
-        join them (blocking on the very stall being escaped), so the
-        supervisor kills them first and lets the executor observe the
+        join them (blocking on the very stall being escaped), so they are
+        killed first and lets the executor observe the
         deaths as a broken pool. Returns the number of processes
         signalled.
         """

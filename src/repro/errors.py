@@ -124,9 +124,9 @@ class WorkerCrashError(CampaignError):
 
 class WorkerStallError(CampaignError):
     """A pool worker stopped making progress: no chunk completed within
-    the supervisor's heartbeat deadline. Supervised campaigns terminate
-    the stalled pool, re-probe the in-flight configurations, and
-    quarantine any configuration that stalls its prober too."""
+    the stall deadline. Every pooled sweep terminates the stalled pool,
+    re-probes the in-flight items, and records this failure for any item
+    that stalls its prober too."""
 
 
 class ServiceError(ReproError):

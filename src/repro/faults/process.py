@@ -9,7 +9,7 @@ for it. Three fault families:
 
 * :class:`ChaosEvaluatorFactory` — a picklable evaluator factory whose
   evaluators kill their own worker process (``os._exit``) or stall past
-  a heartbeat deadline (``time.sleep``) on chosen configurations.
+  a stall deadline (``time.sleep``) on chosen configurations.
   "Once" semantics are kept across process boundaries with sentinel
   files: the first worker to reach the target config trips the fault and
   leaves a marker, so re-probes and retries then succeed — modelling a
@@ -93,7 +93,7 @@ class ChaosEvaluatorFactory:
     ``os._exit`` (a crash the pool sees as :class:`BrokenExecutor`, not
     a Python exception); ``stall_config`` makes the first worker that
     evaluates it sleep *stall_seconds* — long enough, by construction,
-    to miss a supervised runner's heartbeat deadline. Both are one-shot
+    to miss a pooled sweep's stall deadline. Both are one-shot
     via sentinel files under *sentinel_dir*, so the follow-up probe
     succeeds and the campaign can prove it recovered the result.
     """

@@ -6,9 +6,11 @@ library you call; this package turns it into a *service* you submit to:
 * :mod:`repro.service.jobs` — the persistent job queue
   (:class:`CampaignService`): submit/status/poll/fetch/cancel over a
   crash-recoverable spool directory;
-* :mod:`repro.service.supervisor` — heartbeats, probe/job deadlines,
-  capped backoff with jitter, and pool degradation
-  (:class:`SupervisedCampaignRunner`, :class:`SupervisionPolicy`);
+* :mod:`repro.service.supervisor` — the evaluation cache and per-job
+  deadline a service adds to the campaign runner
+  (:class:`SupervisedCampaignRunner`). Stall detection, probe deadlines,
+  backoff and pool shrinking are the sweep engine's, configured by
+  :class:`~repro.dse.sweep.SupervisionPolicy` (re-exported here);
 * :mod:`repro.service.cache` — the content-addressed, SHA-256
   integrity-checked evaluation cache (:class:`EvaluationCache`);
 * :mod:`repro.service.chaos` — the service-level chaos harness that
@@ -28,8 +30,8 @@ from repro.service.jobs import (
     normalise_plan,
     plan_configs,
 )
-from repro.service.supervisor import SupervisedCampaignRunner, \
-    SupervisionPolicy
+from repro.dse.sweep import SupervisionPolicy
+from repro.service.supervisor import SupervisedCampaignRunner
 
 __all__ = [
     "CACHE_VERSION",

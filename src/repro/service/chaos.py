@@ -16,8 +16,8 @@ Phases (each compares records + render against the clean baseline):
    both must be detected, quarantined, and recomputed;
 4. ``worker-kill``   — one worker dies (``os._exit``) mid-sweep; the pool
    is rebuilt, the victim configuration re-probed, the pool shrunk;
-5. ``worker-stall``  — one worker sleeps past the heartbeat deadline; the
-   supervisor terminates the pool and the probe machinery recovers;
+5. ``worker-stall``  — one worker sleeps past the stall deadline; the
+   sweep engine terminates the pool and the probe machinery recovers;
 6. ``crash-restart`` — the service "dies" mid-job (journal cut short with
    a torn tail record, job left ``running``); a fresh service instance
    recovers the job and resumes it from the journal;
@@ -37,12 +37,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.dse.campaign import CampaignRunner
-from repro.dse.sweep import load_journal
+from repro.dse.sweep import POOL_SHRINKS_METRIC, STALLS_METRIC, \
+    SupervisionPolicy, load_journal
 from repro.faults.process import ChaosEvaluatorFactory, corrupt_file, \
     truncate_file
 from repro.obs import get_registry
 from repro.service.jobs import CampaignService, plan_configs
-from repro.service.supervisor import SupervisionPolicy
 
 DEFAULT_SPEEDUP_FLOOR = 5.0
 
@@ -206,7 +206,7 @@ def run_service_chaos(root: str, *,
          "pool_shrinks": killed["service"]["pool_shrinks"],
          "final_pool_size": killed["service"]["final_pool_size"]}))
 
-    # -- phase 5: stall a worker past the heartbeat deadline -----------------------
+    # -- phase 5: stall a worker past the stall deadline ---------------------------
     stall_root = os.path.join(root, "svc-stall")
     stall_service = CampaignService(
         stall_root, jobs=max(jobs, 2), seed=seed,
@@ -277,12 +277,12 @@ def run_service_chaos(root: str, *,
 
         observed = {
             "worker_crashes": total("dse_worker_crashes_total"),
-            "stalls": total("service_worker_stalls_total"),
+            "stalls": total(STALLS_METRIC[0]),
             "cache_corrupt": total("service_cache_requests_total",
                                    result="corrupt"),
             "cache_quarantined": total("service_cache_quarantined_total"),
             "recovered_jobs": total("service_recovered_jobs_total"),
-            "pool_shrinks": total("service_pool_shrinks_total"),
+            "pool_shrinks": total(POOL_SHRINKS_METRIC[0]),
         }
         phases.append(ChaosPhase(
             "obs-visibility",

@@ -52,7 +52,8 @@ from repro.dse.campaign import (
     CampaignResult,
     config_from_dict,
 )
-from repro.dse.sweep import load_journal, write_atomic
+from repro.dse.sweep import SupervisionPolicy, backoff_delay, \
+    load_journal, write_atomic
 from repro.dse.config import TABLE_KINDS, paper_configurations
 from repro.errors import (
     CampaignError,
@@ -61,12 +62,10 @@ from repro.errors import (
     JobTimeoutError,
     ServiceError,
 )
+from repro.faults.seeds import derive_seed, make_rng
 from repro.obs import get_registry
 from repro.service.cache import EvaluationCache
-from repro.service.supervisor import (
-    SupervisedCampaignRunner,
-    SupervisionPolicy,
-)
+from repro.service.supervisor import SupervisedCampaignRunner
 
 JOB_STATES = ("queued", "running", "completed", "failed", "cancelled")
 
@@ -75,6 +74,8 @@ PLAN_KINDS = ("table1", "sweep")
 #: infrastructure failure classes a job re-run may heal (each retry
 #: resumes from the journal, so nothing completed is repeated)
 _TRANSIENT_JOB_ERRORS = (OSError, MemoryError)
+#: transparent re-runs of a job that hit a transient failure
+MAX_JOB_RETRIES = 2
 
 
 def normalise_plan(plan: Dict[str, object]) -> Dict[str, object]:
@@ -196,6 +197,7 @@ class CampaignService:
         #: job's evaluator is built from it
         self.evaluator_wrapper = evaluator_wrapper
         self.sleep_fn = sleep_fn
+        self._retry_rng = make_rng(derive_seed(seed, "job-retry"))
         self.last_runner: Optional[SupervisedCampaignRunner] = None
         for sub in ("jobs", "journals", "results", "cache"):
             os.makedirs(os.path.join(root, sub), exist_ok=True)
@@ -346,8 +348,8 @@ class CampaignService:
                 try:
                     campaign = self._run_campaign(job)
                     break
-                except _TRANSIENT_JOB_ERRORS as exc:
-                    if retries >= self.supervision.max_job_retries:
+                except _TRANSIENT_JOB_ERRORS:
+                    if retries >= MAX_JOB_RETRIES:
                         raise
                     retries += 1
                     job.attempts += 1
@@ -357,7 +359,7 @@ class CampaignService:
                             "service_job_retries_total",
                             "transparent job re-runs after transient "
                             "infrastructure failures").inc()
-                    self._retry_backoff(retries, exc)
+                    self.sleep_fn(backoff_delay(retries, self._retry_rng))
             self._finish(job, campaign)
         except JobTimeoutError as exc:
             self._fail(job, f"timeout: {exc}")
@@ -444,12 +446,6 @@ class CampaignService:
         job.error = error
         self._save(job)
         self._count_state("failed")
-
-    def _retry_backoff(self, attempt: int, exc: Exception) -> None:
-        policy = self.supervision
-        delay = min(policy.backoff_cap_seconds,
-                    policy.backoff_base_seconds * (2 ** (attempt - 1)))
-        self.sleep_fn(delay)
 
     # -- internals ----------------------------------------------------------------
 

@@ -203,21 +203,19 @@ class TestCli:
 
 class TestTransientCrashRecovery:
     """A one-shot worker kill (OOM-style, not a deterministic crasher)
-    must end with the result recovered, not quarantined."""
+    must end with the result recovered, not quarantined, and the pool
+    shrunk by the sweep engine's supervision policy."""
 
     def test_supervised_pool_recovers_the_killed_config(
             self, tmp_path, configs, sequential):
         from repro.faults import ChaosEvaluatorFactory
-        from repro.service import (SupervisedCampaignRunner,
-                                   SupervisionPolicy)
 
         chaos = ChaosEvaluatorFactory(
             small_factory, sentinel_dir=str(tmp_path / "sentinels"),
             kill_config=CRASH)
-        runner = SupervisedCampaignRunner(
-            chaos(), jobs=2, chunk_size=1,
-            supervision=SupervisionPolicy(heartbeat_seconds=None),
-            sleep_fn=lambda seconds: None)
+        runner = CampaignRunner(chaos(), jobs=2, chunk_size=1)
+        slept = []
+        runner.sleep_fn = slept.append
         campaign = runner.run(configs)
         # the sentinel made the kill one-shot: the re-probe re-evaluated
         # CRASH successfully, so nothing is quarantined and the records
@@ -226,3 +224,5 @@ class TestTransientCrashRecovery:
         assert campaign.records == sequential.records
         assert runner.worker_crashes >= 1
         assert runner.pool_shrinks == 1 and runner.jobs == 1
+        # one broken generation, one backoff before the refill
+        assert len(slept) == 1

@@ -10,6 +10,7 @@ from repro.dse import (
     ArchitectureConfiguration,
     ArchitectureEvaluator,
     CampaignRunner,
+    sweep,
 )
 from repro.errors import (
     JobNotFoundError,
@@ -193,13 +194,18 @@ class TestFailureContainment:
 
     def test_transient_errors_get_retried_then_succeed(self, tmp_path,
                                                        baseline):
-        service = make_service(tmp_path)
+        slept = []
+        service = make_service(tmp_path, sleep_fn=slept.append)
         flaky = _FlakyOnce(str(tmp_path / "flaky.sentinel"))
         service.evaluator_wrapper = lambda inner: flaky.wrap(inner)
         job_id = service.submit(PLAN)
         [job] = service.run_pending()
         assert job.state == "completed"
         assert job.attempts == 2
+        # the retry waits the engine's first backoff step
+        [delay] = slept
+        assert sweep.BACKOFF_BASE_SECONDS <= delay \
+            <= sweep.BACKOFF_BASE_SECONDS * (1 + sweep.BACKOFF_JITTER)
         assert service.fetch(job_id)["result"]["records"] \
             == baseline.records
 
@@ -254,8 +260,7 @@ class TestJobDeadline:
     def test_service_marks_timed_out_jobs_failed(self, tmp_path):
         service = make_service(
             tmp_path,
-            supervision=SupervisionPolicy(job_timeout_seconds=0.0,
-                                          max_job_retries=0))
+            supervision=SupervisionPolicy(job_timeout_seconds=0.0))
         job_id = service.submit(PLAN)
         [job] = service.run_pending()
         assert job.state == "failed"
@@ -275,30 +280,32 @@ class _FakeClock:
 
 
 class TestBackoff:
-    def test_backoff_grows_exponentially_to_the_cap(self):
+    """The sweep engine's policy after each broken pool generation."""
+
+    def test_backoff_grows_exponentially_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(sweep, "BACKOFF_BASE_SECONDS", 0.1)
+        monkeypatch.setattr(sweep, "BACKOFF_CAP_SECONDS", 0.35)
+        monkeypatch.setattr(sweep, "BACKOFF_JITTER", 0.0)
         slept = []
-        runner = SupervisedCampaignRunner(
-            factory(), jobs=2,
-            supervision=SupervisionPolicy(backoff_base_seconds=0.1,
-                                          backoff_cap_seconds=0.35,
-                                          jitter=0.0),
-            sleep_fn=slept.append)
+        runner = SupervisedCampaignRunner(factory(), jobs=2,
+                                          sleep_fn=slept.append)
         for _ in range(4):
-            runner._after_broken_generation(1)
+            runner._degrade()
         assert slept == [0.1, 0.2, 0.35, 0.35]
 
-    def test_jitter_is_seeded_and_bounded(self):
+    def test_jitter_is_seeded_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(sweep, "BACKOFF_BASE_SECONDS", 0.1)
+        monkeypatch.setattr(sweep, "BACKOFF_CAP_SECONDS", 1.0)
+        monkeypatch.setattr(sweep, "BACKOFF_JITTER", 0.5)
+
         def delays(seed):
             slept = []
             runner = SupervisedCampaignRunner(
                 factory(), jobs=2, seed=seed,
-                supervision=SupervisionPolicy(backoff_base_seconds=0.1,
-                                              backoff_cap_seconds=1.0,
-                                              jitter=0.5,
-                                              min_jobs=2),
+                supervision=SupervisionPolicy(min_jobs=2),
                 sleep_fn=slept.append)
             for _ in range(3):
-                runner._after_broken_generation(1)
+                runner._degrade()
             return slept
         assert delays(1) == delays(1)
         assert delays(1) != delays(2)
@@ -311,7 +318,7 @@ class TestBackoff:
             supervision=SupervisionPolicy(min_jobs=2),
             sleep_fn=lambda seconds: None)
         for _ in range(4):
-            runner._after_broken_generation(1)
+            runner._degrade()
         assert runner.jobs == 2
         assert runner.pool_shrinks == 1
 
