@@ -42,6 +42,8 @@ CASES = {
     "memory-jobs2": MEMORY + ["--jobs", "2"],
     "table1-jobs1": TABLE1 + ["--jobs", "1"],
     "table1-jobs2": TABLE1 + ["--jobs", "2"],
+    # the compiled backend: pinned to the interpreter's bytes
+    "table1-compiled": TABLE1 + ["--backend", "compiled", "--jobs", "1"],
     # the interpreter with the hazard detector's move_hook attached
     "table1-hazards": TABLE1 + ["--hazards", "--jobs", "1"],
     "explore-jobs2": EXPLORE + ["--jobs", "2"],
@@ -74,6 +76,9 @@ GOLDEN = {
         "35449676f151948a0a0a1e7a0d0f27a45d8751e6fd2003cb2483385ee63916e2",
         "7c8bf7441465080f4e29875e93bf6cf9a90bfbf6940daf4da297d5afdd60eaf0"),
     "table1-jobs2": (
+        "35449676f151948a0a0a1e7a0d0f27a45d8751e6fd2003cb2483385ee63916e2",
+        "7c8bf7441465080f4e29875e93bf6cf9a90bfbf6940daf4da297d5afdd60eaf0"),
+    "table1-compiled": (
         "35449676f151948a0a0a1e7a0d0f27a45d8751e6fd2003cb2483385ee63916e2",
         "7c8bf7441465080f4e29875e93bf6cf9a90bfbf6940daf4da297d5afdd60eaf0"),
     "table1-hazards": (
