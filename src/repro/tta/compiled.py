@@ -22,11 +22,19 @@ commit scan disappears entirely. FUs this module cannot prove (custom
 subclasses, the CAM RTU with its configurable search latency) keep the
 generic ``_execute`` + pending-queue path with an unrolled commit check.
 
-All bound objects use deterministic, structure-derived names and are
-passed to the generated functions as default arguments (locals, not
-namespace globals). Determinism lets the compiled code object be cached
-and re-bound to a fresh machine of the same shape, so repeated runs of
-one configuration pay CPython's ``compile()`` only once per process.
+The unit of code caching is one generated function, keyed by its text.
+Step functions carry no pc in their name, and every bound object (port,
+FU, memory, queue) gets a deterministic, structure-derived name that the
+function takes as a trailing parameter. Two instructions that move the
+same ports therefore emit the same text, whichever program and machine
+they come from: the 15 Table-1 programs emit 1166 steps but only ~300
+distinct bodies. :func:`compile_program` looks each text up in one
+bounded LRU cache, compiles all the misses (plus the driver, if it is
+new) in a single ``compile()`` call, and instantiates every function
+with :class:`types.FunctionType`, passing *this* machine's objects as
+the defaults. One code object is thus shared by every machine of that
+shape, while each function's defaults (locals, ``LOAD_FAST``) still
+point at its own machine's ports.
 
 Bit-identity with :class:`~repro.tta.simulator.Simulator` is a hard
 contract (enforced by :mod:`repro.verify.backends` across the Table-1
@@ -64,7 +72,10 @@ the exception string on the abnormal ones.
 
 from __future__ import annotations
 
+import builtins
+import functools
 import re
+from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
@@ -102,38 +113,44 @@ class _CompiledProgram:
         self.untracked_fus = untracked_fus
 
 
+@functools.lru_cache(maxsize=1024)
 def _ident(name: str) -> str:
     """A deterministic identifier fragment for an FU/port name."""
     return re.sub(r"\W", "_", name)
 
 
+#: the globals of every generated function: the only free names the
+#: generated code uses besides builtins
+_GLOBALS: Dict[str, object] = {
+    "__builtins__": builtins,
+    "SimulationError": SimulationError,
+    "_raise_budget": raise_budget_exhausted,
+}
+
+
 class _Codegen:
-    """Accumulates object bindings and generated source lines.
+    """Accumulates object bindings for the functions of one program.
 
     Names are derived from the *structure* (FU and port names), never
-    from object identity, so the generated source — and therefore the
+    from object identity, so a function's text — and therefore its
     cached code object — is identical across machines of the same shape.
     """
 
     def __init__(self):
-        self.namespace: Dict[str, object] = {
-            "SimulationError": SimulationError,
-            "_raise_budget": raise_budget_exhausted,
-        }
+        self.objects: Dict[str, object] = {}
         self._by_id: Dict[int, str] = {}
-        self.lines: List[str] = []
         #: bound names referenced by the function currently being
-        #: emitted; they become its default arguments (LOAD_FAST)
+        #: emitted; they become its trailing parameters
         self.params: Optional[Set[str]] = None
 
     def bind(self, name: str, obj: object) -> str:
         """Register *obj* under the deterministic *name*."""
         existing = self._by_id.get(id(obj))
         if existing is None:
-            while name in self.namespace:  # distinct object, same name
+            while name in self.objects:  # distinct object, same name
                 name += "_"
             self._by_id[id(obj)] = name
-            self.namespace[name] = obj
+            self.objects[name] = obj
             existing = name
         if self.params is not None:
             self.params.add(existing)
@@ -142,13 +159,21 @@ class _Codegen:
     def begin_function(self) -> None:
         self.params = set()
 
-    def end_function(self, name: str, body: List[str]) -> None:
-        """Emit ``def name(cycle, <bindings as defaults>): body``."""
-        defaults = "".join(f", {p}={p}" for p in sorted(self.params))
+    def end_function(self, name: str,
+                     body: List[str]) -> Tuple[str, Tuple[str, ...]]:
+        """The text of ``def name(cycle, <bound names>): body`` and its
+        bound names, in parameter order."""
+        params = tuple(sorted(self.params))
         self.params = None
-        self.lines.append(f"def {name}(cycle{defaults}):")
-        self.lines.extend(body)
-        self.lines.append("")
+        header = f"def {name}(cycle{''.join(', ' + p for p in params)}):"
+        return "\n".join([header] + body) + "\n", params
+
+    def instantiate(self, code: CodeType,
+                    params: Tuple[str, ...]) -> Callable:
+        """A function of *code* whose parameter defaults are this
+        machine's objects."""
+        return FunctionType(code, _GLOBALS, None,
+                            tuple(self.objects[p] for p in params))
 
 
 def _emit_read(gen: _Codegen, lines: List[str], processor: TacoProcessor,
@@ -480,15 +505,16 @@ def _emit_write(gen: _Codegen, lines: List[str], processor: TacoProcessor,
     tracked[fu.name] = fu
 
 
-def _emit_step(gen: _Codegen, processor: TacoProcessor, pc: int,
-               instruction, strict: bool,
-               tracked: Dict[str, FunctionalUnit]) -> str:
-    """Emit ``_step<pc>``: guards, reads, then writes in bus order.
+def _emit_step(gen: _Codegen, processor: TacoProcessor, instruction,
+               strict: bool, tracked: Dict[str, FunctionalUnit]
+               ) -> Tuple[str, Tuple[str, ...]]:
+    """Emit ``_step``: guards, reads, then writes in bus order.
 
-    Returns the function name. The function returns the number of moves
-    its guards squashed this execution (0 for guard-free instructions).
+    Returns the function's text and bound names. The text names no pc,
+    so equal instructions on equal shapes share it. The function returns
+    the number of moves its guards squashed this execution (0 for
+    guard-free instructions).
     """
-    name = f"_step{pc}"
     slots = [(bus, move) for bus, move in enumerate(instruction.moves)
              if move is not None]
     guarded = any(move.guard is not None for _, move in slots)
@@ -496,8 +522,7 @@ def _emit_step(gen: _Codegen, processor: TacoProcessor, pc: int,
     body: List[str] = []
     if not slots:
         body.append("    return 0")
-        gen.end_function(name, body)
-        return name
+        return gen.end_function("_step", body)
     if guarded:
         body.append("    _sq = 0")
     # Phase 3 of the interpreter step: guard evaluation + source reads,
@@ -535,18 +560,15 @@ def _emit_step(gen: _Codegen, processor: TacoProcessor, pc: int,
             _emit_write(gen, body, processor, move, value_expr, "    ",
                         tracked)
     body.append(f"    return {'_sq' if guarded else '0'}")
-    gen.end_function(name, body)
-    return name
+    return gen.end_function("_step", body)
 
 
-def _emit_drive(gen: _Codegen, processor: TacoProcessor,
-                step_names: Sequence[str],
-                commit_fus: Sequence[FunctionalUnit]) -> None:
+def _emit_drive(gen: _Codegen, processor: TacoProcessor, length: int,
+                commit_fus: Sequence[FunctionalUnit]
+                ) -> Tuple[str, Tuple[str, ...]]:
     """Emit the per-cycle driver: the interpreter's step() skeleton with
-    the commit scan, dispatch, and autonomous ticks unrolled."""
-    length = len(step_names)
-    gen.lines.append("_steps = (" + ", ".join(step_names) + ",)")
-    gen.lines.append("")
+    the commit scan, dispatch, and autonomous ticks unrolled. It takes
+    the step functions as the bound name ``_steps``."""
     gen.begin_function()
     gen.params.add("_steps")
     nc_var = gen.bind(f"_f_{_ident(processor.nc.name)}", processor.nc)
@@ -615,14 +637,43 @@ def _emit_drive(gen: _Codegen, processor: TacoProcessor,
     emit("        sim.cycle = cycle")
     emit(f"        {nc_var}.pc = pc")
     emit("        sim._drive_squashed = squashed")
-    gen.end_function("_drive", body)
+    return gen.end_function("_drive", body)
 
 
-#: code objects for already-seen schedule sources; the source is fully
-#: determined by (program, processor shape, strict), so a campaign that
-#: sweeps one configuration pays CPython's compile() once
-_CODE_CACHE: Dict[str, object] = {}
-_CODE_CACHE_MAX = 64
+#: function text -> code object, least recently used first; a text
+#: depends only on its instruction (the driver's: on the program length
+#: and the generic FUs), the processor's shape and ``strict``, so every
+#: machine of one shape shares the code
+_CODE_CACHE: Dict[str, CodeType] = {}
+_CODE_CACHE_MAX = 4096
+
+
+def _code_objects(texts: Sequence[str]) -> Dict[str, CodeType]:
+    """The code object of each function text. Every text missing from
+    the cache is compiled in one ``compile()`` call."""
+    codes: Dict[str, Optional[CodeType]] = {}
+    missing = []
+    for text in texts:
+        if text in codes:
+            continue
+        code = _CODE_CACHE.pop(text, None)
+        if code is None:
+            missing.append(text)
+        else:
+            _CODE_CACHE[text] = code  # now the most recently used
+        codes[text] = code
+    if missing:
+        module = compile("\n".join(missing), "<tta-compiled-schedule>",
+                         "exec")
+        # one code constant per def, in source order (code constants
+        # are never merged)
+        fresh = [c for c in module.co_consts if isinstance(c, CodeType)]
+        assert len(fresh) == len(missing)
+        for text, code in zip(missing, fresh):
+            codes[text] = _CODE_CACHE[text] = code
+        while len(_CODE_CACHE) > _CODE_CACHE_MAX:
+            del _CODE_CACHE[next(iter(_CODE_CACHE))]
+    return codes
 
 
 def compile_program(processor: TacoProcessor, program: ProgramMemory,
@@ -630,12 +681,12 @@ def compile_program(processor: TacoProcessor, program: ProgramMemory,
     """Pre-decode *program* against *processor* into a flat schedule."""
     processor.validate_program(program)
     gen = _Codegen()
-    step_names = []
+    steps = []
     occupancy = []
     tracked: Dict[str, FunctionalUnit] = {}
-    for pc, instruction in enumerate(program):
-        step_names.append(_emit_step(gen, processor, pc, instruction,
-                                     strict, tracked))
+    for instruction in program:
+        steps.append(_emit_step(gen, processor, instruction, strict,
+                                tracked))
         occupancy.append(tuple(
             bus for bus, move in enumerate(instruction.moves)
             if move is not None))
@@ -643,18 +694,15 @@ def compile_program(processor: TacoProcessor, program: ProgramMemory,
                   if name in tracked]
     untracked = tuple(fu for name, fu in processor.fus.items()
                       if name not in tracked)
-    _emit_drive(gen, processor, step_names, commit_fus)
-    source = "\n".join(gen.lines)
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.clear()
-        code = compile(source, "<tta-compiled-schedule>", "exec")
-        _CODE_CACHE[source] = code
-    exec(code, gen.namespace)  # noqa: S102 - generated from the program
+    drive_text, drive_params = _emit_drive(gen, processor, len(program),
+                                           commit_fus)
+    codes = _code_objects([text for text, _ in steps] + [drive_text])
+    gen.objects["_steps"] = tuple(
+        gen.instantiate(codes[text], params) for text, params in steps)
     return _CompiledProgram(
-        drive=gen.namespace["_drive"], length=len(program),
-        occupancy=tuple(occupancy), untracked_fus=untracked)
+        drive=gen.instantiate(codes[drive_text], drive_params),
+        length=len(program), occupancy=tuple(occupancy),
+        untracked_fus=untracked)
 
 
 class CompiledSimulator(Simulator):

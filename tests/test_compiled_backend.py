@@ -15,6 +15,7 @@ from repro.obs import MetricsRegistry, set_registry
 from repro.programs.forwarding import MODE_BENCH, build_forwarding_program
 from repro.programs.machine import build_machine
 from repro.programs.runner import RunOptions, run_forwarding
+from repro.tta import compiled as compiled_backend
 from repro.tta import (
     DEFAULT_RUN_MAX_CYCLES,
     CompiledSimulator,
@@ -159,6 +160,90 @@ class TestBitIdentity:
                                            verify=False))
                 errors[backend] = str(excinfo.value)
             assert errors[BACKEND_INTERPRETER] == errors[BACKEND_COMPILED]
+
+
+def _bindings(function):
+    """The objects a generated function binds, by parameter name."""
+    code = function.__code__
+    defaults = function.__defaults__ or ()
+    names = code.co_varnames[code.co_argcount - len(defaults):
+                             code.co_argcount]
+    return dict(zip(names, defaults))
+
+
+def _port_state(machine):
+    return {(fu.name, port.name): (port.value, port.valid_from_cycle)
+            for fu in machine.processor.fus.values()
+            for port in fu.ports.values()}
+
+
+class TestSharedCode:
+    @pytest.mark.parametrize("config", [
+        CONFIG, ArchitectureConfiguration(bus_count=3, table_kind="cam")],
+        ids=lambda config: f"{config.table_kind}-{config.bus_count}bus")
+    def test_machines_share_code_but_not_ports(self, config):
+        machine_a, program = _machine_and_program(config)
+        machine_b, _ = _machine_and_program(config)
+        reference, _ = _machine_and_program(config)
+        compiled_a = compile_program(machine_a.processor, program)
+        compiled_b = compile_program(machine_b.processor, program)
+        steps_a = _bindings(compiled_a.drive)["_steps"]
+        steps_b = _bindings(compiled_b.drive)["_steps"]
+        assert compiled_a.drive.__code__ is compiled_b.drive.__code__
+        ports_a = {id(port) for fu in machine_a.processor.fus.values()
+                   for port in fu.ports.values()}
+        bound_ports = 0
+        for step_a, step_b in zip(steps_a, steps_b):
+            assert step_a.__code__ is step_b.__code__
+            for name, obj in _bindings(step_a).items():
+                assert _bindings(step_b)[name] is not obj, name
+                if name.startswith("_p_"):
+                    assert id(obj) in ports_a, name
+                    bound_ports += 1
+        assert bound_ports
+        # running B must not touch a single port of A
+        before = _port_state(machine_a)
+        sim_b = CompiledSimulator(machine_b.processor, program)
+        sim_b._compiled = compiled_b
+        report_b = sim_b.run(max_cycles=DEFAULT_RUN_MAX_CYCLES)
+        assert _port_state(machine_a) == before
+        assert _port_state(machine_b) != before
+        sim_a = CompiledSimulator(machine_a.processor, program)
+        sim_a._compiled = compiled_a
+        report_a = sim_a.run(max_cycles=DEFAULT_RUN_MAX_CYCLES)
+        assert sim_a.metrics_backend == sim_b.metrics_backend == "compiled"
+        expected = Simulator(reference.processor, program).run(
+            max_cycles=DEFAULT_RUN_MAX_CYCLES)
+        assert report_a == expected
+        assert report_b == expected
+        assert _port_state(machine_a) == _port_state(reference)
+
+    def test_table1_codegen_volume(self, monkeypatch):
+        # each distinct step body is compiled once, in at most one
+        # compile() per program; whole-program caching compiled 658 KB
+        monkeypatch.setattr(compiled_backend, "_CODE_CACHE", {})
+        sources = []
+        per_program = []
+
+        def counting_compile(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        def counting_compile_program(*args, **kwargs):
+            before = len(sources)
+            result = compile_program(*args, **kwargs)
+            per_program.append(len(sources) - before)
+            return result
+
+        monkeypatch.setattr(compiled_backend, "compile", counting_compile,
+                            raising=False)
+        monkeypatch.setattr(compiled_backend, "compile_program",
+                            counting_compile_program)
+        api.table1(backend="compiled")
+        assert len(per_program) >= 9
+        assert max(per_program) <= 1
+        assert sources
+        assert sum(len(source) for source in sources) <= 250_000
 
 
 class TestFallback:
