@@ -5,15 +5,18 @@ that moves every mode the same way passes them all. These digests pin the
 actual bytes: the SHA-256 of each ``--output`` document with its
 wall-clock ``metrics`` section removed (canonical JSON), and of the
 journal. A digest may only move in a change that means to alter that
-sweep's output.
+sweep's output. The router and conformance commands at the end, which
+write no journal, pin their stdout as well.
 """
 
 import hashlib
 import json
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.obs import MetricsRegistry, set_registry
 
 LOOKUP = ["lookup-sweep", "--prefixes", "60", "200", "--lookups", "80",
           "--seed", "5"]
@@ -90,14 +93,22 @@ GOLDEN = {
 }
 
 
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def canonical(document):
+    """Digest of a JSON document in canonical form."""
+    return sha256(json.dumps(document, sort_keys=True).encode())
+
+
 def output_digest(argv, directory):
     """Run one CLI command; returns the digest of its --output document."""
     output = directory / "out.json"
     main(list(argv) + ["--output", str(output)])
     document = json.loads(output.read_text())
     document.pop("metrics", None)
-    return hashlib.sha256(
-        json.dumps(document, sort_keys=True).encode()).hexdigest()
+    return canonical(document)
 
 
 def run_case(name, directory):
@@ -106,7 +117,7 @@ def run_case(name, directory):
     journal = directory / "journal.jsonl"
     digest = output_digest(CASES[name] + ["--journal", str(journal)],
                            directory)
-    return digest, hashlib.sha256(journal.read_bytes()).hexdigest()
+    return digest, sha256(journal.read_bytes())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -150,5 +161,105 @@ def test_service_job_matches_golden(tmp_path, capsys):
                            tmp_path)
     journal = tmp_path / "svc" / "journals" / f"{job_id}.jsonl"
     capsys.readouterr()
-    assert (digest, hashlib.sha256(journal.read_bytes()).hexdigest()) \
-        == SERVICE_GOLDEN
+    assert (digest, sha256(journal.read_bytes())) == SERVICE_GOLDEN
+
+
+# -- router and conformance surfaces ------------------------------------------------
+
+#: commands with no journal, run with metrics off: name -> argv
+SURFACES = {
+    "chaos-ring": ["chaos", "--topology", "ring", "--routers", "4",
+                   "--prefixes", "50", "--drop", "0.05", "--corrupt", "0.02",
+                   "--reorder", "0.05", "--seed", "3"],
+    **{f"conformance-{kind}": ["conformance", "--table", kind,
+                               "--no-datapath"]
+       for kind in ("sequential", "balanced-tree", "cam", "multibit-trie",
+                    "bloom")},
+}
+
+#: name -> (stdout digest, output digest)
+SURFACE_GOLDEN = {
+    "chaos-ring": (
+        "811120b9887e0c7deb72e91aba7fa3311cfc1cacd211f378ac2f5584594d5e58",
+        "22dc40a377c5cd952b0210b7606cb85a2d09db7283dc6820211e9f423951182e"),
+    "conformance-balanced-tree": (
+        "b3353bbf3c0f30c3e2fdc293b5f2fbc7d5adf4ea38c9b4a682572f92ad443d2b",
+        "56f3b26ecdd033fa1bb902dfbe40589b2c20952f5bffc502369242c8075fb258"),
+    "conformance-bloom": (
+        "204d8b1871b99a41b4c8a77a475a05e6d34e490788dfe13ab25329bb1cce7c9a",
+        "117a2baa410c22931f9128fa651055d92b5b6e1ab4ebb5eb9cb2ded92c7b5d41"),
+    "conformance-cam": (
+        "dba223b0cdcb295b3d7e897c757dd192f8257c06d5d8c84993b0767b325f29cb",
+        "8b18004b110c5cba0e560e892591fe44903b9db1299ac962031ce48b17f1f941"),
+    "conformance-multibit-trie": (
+        "5b30b0c45d50c86128a72f994486b5c182ed380c8401713913cb5a5d497d08ea",
+        "ea3cfcb7eb88e39b56dc58bfd90b350cb382e7200d4aecefc4767c8928d03889"),
+    "conformance-sequential": (
+        "b2199a39627420f5c9dda9cb0238d1d9152ca714ab855c1fc2499c51b4543f13",
+        "2325a70685ee21df058c09db78a33131759b4c7fe60eebaabf9310a0e195f11a"),
+}
+
+#: the capture the replay case reads, relative to the test's directory
+#: (stdout names it)
+CAPTURE = "capture.pcap"
+RIPNG = ["ripng", "--topology", "ring", "--routers", "4", "--prefixes",
+         "50", "--capture", CAPTURE]
+#: the wall-clock latency percentiles of a replay, which differ between runs
+LATENCY = re.compile(r"; latency p50 \S+ p99 \S+$", re.MULTILINE)
+
+#: digests of ``ripng --capture`` and of ``conformance --replay`` on that
+#: capture, with the replay's latency percentiles left out
+CAPTURE_GOLDEN = {
+    "ripng-stdout":
+        "4e6a68a536fa7c0ef976cdd3c5dec6a1b57e240beaba1031f3f82c82d990d772",
+    "ripng-output":
+        "0e5134711863f02990a7d312269adfb890eb82a8865d1d944dff7dca4a74755b",
+    "pcap":
+        "0f71dc8b423415ec69da05d4b3b4f5fb7359ed8e4725631261240725206efaf2",
+    "replay-stdout":
+        "a0c44898e27ca4ac7883bd8f2ab15a84180f2a7b2878c4ee7ae73d6897cf95fa",
+    "replay-output":
+        "463e6069d3e80e0131ea405d27e16089af5c0aedc2aa5b16d1711e9088b1ff54",
+}
+
+
+@pytest.fixture
+def metrics_off(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_METRICS", "1")
+    previous = set_registry(MetricsRegistry(enabled=False))
+    yield
+    set_registry(previous)
+
+
+def run_surface(argv, directory, capsys):
+    """Run one CLI command; returns (stdout, its --output document sans
+    ``metrics``)."""
+    capsys.readouterr()
+    output = directory / "out.json"
+    assert main(list(argv) + ["--output", str(output)]) == 0
+    stdout = capsys.readouterr().out
+    document = json.loads(output.read_text())
+    document.pop("metrics", None)
+    return stdout, document
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_surface_matches_golden(name, tmp_path, capsys, metrics_off):
+    stdout, document = run_surface(SURFACES[name], tmp_path, capsys)
+    assert (sha256(stdout.encode()), canonical(document)) \
+        == SURFACE_GOLDEN[name]
+
+
+def test_capture_and_replay_match_golden(tmp_path, capsys, monkeypatch,
+                                         metrics_off):
+    monkeypatch.chdir(tmp_path)
+    stdout, document = run_surface(RIPNG, tmp_path, capsys)
+    digests = {"ripng-stdout": sha256(stdout.encode()),
+               "ripng-output": canonical(document),
+               "pcap": sha256((tmp_path / CAPTURE).read_bytes())}
+    stdout, document = run_surface(["conformance", "--replay", CAPTURE],
+                                   tmp_path, capsys)
+    document["replay"].pop("latency_percentiles")
+    digests["replay-stdout"] = sha256(LATENCY.sub("", stdout).encode())
+    digests["replay-output"] = canonical(document)
+    assert digests == CAPTURE_GOLDEN
