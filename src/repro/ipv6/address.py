@@ -15,6 +15,9 @@ ADDRESS_BITS = 128
 WORD_BITS = 32
 WORDS_PER_ADDRESS = ADDRESS_BITS // WORD_BITS
 _MAX = (1 << ADDRESS_BITS) - 1
+#: ``prefix_mask(length)`` for every valid length
+_MASKS: Tuple[int, ...] = tuple(_MAX ^ (_MAX >> length)
+                                for length in range(ADDRESS_BITS + 1))
 
 
 class Ipv6Address:
@@ -279,7 +282,8 @@ class Ipv6Prefix:
         return tuple((m >> (32 * (3 - i))) & 0xFFFFFFFF for i in range(4))  # type: ignore
 
     def contains(self, address: Ipv6Address) -> bool:
-        return (address.value & self.mask()) == self._network.value
+        mask = prefix_mask(self._length)
+        return (address._value & mask) == self._network._value
 
     def overlaps(self, other: "Ipv6Prefix") -> bool:
         short, long_ = (self, other) if self._length <= other._length else (other, self)
@@ -304,6 +308,4 @@ def prefix_mask(length: int) -> int:
     """The 128-bit network mask for a prefix of the given length."""
     if not 0 <= length <= ADDRESS_BITS:
         raise Ipv6Error(f"prefix length out of range: {length}")
-    if length == 0:
-        return 0
-    return (_MAX >> (ADDRESS_BITS - length)) << (ADDRESS_BITS - length)
+    return _MASKS[length]

@@ -33,9 +33,6 @@ class RouteEntry:
         if not 0 <= self.route_tag <= 0xFFFF:
             raise RoutingTableError(f"route tag out of range: {self.route_tag}")
 
-    def matches(self, address: Ipv6Address) -> bool:
-        return self.prefix.contains(address)
-
     def is_directly_attached(self) -> bool:
         return self.next_hop.is_unspecified()
 

@@ -14,6 +14,12 @@ yields a length of 203 that *exists silently in memory*, exactly like
 real SRAM corruption, and fails — if ever — only when a lookup
 evaluates ``mask()``/``contains()`` on it, which the hardened lookup
 paths convert to a fail-stop ``RoutingTableError``.
+
+``pack_entry`` memoizes each image in the entry's instance dict. A
+``RouteEntry`` is frozen and its ``==``, ``hash`` and ``repr`` read only
+its fields, so the memo is invisible to them. Nothing here ever changes
+an existing entry: ``corrupt_entry`` builds a *new* one through
+``unpack_entry_raw``, so a damaged record is always packed afresh.
 """
 
 from __future__ import annotations
@@ -27,8 +33,20 @@ ENTRY_BYTES = 38
 ENTRY_BITS = ENTRY_BYTES * 8
 
 
+#: instance-dict key of the image memoized on a packed entry
+_IMAGE = "_image"
+
+
 def pack_entry(entry: RouteEntry) -> bytes:
-    """The 304-bit memory image of one stored route."""
+    """The 304-bit memory image of one stored route (memoized)."""
+    image = entry.__dict__.get(_IMAGE)
+    if image is None:
+        image = entry.__dict__[_IMAGE] = _pack_fields(entry)
+    return image
+
+
+def _pack_fields(entry: RouteEntry) -> bytes:
+    """Lay out *entry*'s fields as a record, without the memo."""
     return (entry.prefix.network.value.to_bytes(16, "big")
             + bytes([entry.prefix.length & 0xFF])
             + entry.next_hop.value.to_bytes(16, "big")

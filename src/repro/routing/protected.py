@@ -242,13 +242,11 @@ class ProtectedRoutingTable(RoutingTable):
 
     def checkpoint(self) -> None:
         """Arm the scrub baseline: per-record protection words for every
-        memory site, plus refreshed per-route words."""
+        memory site. The per-route words need no refresh: every journal
+        update keeps them in step."""
         if self.protection == "none":
             self._scrub_armed = True
             return
-        self._route_words = {
-            prefix: self._word(pack_entry(entry))
-            for prefix, entry in self._journal.items()}
         self._site_words = {
             site: [self._word(record)
                    for record in self.inner.memory_records(site)]

@@ -58,12 +58,10 @@ class SequentialRoutingTable(RoutingTable):
         raise RoutingTableError(f"no such route: {prefix}")
 
     def _lookup(self, address: Ipv6Address) -> Tuple[Optional[RouteEntry], int]:
-        steps = 0
-        for entry in self._entries:
-            steps += 1
-            if entry.matches(address):
+        for steps, entry in enumerate(self._entries, 1):
+            if entry.prefix.contains(address):
                 return entry, steps
-        return None, steps
+        return None, len(self._entries)
 
     def get(self, prefix: Ipv6Prefix) -> Optional[RouteEntry]:
         for entry in self._entries:

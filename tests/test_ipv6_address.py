@@ -172,3 +172,13 @@ class TestPrefix:
         assert prefix_mask(0) == 0
         assert prefix_mask(128) == (1 << 128) - 1
         assert prefix_mask(1) == 1 << 127
+
+    def test_mask_is_the_top_length_bits_for_every_length(self):
+        for length in range(129):
+            assert prefix_mask(length) == \
+                ((1 << length) - 1) << (128 - length)
+        for length in (-1, 129, 203):
+            with pytest.raises(Ipv6Error) as caught:
+                prefix_mask(length)
+            assert str(caught.value) == \
+                f"prefix length out of range: {length}"

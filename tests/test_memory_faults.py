@@ -1,8 +1,12 @@
 """Table-state fault injector: packing, seams, determinism, validation."""
 
-import pytest
+import dataclasses
+import pickle
 
-from repro.errors import FaultInjectionError, RoutingTableError
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.errors import FaultInjectionError, Ipv6Error, RoutingTableError
 from repro.faults.memory import (
     ENTRY_BITS,
     ENTRY_BYTES,
@@ -12,7 +16,9 @@ from repro.faults.memory import (
     pack_entry,
     unpack_entry_raw,
 )
+from repro.ipv6.address import Ipv6Address
 from repro.routing import TABLE_KINDS, make_table
+from repro.routing.memimage import _pack_fields, raw_prefix
 from repro.workload.fib import synthesize_fib
 
 ROUTES = synthesize_fib(60, seed=12)
@@ -62,6 +68,81 @@ def test_corrupt_entry_flips_exactly_one_bit():
         assert sum(bin(d).count("1") for d in delta) == 1
         # flipping the same bit again restores the original
         assert corrupt_entry(damaged, bit) == entry
+
+
+#: every possible record image (the routes they store are built without
+#: validation, as corruption builds them)
+IMAGES = st.binary(min_size=ENTRY_BYTES, max_size=ENTRY_BYTES)
+
+
+@given(IMAGES)
+def test_memoized_image_is_the_record_layout(image):
+    entry = unpack_entry_raw(image)
+    assert pack_entry(entry) == _pack_fields(entry) == image
+    assert pack_entry(entry) == image  # read back from the memo
+
+
+@given(IMAGES, st.integers(0, ENTRY_BITS - 1))
+def test_corrupting_a_packed_entry_flips_exactly_that_bit(image, bit):
+    entry = unpack_entry_raw(image)
+    pack_entry(entry)
+    damaged = corrupt_entry(entry, bit)
+    # record bit b is bit b%8 of byte b//8: little-endian bit order
+    delta = (int.from_bytes(image, "little")
+             ^ int.from_bytes(pack_entry(damaged), "little"))
+    assert delta == 1 << bit
+    assert pack_entry(entry) == image  # the original is untouched
+
+
+def test_image_memo_is_invisible():
+    packed, fresh = ROUTES[5], dataclasses.replace(ROUTES[5])
+    image = pack_entry(packed)
+    assert packed == fresh
+    assert hash(packed) == hash(fresh)
+    assert repr(packed) == repr(fresh)
+    assert dataclasses.asdict(packed) == dataclasses.asdict(fresh)
+    back = pickle.loads(pickle.dumps(packed))
+    assert back == fresh and hash(back) == hash(fresh)
+    assert pack_entry(back) == image
+    # a changed copy never inherits the memo
+    retagged = dataclasses.replace(packed, route_tag=packed.route_tag ^ 1)
+    assert pack_entry(retagged) == _pack_fields(retagged) != image
+
+
+# -- fail-stop on an impossible prefix length ---------------------------------------
+
+
+def test_impossible_prefix_length_raises_on_contains():
+    prefix = raw_prefix(ROUTES[3].prefix.network.value, 203)
+    with pytest.raises(Ipv6Error) as caught:
+        prefix.contains(Ipv6Address(1))
+    assert str(caught.value) == "prefix length out of range: 203"
+
+
+def test_sequential_scan_fails_stop_where_it_reaches_the_damage():
+    table = loaded("sequential")
+    candidates = [route.prefix.network for route in ROUTES]
+    before = {address: table.lookup(address) for address in candidates}
+    index = len(ROUTES) // 2
+    length = table.memory_layout()[index].prefix.length
+    for bit in range(8):  # rewrite the length byte to 203
+        if (length ^ 203) >> bit & 1:
+            table.corrupt_memory("entry", index, 16 * 8 + bit)
+    assert table.memory_layout()[index].prefix.length == 203
+    answered = reached = 0
+    for address, result in before.items():
+        if result is not None and result.steps <= index:
+            after = table.lookup(address)
+            assert (after.entry, after.steps) == (result.entry, result.steps)
+            answered += 1
+        else:
+            with pytest.raises(RoutingTableError) as caught:
+                table.lookup(address)
+            assert str(caught.value) == (
+                "corrupt sequential state during lookup: "
+                "Ipv6Error: prefix length out of range: 203")
+            reached += 1
+    assert answered and reached
 
 
 def test_corrupt_entry_never_validates_silently():

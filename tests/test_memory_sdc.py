@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro import api
 from repro.errors import CampaignError
 from repro.dse.sdc import (
     MemorySweepRunner,
@@ -14,6 +15,7 @@ from repro.dse.sdc import (
     run_memory_sweep,
 )
 from repro.faults.seeds import derive_seed
+from repro.routing import memimage
 from repro.verify.oracle import MemoryDifferentialOracle
 from repro.workload.fib import synthesize_fib, zipf_addresses
 
@@ -154,3 +156,19 @@ def test_failed_rows_counted_not_raised(tmp_path):
     for row in result.rows:
         assert row["failed"] == 0  # this config classifies cleanly
         assert row["trials"] > 0
+
+
+def test_trials_pack_each_route_once(monkeypatch):
+    """Work floor: a trial re-packs nothing it already packed. Only the
+    FIB's routes and the records a trial damages are laid out afresh
+    (before the image memo: 217,572 layouts for these 168 trials)."""
+    layouts = []
+
+    def counting(entry, layout=memimage._pack_fields):
+        layouts.append(entry)
+        return layout(entry)
+
+    monkeypatch.setattr(memimage, "_pack_fields", counting)
+    result = api.memory_sdc_sweep(prefixes=300, jobs=1)
+    assert len(result.records) == 168
+    assert len(layouts) <= result.prefix_count + len(result.records)

@@ -1,6 +1,9 @@
 """Integrity-protected tables: never-silent faults, graceful degradation."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingTableError
 from repro.faults.memory import MemoryFaultInjector
@@ -10,6 +13,7 @@ from repro.routing import (
     TABLE_KINDS,
     make_table,
 )
+from repro.routing.memimage import ENTRY_BYTES, _pack_fields, unpack_entry_raw
 from repro.workload.fib import synthesize_fib, zipf_addresses
 
 ROUTES = synthesize_fib(80, seed=21)
@@ -190,3 +194,96 @@ def test_protection_stats_shape():
     for key in ("detected_corruptions", "degraded_lookups",
                 "quarantined_routes", "rebuilds"):
         assert stats[key] == 0
+
+
+# -- per-route words track the journal ----------------------------------------------
+
+#: routes the invariant test draws from: each prefix twice, with two images
+POOL = synthesize_fib(16, seed=8)
+VARIANTS = POOL + [replace(route, route_tag=route.route_tag ^ 1)
+                   for route in POOL]
+
+#: kind -> (memory site holding whole route records, bit offset of the
+#: packed route inside one record)
+PAYLOAD = {
+    "sequential": ("entry", 0),
+    "balanced-tree": ("tree-node", 0),
+    "cam": ("cam-row", 256),
+    "multibit-trie": ("trie-slot", 16),
+    "bloom": ("bloom-bucket", 0),
+}
+
+#: first bit of the next-hop field in a packed route: flipping it damages
+#: the record but keeps its prefix, so a hit on it is quarantinable
+NEXT_HOP_BIT = 17 * 8
+
+OPERATIONS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, len(VARIANTS) - 1)),
+    st.tuples(st.just("remove"), st.integers(0, len(POOL) - 1)),
+    st.tuples(st.just("load"),
+              st.lists(st.integers(0, len(VARIANTS) - 1), max_size=6)),
+    st.tuples(st.just("corrupt"), st.integers(0, len(POOL) - 1),
+              st.integers(0, 127)),
+    st.tuples(st.just("rebuild")),
+)
+
+
+def corrupt_and_look_up(table, kind, pick, bit):
+    """Damage the next hop of one journalled route's record, then look up
+    that route's network address; returns whether the lookup was
+    expected to quarantine it."""
+    if not table._journal:
+        return False
+    target = list(table._journal.values())[pick % len(table._journal)]
+    site, offset = PAYLOAD[kind]
+    start = offset // 8
+    for index, record in enumerate(table.memory_records(site)):
+        stored = unpack_entry_raw(record[start:start + ENTRY_BYTES])
+        if stored.prefix == target.prefix:
+            break
+    else:
+        return False  # quarantined by an earlier step
+    table.corrupt_memory(site, index, offset + NEXT_HOP_BIT + bit)
+    address = target.prefix.network
+    table.lookup(address)
+    return table._journal_lookup(address) is target
+
+
+def assert_route_words_track_journal(table):
+    assert table._route_words == {
+        prefix: table._word(_pack_fields(entry))
+        for prefix, entry in table._journal.items()}
+
+
+@pytest.mark.parametrize("protection", ("parity", "checksum"))
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+@settings(max_examples=20, deadline=None)
+@given(operations=st.lists(OPERATIONS, max_size=12))
+def test_route_words_track_the_journal(kind, protection, operations):
+    table = ProtectedRoutingTable(
+        make_table(kind, capacity=len(POOL) + 4), protection=protection)
+    table.load(POOL[:8])
+    table.checkpoint()
+    assert_route_words_track_journal(table)
+    for operation in operations:
+        name = operation[0]
+        if name == "insert":
+            table.insert(VARIANTS[operation[1]])
+        elif name == "remove":
+            prefix = POOL[operation[1]].prefix
+            try:
+                table.remove(prefix)
+            except RoutingTableError:
+                # absent, or quarantined out of the structure only
+                pass
+        elif name == "load":
+            table.load([VARIANTS[index] for index in operation[1]])
+        elif name == "corrupt":
+            quarantined = table.quarantined_routes
+            if corrupt_and_look_up(table, kind, *operation[1:]):
+                assert table.quarantined_routes == quarantined + 1
+        else:
+            table.rebuild()
+        assert_route_words_track_journal(table)
+        table.checkpoint()
+        assert_route_words_track_journal(table)
