@@ -5,11 +5,10 @@ Usage::
 
     python scripts/check_conformance_schema.py conformance.json [...]
 
-Each document must conform to ``schemas/conformance.schema.json``.
-Structural validation reuses :mod:`check_metrics_schema`'s built-in
-draft-07 subset validator (``jsonschema`` when importable), then domain
-checks cover what the structural pass cannot express: every case status
-is one of pass/fail/skip, the counts add up to the case list, and the
+Each document must conform to ``schemas/conformance.schema.json``
+(checked by :mod:`check_metrics_schema`'s ``validate``); domain checks
+then cover what the structural pass cannot express: every case status is
+one of pass/fail/skip, the counts add up to the case list, and the
 ``passed`` flag agrees with the failure count.
 """
 
@@ -22,7 +21,7 @@ import sys
 _SCRIPTS_DIR = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, _SCRIPTS_DIR)
 
-from check_metrics_schema import _validate  # noqa: E402
+from check_metrics_schema import validate  # noqa: E402
 
 SCHEMA_PATH = os.path.join(_SCRIPTS_DIR, os.pardir, "schemas",
                            "conformance.schema.json")
@@ -56,14 +55,7 @@ def _check_consistency(document: dict, schema: dict) -> list:
 def check(document_path: str, schema: dict) -> int:
     with open(document_path, encoding="utf-8") as handle:
         document = json.load(handle)
-    try:
-        import jsonschema
-    except ImportError:
-        errors = _validate(document, schema, schema)
-    else:
-        validator = jsonschema.Draft7Validator(schema)
-        errors = [f"$.{'.'.join(map(str, e.absolute_path))}: {e.message}"
-                  for e in validator.iter_errors(document)]
+    errors = validate(document, schema)
     if isinstance(document, dict):
         errors.extend(_check_consistency(document, schema))
     if errors:

@@ -6,11 +6,12 @@ Usage::
     python scripts/check_metrics_schema.py table1.json [more.json ...]
 
 Each document must carry a ``metrics`` key conforming to
-``schemas/metrics.schema.json``. Uses ``jsonschema`` when it is
-importable; otherwise falls back to a built-in validator covering the
-schema subset the checked-in schema actually uses (type, required,
-properties, additionalProperties, items, $ref into #/definitions), so CI
-needs no extra dependency.
+``schemas/metrics.schema.json`` (generated from ``repro.obs.catalogue``:
+declared metrics only, with their label names and label domains). Uses
+``jsonschema`` when it is importable, else a built-in validator for the
+schema subset used here (type, enum, required, properties,
+additionalProperties, items, $ref into #/definitions), so CI needs no
+extra dependency.
 """
 
 from __future__ import annotations
@@ -22,13 +23,8 @@ import sys
 SCHEMA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            os.pardir, "schemas", "metrics.schema.json")
 
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "number": (int, float),
-    "boolean": bool,
-}
+_TYPES = {"object": dict, "array": list, "string": str,
+          "number": (int, float), "boolean": bool}
 
 
 def _validate(instance, schema, root, path="$"):
@@ -39,6 +35,8 @@ def _validate(instance, schema, root, path="$"):
         for part in ref.lstrip("#/").split("/"):
             target = target[part]
         return _validate(instance, target, root, path)
+    if "enum" in schema and instance not in schema["enum"]:
+        return [f"{path}: {instance!r} is not one of {schema['enum']}"]
     errors = []
     expected = schema.get("type")
     if expected is not None:
@@ -69,57 +67,16 @@ def _validate(instance, schema, root, path="$"):
     return errors
 
 
-#: (section, metric name, label name, definitions key) rows the
-#: structural pass cannot express: every such label value must be in
-#: the named enum
-_LABEL_DOMAINS = (
-    ("counters", "sdc_outcomes_total", "outcome", "sdc_outcome"),
-    ("counters", "service_jobs_total", "state", "job_state"),
-    ("counters", "service_cache_requests_total", "result", "cache_result"),
-    ("counters", "tta_runs_total", "backend", "simulator_backend"),
-    ("counters", "tta_cycles_total", "backend", "simulator_backend"),
-    ("counters", "tta_moves_total", "backend", "simulator_backend"),
-    ("gauges", "tta_cycles_per_second", "backend", "simulator_backend"),
-    ("gauges", "tta_moves_per_second", "backend", "simulator_backend"),
-    ("histograms", "tta_run_seconds", "backend", "simulator_backend"),
-    ("counters", "simulator_fallback_total", "reason", "fallback_reason"),
-    ("counters", "routing_lookups_total", "kind", "routing_table_kind"),
-    ("counters", "routing_lookups_total", "outcome",
-     "routing_lookup_outcome"),
-    ("counters", "routing_lookup_steps_total", "kind", "routing_table_kind"),
-    ("counters", "routing_updates_total", "kind", "routing_table_kind"),
-    ("counters", "routing_updates_total", "op", "routing_update_op"),
-    ("counters", "routing_update_steps_total", "kind", "routing_table_kind"),
-    ("counters", "routing_corruption_detected_total", "kind",
-     "routing_table_kind"),
-    ("counters", "routing_corruption_detected_total", "protection",
-     "protection"),
-    ("counters", "routing_degraded_lookups_total", "kind",
-     "routing_table_kind"),
-    ("counters", "routing_degraded_lookups_total", "protection",
-     "protection"),
-    ("counters", "sdc_memory_injections_total", "memory_site",
-     "memory_site"),
-    ("counters", "sdc_memory_injections_total", "protection",
-     "protection"),
-)
-
-
-def _check_outcome_labels(metrics: dict, schema: dict) -> list:
-    """Domain-check enumerated label values against their definitions."""
-    errors = []
-    for section, metric_name, label, definition in _LABEL_DOMAINS:
-        allowed = set(schema["definitions"][definition]["enum"])
-        metric = metrics.get(section, {}).get(metric_name)
-        if not isinstance(metric, dict):
-            continue
-        for i, entry in enumerate(metric.get("values", [])):
-            value = entry.get("labels", {}).get(label)
-            if value not in allowed:
-                errors.append(
-                    f"$.{section}.{metric_name}.values[{i}]: {label} "
-                    f"{value!r} is not one of {sorted(allowed)}")
-    return errors
+def validate(instance, schema) -> list:
+    """Errors of *instance* under *schema*: ``jsonschema``'s when it is
+    importable, the built-in subset validator's otherwise."""
+    try:
+        import jsonschema
+    except ImportError:
+        return _validate(instance, schema, schema)
+    validator = jsonschema.Draft7Validator(schema)
+    return [f"$.{'.'.join(map(str, e.absolute_path))}: {e.message}"
+            for e in validator.iter_errors(instance)]
 
 
 def check(document_path: str, schema: dict) -> int:
@@ -129,15 +86,7 @@ def check(document_path: str, schema: dict) -> int:
     if metrics is None:
         print(f"{document_path}: FAIL — no 'metrics' section")
         return 1
-    try:
-        import jsonschema
-    except ImportError:
-        errors = _validate(metrics, schema, schema)
-    else:
-        validator = jsonschema.Draft7Validator(schema)
-        errors = [f"$.{'.'.join(map(str, e.absolute_path))}: {e.message}"
-                  for e in validator.iter_errors(metrics)]
-    errors.extend(_check_outcome_labels(metrics, schema))
+    errors = validate(metrics, schema)
     if errors:
         print(f"{document_path}: FAIL")
         for error in errors:

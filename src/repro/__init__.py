@@ -19,23 +19,9 @@ Quick start (the stable facade — prefer it over deep module paths)::
 
 __version__ = "1.1.0"
 
+import importlib
+
 from repro.errors import ReproError
-from repro import api
-from repro.api import (
-    ArchitectureConfiguration,
-    EvaluationResult,
-    ExplorationOutcome,
-    ResilienceReport,
-    Table1Row,
-    evaluate,
-    explore,
-    metrics,
-    metrics_registry,
-    render_metrics,
-    render_table1,
-    run_chaos,
-    table1,
-)
 
 __all__ = [
     "api",
@@ -45,3 +31,11 @@ __all__ = [
     "ResilienceReport", "Table1Row",
     "ReproError", "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Load :mod:`repro.api` on first use, not on every subpackage's."""
+    if name not in __all__:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    api = importlib.import_module("repro.api")
+    return api if name == "api" else getattr(api, name)

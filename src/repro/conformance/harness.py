@@ -54,7 +54,7 @@ from repro.ipv6.icmpv6 import (
     TYPE_TIME_EXCEEDED,
 )
 from repro.ipv6.packet import Ipv6Datagram
-from repro.obs import get_registry
+from repro.obs.catalogue import CONFORMANCE_CASES
 from repro.programs.runner import RunOptions, run_forwarding
 
 STATUS_PASS = "pass"
@@ -447,12 +447,7 @@ def run_conformance(table_kind: str = "sequential",
     if datapath:
         report.results.append(
             run_datapath_check(table_kind, config=config, mutant=mutant))
-    registry = get_registry()
-    if registry.enabled:
-        counter = registry.counter(
-            "conformance_cases_total",
-            "conformance case verdicts", ("table", "status"))
-        for status, count in report.counts.items():
-            if count:
-                counter.inc(count, table=table_kind, status=status)
+    for status, count in report.counts.items():
+        if count:
+            CONFORMANCE_CASES.inc(count, table=table_kind, status=status)
     return report

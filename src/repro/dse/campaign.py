@@ -62,6 +62,8 @@ from repro.errors import (
 from repro.estimation.area import estimate_area
 from repro.estimation.power import estimate_power
 from repro.obs import get_registry
+from repro.obs.catalogue import DSE_EVALUATION_SECONDS, DSE_EVALUATIONS, \
+    DSE_QUARANTINED, DSE_RETRIES
 
 
 # -- configuration (de)serialisation -----------------------------------------------
@@ -488,11 +490,8 @@ class CampaignRunner(JournaledSweep):
         t0 = registry.time() if registry.enabled else 0.0
         record = evaluate_guarded(self.evaluator, config, policy)
         if registry.enabled:
-            registry.histogram(
-                "dse_evaluation_seconds",
-                "wall-clock latency per in-process evaluation",
-                ("status",)
-            ).observe(registry.time() - t0, status=record["status"])
+            DSE_EVALUATION_SECONDS.observe(registry.time() - t0,
+                                           status=record["status"])
         return record
 
     def _failed_record(self, config: ArchitectureConfiguration, error: str,
@@ -502,24 +501,13 @@ class CampaignRunner(JournaledSweep):
 
     def _publish(self, record: Dict[str, object]) -> None:
         """Status/retry/quarantine counters for one fresh record."""
-        registry = get_registry()
-        if not registry.enabled:
-            return
         status = record["status"]
-        registry.counter(
-            "dse_evaluations_total",
-            "campaign evaluations by outcome", ("status",)
-        ).inc(status=status)
+        DSE_EVALUATIONS.inc(status=status)
         retries = record.get("retries", 0)
         if retries:
-            registry.counter(
-                "dse_retries_total",
-                "cycle-budget retries across all evaluations").inc(retries)
+            DSE_RETRIES.inc(retries)
         if status == "failed" and record.get("quarantined", True):
-            registry.counter(
-                "dse_quarantined_total",
-                "configurations quarantined after contained failures"
-            ).inc()
+            DSE_QUARANTINED.inc()
 
 
 class PoisonedEvaluator:

@@ -51,14 +51,11 @@ from repro.dse.sweep import (
 )
 from repro.errors import CampaignError, ReproError
 from repro.estimation.lookup import LookupEstimate, estimate_lookup_point
-from repro.obs import get_registry
+from repro.obs import MetricsRegistry, set_registry
+from repro.obs.catalogue import LOOKUP_SWEEP_CELLS, LOOKUP_SWEEP_RESUMED, \
+    ROUTING_LOOKUP_STEPS, ROUTING_LOOKUPS, ROUTING_UPDATE_STEPS, \
+    ROUTING_UPDATES
 from repro.routing import make_table
-from repro.routing.base import (
-    LOOKUP_STEPS_METRIC,
-    LOOKUPS_METRIC,
-    UPDATE_STEPS_METRIC,
-    UPDATES_METRIC,
-)
 from repro.workload.fib import synthesize_fib, zipf_addresses
 
 #: default prefix-count axis: two to six decades
@@ -166,17 +163,15 @@ def measure_cell(cell: LookupCell, context=None) -> Dict[str, object]:
     """One cell -> one journal record (never raises for ReproError).
 
     *context* is the process's :class:`_Workloads` memo; without one the
-    cell builds its workload in a fresh memo of its own. The metrics
-    registry is disabled for the duration: the parent publishes this
+    cell builds its workload in a fresh memo of its own. A disabled
+    registry stands in for the duration: the parent publishes this
     record's counters at persist time, so sequential and parallel sweeps
     account identically (pool workers could not publish into the
     parent's registry anyway).
     """
     workloads = context if context is not None else _Workloads()
     base = _identity(cell)
-    registry = get_registry()
-    was_enabled = registry.enabled
-    registry.disable()
+    previous = set_registry(MetricsRegistry(enabled=False))
     try:
         routes, addresses = workloads(cell)
         table = make_table(cell.kind, capacity=len(routes))
@@ -196,8 +191,7 @@ def measure_cell(cell: LookupCell, context=None) -> Dict[str, object]:
         base["error"] = type(exc).__name__
         base["message"] = str(exc)
     finally:
-        if was_enabled:
-            registry.enable()
+        set_registry(previous)
     return base
 
 
@@ -299,8 +293,7 @@ class LookupSweepRunner(JournaledSweep):
     """Journal-backed, optionally parallel scaling-sweep driver."""
 
     measure = staticmethod(measure_cell)
-    resumed_metric = ("lookup_sweep_resumed_total",
-                      "sweep cells replayed from a journal")
+    resumed_metric = LOOKUP_SWEEP_RESUMED
     # One cell per chunk by default: cells differ in cost by orders of
     # magnitude (10² vs 10⁶ prefixes), so fine-grained scheduling beats
     # amortisation here.
@@ -353,24 +346,15 @@ class LookupSweepRunner(JournaledSweep):
         the registry disabled — so sequential and parallel sweeps
         account identically and a resumed cell is never double-counted.
         """
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        registry.counter(
-            "lookup_sweep_cells_total",
-            "scaling-sweep cells by outcome", ("status",)
-        ).inc(status=record["status"])
+        LOOKUP_SWEEP_CELLS.inc(status=record["status"])
         if record["status"] != "ok":
             return
         kind = record["kind"]
         lookups = record["lookups"]
         hits = round(record["hit_rate"] * lookups)
-        lookup_counter = registry.counter(*LOOKUPS_METRIC)
-        lookup_counter.inc(hits, kind=kind, outcome="hit")
-        lookup_counter.inc(lookups - hits, kind=kind, outcome="miss")
-        registry.counter(*LOOKUP_STEPS_METRIC).inc(
+        ROUTING_LOOKUPS.inc(hits, kind=kind, outcome="hit")
+        ROUTING_LOOKUPS.inc(lookups - hits, kind=kind, outcome="miss")
+        ROUTING_LOOKUP_STEPS.inc(
             round(record["mean_lookup_steps"] * lookups), kind=kind)
-        registry.counter(*UPDATES_METRIC).inc(
-            record["route_count"], kind=kind, op="insert")
-        registry.counter(*UPDATE_STEPS_METRIC).inc(
-            record["update_steps"], kind=kind)
+        ROUTING_UPDATES.inc(record["route_count"], kind=kind, op="insert")
+        ROUTING_UPDATE_STEPS.inc(record["update_steps"], kind=kind)

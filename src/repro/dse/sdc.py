@@ -46,7 +46,8 @@ from repro.estimation.lookup import estimate_protection_overhead
 from repro.faults.datapath import FAULT_SITES
 from repro.faults.memory import MEMORY_SITES
 from repro.faults.seeds import derive_seed
-from repro.obs import get_registry
+from repro.obs.catalogue import SDC_INJECTIONS, SDC_MEMORY_INJECTIONS, \
+    SDC_OUTCOMES, SDC_RESUMED, SDC_TRIALS
 from repro.routing import TABLE_KINDS, make_table
 from repro.routing.entry import RouteEntry
 from repro.routing.protected import PROTECTION_MODES
@@ -165,21 +166,14 @@ def _classify_trial(trial: SdcTrial,
             "outcome": outcome.to_dict()}
 
 
-def _publish_trial(registry, record: Dict[str, object]
-                   ) -> Optional[Dict[str, object]]:
+def _publish_trial(record: Dict[str, object]) -> Optional[Dict[str, object]]:
     """Trial and outcome counters shared by both sweeps; returns the
     outcome of an ``ok`` record for the caller's injection counters."""
-    registry.counter(
-        "sdc_trials_total",
-        "classified injection trials by status", ("status",)
-    ).inc(status=record["status"])
+    SDC_TRIALS.inc(status=record["status"])
     if record["status"] != "ok":
         return None
     outcome = record["outcome"]
-    registry.counter(
-        "sdc_outcomes_total",
-        "injection trials by oracle classification", ("outcome",)
-    ).inc(outcome=outcome["outcome"])
+    SDC_OUTCOMES.inc(outcome=outcome["outcome"])
     return outcome
 
 
@@ -286,8 +280,7 @@ class SdcSweepRunner(JournaledSweep):
     """
 
     measure = staticmethod(_classify_trial)
-    resumed_metric = ("sdc_resumed_total",
-                      "injection trials replayed from a journal")
+    resumed_metric = SDC_RESUMED
 
     def __init__(self,
                  routes: Optional[Sequence[RouteEntry]] = None,
@@ -361,17 +354,11 @@ class SdcSweepRunner(JournaledSweep):
 
     def _publish(self, record: Dict[str, object]) -> None:
         """Injection/outcome counters for one fresh trial record."""
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        outcome = _publish_trial(registry, record)
+        outcome = _publish_trial(record)
         if outcome is None:
             return
-        injections = registry.counter(
-            "sdc_injections_total",
-            "datapath faults actually applied", ("site",))
         for site, count in sorted(outcome["faults_by_site"].items()):
-            injections.inc(count, site=site)
+            SDC_INJECTIONS.inc(count, site=site)
 
 
 # ===================================================================================
@@ -590,8 +577,7 @@ class MemorySweepRunner(JournaledSweep):
     """Journal-backed, optionally parallel table-state sweep driver."""
 
     measure = staticmethod(_classify_memory_trial)
-    resumed_metric = ("sdc_resumed_total",
-                      "injection trials replayed from a journal")
+    resumed_metric = SDC_RESUMED
 
     def __init__(self,
                  kinds: Optional[Sequence[str]] = None,
@@ -690,19 +676,12 @@ class MemorySweepRunner(JournaledSweep):
     def _publish(self, record: Dict[str, object]) -> None:
         """Parent-side, persist-time-only metrics (same discipline as
         the datapath sweep: resumed trials never double-count)."""
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        outcome = _publish_trial(registry, record)
+        outcome = _publish_trial(record)
         if outcome is None:
             return
-        injections = registry.counter(
-            "sdc_memory_injections_total",
-            "table-state bit flips actually applied",
-            ("memory_site", "protection"))
         for site, count in sorted(outcome["faults_by_site"].items()):
-            injections.inc(count, memory_site=site,
-                           protection=record["protection"])
+            SDC_MEMORY_INJECTIONS.inc(count, memory_site=site,
+                                      protection=record["protection"])
 
 
 def run_memory_sweep(**kwargs) -> MemorySweepResult:

@@ -56,7 +56,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CampaignError, WorkerCrashError, WorkerStallError
 from repro.faults.seeds import derive_seed, make_rng
-from repro.obs import get_registry
+from repro.obs.catalogue import DSE_BACKOFF_SECONDS, DSE_CHUNK_SECONDS, \
+    DSE_CHUNKS_DISPATCHED, DSE_INFLIGHT_CHUNKS, DSE_POOL_SHRINKS, \
+    DSE_POOL_SIZE, DSE_RESUMED, DSE_WORKER_CRASHES, DSE_WORKER_STALLS, \
+    DSE_WORKER_UTILIZATION, Metric
 
 JOURNAL_VERSION = 1
 
@@ -71,17 +74,6 @@ STALL_LATENCY_FACTOR = 4
 BACKOFF_BASE_SECONDS = 0.05
 BACKOFF_CAP_SECONDS = 2.0
 BACKOFF_JITTER = 0.25
-
-#: ``(name, help)`` of the supervision metrics, declared here once
-STALLS_METRIC = ("dse_worker_stalls_total",
-                 "pools and probes terminated after a missed stall deadline")
-POOL_SHRINKS_METRIC = ("dse_pool_shrinks_total",
-                       "workers removed from the pool after broken "
-                       "generations")
-POOL_SIZE_METRIC = ("dse_pool_size",
-                    "current worker-pool size after degradation")
-BACKOFF_METRIC = ("dse_backoff_seconds_total",
-                  "seconds slept before refilling broken pools")
 
 
 @dataclass(frozen=True)
@@ -246,9 +238,8 @@ class JournaledSweep:
     #: ``measure(item, context) -> record``, a picklable module-level
     #: function that folds every failure its sweep contains into a record
     measure = None
-    #: (name, help) of the counter that counts items replayed on resume
-    resumed_metric: Tuple[str, str] = (
-        "dse_resumed_total", "evaluations replayed from a journal")
+    #: the counter that counts items replayed on resume
+    resumed_metric: Metric = DSE_RESUMED
     #: chunk size when the caller sets none; None aims for ~4 chunks per
     #: worker, coarse enough to amortise IPC and fine enough to keep the
     #: pool busy to the end
@@ -372,9 +363,7 @@ class JournaledSweep:
             return
         self._replayed_keys.discard(key)
         self.resumed += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(*self.resumed_metric).inc()
+        self.resumed_metric.inc()
 
     def _persist(self, key: str,
                  record: Dict[str, object]) -> Dict[str, object]:
@@ -410,15 +399,10 @@ class JournaledSweep:
                 self._degrade()
             pending = [(key, item) for key, item in pending
                        if key not in self._records]
-        registry = get_registry()
-        if registry.enabled:
-            wall = time.monotonic() - t0
-            if wall > 0:
-                registry.gauge(
-                    "dse_worker_utilization",
-                    "fraction of pool worker-seconds spent evaluating "
-                    "during the most recent sweep"
-                ).set(min(self._busy_seconds / (wall * self.jobs), 1.0))
+        wall = time.monotonic() - t0
+        if wall > 0:
+            DSE_WORKER_UTILIZATION.set(
+                min(self._busy_seconds / (wall * self.jobs), 1.0))
 
     def _dispatch(self, pending: List[_Entry]) -> int:
         """One pool generation; returns its number of crash suspects
@@ -430,15 +414,6 @@ class JournaledSweep:
         pool is shut down: a finished chunk is persisted, and every item
         of an unfinished one is probed in its place.
         """
-        registry = get_registry()
-        chunk_seconds = registry.histogram(
-            "dse_chunk_seconds",
-            "wall-clock latency per dispatched pool chunk"
-        ) if registry.enabled else None
-        queue_depth = registry.gauge(
-            "dse_inflight_chunks",
-            "chunks dispatched to the pool and not yet completed"
-        ) if registry.enabled else None
         chunks = self._chunked(pending)
         #: reorder buffer: chunk index -> records, until its turn comes
         finished: Dict[int, List[Dict[str, object]]] = {}
@@ -467,12 +442,8 @@ class JournaledSweep:
                         break
                     in_flight[future] = index
                     submitted_at[future] = time.monotonic()
-                    if registry.enabled:
-                        registry.counter(
-                            "dse_chunks_dispatched_total",
-                            "chunks handed to the process pool").inc()
-                if queue_depth is not None:
-                    queue_depth.set(len(in_flight))
+                    DSE_CHUNKS_DISPATCHED.inc()
+                DSE_INFLIGHT_CHUNKS.set(len(in_flight))
                 if broken or not in_flight:
                     break
                 done, _ = wait(in_flight, timeout=self._stall_deadline(),
@@ -491,8 +462,7 @@ class JournaledSweep:
                     self._busy_seconds += elapsed
                     self.slowest_chunk_seconds = max(
                         self.slowest_chunk_seconds, elapsed)
-                    if chunk_seconds is not None:
-                        chunk_seconds.observe(elapsed)
+                    DSE_CHUNK_SECONDS.observe(elapsed)
                     exc = future.exception()
                     if isinstance(exc, BrokenExecutor):
                         broken = True
@@ -512,8 +482,7 @@ class JournaledSweep:
             if broken and not stalled:
                 self._count_crash()
         finally:
-            if queue_depth is not None:
-                queue_depth.set(0)
+            DSE_INFLIGHT_CHUNKS.set(0)
             pool.shutdown(wait=False, cancel_futures=True)
         suspects = 0
         for index in range(persisted, submitted):
@@ -579,11 +548,7 @@ class JournaledSweep:
 
     def _count_crash(self) -> None:
         self.worker_crashes += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "dse_worker_crashes_total",
-                "pool teardowns after a worker process died").inc()
+        DSE_WORKER_CRASHES.inc()
 
     # -- supervision --------------------------------------------------------------
 
@@ -600,25 +565,20 @@ class JournaledSweep:
 
     def _count_stall(self) -> None:
         self.stalls += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(*STALLS_METRIC).inc()
+        DSE_WORKER_STALLS.inc()
 
     def _degrade(self) -> None:
         """After a broken generation (crash or stall): shrink the pool by
         one worker, down to the policy's ``min_jobs``, then back off
         before refilling it."""
-        registry = get_registry()
         self._broken_generations += 1
         if self.jobs > self.supervision.min_jobs:
             self.jobs -= 1
             self.pool_shrinks += 1
-            if registry.enabled:
-                registry.counter(*POOL_SHRINKS_METRIC).inc()
-                registry.gauge(*POOL_SIZE_METRIC).set(self.jobs)
+            DSE_POOL_SHRINKS.inc()
+            DSE_POOL_SIZE.set(self.jobs)
         delay = backoff_delay(self._broken_generations, self._rng)
-        if registry.enabled:
-            registry.counter(*BACKOFF_METRIC).inc(delay)
+        DSE_BACKOFF_SECONDS.inc(delay)
         self.sleep_fn(delay)
 
     @staticmethod

@@ -5,10 +5,10 @@ a process-wide :class:`MetricsRegistry` (counters, gauges, histograms
 with labels) that the hot paths publish into, and deterministic
 serialisation (``snapshot()``) surfaced as the ``metrics`` section of
 every ``--output`` JSON, the ``taco-explore metrics`` subcommand, and
-``repro.api.metrics()``.
+``repro.api.metrics()``. Every metric is declared once, in
+:mod:`repro.obs.catalogue`, which also generates the snapshot's schema.
 
-Opt out with ``REPRO_NO_METRICS=1`` or ``get_registry().disable()`` —
-disabled instruments cost one attribute check per call site.
+Opt out with ``REPRO_NO_METRICS=1`` or ``get_registry().disable()``.
 """
 
 from repro.obs.metrics import (

@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import PcapError
+from repro.obs import get_registry
+from repro.obs.catalogue import REPLAY_LATENCY_QUANTILE_SECONDS, \
+    REPLAY_LATENCY_SECONDS
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
@@ -258,7 +261,6 @@ def replay(packets: Sequence[CapturedPacket],
     gauges, so ``--output`` JSON metric sections carry the numbers.
     """
     from repro.conformance.cases import build_fixture
-    from repro.obs import get_registry
 
     router = build_fixture(table_kind)
     latencies: List[float] = []
@@ -274,18 +276,12 @@ def replay(packets: Sequence[CapturedPacket],
         dropped=dict(router.stats.dropped),
         latencies=latencies)
 
-    registry = get_registry()
-    if registry.enabled and latencies:
-        histogram = registry.histogram(
-            "replay_latency_seconds",
-            "per-packet golden-model forwarding latency", ("table",))
+    if latencies and get_registry().enabled:
         for sample in latencies:
-            histogram.observe(sample, table=table_kind)
-        gauge = registry.gauge(
-            "replay_latency_quantile_seconds",
-            "replay latency percentiles", ("table", "quantile"))
+            REPLAY_LATENCY_SECONDS.observe(sample, table=table_kind)
         for name, value in report.latency_percentiles.items():
-            gauge.set(value, table=table_kind, quantile=name)
+            REPLAY_LATENCY_QUANTILE_SECONDS.set(value, table=table_kind,
+                                                quantile=name)
     return report
 
 

@@ -27,6 +27,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, ReproError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.obs import get_registry
+from repro.obs.catalogue import NET_CONVERGENCE_ROUNDS, NET_CONVERGENCE_RUNS, \
+    NET_CONVERGENCE_SECONDS, NET_FRAMES_DELIVERED, NET_FRAMES_IN_FLIGHT, \
+    NET_LINK_DROPPED, NET_LINK_FAULTS, NET_LINK_FRAMES, NET_ROUNDS
 from repro.router.router import Ipv6Router
 
 Endpoint = Tuple[str, int]  # (router name, interface index)
@@ -189,32 +192,19 @@ class Network:
             router.tick(self.now)
         self.now += self.step_seconds
         self.messages_delivered += delivered
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "net_rounds_total", "simulation rounds stepped").inc()
-            registry.counter(
-                "net_frames_delivered_total",
-                "frames delivered across all links").inc(delivered)
-            registry.gauge(
-                "net_frames_in_flight",
-                "fault-model-delayed frames awaiting delivery"
-            ).set(len(self._in_flight))
-            self._publish_link_metrics(registry)
+        NET_ROUNDS.inc()
+        NET_FRAMES_DELIVERED.inc(delivered)
+        NET_FRAMES_IN_FLIGHT.set(len(self._in_flight))
+        if get_registry().enabled:
+            self._publish_link_metrics()
         return delivered
 
     @staticmethod
     def _link_label(link: Link) -> str:
         return (f"{link.a[0]}:{link.a[1]}<->{link.b[0]}:{link.b[1]}")
 
-    def _publish_link_metrics(self, registry) -> None:
+    def _publish_link_metrics(self) -> None:
         """Publish per-link fault-model statistics as counter deltas."""
-        frames = registry.counter(
-            "net_link_frames_total",
-            "frames entering each link's fault model", ("link",))
-        faults = registry.counter(
-            "net_link_faults_total",
-            "fault-model interventions per link", ("link", "fault"))
         for link in self.links:
             model = link.fault_model
             if model is None or not hasattr(model, "stats"):
@@ -230,16 +220,11 @@ class Network:
                     continue
                 seen[name] = value
                 if name == "injected":
-                    frames.inc(delta, link=label)
+                    NET_LINK_FRAMES.inc(delta, link=label)
                 else:
-                    faults.inc(delta, link=label, fault=name)
+                    NET_LINK_FAULTS.inc(delta, link=label, fault=name)
 
     def _deliver_transmissions(self) -> int:
-        registry = get_registry()
-        drops = registry.counter(
-            "net_link_dropped_total",
-            "frames lost because the link was down",
-            ("link",)) if registry.enabled else None
         delivered = self._release_in_flight()
         for name, router in self.routers.items():
             for card in router.line_cards:
@@ -252,9 +237,8 @@ class Network:
                     continue  # unconnected: frames vanish silently
                 if not link.up:
                     self.frames_lost_link_down += len(outgoing)
-                    if drops is not None:
-                        drops.inc(len(outgoing),
-                                  link=self._link_label(link))
+                    NET_LINK_DROPPED.inc(len(outgoing),
+                                         link=self._link_label(link))
                     continue
                 peer_endpoint = link.peer((name, card.index))
                 model = link.fault_model
@@ -280,18 +264,14 @@ class Network:
     def _release_in_flight(self) -> int:
         """Deliver delayed frames whose time has come; drop those whose
         link went down while they were in flight."""
-        registry = get_registry()
         released = 0
         while self._in_flight and self._in_flight[0][0] <= self.now:
             _, _, endpoint, frame = heapq.heappop(self._in_flight)
             link = self._by_endpoint.get(endpoint)
             if link is None or not link.up:
                 self.frames_lost_link_down += 1
-                if registry.enabled and link is not None:
-                    registry.counter(
-                        "net_link_dropped_total",
-                        "frames lost because the link was down", ("link",)
-                    ).inc(link=self._link_label(link))
+                if link is not None:
+                    NET_LINK_DROPPED.inc(link=self._link_label(link))
                 continue
             self._deliver_raw(endpoint, frame)
             released += 1
@@ -360,19 +340,10 @@ class Network:
 
     def _publish_convergence(self, registry, t0: float, converged: bool,
                              rounds: int) -> None:
-        if not registry.enabled:
-            return
-        registry.gauge(
-            "net_convergence_rounds",
-            "rounds the most recent convergence run took").set(rounds)
-        registry.counter(
-            "net_convergence_runs_total",
-            "run_until_converged outcomes", ("converged",)
-        ).inc(converged=str(converged).lower())
-        registry.histogram(
-            "net_convergence_seconds",
-            "wall-clock time per run_until_converged call"
-        ).observe(registry.time() - t0)
+        NET_CONVERGENCE_ROUNDS.set(rounds)
+        NET_CONVERGENCE_RUNS.inc(converged=str(converged).lower())
+        if registry.enabled:
+            NET_CONVERGENCE_SECONDS.observe(registry.time() - t0)
 
     # -- inspection -------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.ipv6.packet import (
 )
 from repro.ipv6.ripng import RIPNG_MULTICAST_GROUP, RIPNG_PORT
 from repro.ipv6.udp import UdpDatagram
-from repro.obs import get_registry
+from repro.obs.catalogue import RIPNG_REJECTED
 from repro.router.linecard import LineCard
 from repro.router.ripng_engine import RipngEngine
 from repro.routing import make_table
@@ -242,14 +242,8 @@ class Ipv6Router:
             self._send_ripng(out_interface, message, unicast_to=sender)
 
     def _count_rejections(self, deltas: Dict[str, int]) -> None:
-        if not deltas:
-            return
-        counter = get_registry().counter(
-            "ripng_rejected_total",
-            "Hostile or invalid RIPng input refused, by reason",
-            labels=("router", "reason"))
         for reason, count in deltas.items():
-            counter.inc(count, router=self.name, reason=reason)
+            RIPNG_REJECTED.inc(count, router=self.name, reason=reason)
 
     def _send_ripng(self, interface: int, message_bytes: bytes,
                     unicast_to: Optional[Ipv6Address] = None) -> None:

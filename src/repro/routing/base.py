@@ -22,25 +22,12 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
-from repro.obs import get_registry
+from repro.obs.catalogue import ROUTING_LOOKUP_STEPS, ROUTING_LOOKUPS, \
+    ROUTING_UPDATE_STEPS, ROUTING_UPDATES
 from repro.routing.entry import LookupResult, RouteEntry
 
 DEFAULT_CAPACITY = 100
 """The paper's design constraint: "a maximum size of 100 entries"."""
-
-#: ``(name, help, labels)`` of the routing counters, declared here once:
-#: the tables and the lookup sweep both publish through these, so the
-#: help text in a metrics snapshot does not depend on who ran first
-LOOKUPS_METRIC = ("routing_lookups_total", "longest-prefix-match lookups",
-                  ("kind", "outcome"))
-LOOKUP_STEPS_METRIC = (
-    "routing_lookup_steps_total",
-    "elements examined across lookups "
-    "(steps/lookups = comparisons per lookup)", ("kind",))
-UPDATES_METRIC = ("routing_updates_total", "route insertions and removals",
-                  ("kind", "op"))
-UPDATE_STEPS_METRIC = ("routing_update_steps_total",
-                       "elements touched by table updates", ("kind",))
 
 
 @dataclass
@@ -153,7 +140,7 @@ class RoutingTable(ABC):
             raise RoutingTableError(
                 f"corrupt {self.kind} state during lookup: "
                 f"{type(exc).__name__}: {exc}") from exc
-        return self._account_lookup(entry, steps)
+        return self._account_lookups(((entry, steps),))[0]
 
     def lookup_batch(
             self, addresses: Sequence[Ipv6Address]
@@ -177,8 +164,7 @@ class RoutingTable(ABC):
             raise RoutingTableError(
                 f"corrupt {self.kind} state during batch lookup: "
                 f"{type(exc).__name__}: {exc}") from exc
-        return [self._account_lookup(entry, steps)
-                for entry, steps in pairs]
+        return self._account_lookups(pairs)
 
     def _lookup_batch(
             self, addresses: Sequence[Ipv6Address]
@@ -187,26 +173,34 @@ class RoutingTable(ABC):
         steps) pairs the per-address :meth:`_lookup` would have."""
         return [self._lookup(address) for address in addresses]
 
-    def _account_lookup(self, entry: Optional[RouteEntry],
-                        steps: int) -> Optional[LookupResult]:
-        self.stats.record_lookup(steps, hit=entry is not None)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(*LOOKUPS_METRIC).inc(
-                kind=self.kind,
-                outcome="hit" if entry is not None else "miss")
-            registry.counter(*LOOKUP_STEPS_METRIC).inc(
-                steps, kind=self.kind)
-        if entry is None:
-            return None
-        return LookupResult(entry=entry, steps=steps)
+    def _account_lookups(
+            self, pairs: "Sequence[Tuple[Optional[RouteEntry], int]]"
+    ) -> List[Optional[LookupResult]]:
+        """Stats for raw ``(entry, steps)`` pairs; each counter then gets
+        what the same lookups one at a time would add, in one publish."""
+        record = self.stats.record_lookup
+        results: List[Optional[LookupResult]] = []
+        hits = steps_total = 0
+        for entry, steps in pairs:
+            record(steps, hit=entry is not None)
+            steps_total += steps
+            if entry is None:
+                results.append(None)
+            else:
+                hits += 1
+                results.append(LookupResult(entry=entry, steps=steps))
+        if hits:
+            ROUTING_LOOKUPS.inc(hits, kind=self.kind, outcome="hit")
+        if len(results) > hits:
+            ROUTING_LOOKUPS.inc(len(results) - hits, kind=self.kind,
+                                outcome="miss")
+        if results:
+            ROUTING_LOOKUP_STEPS.inc(steps_total, kind=self.kind)
+        return results
 
     def _publish_update(self, steps: int, op: str) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(*UPDATES_METRIC).inc(kind=self.kind, op=op)
-            registry.counter(*UPDATE_STEPS_METRIC).inc(
-                steps, kind=self.kind)
+        ROUTING_UPDATES.inc(kind=self.kind, op=op)
+        ROUTING_UPDATE_STEPS.inc(steps, kind=self.kind)
 
     def entries(self) -> List[RouteEntry]:
         return list(self)
@@ -257,12 +251,8 @@ class RoutingTable(ABC):
         *steps* total elements touched (published as one aggregate)."""
         self.stats.inserts += inserts
         self.stats.total_update_steps += steps
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(*UPDATES_METRIC).inc(
-                inserts, kind=self.kind, op="insert")
-            registry.counter(*UPDATE_STEPS_METRIC).inc(
-                steps, kind=self.kind)
+        ROUTING_UPDATES.inc(inserts, kind=self.kind, op="insert")
+        ROUTING_UPDATE_STEPS.inc(steps, kind=self.kind)
 
     # -- memory-state introspection/corruption seam ---------------------------
     #

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
-from repro.obs import get_registry
+from repro.obs.catalogue import ROUTING_CAM_BUSY_CYCLES
 from repro.routing.base import DEFAULT_CAPACITY, RoutingTable
 from repro.routing.entry import RouteEntry
 from repro.routing.memimage import corrupt_entry, pack_entry
@@ -120,13 +120,7 @@ class CamRoutingTable(RoutingTable):
     def _lookup(self, address: Ipv6Address) -> Tuple[Optional[RouteEntry], int]:
         # Hardware matches all lines in parallel; the model's "steps" is 1
         # regardless of occupancy — the defining property of the CAM row.
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "routing_cam_busy_cycles_total",
-                "CAM cycles occupied by searches (40 ns per search at "
-                "the part's reference clock)"
-            ).inc(self._search_busy_cycles)
+        ROUTING_CAM_BUSY_CYCLES.inc(self._search_busy_cycles)
         value = address.value
         for line in self._lines:
             if (value & line.mask) == line.value:
@@ -138,13 +132,9 @@ class CamRoutingTable(RoutingTable):
     ) -> List[Tuple[Optional[RouteEntry], int]]:
         """Batch search via per-length maps; every search still costs one
         step and occupies the CAM for one 40 ns slot."""
-        registry = get_registry()
-        if registry.enabled and addresses:
-            registry.counter(
-                "routing_cam_busy_cycles_total",
-                "CAM cycles occupied by searches (40 ns per search at "
-                "the part's reference clock)"
-            ).inc(self._search_busy_cycles * len(addresses))
+        if addresses:
+            ROUTING_CAM_BUSY_CYCLES.inc(
+                self._search_busy_cycles * len(addresses))
         by_length: "List[Tuple[int, Dict[int, RouteEntry]]]" = []
         seen: Dict[int, Dict[int, RouteEntry]] = {}
         for line in self._lines:

@@ -45,7 +45,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
-from repro.obs import get_registry
+from repro.obs.catalogue import ROUTING_CORRUPTION_DETECTED, \
+    ROUTING_DEGRADED_LOOKUPS
 from repro.routing.base import RoutingTable
 from repro.routing.entry import RouteEntry
 from repro.routing.memimage import pack_entry
@@ -119,13 +120,8 @@ class ProtectedRoutingTable(RoutingTable):
 
     def _record_detection(self, events: int = 1) -> None:
         self.detected_corruptions += events
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "routing_corruption_detected_total",
-                "memory corruption events caught by integrity "
-                "protection", ("kind", "protection")
-            ).inc(events, kind=self.kind, protection=self.protection)
+        ROUTING_CORRUPTION_DETECTED.inc(events, kind=self.kind,
+                                        protection=self.protection)
 
     # -- mandatory interface ----------------------------------------------------
 
@@ -216,13 +212,8 @@ class ProtectedRoutingTable(RoutingTable):
                          ) -> Tuple[Optional[RouteEntry], int]:
         """Serve from the journal: linear, safe, counted."""
         self.degraded_lookups += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "routing_degraded_lookups_total",
-                "lookups answered from the route journal after a "
-                "corruption detection", ("kind", "protection")
-            ).inc(kind=self.kind, protection=self.protection)
+        ROUTING_DEGRADED_LOOKUPS.inc(kind=self.kind,
+                                     protection=self.protection)
         return self._journal_lookup(address), max(1, len(self._journal))
 
     def _quarantine(self, prefix: Ipv6Prefix) -> None:

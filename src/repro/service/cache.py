@@ -32,7 +32,8 @@ from typing import Dict, Optional
 
 from repro.dse.sweep import JOURNAL_VERSION, write_atomic
 from repro.errors import CacheIntegrityError
-from repro.obs import get_registry
+from repro.obs.catalogue import SERVICE_CACHE_QUARANTINED, \
+    SERVICE_CACHE_REQUESTS
 
 CACHE_VERSION = 1
 
@@ -98,17 +99,17 @@ class EvaluationCache:
                 raw = handle.read()
         except FileNotFoundError:
             self.misses += 1
-            self._count("miss")
+            SERVICE_CACHE_REQUESTS.inc(result="miss")
             return None
         try:
             record = self._verify(raw, key)
         except CacheIntegrityError:
             self.corrupt += 1
-            self._count("corrupt")
+            SERVICE_CACHE_REQUESTS.inc(result="corrupt")
             self._quarantine(path)
             return None
         self.hits += 1
-        self._count("hit")
+        SERVICE_CACHE_REQUESTS.inc(result="hit")
         return record
 
     def put(self, key: str, record: Dict[str, object]) -> str:
@@ -166,17 +167,4 @@ class EvaluationCache:
                 except FileNotFoundError:
                     pass  # a concurrent reader already moved it
                 break
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "service_cache_quarantined_total",
-                "damaged cache entries moved aside for forensics").inc()
-
-    @staticmethod
-    def _count(result: str) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "service_cache_requests_total",
-                "evaluation-cache lookups by result", ("result",)
-            ).inc(result=result)
+        SERVICE_CACHE_QUARANTINED.inc()

@@ -37,11 +37,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.dse.campaign import CampaignRunner
-from repro.dse.sweep import POOL_SHRINKS_METRIC, STALLS_METRIC, \
-    SupervisionPolicy, load_journal
+from repro.dse.sweep import SupervisionPolicy, load_journal
 from repro.faults.process import ChaosEvaluatorFactory, corrupt_file, \
     truncate_file
-from repro.obs import get_registry
+from repro.obs import catalogue, get_registry
 from repro.service.jobs import CampaignService, plan_configs
 
 DEFAULT_SPEEDUP_FLOOR = 5.0
@@ -266,8 +265,8 @@ def run_service_chaos(root: str, *,
         snapshot = registry.snapshot()
         counters = snapshot["counters"]
 
-        def total(name: str, **labels: str) -> float:
-            entry = counters.get(name)
+        def total(metric: catalogue.Metric, **labels: str) -> float:
+            entry = counters.get(metric.name)
             if entry is None:
                 return 0.0
             return sum(
@@ -276,13 +275,13 @@ def run_service_chaos(root: str, *,
                        for k, v in labels.items()))
 
         observed = {
-            "worker_crashes": total("dse_worker_crashes_total"),
-            "stalls": total(STALLS_METRIC[0]),
-            "cache_corrupt": total("service_cache_requests_total",
+            "worker_crashes": total(catalogue.DSE_WORKER_CRASHES),
+            "stalls": total(catalogue.DSE_WORKER_STALLS),
+            "cache_corrupt": total(catalogue.SERVICE_CACHE_REQUESTS,
                                    result="corrupt"),
-            "cache_quarantined": total("service_cache_quarantined_total"),
-            "recovered_jobs": total("service_recovered_jobs_total"),
-            "pool_shrinks": total(POOL_SHRINKS_METRIC[0]),
+            "cache_quarantined": total(catalogue.SERVICE_CACHE_QUARANTINED),
+            "recovered_jobs": total(catalogue.SERVICE_RECOVERED_JOBS),
+            "pool_shrinks": total(catalogue.DSE_POOL_SHRINKS),
         }
         phases.append(ChaosPhase(
             "obs-visibility",

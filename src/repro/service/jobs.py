@@ -63,7 +63,8 @@ from repro.errors import (
     ServiceError,
 )
 from repro.faults.seeds import derive_seed, make_rng
-from repro.obs import get_registry
+from repro.obs.catalogue import SERVICE_ACTIVE_JOBS, SERVICE_JOB_RETRIES, \
+    SERVICE_JOBS, SERVICE_RECOVERED_JOBS
 from repro.service.cache import EvaluationCache
 from repro.service.supervisor import SupervisedCampaignRunner
 
@@ -229,7 +230,7 @@ class CampaignService:
         job = JobRecord(job_id=f"job-{seq:04d}-{digest}", plan=plan,
                         seq=seq)
         self._save(job)
-        self._count_state("queued")
+        SERVICE_JOBS.inc(state="queued")
         return job.job_id
 
     def status(self, job_id: str) -> JobRecord:
@@ -291,7 +292,7 @@ class CampaignService:
                 f"{job.state}")
         job.state = "cancelled"
         self._save(job)
-        self._count_state("cancelled")
+        SERVICE_JOBS.inc(state="cancelled")
         return job
 
     # -- recovery -----------------------------------------------------------------
@@ -304,17 +305,12 @@ class CampaignService:
         the final result is byte-identical to an uninterrupted run.
         """
         recovered = []
-        registry = get_registry()
         for job in self.list_jobs():
             if job.state == "running":
                 job.state = "queued"
                 self._save(job)
                 recovered.append(job.job_id)
-                if registry.enabled:
-                    registry.counter(
-                        "service_recovered_jobs_total",
-                        "running jobs re-queued after a service "
-                        "crash/restart").inc()
+                SERVICE_RECOVERED_JOBS.inc()
         return recovered
 
     # -- execution ----------------------------------------------------------------
@@ -333,15 +329,12 @@ class CampaignService:
         return executed
 
     def _execute(self, job: JobRecord) -> JobRecord:
-        registry = get_registry()
         job.state = "running"
         job.attempts += 1
         job.error = None
         self._save(job)
-        self._count_state("running")
-        if registry.enabled:
-            registry.gauge("service_active_jobs",
-                           "jobs currently executing").inc()
+        SERVICE_JOBS.inc(state="running")
+        SERVICE_ACTIVE_JOBS.inc()
         try:
             retries = 0
             while True:
@@ -354,11 +347,7 @@ class CampaignService:
                     retries += 1
                     job.attempts += 1
                     self._save(job)
-                    if registry.enabled:
-                        registry.counter(
-                            "service_job_retries_total",
-                            "transparent job re-runs after transient "
-                            "infrastructure failures").inc()
+                    SERVICE_JOB_RETRIES.inc()
                     self.sleep_fn(backoff_delay(retries, self._retry_rng))
             self._finish(job, campaign)
         except JobTimeoutError as exc:
@@ -366,9 +355,7 @@ class CampaignService:
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             self._fail(job, f"{type(exc).__name__}: {exc}")
         finally:
-            if registry.enabled:
-                registry.gauge("service_active_jobs",
-                               "jobs currently executing").dec()
+            SERVICE_ACTIVE_JOBS.inc(-1)
         return job
 
     def _run_campaign(self, job: JobRecord) -> CampaignResult:
@@ -439,13 +426,13 @@ class CampaignService:
             "stalls": runner.stalls,
         }
         self._save(job)
-        self._count_state("completed")
+        SERVICE_JOBS.inc(state="completed")
 
     def _fail(self, job: JobRecord, error: str) -> None:
         job.state = "failed"
         job.error = error
         self._save(job)
-        self._count_state("failed")
+        SERVICE_JOBS.inc(state="failed")
 
     # -- internals ----------------------------------------------------------------
 
@@ -453,11 +440,3 @@ class CampaignService:
         write_atomic(self._job_path(job.job_id),
                      json.dumps(job.to_dict(), indent=2, sort_keys=True)
                      + "\n")
-
-    @staticmethod
-    def _count_state(state: str) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "service_jobs_total",
-                "job state transitions", ("state",)).inc(state=state)

@@ -80,6 +80,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import get_registry
+from repro.obs.catalogue import SIMULATOR_FALLBACK
 from repro.tta.fu import FunctionalUnit
 from repro.tta.memory import ProgramMemory
 from repro.tta.ports import Immediate, PortKind, PortRef, WORD_MASK
@@ -732,14 +733,6 @@ class CompiledSimulator(Simulator):
             reasons.append("transport_filter")
         return "+".join(reasons) if reasons else None
 
-    def _note_fallback(self, reason: str) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "simulator_fallback_total",
-                "compiled-backend runs that fell back to the interpreter",
-                ("reason",)).inc(reason=reason)
-
     # -- public API -------------------------------------------------------------
 
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES):
@@ -755,7 +748,7 @@ class CompiledSimulator(Simulator):
                 # only the interpreter's full commit scan retires those.
                 reason = "pending_state"
         if reason is not None:
-            self._note_fallback(reason)
+            SIMULATOR_FALLBACK.inc(reason=reason)
             self.metrics_backend = "interpreter"
             return super().run(max_cycles)
         self.metrics_backend = "compiled"

@@ -34,6 +34,8 @@ from typing import Deque, List, NoReturn, Optional, Tuple
 
 from repro.errors import CycleBudgetError
 from repro.obs import get_registry
+from repro.obs.catalogue import TTA_CYCLES, TTA_CYCLES_PER_SECOND, \
+    TTA_HAZARDS, TTA_MOVES, TTA_MOVES_PER_SECOND, TTA_RUN_SECONDS, TTA_RUNS
 from repro.tta.fu import FunctionalUnit
 from repro.tta.hazards import PC_WINDOW, loop_signature
 from repro.tta.instruction import Move
@@ -143,37 +145,17 @@ class Simulator:
         cycles = self.cycle - start_cycles
         moves = self.report.moves_executed - start_moves
         backend = self.metrics_backend
-        registry.counter(
-            "tta_runs_total", "completed Simulator.run calls",
-            ("backend",)).inc(backend=backend)
-        registry.counter(
-            "tta_cycles_total", "simulated clock cycles",
-            ("backend",)).inc(cycles, backend=backend)
-        registry.counter(
-            "tta_moves_total", "executed transports (moves)",
-            ("backend",)).inc(moves, backend=backend)
-        registry.histogram(
-            "tta_run_seconds", "wall-clock time per Simulator.run",
-            ("backend",)).observe(elapsed, backend=backend)
+        TTA_RUNS.inc(backend=backend)
+        TTA_CYCLES.inc(cycles, backend=backend)
+        TTA_MOVES.inc(moves, backend=backend)
+        TTA_RUN_SECONDS.observe(elapsed, backend=backend)
         if elapsed > 0:
-            registry.gauge(
-                "tta_cycles_per_second",
-                "simulation speed of the most recent run", ("backend",)
-            ).set(cycles / elapsed, backend=backend)
-            registry.gauge(
-                "tta_moves_per_second",
-                "transport throughput of the most recent run", ("backend",)
-            ).set(moves / elapsed, backend=backend)
-        hazard_counter = None
+            TTA_CYCLES_PER_SECOND.set(cycles / elapsed, backend=backend)
+            TTA_MOVES_PER_SECOND.set(moves / elapsed, backend=backend)
         for kind, count in self.report.hazards.items():
             delta = count - start_hazards.get(kind, 0)
-            if delta <= 0:
-                continue
-            if hazard_counter is None:
-                hazard_counter = registry.counter(
-                    "tta_hazards_total",
-                    "hazards detected during simulation", ("kind",))
-            hazard_counter.inc(delta, kind=kind)
+            if delta > 0:
+                TTA_HAZARDS.inc(delta, kind=kind)
 
     def run_cycles(self, count: int) -> SimulationReport:
         """Run exactly *count* cycles (or fewer if the program halts)."""

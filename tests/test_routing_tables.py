@@ -202,9 +202,9 @@ class TestEquivalence:
     def test_lookup_batch_matches_sequential_lookups(self, prefixes,
                                                      probe_values):
         """`lookup_batch` must report the same results, the same stats,
-        and the same per-address steps as per-address `lookup` — for
-        every implementation, including the sequential table's hashed
-        batch fast path."""
+        the same per-address steps and the same metrics as per-address
+        `lookup` — for every implementation, including the sequential
+        table's hashed batch fast path."""
         probes = [Ipv6Address(value) for value in probe_values]
         for kind in TABLE_KINDS:
             single, batched = (make_table(kind, capacity=64)
@@ -214,10 +214,25 @@ class TestEquivalence:
                                interface=i % 4)
                 single.insert(e)
                 batched.insert(e)
-            expected = [single.lookup(address) for address in probes]
-            got = batched.lookup_batch(probes)
+            one_by_one, in_batch = (MetricsRegistry(enabled=True)
+                                    for _ in range(2))
+            previous = set_registry(one_by_one)
+            try:
+                expected = [single.lookup(address) for address in probes]
+                set_registry(in_batch)
+                got = batched.lookup_batch(probes)
+            finally:
+                set_registry(previous)
             assert got == expected
             assert batched.stats == single.stats
+            assert in_batch.snapshot() == one_by_one.snapshot()
+            # one series per outcome that occurred, none for the other
+            lookups = in_batch.snapshot()["counters"]["routing_lookups_total"]
+            assert {sample["labels"]["outcome"]: sample["value"]
+                    for sample in lookups["values"]} == {
+                outcome: count for outcome, count in (
+                    ("hit", single.stats.hits), ("miss", single.stats.misses))
+                if count}
 
 
 class TestBalancedTree:
