@@ -6,7 +6,6 @@ sweep that is killed and resumed must render and serialise identically.
 """
 
 import json
-import os
 
 import pytest
 
@@ -191,9 +190,7 @@ class TestMetrics:
 
 
 class TestCli:
-    def test_cli_output_schema_valid(self, tmp_path):
-        import importlib.util
-
+    def test_cli_output_schema_valid(self, tmp_path, metrics_checker):
         from repro.cli import main
 
         output = tmp_path / "sweep.json"
@@ -205,15 +202,9 @@ class TestCli:
         assert len(document["cells"]) == 4
         assert "metrics" in document
 
-        spec = importlib.util.spec_from_file_location(
-            "check_metrics_schema",
-            os.path.join(os.path.dirname(__file__), os.pardir,
-                         "scripts", "check_metrics_schema.py"))
-        checker = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(checker)
-        with open(checker.SCHEMA_PATH, encoding="utf-8") as handle:
+        with open(metrics_checker.SCHEMA_PATH, encoding="utf-8") as handle:
             schema = json.load(handle)
-        assert checker.check(str(output), schema) == 0
+        assert metrics_checker.check(str(output), schema) == 0
 
     def test_cli_table1_extended_kinds_render(self, capsys):
         """`table1 --kinds all --prefixes N` runs the full simulation
