@@ -84,9 +84,6 @@ class Ipv6Datagram:
             return self.extension_headers[-1].next_header
         return self.header.next_header
 
-    def total_length(self) -> int:
-        return BASE_HEADER_BYTES + self.header.payload_length
-
     def forwarded(self) -> "Ipv6Datagram":
         """A copy with the hop limit decremented, as a router transmits it."""
         if self.header.hop_limit <= 1:

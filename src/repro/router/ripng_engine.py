@@ -368,9 +368,6 @@ class RipngEngine:
             return False
         return True
 
-    def active_routes(self) -> List[RipngRoute]:
-        return [r for r in self.routes.values() if not r.expired]
-
     def route_metric(self, prefix: Ipv6Prefix) -> Optional[int]:
         route = self.routes.get(prefix)
         if route is None or route.expired:

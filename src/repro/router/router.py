@@ -68,10 +68,6 @@ class RouterStatistics:
     def total_dropped(self) -> int:
         return sum(self.dropped.values())
 
-    @property
-    def total_control_rejected(self) -> int:
-        return sum(self.control_rejected.values())
-
 
 class Ipv6Router:
     """A complete software IPv6 router with a pluggable routing table."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
@@ -33,9 +32,6 @@ class RouteEntry:
         if not 0 <= self.route_tag <= 0xFFFF:
             raise RoutingTableError(f"route tag out of range: {self.route_tag}")
 
-    def is_directly_attached(self) -> bool:
-        return self.next_hop.is_unspecified()
-
     def __str__(self) -> str:
         return (f"{self.prefix} via {self.next_hop} "
                 f"dev {self.interface} metric {self.metric}")
@@ -62,12 +58,3 @@ class LookupResult:
     @property
     def prefix_length(self) -> int:
         return self.entry.prefix.length
-
-
-def more_specific(a: Optional[RouteEntry], b: Optional[RouteEntry]) -> Optional[RouteEntry]:
-    """The better LPM candidate of two (longer prefix wins; ties keep *a*)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return b if b.prefix.length > a.prefix.length else a

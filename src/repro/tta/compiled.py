@@ -12,13 +12,13 @@ hot loop runs with **zero per-move dispatch** — no dict lookups, no
 of every stock FU (counter, comparator, matcher, masker, shifter, mmu,
 checksum, liu, ippu, oppu, and the NC's jump/halt ports) are inlined
 into the generated code with *eager result application*: a latency-1
-operation's results are written to its result ports at trigger time
-instead of at the next cycle's commit. That is observationally identical
-because sources are read and guards are evaluated strictly before any
-write of the same cycle, and the next read happens after the cycle
-boundary where the interpreter's commit would have applied the same
-values — so these FUs never carry pending completions and the per-cycle
-commit scan disappears entirely. FUs this module cannot prove (custom
+operation's results are written to its result ports at trigger time,
+as :meth:`FunctionalUnit.finish` does in the interpreter (see the timing
+contract in :mod:`repro.tta.fu`). That is observationally identical to
+a commit at the start of the next cycle, because sources are read and
+guards are evaluated strictly before any write of the same cycle — so
+these FUs never carry pending completions and the per-cycle commit scan
+disappears entirely. FUs this module cannot prove (custom
 subclasses, the CAM RTU with its configurable search latency) keep the
 generic ``_execute`` + pending-queue path with an unrolled commit check.
 
@@ -208,11 +208,13 @@ def _emit_read(gen: _Codegen, lines: List[str], processor: TacoProcessor,
 # Each emitter writes the body of one stock FU's ``_execute`` *plus* the
 # commit that would apply its results, specialised for the trigger port,
 # directly into the step function. They run during the write phase of
-# cycle ``c``; the interpreter would apply the same port values, the same
-# ``valid_from_cycle`` (= c + 1) and the same result bit at the start of
-# cycle ``c + 1`` — and no read, guard or tick can observe the difference
-# in between. An emitter returns False to decline (unknown trigger port),
-# sending the caller to the generic pending-queue path.
+# cycle ``c`` and apply the same port values, the same
+# ``valid_from_cycle`` (= c + 1) and the same result bit that the
+# interpreter's ``FunctionalUnit.finish`` applies at the trigger; the
+# interpreter's commit serves only deferred completions (latency > 1, or
+# a result bit a tick may drive). An emitter returns False to decline
+# (unknown trigger port), sending the caller to the generic
+# pending-queue path.
 
 def _port_var(gen: _Codegen, fu: FunctionalUnit, port_name: str) -> str:
     return gen.bind(f"_p_{_ident(fu.name)}_{_ident(port_name)}",

@@ -78,7 +78,3 @@ class SlotPool:
     def load_datagram(self, slot_address: int) -> bytes:
         length = self.memory.load(slot_address)
         return self.memory.read_bytes(slot_address + SLOT_HEADER_WORDS, length)
-
-    def datagram_word(self, slot_address: int, word_offset: int) -> int:
-        """Word *word_offset* of the stored datagram (header fields)."""
-        return self.memory.load(slot_address + SLOT_HEADER_WORDS + word_offset)

@@ -8,8 +8,18 @@ Timing contract (shared with :mod:`repro.tta.simulator`):
   on a higher-numbered bus of the same instruction (operands and trigger
   latch on the same clock edge in hardware).
 * A trigger in cycle *k* on an FU with latency *L* makes its results (and
-  its NC result bit) readable from cycle *k + L* — the simulator commits
-  pending completions at the start of each cycle.
+  its NC result bit) readable from cycle *k + L*.
+* :meth:`FunctionalUnit.finish` applies a latency-1 completion at the
+  trigger, during cycle *k*'s write phase, unless the FU still has an
+  older completion pending, or the completion carries a result bit that
+  the FU's :meth:`tick` may drive (any FU that overrides ``tick`` and
+  does not declare ``tick_drives_result_bit = False``). Nothing reads a
+  port or a guard bit between the write phase and the start of cycle
+  *k + 1* except a ``tick`` (no stock ``_execute`` reads a result port),
+  so this is indistinguishable from applying it then. Every other
+  completion is queued, and the simulator commits it at the start of the
+  cycle it matures in; of the stock units only the CAM RTU, whose search
+  spans several cycles, gets there.
 * The paper's FUs all have ``latency = 1`` ("each FU has been designed to
   complete the execution of its function in one clock cycle"); only the
   CAM routing-table unit deviates, because its 40 ns search is a wall-clock
@@ -24,7 +34,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError, TtaError
-from repro.tta.ports import Port, PortKind, truncate
+from repro.tta.ports import WORD_MASK, Port, PortKind, truncate
 
 
 class FunctionalUnit:
@@ -35,6 +45,10 @@ class FunctionalUnit:
     kind: str = "fu"
     latency: int = 1
     pipelined: bool = True
+    #: whether an overridden :meth:`tick` may change :attr:`result_bit`;
+    #: a unit whose tick never does (the oppu) declares False, so its
+    #: latency-1 result bits apply at the trigger
+    tick_drives_result_bit: bool = True
 
     def __init__(self, name: str):
         self.name = name
@@ -43,6 +57,10 @@ class FunctionalUnit:
         self.result_bit = False
         self.trigger_count = 0
         self._pending: List[Tuple[int, Dict[str, int], Optional[bool]]] = []
+        #: whether this class has a real (non-base) :meth:`tick`
+        self.overrides_tick = type(self).tick is not FunctionalUnit.tick
+        self._eager_result_bit = not (self.overrides_tick and
+                                      self.tick_drives_result_bit)
         self._busy_until = 0
         self._declare_ports()
 
@@ -82,19 +100,22 @@ class FunctionalUnit:
 
     def write(self, port_name: str, value: int, cycle: int) -> None:
         """A move deposits *value* into a port during *cycle*."""
-        port = self.port(port_name)
-        if not port.writable():
+        self.write_port(self.port(port_name), value, cycle)
+
+    def write_port(self, port: Port, value: int, cycle: int) -> None:
+        """:meth:`write` for a port of this FU its caller already holds."""
+        if not port.is_writable:
             raise SimulationError(
-                f"cycle {cycle}: move writes read-only port {self.name}.{port_name}")
-        port.value = truncate(value)
-        if port.kind is PortKind.TRIGGER:
+                f"cycle {cycle}: move writes read-only port {self.name}.{port.name}")
+        value = port.value = value & WORD_MASK
+        if port.is_trigger:
             if not self.pipelined and cycle < self._busy_until:
                 raise SimulationError(
                     f"cycle {cycle}: structural hazard — {self.name} busy "
                     f"until cycle {self._busy_until}")
             self.trigger_count += 1
             self._busy_until = cycle + self.latency
-            self._execute(port_name, port.value, cycle)
+            self._execute(port.name, value, cycle)
 
     def read(self, port_name: str, cycle: int, strict: bool = False) -> int:
         port = self.port(port_name)
@@ -112,6 +133,16 @@ class FunctionalUnit:
                latency: Optional[int] = None) -> None:
         """Schedule *results* to appear ``latency`` cycles after *cycle*."""
         ready = cycle + (self.latency if latency is None else latency)
+        if ready == cycle + 1 and not self._pending and \
+                (result_bit is None or self._eager_result_bit):
+            # Eager: see the timing contract in the module docstring.
+            for port_name, value in results.items():
+                port = self.port(port_name)
+                port.value = value & WORD_MASK
+                port.valid_from_cycle = ready
+            if result_bit is not None:
+                self.result_bit = result_bit
+            return
         # Mark the affected result ports in-flight right away, so strict
         # simulation flags a read issued before the operation completes.
         for port_name in results:
@@ -120,7 +151,8 @@ class FunctionalUnit:
         self._pending.append((ready, results, result_bit))
 
     def commit(self, cycle: int) -> None:
-        """Apply completions that mature at or before *cycle* (call at cycle start)."""
+        """Apply queued completions that mature at or before *cycle*
+        (call at cycle start)."""
         if not self._pending:
             return
         remaining = []

@@ -26,6 +26,9 @@ from repro.tta.ports import PortKind
 
 class OutputPostprocessingUnit(FunctionalUnit):
     kind = "oppu"
+    #: the tick only drains the DMA queue; the result bit is the
+    #: trigger's alone
+    tick_drives_result_bit = False
 
     def __init__(self, name: str, line_cards: Sequence[LineCard],
                  slots: SlotPool):
@@ -70,9 +73,6 @@ class OutputPostprocessingUnit(FunctionalUnit):
         self.line_cards[iface].transmit(datagram)
         self.slots.release(pointer)
         self.datagrams_sent += 1
-
-    def backlog(self) -> int:
-        return len(self._queue)
 
     def reset(self) -> None:
         super().reset()

@@ -37,7 +37,8 @@ class PortKind(Enum):
 class Port:
     """A named latch on a functional unit."""
 
-    __slots__ = ("name", "kind", "value", "valid_from_cycle")
+    __slots__ = ("name", "kind", "value", "valid_from_cycle",
+                 "is_readable", "is_writable", "is_trigger")
 
     def __init__(self, name: str, kind: PortKind):
         self.name = name
@@ -46,12 +47,18 @@ class Port:
         #: first cycle at which the current value may legitimately be read;
         #: the strict simulator flags premature result reads with this.
         self.valid_from_cycle = 0
+        # The kind never changes, so the simulator's per-move checks read
+        # these flags instead of re-deriving them.
+        self.is_readable = kind in (PortKind.RESULT, PortKind.REGISTER)
+        self.is_writable = kind in (PortKind.OPERAND, PortKind.TRIGGER,
+                                    PortKind.REGISTER)
+        self.is_trigger = kind is PortKind.TRIGGER
 
     def readable(self) -> bool:
-        return self.kind in (PortKind.RESULT, PortKind.REGISTER)
+        return self.is_readable
 
     def writable(self) -> bool:
-        return self.kind in (PortKind.OPERAND, PortKind.TRIGGER, PortKind.REGISTER)
+        return self.is_writable
 
     def __repr__(self) -> str:
         return f"Port({self.name!r}, {self.kind.value}, value={self.value:#x})"

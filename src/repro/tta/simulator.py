@@ -2,9 +2,12 @@
 
 Per cycle, in order:
 
-1. **Commit** — every FU applies operation results that mature this cycle
-   (results triggered ``latency`` cycles ago become readable; result bits
-   to the NC update).
+1. **Commit** — FUs apply queued operation results that mature this
+   cycle (results triggered ``latency`` cycles ago become readable;
+   result bits to the NC update). Latency-1 results are normally not
+   queued: the FU applies them at the trigger (see :mod:`repro.tta.fu`),
+   so this step serves only deferred completions, such as a multi-cycle
+   CAM search.
 2. **Fetch** — the NC fetches the instruction at ``pc``.
 3. **Guard & read** — each move's guard is evaluated against the committed
    result bits; sources of all surviving moves are read (start-of-cycle
@@ -19,9 +22,10 @@ Steps 1 and 5 visit only the FUs that need it: commit runs on FUs with
 pending completions, and tick on FUs whose class overrides it.
 
 The first :meth:`Simulator.step` decodes every instruction once into
-slots whose FU references are already resolved, so the cycle loop does
-no name lookups; port semantics stay in :class:`FunctionalUnit`'s
-``read``/``write``/``commit``.
+slots whose FU and port references are already resolved, so the cycle
+loop does no name lookups. It reads a source port's value directly once
+the port's flags pass; a failing read and every write go through
+:class:`FunctionalUnit`, which raises the errors and runs the triggers.
 
 This mirrors the paper's SystemC simulator's role: functional verification
 plus total cycle count plus per-bus/per-FU utilisation.
@@ -40,7 +44,7 @@ from repro.tta.fu import FunctionalUnit
 from repro.tta.hazards import PC_WINDOW, loop_signature
 from repro.tta.instruction import Move
 from repro.tta.memory import ProgramMemory
-from repro.tta.ports import Immediate
+from repro.tta.ports import Immediate, Port
 from repro.tta.processor import TacoProcessor
 from repro.tta.stats import SimulationReport
 
@@ -54,16 +58,15 @@ DEFAULT_MAX_CYCLES = 2_000_000
 DEFAULT_RUN_MAX_CYCLES = 5_000_000
 
 #: one decoded move slot: (bus, move, guard FU or None, guard negate,
-#: source FU or None for an immediate, source port name or immediate
-#: value, destination FU, destination port name)
+#: source FU or None for an immediate, source port or immediate value,
+#: destination FU, destination port)
 Slot = Tuple[int, Move, Optional[FunctionalUnit], bool,
-             Optional[FunctionalUnit], object, FunctionalUnit, str]
+             Optional[FunctionalUnit], object, FunctionalUnit, Port]
 
 
 def tick_overriders(processor: TacoProcessor) -> List[FunctionalUnit]:
     """FUs with a real (non-base) tick, in processor order."""
-    return [fu for fu in processor.fus.values()
-            if type(fu).tick is not FunctionalUnit.tick]
+    return [fu for fu in processor.fus.values() if fu.overrides_tick]
 
 
 def raise_budget_exhausted(simulator: "Simulator", max_cycles: int,
@@ -192,8 +195,9 @@ class Simulator:
         # 3. guards + source reads
         move_hook = self.move_hook
         transport_filter = self.transport_filter
+        strict = self.strict
         issued: List[Tuple[int, Move, int, Optional[FunctionalUnit],
-                           str]] = []
+                           Port]] = []
         for (bus_index, move, guard_fu, negate, source_fu, source,
              fu, port) in decoded[pc]:
             # squashed when the result bit is false (or true, if negated)
@@ -207,8 +211,11 @@ class Simulator:
                 continue
             if source_fu is None:
                 value = source
-            else:
-                value = source_fu.read(source, cycle, strict=self.strict)
+            elif source.is_readable and not (
+                    strict and cycle < source.valid_from_cycle):
+                value = source.value
+            else:  # raises the write-only or not-yet-valid error
+                value = source_fu.read(source.name, cycle, strict=strict)
             if transport_filter is not None:
                 filtered, value = transport_filter(
                     cycle, pc, bus_index, move, value)
@@ -223,9 +230,8 @@ class Simulator:
         fu_triggers = report.fu_triggers
         for bus_index, move, value, fu, port in issued:
             if fu is None:
-                fu, _port = processor.resolve(move.destination)
-                port = move.destination.port
-            fu.write(port, value, cycle)
+                fu, port = processor.resolve(move.destination)
+            fu.write_port(port, value, cycle)
             report.moves_executed += 1
             busy[bus_index] += 1
             fu_triggers[fu.name] = fu.trigger_count
@@ -238,13 +244,14 @@ class Simulator:
         self.cycle = report.cycles = cycle + 1
 
     def _decode(self) -> Tuple[Tuple[Slot, ...], ...]:
-        """Resolve every move of the program to its FUs, once.
+        """Resolve every move of the program to its FUs and ports, once.
 
         Also seeds ``report.fu_triggers`` with every FU in processor
         order; :meth:`step` then updates only the FUs it writes, the only
         ones whose trigger count can change.
         """
-        fus = self.processor.fus
+        processor = self.processor
+        fus = processor.fus
         decoded = []
         for instruction in self.program:
             slots = []
@@ -255,17 +262,17 @@ class Simulator:
                 if isinstance(source, Immediate):
                     source_fu, source_operand = None, source.value
                 else:
-                    source_fu, source_operand = fus[source.fu], source.port
+                    source_fu, source_operand = processor.resolve(source)
                 slots.append((
                     bus_index, move,
                     None if guard is None else fus[guard.fu],
                     guard is not None and guard.negate,
                     source_fu, source_operand,
-                    fus[move.destination.fu], move.destination.port))
+                    *processor.resolve(move.destination)))
             decoded.append(tuple(slots))
         self._decoded = tuple(decoded)
         self._all_fus = tuple(fus.values())
-        self._tick_fus = tuple(tick_overriders(self.processor))
+        self._tick_fus = tuple(tick_overriders(processor))
         for name, fu in fus.items():
             self.report.fu_triggers[name] = fu.trigger_count
         return self._decoded

@@ -323,15 +323,13 @@ class TestFallback:
         sim._compiled = compiled
         assert compiled.untracked_fus, \
             "expected at least one eagerly-applied FU on this machine"
-        # drive the *interpreter* loop until an eager FU holds an
-        # uncommitted completion, then ask the compiled path to continue
-        found = False
-        for _ in range(200):
-            sim.step()
-            if any(fu._pending for fu in compiled.untracked_fus):
-                found = True
-                break
-        assert found, "no pending state arose in 200 interpreted cycles"
+        # step the *interpreter* loop, leave a latency-2 completion on an
+        # FU the schedule does not commit (the interpreter applies
+        # latency-1 results at the trigger, so stepping alone leaves
+        # none), then ask the compiled path to continue
+        sim.step()
+        compiled.untracked_fus[0].finish(sim.cycle, {}, latency=2)
+        assert any(fu._pending for fu in compiled.untracked_fus)
         report = sim.run(max_cycles=DEFAULT_RUN_MAX_CYCLES)
         assert report.halted
         assert sim.metrics_backend == "interpreter"

@@ -97,13 +97,25 @@ def test_every_entry_has_a_publishing_site():
                 with open(os.path.join(root, file), encoding="utf-8") as f:
                     sources.append(f.read())
     text = "\n".join(sources)
-    publish = r"\.(?:inc|set|observe)\("
+    # One scan: ``name.inc(``/``.set(``/``.observe(`` publishes name, and
+    # ``alias = NAME`` (optionally annotated) binds alias to NAME. The
+    # lookahead leaves NAME unconsumed, so ``a = b = NAME`` and
+    # ``x = NAME.inc(`` are both seen.
+    published, aliases = set(), {}
+    for match in re.finditer(
+            r"\b(\w+)(?:\.(?:inc|set|observe)\(|(?:: \w+)? = (?=(\w+)\b))",
+            text):
+        name, target = match.groups()
+        if target is None:
+            published.add(name)
+        else:
+            aliases.setdefault(target, []).append(name)
     for attribute, value in vars(catalogue).items():
         if not isinstance(value, catalogue.Metric):
             continue
-        aliases = re.findall(rf"(\w+)(?:: \w+)? = {attribute}\b", text)
-        assert any(re.search(rf"\b{name}{publish}", text)
-                   for name in [attribute, *aliases]), attribute
+        assert any(name in published
+                   for name in [attribute, *aliases.get(attribute, ())]), \
+            attribute
 
 
 def test_every_entry_is_module_level_and_unique():

@@ -269,6 +269,205 @@ class TestStructure:
         assert report.bus_utilization == pytest.approx(4 / 6)
 
 
+class MixedLatencyUnit(FunctionalUnit):
+    """``t_slow`` completes after ``slow_latency`` cycles, ``t_fast``
+    after one; both drive ``r`` and an odd-value result bit."""
+
+    kind = "mixed"
+
+    def __init__(self, name, slow_latency):
+        self.slow_latency = slow_latency
+        super().__init__(name)
+
+    def _declare_ports(self):
+        self.add_port("t_slow", PortKind.TRIGGER)
+        self.add_port("t_fast", PortKind.TRIGGER)
+        self.add_port("r", PortKind.RESULT)
+
+    def _execute(self, trigger_port, value, cycle):
+        latency = self.slow_latency if trigger_port == "t_slow" else 1
+        self.finish(cycle, {"r": value}, result_bit=value % 2 == 1,
+                    latency=latency)
+
+
+class TickingUnit(FunctionalUnit):
+    """Its trigger completes with the result bit set; every tick clears
+    the bit, as a DMA engine driving its own NC wire would."""
+
+    kind = "ticking"
+
+    def _declare_ports(self):
+        self.add_port("t", PortKind.TRIGGER)
+
+    def _execute(self, trigger_port, value, cycle):
+        self.finish(cycle, {}, result_bit=True)
+
+    def tick(self, cycle):
+        self.result_bit = False
+
+
+class TestEagerCompletion:
+    """Latency-1 results apply at the trigger, indistinguishably from a
+    commit at the start of the next cycle; everything else is queued."""
+
+    @staticmethod
+    def simulator(processor, instructions):
+        processor.reset()
+        return Simulator(processor, ProgramMemory([
+            *instructions,
+            Instruction.of([Move(I(0), P("nc", "halt"))],
+                           processor.bus_count)]))
+
+    def test_latency1_result_readable_from_next_cycle(self):
+        processor = make_processor()
+        sim = self.simulator(processor, [
+            Instruction.of([Move(I(3), P("cnt0", "o"))], 2),
+            Instruction.of([Move(I(4), P("cnt0", "t_add"))], 2),  # cycle 1
+            Instruction.of([Move(P("cnt0", "r"), P("gpr", "r0"))], 2),
+        ])
+        sim.run_cycles(2)
+        counter = processor.fu("cnt0")
+        result = counter.ports["r"]
+        # the trigger cycle + 1, as a next-cycle commit would set it
+        assert (result.value, result.valid_from_cycle) == (7, 2)
+        assert counter._pending == []
+        sim.run()  # the strict read in cycle 2 passes
+        assert processor.fu("gpr").ports["r0"].value == 7
+
+    def test_strict_read_one_cycle_early_raises(self):
+        counter = Counter("cnt9")
+        counter.write("o", 3, cycle=5)
+        counter.write("t_add", 4, cycle=5)
+        with pytest.raises(SimulationError,
+                           match="cycle 5: cnt9.r not valid until cycle 6"):
+            counter.read("r", 5, strict=True)
+        assert counter.read("r", 6, strict=True) == 7
+
+        processor = make_processor(extra=[MixedLatencyUnit("mix0", 2)])
+        sim = self.simulator(processor, [
+            Instruction.of([Move(I(5), P("mix0", "t_slow"))], 2),
+            Instruction.of([Move(P("mix0", "r"), P("gpr", "r0"))], 2),
+        ])
+        with pytest.raises(SimulationError,
+                           match="cycle 1: mix0.r not valid until cycle 2"):
+            sim.run()
+
+    def test_queued_completions_apply_in_schedule_order(self):
+        # latency 2 in cycle 0 and latency 1 in cycle 1 both mature in
+        # cycle 2: the newer one wins, value and result bit alike
+        processor = make_processor(extra=[MixedLatencyUnit("mix0", 2)])
+        sim = self.simulator(processor, [
+            Instruction.of([Move(I(5), P("mix0", "t_slow"))], 2),
+            Instruction.of([Move(I(8), P("mix0", "t_fast"))], 2),
+            Instruction.of([Move(P("mix0", "r"), P("gpr", "r0")),
+                            Move(I(1), P("gpr", "r1"), Guard("mix0"))], 2),
+        ])
+        sim.run()
+        gpr = processor.fu("gpr")
+        assert gpr.ports["r0"].value == 8
+        assert gpr.ports["r1"].value == 0  # 8 is even: the move squashed
+
+    def test_older_completion_maturing_later_overwrites_newer(self):
+        # latency 3 in cycle 0 matures in cycle 3, after the latency-1
+        # completion issued in cycle 1 (visible in cycle 2)
+        processor = make_processor(extra=[MixedLatencyUnit("mix0", 3)])
+        sim = self.simulator(processor, [
+            Instruction.of([Move(I(5), P("mix0", "t_slow"))], 2),
+            Instruction.of([Move(I(8), P("mix0", "t_fast"))], 2),
+            Instruction.of([Move(P("mix0", "r"), P("gpr", "r0"))], 2),
+            Instruction.of([Move(P("mix0", "r"), P("gpr", "r1"))], 2),
+        ])
+        sim.run()
+        gpr = processor.fu("gpr")
+        assert (gpr.ports["r0"].value, gpr.ports["r1"].value) == (8, 5)
+        result = processor.fu("mix0").ports["r"]
+        assert (result.value, result.valid_from_cycle) == (5, 3)
+
+    def test_ticking_unit_result_bit_stays_deferred(self):
+        # deferred, the trigger's bit lands after cycle 0's tick cleared
+        # it; applied at the trigger, the tick would clear it first
+        processor = make_processor(extra=[TickingUnit("tick0")])
+        sim = self.simulator(processor, [
+            Instruction.of([Move(I(0), P("tick0", "t"))], 2),
+            Instruction.of([Move(I(1), P("gpr", "r0"), Guard("tick0"))], 2),
+        ])
+        sim.run_cycles(1)
+        assert processor.fu("tick0")._pending
+        sim.run()
+        assert processor.fu("gpr").ports["r0"].value == 1
+
+    def test_default_table1_queues_only_multicycle_searches(self,
+                                                             monkeypatch):
+        # Every stock unit is latency 1; only the CAM rows' searches,
+        # at the latency their clock fixed point derives, are queued.
+        from repro import api
+
+        step = Simulator.step
+        steps, pending = [0], set()
+
+        def checked_step(sim):
+            step(sim)
+            steps[0] += 1
+            pending.update(
+                (fu.name, getattr(fu, "search_latency", fu.latency))
+                for fu in sim.processor.fus.values() if fu._pending)
+
+        monkeypatch.setattr(Simulator, "step", checked_step)
+        rows = api.table1(backend="interpreter")
+        assert len(rows) == 9
+        assert steps[0] > 0
+        assert {name for name, _ in pending} == {"rtu0"}
+        assert min(latency for _, latency in pending) > 1
+
+
+class SlowTriggerUnit(FunctionalUnit):
+    """Non-pipelined 3-cycle unit."""
+
+    kind = "slow"
+    latency = 3
+    pipelined = False
+
+    def _declare_ports(self):
+        self.add_port("t", PortKind.TRIGGER)
+        self.add_port("r", PortKind.RESULT)
+
+    def _execute(self, trigger_port, value, cycle):
+        self.finish(cycle, {"r": value + 1})
+
+
+class TestDecodedPortChecks:
+    """The decoded step keeps every port check's cycle and message."""
+
+    @pytest.mark.parametrize("moves, message", [
+        ([[Move(I(1), P("cnt0", "r"))]],
+         "cycle 0: move writes read-only port cnt0.r"),
+        ([[Move(P("cnt0", "o"), P("gpr", "r0"))]],
+         "cycle 0: move reads write-only port cnt0.o"),
+        ([[Move(I(4), P("slow0", "t"))],
+          [Move(P("slow0", "r"), P("gpr", "r0"))]],
+         "cycle 1: slow0.r not valid until cycle 3"),
+        ([[Move(I(4), P("slow0", "t"))], [Move(I(5), P("slow0", "t"))]],
+         "cycle 1: structural hazard — slow0 busy until cycle 3"),
+    ])
+    def test_error_cycle_and_message(self, moves, message):
+        processor = make_processor(extra=[SlowTriggerUnit("slow0")])
+        with pytest.raises(SimulationError) as raised:
+            run(processor, [Instruction.of(row, 2) for row in moves])
+        assert str(raised.value) == message
+
+    def test_redirected_destination_is_checked(self):
+        processor = make_processor()
+        processor.reset()
+        sim = Simulator(processor, ProgramMemory([
+            Instruction.of([Move(I(1), P("gpr", "r0"))], 2)]))
+        sim.transport_filter = lambda cycle, pc, bus, move, value: (
+            Move(move.source, P("cnt0", "r")), value)
+        with pytest.raises(SimulationError,
+                           match="cycle 0: move writes read-only port "
+                                 "cnt0.r"):
+            sim.step()
+
+
 class TestNonPipelinedHazard:
     def test_structural_hazard_detected(self):
         class SlowUnit(FunctionalUnit):
