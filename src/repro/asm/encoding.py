@@ -65,9 +65,9 @@ class EncodingScheme:
             for port_name in sorted(fu.ports):
                 port = fu.ports[port_name]
                 ref = PortRef(name, port_name)
-                if port.readable():
+                if port.is_readable:
                     sources.append(ref)
-                if port.writable():
+                if port.is_writable:
                     destinations.append(ref)
             guards.append(Guard(name, negate=False))
             guards.append(Guard(name, negate=True))

@@ -209,7 +209,7 @@ class DatapathFaultInjector:
         fu, _port = self._processor.resolve(move.destination)
         candidates = sorted(
             name for name, port in fu.ports.items()
-            if port.writable() and name != move.destination.port)
+            if port.is_writable and name != move.destination.port)
         if not candidates:
             return None
         wrong = candidates[rng.randrange(len(candidates))]

@@ -186,7 +186,7 @@ def _emit_read(gen: _Codegen, lines: List[str], processor: TacoProcessor,
         return repr(source.value)
     assert isinstance(source, PortRef)
     fu, port = processor.resolve(source)
-    if not port.readable():
+    if not port.is_readable:
         lines.append(
             f'{indent}raise SimulationError(f"cycle {{cycle}}: move reads '
             f'write-only port {fu.name}.{port.name}")')
@@ -210,9 +210,10 @@ def _emit_read(gen: _Codegen, lines: List[str], processor: TacoProcessor,
 # directly into the step function. They run during the write phase of
 # cycle ``c`` and apply the same port values, the same
 # ``valid_from_cycle`` (= c + 1) and the same result bit that the
-# interpreter's ``FunctionalUnit.finish`` applies at the trigger; the
-# interpreter's commit serves only deferred completions (latency > 1, or
-# a result bit a tick may drive). An emitter returns False to decline
+# interpreter's ``FunctionalUnit.finish`` applies at the trigger. The
+# interpreter defers only the oppu's result bit, because the oppu
+# overrides ``tick``; its tick never touches that bit, so applying it at
+# the trigger is still unobservable. An emitter returns False to decline
 # (unknown trigger port), sending the caller to the generic
 # pending-queue path.
 
@@ -472,7 +473,7 @@ def _emit_write(gen: _Codegen, lines: List[str], processor: TacoProcessor,
     anything else lands in *tracked* and keeps the pending-queue path.
     """
     fu, port = processor.resolve(move.destination)
-    if not port.writable():
+    if not port.is_writable:
         lines.append(
             f'{indent}raise SimulationError(f"cycle {{cycle}}: move writes '
             f'read-only port {fu.name}.{port.name}")')

@@ -11,15 +11,14 @@ Timing contract (shared with :mod:`repro.tta.simulator`):
   its NC result bit) readable from cycle *k + L*.
 * :meth:`FunctionalUnit.finish` applies a latency-1 completion at the
   trigger, during cycle *k*'s write phase, unless the FU still has an
-  older completion pending, or the completion carries a result bit that
-  the FU's :meth:`tick` may drive (any FU that overrides ``tick`` and
-  does not declare ``tick_drives_result_bit = False``). Nothing reads a
-  port or a guard bit between the write phase and the start of cycle
+  older completion pending, or the completion carries a result bit and
+  the FU overrides :meth:`tick` (which may drive that bit). Nothing reads
+  a port or a guard bit between the write phase and the start of cycle
   *k + 1* except a ``tick`` (no stock ``_execute`` reads a result port),
   so this is indistinguishable from applying it then. Every other
   completion is queued, and the simulator commits it at the start of the
-  cycle it matures in; of the stock units only the CAM RTU, whose search
-  spans several cycles, gets there.
+  cycle it matures in; of the stock units, only the CAM RTU's
+  multi-cycle searches and the oppu's result bits get there.
 * The paper's FUs all have ``latency = 1`` ("each FU has been designed to
   complete the execution of its function in one clock cycle"); only the
   CAM routing-table unit deviates, because its 40 ns search is a wall-clock
@@ -34,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError, TtaError
-from repro.tta.ports import WORD_MASK, Port, PortKind, truncate
+from repro.tta.ports import WORD_MASK, Port, PortKind
 
 
 class FunctionalUnit:
@@ -45,10 +44,6 @@ class FunctionalUnit:
     kind: str = "fu"
     latency: int = 1
     pipelined: bool = True
-    #: whether an overridden :meth:`tick` may change :attr:`result_bit`;
-    #: a unit whose tick never does (the oppu) declares False, so its
-    #: latency-1 result bits apply at the trigger
-    tick_drives_result_bit: bool = True
 
     def __init__(self, name: str):
         self.name = name
@@ -59,8 +54,6 @@ class FunctionalUnit:
         self._pending: List[Tuple[int, Dict[str, int], Optional[bool]]] = []
         #: whether this class has a real (non-base) :meth:`tick`
         self.overrides_tick = type(self).tick is not FunctionalUnit.tick
-        self._eager_result_bit = not (self.overrides_tick and
-                                      self.tick_drives_result_bit)
         self._busy_until = 0
         self._declare_ports()
 
@@ -119,7 +112,7 @@ class FunctionalUnit:
 
     def read(self, port_name: str, cycle: int, strict: bool = False) -> int:
         port = self.port(port_name)
-        if not port.readable():
+        if not port.is_readable:
             raise SimulationError(
                 f"cycle {cycle}: move reads write-only port {self.name}.{port_name}")
         if strict and cycle < port.valid_from_cycle:
@@ -134,14 +127,9 @@ class FunctionalUnit:
         """Schedule *results* to appear ``latency`` cycles after *cycle*."""
         ready = cycle + (self.latency if latency is None else latency)
         if ready == cycle + 1 and not self._pending and \
-                (result_bit is None or self._eager_result_bit):
+                (result_bit is None or not self.overrides_tick):
             # Eager: see the timing contract in the module docstring.
-            for port_name, value in results.items():
-                port = self.port(port_name)
-                port.value = value & WORD_MASK
-                port.valid_from_cycle = ready
-            if result_bit is not None:
-                self.result_bit = result_bit
+            self._apply(ready, results, result_bit)
             return
         # Mark the affected result ports in-flight right away, so strict
         # simulation flags a read issued before the operation completes.
@@ -159,15 +147,20 @@ class FunctionalUnit:
         # Apply in schedule order so a newer completion overwrites an older one.
         for ready, results, bit in self._pending:
             if ready <= cycle:
-                for port_name, value in results.items():
-                    port = self.port(port_name)
-                    port.value = truncate(value)
-                    port.valid_from_cycle = ready
-                if bit is not None:
-                    self.result_bit = bit
+                self._apply(ready, results, bit)
             else:
                 remaining.append((ready, results, bit))
         self._pending = remaining
+
+    def _apply(self, ready: int, results: Dict[str, int],
+               bit: Optional[bool]) -> None:
+        """Make one completion's results and result bit visible."""
+        for port_name, value in results.items():
+            port = self.port(port_name)
+            port.value = value & WORD_MASK
+            port.valid_from_cycle = ready
+        if bit is not None:
+            self.result_bit = bit
 
     def in_flight(self, cycle: int) -> bool:
         """True while an operation triggered earlier has not completed."""

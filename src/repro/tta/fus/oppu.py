@@ -26,9 +26,6 @@ from repro.tta.ports import PortKind
 
 class OutputPostprocessingUnit(FunctionalUnit):
     kind = "oppu"
-    #: the tick only drains the DMA queue; the result bit is the
-    #: trigger's alone
-    tick_drives_result_bit = False
 
     def __init__(self, name: str, line_cards: Sequence[LineCard],
                  slots: SlotPool):

@@ -54,12 +54,6 @@ class Port:
                                     PortKind.REGISTER)
         self.is_trigger = kind is PortKind.TRIGGER
 
-    def readable(self) -> bool:
-        return self.is_readable
-
-    def writable(self) -> bool:
-        return self.is_writable
-
     def __repr__(self) -> str:
         return f"Port({self.name!r}, {self.kind.value}, value={self.value:#x})"
 

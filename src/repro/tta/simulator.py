@@ -6,8 +6,8 @@ Per cycle, in order:
    cycle (results triggered ``latency`` cycles ago become readable;
    result bits to the NC update). Latency-1 results are normally not
    queued: the FU applies them at the trigger (see :mod:`repro.tta.fu`),
-   so this step serves only deferred completions, such as a multi-cycle
-   CAM search.
+   so this step serves only deferred completions: a multi-cycle CAM
+   search, or a result bit on a unit that overrides ``tick``.
 2. **Fetch** — the NC fetches the instruction at ``pc``.
 3. **Guard & read** — each move's guard is evaluated against the committed
    result bits; sources of all surviving moves are read (start-of-cycle

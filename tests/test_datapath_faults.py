@@ -196,7 +196,7 @@ class TestSiteSelection:
             assert out_move.destination.port != move.destination.port
             assert out_value == original  # data lands intact, elsewhere
             _, port = processor.resolve(out_move.destination)
-            assert port.writable()
+            assert port.is_writable
         assert all(f.site == "socket" for f in injector.faults)
 
     def test_at_most_one_fault_per_transport(self):

@@ -308,7 +308,8 @@ class TickingUnit(FunctionalUnit):
 
 class TestEagerCompletion:
     """Latency-1 results apply at the trigger, indistinguishably from a
-    commit at the start of the next cycle; everything else is queued."""
+    commit at the start of the next cycle; everything else, including a
+    result bit on a unit that overrides ``tick``, is queued."""
 
     @staticmethod
     def simulator(processor, instructions):
@@ -396,10 +397,11 @@ class TestEagerCompletion:
         sim.run()
         assert processor.fu("gpr").ports["r0"].value == 1
 
-    def test_default_table1_queues_only_multicycle_searches(self,
+    def test_default_table1_queues_only_deferred_completions(self,
                                                              monkeypatch):
-        # Every stock unit is latency 1; only the CAM rows' searches,
-        # at the latency their clock fixed point derives, are queued.
+        # Every stock unit is latency 1, so only two kinds of completion
+        # are queued: the CAM rows' searches, at the latency their clock
+        # fixed point derives, and the result bit of the ticking oppu.
         from repro import api
 
         step = Simulator.step
@@ -409,15 +411,18 @@ class TestEagerCompletion:
             step(sim)
             steps[0] += 1
             pending.update(
-                (fu.name, getattr(fu, "search_latency", fu.latency))
-                for fu in sim.processor.fus.values() if fu._pending)
+                (fu.name, getattr(fu, "search_latency", fu.latency),
+                 fu.overrides_tick and bit is not None)
+                for fu in sim.processor.fus.values()
+                for _ready, _results, bit in fu._pending)
 
         monkeypatch.setattr(Simulator, "step", checked_step)
         rows = api.table1(backend="interpreter")
         assert len(rows) == 9
         assert steps[0] > 0
-        assert {name for name, _ in pending} == {"rtu0"}
-        assert min(latency for _, latency in pending) > 1
+        assert {name for name, _, _ in pending} == {"rtu0", "oppu0"}
+        assert all(latency > 1 or ticking_bit
+                   for _, latency, ticking_bit in pending)
 
 
 class SlowTriggerUnit(FunctionalUnit):
