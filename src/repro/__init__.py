@@ -19,23 +19,14 @@ Quick start (the stable facade — prefer it over deep module paths)::
 
 __version__ = "1.1.0"
 
-import importlib
+from repro._lazy import lazy_exports
 
-from repro.errors import ReproError
-
-__all__ = [
-    "api",
-    "evaluate", "table1", "explore", "run_chaos", "render_table1",
-    "metrics", "metrics_registry", "render_metrics",
-    "ArchitectureConfiguration", "EvaluationResult", "ExplorationOutcome",
-    "ResilienceReport", "Table1Row",
-    "ReproError", "__version__",
-]
-
-
-def __getattr__(name: str):
-    """Load :mod:`repro.api` on first use, not on every subpackage's."""
-    if name not in __all__:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    api = importlib.import_module("repro.api")
-    return api if name == "api" else getattr(api, name)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".api": ("api", "evaluate", "table1", "explore", "run_chaos",
+             "render_table1", "metrics", "metrics_registry",
+             "render_metrics", "ArchitectureConfiguration",
+             "EvaluationResult", "ExplorationOutcome", "ResilienceReport",
+             "Table1Row"),
+    ".errors": ("ReproError",),
+})
+__all__.append("__version__")

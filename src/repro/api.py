@@ -34,15 +34,16 @@ byte-identical to sequential output, and the crash-safe
 ``journal``/``resume`` options work the same either way.
 
 The ``taco-explore`` command line (:mod:`repro.cli`) is a thin argparse
-layer over this module: it calls nothing else.
+layer over this module: it calls nothing else. Importing this module
+loads the Table-1 engine only; every other subsystem is imported by
+the function, or on the first lookup of the name, that needs it.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.conformance import ConformanceReport
-from repro.conformance import run_conformance as _run_conformance
+from repro._lazy import lazy_exports
 from repro.dse.campaign import (
     CampaignPolicy,
     CampaignResult,
@@ -51,6 +52,10 @@ from repro.dse.campaign import (
 )
 from repro.dse.config import (
     ALL_TABLE_KINDS,
+    DEFAULT_MEMORY_FLIPS,
+    DEFAULT_MEMORY_LOOKUPS,
+    DEFAULT_RATE,
+    DEFAULT_TRIALS,
     TABLE_KINDS,
     ArchitectureConfiguration,
 )
@@ -59,66 +64,35 @@ from repro.dse.evaluator import (
     ArchitectureEvaluator,
     EvaluationResult,
 )
-from repro.dse.explorer import ExplorationOutcome, GreedyExplorer
-from repro.dse.pareto import DesignConstraints
-from repro.dse.sdc import (
-    DEFAULT_MEMORY_FLIPS,
-    DEFAULT_MEMORY_LOOKUPS,
-    DEFAULT_RATE,
-    DEFAULT_TRIALS,
-    MemorySweepResult,
-    MemorySweepRunner,
-    SdcSweepResult,
-    SdcSweepRunner,
-)
-from repro.dse.lookup_sweep import (
-    DEFAULT_LOOKUPS,
-    DEFAULT_PREFIX_COUNTS,
-    LookupSweepResult,
-    LookupSweepRunner,
-)
-from repro.dse.space import DesignSpace
-from repro.dse.sweep import write_atomic
+from repro.dse.sweep import SupervisionPolicy, write_atomic
 from repro.dse.table1 import (
     Table1Row,
     render_table1,
     shape_checks,
     table1_to_dict,
 )
-from repro.faults.control import (
-    ATTACK_KINDS,
-    AssaultReport,
-    ControlPlaneAssault,
-)
-from repro.faults.flaps import FlapSchedule
-from repro.faults.scenario import ChaosScenario, ResilienceReport
-from repro.reporting import describe_machine, render_hazard_summary, to_dot
-from repro.pcap import (
-    ReplayReport,
-    attach_taps,
-    merged_capture,
-    read_pcap,
-    write_pcap,
-)
-from repro.pcap import replay as _replay
 from repro.obs import MetricsRegistry, get_registry, render_snapshot
 from repro.programs.machine import build_machine
 from repro.programs.runner import RunOptions
 from repro.tta.backends import BACKEND_AUTO, BACKENDS
-from repro.router.network import (
-    Network,
-    RipngRun,
-    line_topology,
-    ring_topology,
-    seed_fib_routes,
-)
-from repro.service import (
-    CampaignService,
-    JobRecord,
-    ServiceChaosReport,
-    SupervisionPolicy,
-    run_service_chaos,
-)
+
+# Every subcommand runs the Table-1 engine imported above; the names
+# below belong to other subsystems and load on first lookup.
+__getattr__, __dir__, _SUBSYSTEM_NAMES = lazy_exports(__name__, {
+    "repro.conformance": ("ConformanceReport",),
+    "repro.dse.explorer": ("ExplorationOutcome",),
+    "repro.dse.lookup_sweep": ("LookupSweepResult",),
+    "repro.dse.pareto": ("DesignConstraints",),
+    "repro.dse.sdc": ("MemorySweepResult", "SdcSweepResult"),
+    "repro.dse.space": ("DesignSpace",),
+    "repro.faults.control": ("AssaultReport",),
+    "repro.faults.flaps": ("FlapSchedule",),
+    "repro.faults.scenario": ("ResilienceReport",),
+    "repro.pcap": ("ReplayReport",),
+    "repro.reporting": ("render_hazard_summary",),
+    "repro.router.network": ("RipngRun",),
+    "repro.service": ("CampaignService", "JobRecord", "ServiceChaosReport"),
+})
 
 __all__ = [
     "evaluate",
@@ -141,7 +115,6 @@ __all__ = [
     "metrics",
     "metrics_registry",
     "render_metrics",
-    "render_hazard_summary",
     "render_table1",
     "shape_checks",
     "table1_to_dict",
@@ -152,25 +125,11 @@ __all__ = [
     "TABLE_KINDS",
     "ArchitectureConfiguration",
     "CampaignResult",
-    "CampaignService",
-    "DesignConstraints",
-    "DesignSpace",
     "EvaluationResult",
-    "ExplorationOutcome",
-    "FlapSchedule",
-    "AssaultReport",
-    "ConformanceReport",
-    "JobRecord",
-    "LookupSweepResult",
-    "ReplayReport",
-    "MemorySweepResult",
-    "ResilienceReport",
-    "RipngRun",
     "RunOptions",
-    "SdcSweepResult",
-    "ServiceChaosReport",
     "SupervisionPolicy",
     "Table1Row",
+    *_SUBSYSTEM_NAMES,
 ]
 
 
@@ -289,6 +248,11 @@ def lookup_sweep(*, kinds=None,
     parallel, resumed, and sequential sweeps produce byte-identical
     output.
     """
+    from repro.dse.lookup_sweep import (
+        DEFAULT_LOOKUPS,
+        DEFAULT_PREFIX_COUNTS,
+        LookupSweepRunner,
+    )
     runner = LookupSweepRunner(
         kinds=kinds,
         prefix_counts=prefix_counts or DEFAULT_PREFIX_COUNTS,
@@ -326,6 +290,9 @@ def explore_campaign(*, space: Optional[DesignSpace] = None,
     outcome is byte-identical whatever *jobs* is. ``journal``/``resume``
     behave as in :func:`table1_campaign`.
     """
+    from repro.dse.explorer import GreedyExplorer
+    from repro.dse.pareto import DesignConstraints
+    from repro.dse.space import DesignSpace
     runner = _campaign(entries=entries, packets=packets, hazards=hazards,
                        backend=backend, jobs=jobs, journal=journal,
                        resume=resume, cycle_budget=cycle_budget)
@@ -339,6 +306,7 @@ def describe(config: ArchitectureConfiguration, *,
              fmt: str = "text") -> str:
     """The top-level description of *config*'s processor instance: a
     datasheet (``fmt="text"``) or a Graphviz graph (``fmt="dot"``)."""
+    from repro.reporting import describe_machine, to_dot
     machine = build_machine(config)
     return to_dot(machine) if fmt == "dot" else describe_machine(machine)
 
@@ -349,6 +317,11 @@ def _network(topology: str, routers: int, prefixes: Optional[int] = None,
     sized for the whole synthesized FIB plus the prefixes the topology
     itself originates, and the FIB is originated across the routers
     before anything runs, so convergence spreads a realistic table."""
+    from repro.router.network import (
+        line_topology,
+        ring_topology,
+        seed_fib_routes,
+    )
     builders = {"line": line_topology, "ring": ring_topology}
     if topology not in builders:
         raise ValueError(f"unknown topology {topology!r}; "
@@ -373,6 +346,8 @@ def ripng(*, topology: str = "line",
     and writes the run's frames to that path as a classic pcap, which
     :func:`replay_pcap` can replay.
     """
+    from repro.pcap import attach_taps, merged_capture, write_pcap
+    from repro.router.network import RipngRun
     network = _network(topology, routers, prefixes, fib_seed)
     taps = attach_taps(network) if capture else None
     report = network.run_until_converged()
@@ -401,6 +376,7 @@ def run_chaos(*, topology: str = "line",
     originates a synthesized FIB across the routers first, as in
     :func:`ripng`.
     """
+    from repro.faults.scenario import ChaosScenario
     scenario = ChaosScenario.uniform(
         _network(topology, routers, prefixes, fib_seed), seed=seed,
         drop=drop, corrupt=corrupt, duplicate=duplicate, reorder=reorder,
@@ -431,7 +407,8 @@ def conformance(*, table_kind: str = "sequential",
     ``"balanced-tree"``; *mutant* names a deliberately broken router or
     program (the suite must then fail, with case-level diagnosis).
     """
-    return _run_conformance(
+    from repro.conformance import run_conformance
+    return run_conformance(
         table_kind=_TABLE_ALIASES.get(table_kind, table_kind),
         config=config, mac=mac, mutant=mutant, datapath=datapath)
 
@@ -450,6 +427,7 @@ def run_assault(*, topology: str = "line",
     asserts graceful degradation: no exceptions, no poisoned routes
     installed, reconvergence, and every attack visible in drop counters.
     """
+    from repro.faults.control import ATTACK_KINDS, ControlPlaneAssault
     assault = ControlPlaneAssault(
         _network(topology, routers), victim=victim, seed=seed,
         kinds=tuple(kinds) if kinds else ATTACK_KINDS,
@@ -462,7 +440,8 @@ def replay_pcap(path: str, *,
                 interface: int = 0) -> ReplayReport:
     """Replay a classic pcap capture through the conformance fixture,
     measuring per-packet latency (published as obs percentiles)."""
-    return _replay(read_pcap(path),
+    from repro.pcap import read_pcap, replay
+    return replay(read_pcap(path),
                    table_kind=_TABLE_ALIASES.get(table_kind, table_kind),
                    interface=interface)
 
@@ -494,6 +473,7 @@ def sdc_sweep(configs, *,
     parallel, resumed, and sequential sweeps produce byte-identical
     output.
     """
+    from repro.dse.sdc import SdcSweepRunner
     runner = SdcSweepRunner(
         entries=entries, packet_batch=packets, sites=sites,
         trials=trials, rate=rate, seed=seed, max_faults=max_faults,
@@ -529,6 +509,7 @@ def memory_sdc_sweep(*, kinds=None,
     :func:`sdc_sweep`: sequential, parallel, and resumed sweeps are
     byte-identical.
     """
+    from repro.dse.sdc import MemorySweepRunner
     runner = MemorySweepRunner(
         kinds=kinds, protections=protections, prefixes=prefixes,
         lookups=lookups, trials=trials, flips=flips, seed=seed,
@@ -563,6 +544,7 @@ def campaign_service(root: str, *,
     the job's journal — fetched results are byte-identical to an
     uninterrupted sequential run.
     """
+    from repro.service import CampaignService
     return CampaignService(
         root, jobs=jobs, cache=cache, seed=seed,
         supervision=SupervisionPolicy(heartbeat_seconds=heartbeat,
@@ -582,6 +564,7 @@ def service_chaos(root: Optional[str] = None, *,
     against a clean sequential run, plus a warm-cache speedup floor.
     *root* defaults to a fresh temporary directory.
     """
+    from repro.service import run_service_chaos
     if root is None:
         import tempfile
         root = tempfile.mkdtemp(prefix="repro-service-chaos-")

@@ -1,38 +1,16 @@
 """TACO assembly toolchain: IR, optimiser, bus scheduler, assembler."""
 
-from repro.asm.assembler import assemble, format_ir, format_program, parse_assembly
-from repro.asm.encoding import (
-    EncodingScheme,
-    decode_program,
-    describe_format,
-    encode_program,
-)
-from repro.asm.ir import (
-    BasicBlock,
-    IrProgram,
-    ProgramBuilder,
-    SymbolicMove,
-    sequential_moves,
-)
-from repro.asm.optimizer import (
-    bypass,
-    eliminate_dead_writes,
-    optimize,
-    share_operands,
-)
-from repro.asm.scheduler import (
-    BusScheduler,
-    ScheduledBlock,
-    ScheduledProgram,
-    instructions_from_schedule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "assemble", "format_ir", "format_program", "parse_assembly",
-    "EncodingScheme", "decode_program", "describe_format", "encode_program",
-    "BasicBlock", "IrProgram", "ProgramBuilder", "SymbolicMove",
-    "sequential_moves",
-    "bypass", "eliminate_dead_writes", "optimize", "share_operands",
-    "BusScheduler", "ScheduledBlock", "ScheduledProgram",
-    "instructions_from_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".assembler": ("assemble", "format_ir", "format_program",
+                   "parse_assembly"),
+    ".encoding": ("EncodingScheme", "decode_program", "describe_format",
+                  "encode_program"),
+    ".ir": ("BasicBlock", "IrProgram", "ProgramBuilder", "SymbolicMove",
+            "sequential_moves"),
+    ".optimizer": ("bypass", "eliminate_dead_writes", "optimize",
+                   "share_operands"),
+    ".scheduler": ("BusScheduler", "ScheduledBlock", "ScheduledProgram",
+                   "instructions_from_schedule"),
+})

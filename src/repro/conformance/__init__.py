@@ -8,78 +8,19 @@ cycle-accurate TTA datapath against the golden model. Run it via
 ``conformance`` CLI subcommand.
 """
 
-from repro.conformance.cases import (
-    ConformanceCase,
-    DEST_CLASSES,
-    EXPECT_DEST_UNREACHABLE,
-    EXPECT_FORWARD,
-    EXPECT_LINK_DROP,
-    EXPECT_TIME_EXCEEDED,
-    HOP_LIMITS,
-    PACKET_KINDS,
-    build_fixture,
-    build_matrix,
-    build_packet,
-    expected_verdict,
-    fixture_routes,
-    neighbor_macs,
-)
-from repro.conformance.harness import (
-    CaseResult,
-    ConformanceReport,
-    STATUS_FAIL,
-    STATUS_PASS,
-    STATUS_SKIP,
-    datapath_packets,
-    run_case,
-    run_conformance,
-    run_datapath_check,
-)
-from repro.conformance.mac import (
-    ETHERTYPE_IPV6,
-    EthernetFrame,
-    MacAddress,
-    MacShim,
-    default_port_macs,
-)
-from repro.conformance.mutations import (
-    MUTANTS,
-    PROGRAM_MUTANTS,
-    apply_mutant,
-    no_decrement_program,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CaseResult",
-    "ConformanceCase",
-    "ConformanceReport",
-    "DEST_CLASSES",
-    "ETHERTYPE_IPV6",
-    "EXPECT_DEST_UNREACHABLE",
-    "EXPECT_FORWARD",
-    "EXPECT_LINK_DROP",
-    "EXPECT_TIME_EXCEEDED",
-    "EthernetFrame",
-    "HOP_LIMITS",
-    "MUTANTS",
-    "MacAddress",
-    "MacShim",
-    "PACKET_KINDS",
-    "PROGRAM_MUTANTS",
-    "STATUS_FAIL",
-    "STATUS_PASS",
-    "STATUS_SKIP",
-    "apply_mutant",
-    "build_fixture",
-    "build_matrix",
-    "build_packet",
-    "datapath_packets",
-    "default_port_macs",
-    "expected_verdict",
-    "fixture_routes",
-    "neighbor_macs",
-    "no_decrement_program",
-    "run_case",
-    "run_conformance",
-    "run_datapath_check",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cases": ("ConformanceCase", "DEST_CLASSES", "EXPECT_DEST_UNREACHABLE",
+               "EXPECT_FORWARD", "EXPECT_LINK_DROP", "EXPECT_TIME_EXCEEDED",
+               "HOP_LIMITS", "PACKET_KINDS", "build_fixture",
+               "build_matrix", "build_packet", "expected_verdict",
+               "fixture_routes", "neighbor_macs"),
+    ".harness": ("CaseResult", "ConformanceReport", "STATUS_FAIL",
+                 "STATUS_PASS", "STATUS_SKIP", "datapath_packets",
+                 "run_case", "run_conformance", "run_datapath_check"),
+    ".mac": ("ETHERTYPE_IPV6", "EthernetFrame", "MacAddress", "MacShim",
+             "default_port_macs"),
+    ".mutations": ("MUTANTS", "PROGRAM_MUTANTS", "apply_mutant",
+                   "no_decrement_program"),
+})

@@ -1,78 +1,28 @@
 """Design-space exploration: configurations, evaluation, Table 1, search."""
 
-from repro.dse.campaign import (
-    CampaignPolicy,
-    CampaignResult,
-    CampaignRunner,
-    EvaluationFailure,
-    PoisonedEvaluator,
-    config_from_dict,
-    config_key,
-    config_to_dict,
-    evaluate_guarded,
-    generate_table1,
-    run_table1_campaign,
-)
-from repro.dse.config import (
-    ArchitectureConfiguration,
-    PAPER_CONFIGURATIONS,
-    paper_configurations,
-)
-from repro.dse.evaluator import ArchitectureEvaluator, EvaluationResult
-from repro.dse.explorer import (
-    ExhaustiveExplorer,
-    ExplorationOutcome,
-    GreedyExplorer,
-)
-from repro.dse.lookup_sweep import (
-    LookupCell,
-    LookupSweepResult,
-    LookupSweepRunner,
-    plan_cells,
-)
-from repro.dse.pareto import DesignConstraints, pareto_front, select_best
-from repro.dse.sdc import (
-    SdcSweepResult,
-    SdcSweepRunner,
-    SdcTrial,
-    plan_trials,
-    vulnerability_row,
-)
-from repro.dse.protocols import (
-    BatchEvaluator,
-    supports_batching,
-)
-from repro.dse.protocols import Evaluator as EvaluatorProtocol
-from repro.dse.space import DesignSpace, paper_space
-from repro.dse.sweep import (
-    JournaledSweep,
-    load_journal,
-    write_atomic,
-    write_atomic_bytes,
-)
-from repro.dse.table1 import (
-    PAPER_TABLE1,
-    Table1Row,
-    render_table1,
-    shape_checks,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignPolicy", "CampaignResult", "CampaignRunner",
-    "EvaluationFailure", "PoisonedEvaluator", "load_journal",
-    "run_table1_campaign", "write_atomic", "write_atomic_bytes",
-    "config_from_dict", "config_key", "config_to_dict", "evaluate_guarded",
-    "ArchitectureConfiguration", "PAPER_CONFIGURATIONS",
-    "paper_configurations",
-    "ArchitectureEvaluator", "EvaluationResult",
-    "EvaluatorProtocol", "BatchEvaluator", "supports_batching",
-    "ExhaustiveExplorer", "ExplorationOutcome", "GreedyExplorer",
-    "JournaledSweep",
-    "LookupCell", "LookupSweepResult", "LookupSweepRunner", "plan_cells",
-    "SdcSweepResult", "SdcSweepRunner", "SdcTrial",
-    "plan_trials", "vulnerability_row",
-    "DesignConstraints", "pareto_front", "select_best",
-    "DesignSpace", "paper_space",
-    "PAPER_TABLE1", "Table1Row", "generate_table1", "render_table1",
-    "shape_checks",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".campaign": ("CampaignPolicy", "CampaignResult", "CampaignRunner",
+                  "EvaluationFailure", "PoisonedEvaluator",
+                  "config_from_dict", "config_key", "config_to_dict",
+                  "evaluate_guarded", "generate_table1",
+                  "run_table1_campaign"),
+    ".config": ("ArchitectureConfiguration", "PAPER_CONFIGURATIONS",
+                "paper_configurations"),
+    ".evaluator": ("ArchitectureEvaluator", "EvaluationResult"),
+    ".explorer": ("ExhaustiveExplorer", "ExplorationOutcome",
+                  "GreedyExplorer"),
+    ".lookup_sweep": ("LookupCell", "LookupSweepResult", "LookupSweepRunner",
+                      "plan_cells"),
+    ".pareto": ("DesignConstraints", "pareto_front", "select_best"),
+    ".sdc": ("SdcSweepResult", "SdcSweepRunner", "SdcTrial", "plan_trials",
+             "vulnerability_row"),
+    ".protocols": ("BatchEvaluator", "EvaluatorProtocol",
+                   "supports_batching"),
+    ".space": ("DesignSpace", "paper_space"),
+    ".sweep": ("JournaledSweep", "load_journal", "write_atomic",
+               "write_atomic_bytes"),
+    ".table1": ("PAPER_TABLE1", "Table1Row", "render_table1",
+                "shape_checks"),
+})

@@ -28,6 +28,15 @@ ALL_TABLE_KINDS = TABLE_KINDS + EXTENDED_TABLE_KINDS
 #: forwarding program triggers one search instead of walking memory)
 HARDWARE_SEARCH_KINDS = ("cam", "multibit-trie", "bloom")
 
+#: soft-error sweep defaults (:mod:`repro.dse.sdc`): trials per fault
+#: site, the datapath flip rate, and each stored-FIB trial's lookups and
+#: flips. They live here so that the facade's signatures carry them
+#: without loading the sweep.
+DEFAULT_TRIALS = 8
+DEFAULT_RATE = 0.002
+DEFAULT_MEMORY_LOOKUPS = 200
+DEFAULT_MEMORY_FLIPS = 1
+
 
 @dataclass(frozen=True)
 class ArchitectureConfiguration:

@@ -52,6 +52,10 @@ class Evaluator(Protocol):
         ...
 
 
+#: the name :mod:`repro.dse` exports :class:`Evaluator` under
+EvaluatorProtocol = Evaluator
+
+
 @runtime_checkable
 class BatchEvaluator(Protocol):
     """An :class:`Evaluator` that can also evaluate many configurations

@@ -39,7 +39,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dse.campaign import config_key, config_to_dict
-from repro.dse.config import ArchitectureConfiguration
+from repro.dse.config import (
+    DEFAULT_MEMORY_FLIPS,
+    DEFAULT_MEMORY_LOOKUPS,
+    DEFAULT_RATE,
+    DEFAULT_TRIALS,
+    ArchitectureConfiguration,
+)
 from repro.dse.sweep import JOURNAL_VERSION, JournaledSweep, failed_record
 from repro.errors import CampaignError, ReproError
 from repro.estimation.lookup import estimate_protection_overhead
@@ -59,11 +65,6 @@ from repro.verify.oracle import (
 from repro.workload import generate_routes, worst_case_workload
 from repro.workload.fib import synthesize_fib, zipf_addresses
 
-DEFAULT_TRIALS = 8
-DEFAULT_RATE = 0.002
-
-DEFAULT_MEMORY_LOOKUPS = 200
-DEFAULT_MEMORY_FLIPS = 1
 DEFAULT_FIB_SEED = 2026
 DEFAULT_TRAFFIC_SEED = 77
 

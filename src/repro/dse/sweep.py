@@ -43,16 +43,12 @@ message)``, ``_publish(record)``, and its own result assembly.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import random
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CampaignError, WorkerCrashError, WorkerStallError
 from repro.faults.seeds import derive_seed, make_rng
@@ -60,6 +56,10 @@ from repro.obs.catalogue import DSE_BACKOFF_SECONDS, DSE_CHUNK_SECONDS, \
     DSE_CHUNKS_DISPATCHED, DSE_INFLIGHT_CHUNKS, DSE_POOL_SHRINKS, \
     DSE_POOL_SIZE, DSE_RESUMED, DSE_WORKER_CRASHES, DSE_WORKER_STALLS, \
     DSE_WORKER_UTILIZATION, Metric
+
+if TYPE_CHECKING:  # annotations only; the pool path imports them itself
+    from concurrent.futures import Future
+    from concurrent.futures.process import ProcessPoolExecutor
 
 JOURNAL_VERSION = 1
 
@@ -199,6 +199,7 @@ def failed_record(identity: Dict[str, object], error: str,
 def default_start_method() -> str:
     """``fork`` where available (cheap, inherits the imported package);
     otherwise the platform default."""
+    import multiprocessing
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else methods[0]
 
@@ -382,6 +383,8 @@ class JournaledSweep:
             os.fsync(handle.fileno())
 
     # -- pool orchestration -------------------------------------------------------
+    # These methods import multiprocessing and concurrent.futures where
+    # they use them, so a sweep that never pools never loads either.
 
     def _run_pool(self, pending: List[_Entry]) -> None:
         """Drive *pending* to completion across pool generations.
@@ -414,6 +417,7 @@ class JournaledSweep:
         pool is shut down: a finished chunk is persisted, and every item
         of an unfinished one is probed in its place.
         """
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
         chunks = self._chunked(pending)
         #: reorder buffer: chunk index -> records, until its turn comes
         finished: Dict[int, List[Dict[str, object]]] = {}
@@ -507,6 +511,8 @@ class JournaledSweep:
         the stall deadline is terminated and recorded as a
         :class:`WorkerStallError` failure.
         """
+        from concurrent.futures import BrokenExecutor
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
         deadline = self._stall_deadline()
         timeout = None if deadline is None else 2 * deadline
         pool = self._pool(1)
@@ -534,6 +540,8 @@ class JournaledSweep:
         self._persist(key, record)
 
     def _pool(self, workers: int) -> ProcessPoolExecutor:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
         initializer, initargs = self._context_spec()
         return ProcessPoolExecutor(
             max_workers=workers,

@@ -1,35 +1,15 @@
 """System-level physical estimation (the paper's Matlab-model role)."""
 
-from repro.estimation.area import AreaBreakdown, estimate_area
-from repro.estimation.frequency import (
-    CALIBRATION_PACKET_BYTES,
-    LINE_RATE_BPS,
-    ThroughputConstraint,
-    packet_rate,
-    required_clock_hz,
-)
-from repro.estimation.lookup import (
-    LOOKUP_COST_MODELS,
-    PROTECTION_WORD_BITS,
-    LookupCostParameters,
-    LookupEstimate,
-    estimate_lookup_point,
-    estimate_protection_overhead,
-)
-from repro.estimation.power import PowerBreakdown, estimate_power
-from repro.estimation.technology import (
-    MAX_CLOCK_HZ,
-    feasible,
-    gate_sizing_factor,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AreaBreakdown", "estimate_area",
-    "PowerBreakdown", "estimate_power",
-    "ThroughputConstraint", "packet_rate", "required_clock_hz",
-    "CALIBRATION_PACKET_BYTES", "LINE_RATE_BPS",
-    "MAX_CLOCK_HZ", "feasible", "gate_sizing_factor",
-    "LOOKUP_COST_MODELS", "LookupCostParameters", "LookupEstimate",
-    "estimate_lookup_point",
-    "PROTECTION_WORD_BITS", "estimate_protection_overhead",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".area": ("AreaBreakdown", "estimate_area"),
+    ".frequency": ("CALIBRATION_PACKET_BYTES", "LINE_RATE_BPS",
+                   "ThroughputConstraint", "packet_rate",
+                   "required_clock_hz"),
+    ".lookup": ("LOOKUP_COST_MODELS", "PROTECTION_WORD_BITS",
+                "LookupCostParameters", "LookupEstimate",
+                "estimate_lookup_point", "estimate_protection_overhead"),
+    ".power": ("PowerBreakdown", "estimate_power"),
+    ".technology": ("MAX_CLOCK_HZ", "feasible", "gate_sizing_factor"),
+})

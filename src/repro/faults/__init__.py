@@ -14,54 +14,21 @@ TTA simulator, feeding the differential oracle in :mod:`repro.verify`.
 All randomness derives from one root seed via :mod:`repro.faults.seeds`.
 """
 
-from repro.faults.control import (
-    ATTACK_KINDS,
-    AdversarialRipngAdvertiser,
-    AssaultReport,
-    ControlPlaneAssault,
-    control_plane_drops,
-)
-from repro.faults.datapath import (
-    FAULT_SITES,
-    DatapathFault,
-    DatapathFaultInjector,
-)
-from repro.faults.flaps import FlapEvent, FlapSchedule
-from repro.faults.memory import (
-    ENTRY_BITS,
-    ENTRY_BYTES,
-    MEMORY_SITES,
-    MemoryFault,
-    MemoryFaultInjector,
-    corrupt_entry,
-    pack_entry,
-    unpack_entry_raw,
-)
-from repro.faults.model import FaultModel, FaultStatistics
-from repro.faults.process import (
-    ChaosEvaluatorFactory,
-    corrupt_file,
-    truncate_file,
-)
-from repro.faults.scenario import (
-    ChaosScenario,
-    ResilienceReport,
-    advertised_prefixes,
-)
-from repro.faults.seeds import SEED_STRIDE, derive_seed, make_rng, spread_seed
-from repro.faults.watchdog import SimulationWatchdog, WatchdogDiagnosis
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ATTACK_KINDS", "AdversarialRipngAdvertiser", "AssaultReport",
-    "ControlPlaneAssault", "control_plane_drops",
-    "FAULT_SITES", "DatapathFault", "DatapathFaultInjector",
-    "FlapEvent", "FlapSchedule",
-    "ENTRY_BITS", "ENTRY_BYTES", "MEMORY_SITES",
-    "MemoryFault", "MemoryFaultInjector",
-    "corrupt_entry", "pack_entry", "unpack_entry_raw",
-    "FaultModel", "FaultStatistics",
-    "ChaosEvaluatorFactory", "corrupt_file", "truncate_file",
-    "ChaosScenario", "ResilienceReport", "advertised_prefixes",
-    "SEED_STRIDE", "derive_seed", "make_rng", "spread_seed",
-    "SimulationWatchdog", "WatchdogDiagnosis",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".control": ("ATTACK_KINDS", "AdversarialRipngAdvertiser",
+                 "AssaultReport", "ControlPlaneAssault",
+                 "control_plane_drops"),
+    ".datapath": ("FAULT_SITES", "DatapathFault", "DatapathFaultInjector"),
+    ".flaps": ("FlapEvent", "FlapSchedule"),
+    ".memory": ("ENTRY_BITS", "ENTRY_BYTES", "MEMORY_SITES", "MemoryFault",
+                "MemoryFaultInjector", "corrupt_entry", "pack_entry",
+                "unpack_entry_raw"),
+    ".model": ("FaultModel", "FaultStatistics"),
+    ".process": ("ChaosEvaluatorFactory", "corrupt_file", "truncate_file"),
+    ".scenario": ("ChaosScenario", "ResilienceReport",
+                  "advertised_prefixes"),
+    ".seeds": ("SEED_STRIDE", "derive_seed", "make_rng", "spread_seed"),
+    ".watchdog": ("SimulationWatchdog", "WatchdogDiagnosis"),
+})

@@ -6,45 +6,19 @@ processor model in :mod:`repro.tta` operates on the byte images these
 classes produce.
 """
 
-from repro.ipv6.address import Ipv6Address, Ipv6Prefix, prefix_mask
-from repro.ipv6.checksum import (
-    internet_checksum,
-    ones_complement_sum,
-    transport_checksum,
-    verify_transport_checksum,
-)
-from repro.ipv6.header import (
-    BASE_HEADER_BYTES,
-    PROTO_HOP_BY_HOP,
-    PROTO_ICMPV6,
-    PROTO_NO_NEXT_HEADER,
-    PROTO_TCP,
-    PROTO_UDP,
-    ExtensionHeader,
-    Ipv6Header,
-)
-from repro.ipv6.icmpv6 import Icmpv6Message, destination_unreachable, time_exceeded
-from repro.ipv6.packet import Ipv6Datagram, ValidationFailure, validate_for_forwarding
-from repro.ipv6.ripng import (
-    RIPNG_MULTICAST_GROUP,
-    RIPNG_PORT,
-    METRIC_INFINITY,
-    NextHopEntry,
-    RipngMessage,
-    RouteTableEntry,
-)
-from repro.ipv6.udp import UdpDatagram
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Ipv6Address", "Ipv6Prefix", "prefix_mask",
-    "internet_checksum", "ones_complement_sum",
-    "transport_checksum", "verify_transport_checksum",
-    "BASE_HEADER_BYTES", "PROTO_HOP_BY_HOP", "PROTO_ICMPV6",
-    "PROTO_NO_NEXT_HEADER", "PROTO_TCP", "PROTO_UDP",
-    "ExtensionHeader", "Ipv6Header",
-    "Icmpv6Message", "destination_unreachable", "time_exceeded",
-    "Ipv6Datagram", "ValidationFailure", "validate_for_forwarding",
-    "RIPNG_MULTICAST_GROUP", "RIPNG_PORT", "METRIC_INFINITY",
-    "NextHopEntry", "RipngMessage", "RouteTableEntry",
-    "UdpDatagram",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".address": ("Ipv6Address", "Ipv6Prefix", "prefix_mask"),
+    ".checksum": ("internet_checksum", "ones_complement_sum",
+                  "transport_checksum", "verify_transport_checksum"),
+    ".header": ("BASE_HEADER_BYTES", "PROTO_HOP_BY_HOP", "PROTO_ICMPV6",
+                "PROTO_NO_NEXT_HEADER", "PROTO_TCP", "PROTO_UDP",
+                "ExtensionHeader", "Ipv6Header"),
+    ".icmpv6": ("Icmpv6Message", "destination_unreachable", "time_exceeded"),
+    ".packet": ("Ipv6Datagram", "ValidationFailure",
+                "validate_for_forwarding"),
+    ".ripng": ("RIPNG_MULTICAST_GROUP", "RIPNG_PORT", "METRIC_INFINITY",
+               "NextHopEntry", "RipngMessage", "RouteTableEntry"),
+    ".udp": ("UdpDatagram",),
+})

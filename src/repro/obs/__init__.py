@@ -11,26 +11,10 @@ every ``--output`` JSON, the ``taco-explore metrics`` subcommand, and
 Opt out with ``REPRO_NO_METRICS=1`` or ``get_registry().disable()``.
 """
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    METRICS_ENV,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    render_snapshot,
-    set_registry,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "METRICS_ENV",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "render_snapshot",
-    "set_registry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".metrics": ("DEFAULT_BUCKETS", "METRICS_ENV", "Counter", "Gauge",
+                 "Histogram", "MetricsRegistry", "get_registry",
+                 "render_snapshot", "set_registry"),
+})

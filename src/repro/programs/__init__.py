@@ -1,32 +1,14 @@
 """TACO application programs: the tuned per-instance forwarding code."""
 
-from repro.programs.cycle_model import (
-    FittedCycleModel,
-    crossover_entries,
-    fit_cycle_model,
-    fit_paper_models,
-    measure_cycles,
-)
-from repro.programs.forwarding import (
-    ForwardingProgramFactory,
-    MODE_BENCH,
-    MODE_ROUTER,
-    build_forwarding_program,
-)
-from repro.programs.machine import RouterMachine, build_machine
-from repro.programs.runner import (
-    ForwardingRunResult,
-    RunOptions,
-    expected_forwarding,
-    run_forwarding,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FittedCycleModel", "crossover_entries", "fit_cycle_model",
-    "fit_paper_models", "measure_cycles",
-    "ForwardingProgramFactory", "MODE_BENCH", "MODE_ROUTER",
-    "build_forwarding_program",
-    "RouterMachine", "build_machine",
-    "ForwardingRunResult", "RunOptions", "expected_forwarding",
-    "run_forwarding",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cycle_model": ("FittedCycleModel", "crossover_entries",
+                     "fit_cycle_model", "fit_paper_models",
+                     "measure_cycles"),
+    ".forwarding": ("ForwardingProgramFactory", "MODE_BENCH", "MODE_ROUTER",
+                    "build_forwarding_program"),
+    ".machine": ("RouterMachine", "build_machine"),
+    ".runner": ("ForwardingRunResult", "RunOptions", "expected_forwarding",
+                "run_forwarding"),
+})

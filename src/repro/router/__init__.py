@@ -1,21 +1,11 @@
 """The IPv6 router: line cards, golden forwarding model, RIPng, topologies."""
 
-from repro.router.linecard import LineCard
-from repro.router.network import (
-    ConvergenceReport,
-    Link,
-    Network,
-    line_topology,
-    ring_topology,
-    seed_fib_routes,
-)
-from repro.router.ripng_engine import RipngEngine, RipngRoute
-from repro.router.router import Ipv6Router, RouterStatistics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LineCard",
-    "ConvergenceReport", "Link", "Network", "line_topology", "ring_topology",
-    "seed_fib_routes",
-    "RipngEngine", "RipngRoute",
-    "Ipv6Router", "RouterStatistics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".linecard": ("LineCard",),
+    ".network": ("ConvergenceReport", "Link", "Network", "line_topology",
+                 "ring_topology", "seed_fib_routes"),
+    ".ripng_engine": ("RipngEngine", "RipngRoute"),
+    ".router": ("Ipv6Router", "RouterStatistics"),
+})

@@ -16,36 +16,36 @@ million-prefix FIBs (see the CRAM-lens blueprint in PAPERS.md):
   parallel Bloom-filter bank (~1 expected memory access per lookup).
 """
 
-from repro.routing.balanced_tree import BalancedTreeRoutingTable
-from repro.routing.base import DEFAULT_CAPACITY, RoutingTable, TableStatistics
-from repro.routing.bloom import BloomRoutingTable
-from repro.routing.cam import CAM_SEARCH_TIME_NS, CamPhysicalModel, CamRoutingTable
-from repro.routing.entry import LookupResult, RouteEntry
-from repro.routing.memimage import (
-    ENTRY_BITS,
-    ENTRY_BYTES,
-    corrupt_entry,
-    pack_entry,
-    unpack_entry_raw,
-)
-from repro.routing.multibit_trie import MultibitTrieRoutingTable
-from repro.routing.protected import (
-    PROTECTION_MODES,
-    CorruptionEvent,
-    ProtectedRoutingTable,
-)
-from repro.routing.sequential import SequentialRoutingTable
+from repro._lazy import lazy_exports
+from repro.routing import base
 
-TABLE_KINDS = {
-    SequentialRoutingTable.kind: SequentialRoutingTable,
-    BalancedTreeRoutingTable.kind: BalancedTreeRoutingTable,
-    CamRoutingTable.kind: CamRoutingTable,
-    MultibitTrieRoutingTable.kind: MultibitTrieRoutingTable,
-    BloomRoutingTable.kind: BloomRoutingTable,
+#: the table implementations, each exporting its class first
+_KINDS = {
+    ".sequential": ("SequentialRoutingTable",),
+    ".balanced_tree": ("BalancedTreeRoutingTable",),
+    ".cam": ("CamRoutingTable", "CamPhysicalModel", "CAM_SEARCH_TIME_NS"),
+    ".multibit_trie": ("MultibitTrieRoutingTable",),
+    ".bloom": ("BloomRoutingTable",),
 }
 
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    **_KINDS,
+    ".base": ("RoutingTable", "TableStatistics", "DEFAULT_CAPACITY"),
+    ".entry": ("LookupResult", "RouteEntry"),
+    ".memimage": ("ENTRY_BITS", "ENTRY_BYTES", "corrupt_entry", "pack_entry",
+                  "unpack_entry_raw"),
+    ".protected": ("PROTECTION_MODES", "CorruptionEvent",
+                   "ProtectedRoutingTable"),
+})
+__all__ += ["TABLE_KINDS", "make_table"]
 
-def make_table(kind: str, capacity: int = DEFAULT_CAPACITY) -> RoutingTable:
+#: every table class by its ``kind`` string
+TABLE_KINDS = {cls.kind: cls for cls in (
+    __getattr__(names[0]) for names in _KINDS.values())}
+
+
+def make_table(kind: str,
+               capacity: int = base.DEFAULT_CAPACITY) -> base.RoutingTable:
     """Factory over the implementations by their ``kind`` string."""
     try:
         cls = TABLE_KINDS[kind]
@@ -54,15 +54,3 @@ def make_table(kind: str, capacity: int = DEFAULT_CAPACITY) -> RoutingTable:
             f"unknown routing table kind {kind!r}; "
             f"choose from {sorted(TABLE_KINDS)}") from None
     return cls(capacity=capacity)
-
-
-__all__ = [
-    "BalancedTreeRoutingTable", "CamRoutingTable", "SequentialRoutingTable",
-    "MultibitTrieRoutingTable", "BloomRoutingTable",
-    "CamPhysicalModel", "CAM_SEARCH_TIME_NS",
-    "RoutingTable", "TableStatistics", "DEFAULT_CAPACITY",
-    "LookupResult", "RouteEntry", "TABLE_KINDS", "make_table",
-    "ENTRY_BITS", "ENTRY_BYTES",
-    "corrupt_entry", "pack_entry", "unpack_entry_raw",
-    "PROTECTION_MODES", "CorruptionEvent", "ProtectedRoutingTable",
-]

@@ -18,34 +18,13 @@ library you call; this package turns it into a *service* you submit to:
   (:func:`run_service_chaos`).
 """
 
-from repro.service.cache import CACHE_VERSION, EvaluationCache, \
-    record_checksum
-from repro.service.chaos import ChaosPhase, ServiceChaosReport, \
-    run_service_chaos
-from repro.service.jobs import (
-    JOB_STATES,
-    PLAN_KINDS,
-    CampaignService,
-    JobRecord,
-    normalise_plan,
-    plan_configs,
-)
-from repro.dse.sweep import SupervisionPolicy
-from repro.service.supervisor import SupervisedCampaignRunner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_VERSION",
-    "CampaignService",
-    "ChaosPhase",
-    "EvaluationCache",
-    "JOB_STATES",
-    "JobRecord",
-    "PLAN_KINDS",
-    "normalise_plan",
-    "plan_configs",
-    "record_checksum",
-    "run_service_chaos",
-    "ServiceChaosReport",
-    "SupervisedCampaignRunner",
-    "SupervisionPolicy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cache": ("CACHE_VERSION", "EvaluationCache", "record_checksum"),
+    ".chaos": ("ChaosPhase", "ServiceChaosReport", "run_service_chaos"),
+    ".jobs": ("JOB_STATES", "PLAN_KINDS", "CampaignService", "JobRecord",
+              "normalise_plan", "plan_configs"),
+    "repro.dse.sweep": ("SupervisionPolicy",),
+    ".supervisor": ("SupervisedCampaignRunner",),
+})

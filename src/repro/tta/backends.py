@@ -22,10 +22,10 @@ byte-for-byte the behaviour they always had unless they opt in.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+import importlib
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.tta.compiled import CompiledSimulator
 from repro.tta.memory import ProgramMemory
 from repro.tta.processor import TacoProcessor
 from repro.tta.simulator import Simulator
@@ -38,10 +38,11 @@ BACKEND_AUTO = "auto"
 #: stack resolves to this)
 DEFAULT_BACKEND = BACKEND_INTERPRETER
 
-#: every simulation engine by name, reference first
-BACKENDS: Dict[str, Type[Simulator]] = {
-    BACKEND_INTERPRETER: Simulator,
-    BACKEND_COMPILED: CompiledSimulator,
+#: every simulation engine by name, reference first: the module and the
+#: class that implement it, imported by the first simulator it creates
+BACKENDS: Dict[str, Tuple[str, str]] = {
+    BACKEND_INTERPRETER: ("repro.tta.simulator", "Simulator"),
+    BACKEND_COMPILED: ("repro.tta.compiled", "CompiledSimulator"),
 }
 
 
@@ -63,5 +64,6 @@ def create_simulator(processor: TacoProcessor, program: ProgramMemory,
                      strict: bool = True,
                      backend: Optional[str] = None) -> Simulator:
     """The one construction point for simulators across the repo."""
-    factory = BACKENDS[resolve_backend_name(backend)]
+    module, name = BACKENDS[resolve_backend_name(backend)]
+    factory = getattr(importlib.import_module(module), name)
     return factory(processor, program, strict=strict)

@@ -1,34 +1,19 @@
 """The TACO functional-unit library (paper Fig. 2)."""
 
-from repro.tta.fus.checksum import ChecksumUnit
-from repro.tta.fus.comparator import Comparator
-from repro.tta.fus.counter import Counter
-from repro.tta.fus.ippu import InputPreprocessingUnit
-from repro.tta.fus.liu import LocalInfoUnit
-from repro.tta.fus.masker import Masker
-from repro.tta.fus.matcher import Matcher
-from repro.tta.fus.mmu import MemoryManagementUnit
-from repro.tta.fus.oppu import OutputPostprocessingUnit
-from repro.tta.fus.rtu import (
-    ENTRY_STRIDE_SHIFT,
-    ENTRY_STRIDE_WORDS,
-    NIL_INDEX,
-    OFF_ENCLOSING,
-    OFF_INTERFACE,
-    OFF_LEFT,
-    OFF_LENGTH,
-    OFF_MASK,
-    OFF_NETWORK,
-    OFF_RIGHT,
-    RoutingTableUnit,
-)
-from repro.tta.fus.shifter import Shifter
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChecksumUnit", "Comparator", "Counter", "InputPreprocessingUnit",
-    "LocalInfoUnit", "Masker", "Matcher", "MemoryManagementUnit",
-    "OutputPostprocessingUnit", "RoutingTableUnit", "Shifter",
-    "ENTRY_STRIDE_SHIFT", "ENTRY_STRIDE_WORDS", "NIL_INDEX",
-    "OFF_ENCLOSING", "OFF_INTERFACE", "OFF_LEFT", "OFF_LENGTH",
-    "OFF_MASK", "OFF_NETWORK", "OFF_RIGHT",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".checksum": ("ChecksumUnit",),
+    ".comparator": ("Comparator",),
+    ".counter": ("Counter",),
+    ".ippu": ("InputPreprocessingUnit",),
+    ".liu": ("LocalInfoUnit",),
+    ".masker": ("Masker",),
+    ".matcher": ("Matcher",),
+    ".mmu": ("MemoryManagementUnit",),
+    ".oppu": ("OutputPostprocessingUnit",),
+    ".rtu": ("ENTRY_STRIDE_SHIFT", "ENTRY_STRIDE_WORDS", "NIL_INDEX",
+             "OFF_ENCLOSING", "OFF_INTERFACE", "OFF_LEFT", "OFF_LENGTH",
+             "OFF_MASK", "OFF_NETWORK", "OFF_RIGHT", "RoutingTableUnit"),
+    ".shifter": ("Shifter",),
+})

@@ -10,37 +10,15 @@ to execution engines: it proves the compiled fast backend bit-identical
 to the reference interpreter across the Table 1 configuration grid.
 """
 
-from repro.verify.backends import (
-    BackendComparison,
-    BackendEquivalenceReport,
-    REFERENCE_BACKEND,
-    diff_signatures,
-    run_signature,
-    signature_bytes,
-    table1_grid,
-    verify_backend,
-)
-from repro.verify.oracle import (
-    HANG_BUDGET_MULTIPLIER,
-    MIN_HANG_BUDGET,
-    MIN_MEMORY_STEP_BUDGET,
-    OUTCOME_CRASH,
-    OUTCOME_DETECTED,
-    OUTCOME_HANG,
-    OUTCOME_MASKED,
-    OUTCOME_SDC,
-    OUTCOMES,
-    DifferentialOracle,
-    MemoryDifferentialOracle,
-    TrialOutcome,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HANG_BUDGET_MULTIPLIER", "MIN_HANG_BUDGET", "MIN_MEMORY_STEP_BUDGET",
-    "OUTCOME_CRASH", "OUTCOME_DETECTED", "OUTCOME_HANG",
-    "OUTCOME_MASKED", "OUTCOME_SDC", "OUTCOMES",
-    "DifferentialOracle", "MemoryDifferentialOracle", "TrialOutcome",
-    "BackendComparison", "BackendEquivalenceReport", "REFERENCE_BACKEND",
-    "diff_signatures", "run_signature", "signature_bytes", "table1_grid",
-    "verify_backend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".backends": ("BackendComparison", "BackendEquivalenceReport",
+                  "REFERENCE_BACKEND", "diff_signatures", "run_signature",
+                  "signature_bytes", "table1_grid", "verify_backend"),
+    ".oracle": ("HANG_BUDGET_MULTIPLIER", "MIN_HANG_BUDGET",
+                "MIN_MEMORY_STEP_BUDGET", "OUTCOME_CRASH",
+                "OUTCOME_DETECTED", "OUTCOME_HANG", "OUTCOME_MASKED",
+                "OUTCOME_SDC", "OUTCOMES", "DifferentialOracle",
+                "MemoryDifferentialOracle", "TrialOutcome"),
+})

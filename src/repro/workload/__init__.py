@@ -1,30 +1,12 @@
 """Workload generators: routing tables and synthetic IPv6 traffic."""
 
-from repro.workload.packets import (
-    PACKET_SIZE_MIX,
-    build_datagram,
-    forwarding_workload,
-    mean_packet_bytes,
-    worst_case_workload,
-)
-from repro.workload.fib import (
-    FIB_LENGTH_WEIGHTS,
-    FibProfile,
-    synthesize_fib,
-    zipf_addresses,
-)
-from repro.workload.tables import (
-    PREFIX_LENGTH_MIX,
-    addresses_for_routes,
-    address_inside,
-    generate_routes,
-    random_prefix,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PACKET_SIZE_MIX", "build_datagram", "forwarding_workload",
-    "mean_packet_bytes", "worst_case_workload",
-    "PREFIX_LENGTH_MIX", "addresses_for_routes", "address_inside",
-    "generate_routes", "random_prefix",
-    "FIB_LENGTH_WEIGHTS", "FibProfile", "synthesize_fib", "zipf_addresses",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".packets": ("PACKET_SIZE_MIX", "build_datagram", "forwarding_workload",
+                 "mean_packet_bytes", "worst_case_workload"),
+    ".fib": ("FIB_LENGTH_WEIGHTS", "FibProfile", "synthesize_fib",
+             "zipf_addresses"),
+    ".tables": ("PREFIX_LENGTH_MIX", "addresses_for_routes",
+                "address_inside", "generate_routes", "random_prefix"),
+})
