@@ -255,6 +255,15 @@ def assert_route_words_track_journal(table):
         for prefix, entry in table._journal.items()}
 
 
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+def test_wrapping_a_loaded_table_words_its_routes(kind):
+    inner = make_table(kind, capacity=len(POOL))
+    inner.load(POOL[:8])
+    table = ProtectedRoutingTable(inner, protection="parity")
+    assert len(table._route_words) == 8
+    assert_route_words_track_journal(table)
+
+
 @pytest.mark.parametrize("protection", ("parity", "checksum"))
 @pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
 @settings(max_examples=20, deadline=None)
