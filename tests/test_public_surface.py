@@ -1,5 +1,6 @@
 """The public surface is pinned: ``repro.api`` signatures and the CLI's
-options, defaults and choices match ``public_surface.json``.
+options (defaults, choices, nargs, type, action, metavar, required)
+match ``public_surface.json``.
 
 Moving an import (the facade loads its subsystems on first use) must
 not change what a caller can pass or what a default is. Regenerate the
@@ -37,11 +38,21 @@ def _api_surface(api) -> dict:
     return surface
 
 
+#: argparse action classes by the ``action=`` name that selects them
+_ACTIONS = {argparse._StoreAction: "store",
+            argparse._StoreTrueAction: "store_true",
+            argparse._AppendAction: "append"}
+
+
 def _option(action: argparse.Action) -> dict:
     return {"options": list(action.option_strings) or [action.dest],
             "default": _plain(action.default),
             "choices": _plain(action.choices),
-            "nargs": _plain(action.nargs)}
+            "nargs": _plain(action.nargs),
+            "type": getattr(action.type, "__name__", _plain(action.type)),
+            "action": _ACTIONS.get(type(action), type(action).__name__),
+            "metavar": _plain(action.metavar),
+            "required": action.required}
 
 
 def _cli_surface(parser: argparse.ArgumentParser) -> dict:
