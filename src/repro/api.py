@@ -61,6 +61,8 @@ from repro.dse.config import (
 )
 from repro.dse.evaluator import (
     DEFAULT_EVALUATION_MAX_CYCLES,
+    DEFAULT_PACKET_BATCH,
+    DEFAULT_TABLE_ENTRIES,
     ArchitectureEvaluator,
     EvaluationResult,
 )
@@ -168,8 +170,8 @@ def backends() -> Tuple[str, ...]:
 
 def evaluate(config: ArchitectureConfiguration, *,
              jobs: int = 1,
-             entries: int = 100,
-             packets: int = 12,
+             entries: int = DEFAULT_TABLE_ENTRIES,
+             packets: int = DEFAULT_PACKET_BATCH,
              hazards: bool = False,
              max_cycles: Optional[int] = None,
              backend: Optional[str] = None) -> EvaluationResult:
@@ -195,8 +197,8 @@ def table1(**options) -> List[Table1Row]:
     return rows
 
 
-def table1_campaign(*, entries: int = 100,
-                    packets: int = 12,
+def table1_campaign(*, entries: int = DEFAULT_TABLE_ENTRIES,
+                    packets: int = DEFAULT_PACKET_BATCH,
                     jobs: int = 1,
                     journal: Optional[str] = None,
                     resume: bool = False,
@@ -272,8 +274,8 @@ def explore_campaign(*, space: Optional[DesignSpace] = None,
                      max_area: Optional[float] = None,
                      max_power: Optional[float] = None,
                      jobs: int = 1,
-                     entries: int = 100,
-                     packets: int = 12,
+                     entries: int = DEFAULT_TABLE_ENTRIES,
+                     packets: int = DEFAULT_PACKET_BATCH,
                      journal: Optional[str] = None,
                      resume: bool = False,
                      cycle_budget: Optional[int] = None,
@@ -531,8 +533,7 @@ def campaign_service(root: str, *,
     The async-style flow::
 
         svc = api.campaign_service("/tmp/dse", jobs=4)
-        job_id = svc.submit({"kind": "table1", "entries": 100,
-                             "packets": 12})
+        job_id = svc.submit({"kind": "table1", "entries": 50})
         svc.run_pending()               # or: repro serve --root /tmp/dse
         print(svc.poll(job_id))         # progress while running
         document = svc.fetch(job_id)    # completed result + render

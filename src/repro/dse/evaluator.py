@@ -35,6 +35,8 @@ from repro.routing.entry import RouteEntry
 from repro.tta.simulator import DEFAULT_RUN_MAX_CYCLES
 from repro.workload import generate_routes, worst_case_workload
 
+#: the paper's workload: a 100-route table, measured over 12 packets
+DEFAULT_TABLE_ENTRIES = 100
 DEFAULT_PACKET_BATCH = 12
 #: the evaluator shares the runner's (and the CLI's) cycle ceiling — a
 #: CAM fixed point at latency > 1 must not be classified differently
@@ -116,7 +118,7 @@ class ArchitectureEvaluator:
                  packets: Optional[Sequence[Tuple[int, bytes]]] = None,
                  constraint: Optional[ThroughputConstraint] = None,
                  packet_batch: int = DEFAULT_PACKET_BATCH,
-                 table_entries: int = 100,
+                 table_entries: int = DEFAULT_TABLE_ENTRIES,
                  detect_hazards: bool = False,
                  backend: Optional[str] = None):
         self.routes = list(routes) if routes is not None else \

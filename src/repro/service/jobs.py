@@ -55,6 +55,7 @@ from repro.dse.campaign import (
 from repro.dse.sweep import SupervisionPolicy, backoff_delay, \
     load_journal, write_atomic
 from repro.dse.config import TABLE_KINDS, paper_configurations
+from repro.dse.evaluator import DEFAULT_PACKET_BATCH, DEFAULT_TABLE_ENTRIES
 from repro.errors import (
     CampaignError,
     ConfigurationError,
@@ -89,8 +90,8 @@ def normalise_plan(plan: Dict[str, object]) -> Dict[str, object]:
             f"unknown plan kind {kind!r}; choose one of {PLAN_KINDS}")
     out: Dict[str, object] = {
         "kind": kind,
-        "entries": int(plan.get("entries", 100)),
-        "packets": int(plan.get("packets", 12)),
+        "entries": int(plan.get("entries", DEFAULT_TABLE_ENTRIES)),
+        "packets": int(plan.get("packets", DEFAULT_PACKET_BATCH)),
         "hazards": bool(plan.get("hazards", False)),
         "backend": plan.get("backend"),
     }

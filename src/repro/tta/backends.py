@@ -11,8 +11,9 @@ the DSE evaluator, the campaign/service runners, and the CLI's
 
 ``compiled``
     The pre-decoded fast path (:class:`repro.tta.compiled.CompiledSimulator`).
-    Bit-identical reports, ~an order of magnitude faster; silently falls
-    back to the interpreter whenever a hook is attached.
+    Bit-identical reports, ~4x faster simulation (E11 in
+    ``EXPERIMENTS.md``); silently falls back to the interpreter whenever
+    a hook is attached.
 
 ``auto`` resolves to the fastest backend that can honour the run — today
 that is ``compiled``, whose own hook check makes it universally safe.

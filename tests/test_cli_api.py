@@ -2,12 +2,13 @@
 ``table1``/``explore`` run on one campaign runner at every job count."""
 
 import ast
+import inspect
 import json
 import os
 
 import pytest
 
-from repro import api
+from repro import api, cli
 from repro.cli import main
 from repro.dse import (
     ArchitectureConfiguration,
@@ -103,6 +104,18 @@ class TestCliOnTheFacade:
         main(argv + ["--journal", str(tmp_path / "t1.jsonl")])
         assert capsys.readouterr().out == plain
 
+    def test_resumed_evaluations_are_reported(self, capsys, tmp_path):
+        journal = str(tmp_path / "t1.jsonl")
+        argv = ["table1", "--entries", "10", "--packets", "2",
+                "--journal", journal]
+        main(argv)
+        first = capsys.readouterr()
+        assert "resumed" not in first.err
+        main(argv + ["--resume"])
+        resumed = capsys.readouterr()
+        assert resumed.out == first.out
+        assert resumed.err == f"(resumed 9 evaluation(s) from {journal})\n"
+
     def test_ripng_output_document(self, capsys, tmp_path):
         out = tmp_path / "ripng.json"
         assert main(["ripng", "--routers", "3", "--output", str(out)]) == 0
@@ -121,3 +134,81 @@ class TestCliOnTheFacade:
         assert main(["describe", "--format", fmt]) == 0
         config = ArchitectureConfiguration(bus_count=3, table_kind="cam")
         assert capsys.readouterr().out == api.describe(config, fmt=fmt)
+
+
+#: outside input the CLI once crashed on with a traceback and exit 1
+BAD_INPUT = [
+    ["metrics", "--input", "{missing}"],
+    ["metrics", "--input", "{not_json}"],
+    ["evaluate", "--entries", "0"],
+    ["table1", "--entries", "0", "--packets", "1"],
+    ["evaluate", "--buses", "0"],
+    ["describe", "--buses", "0"],
+    ["sdc", "--buses", "0", "--table", "sequential", "--trials", "1"],
+    ["ripng", "--routers", "1"],
+]
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+    def test_bad_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        not_json = tmp_path / "not.json"
+        not_json.write_text("this is not JSON\n")
+        argv = [arg.format(missing=tmp_path / "missing.json",
+                           not_json=not_json) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"{argv[0]} failed: ")
+        assert len(err.splitlines()) == 1
+
+    def test_a_document_without_metrics_is_refused(self, tmp_path, capsys):
+        for document in ({"rows": []}, [1, 2]):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(document))
+            assert main(["metrics", "--input", str(path)]) == 2
+            assert "no metrics section" in capsys.readouterr().err
+
+
+def _keywords(function, skip=0):
+    """The names *function* takes by keyword, after its first *skip*."""
+    return {parameter.name for parameter in
+            list(inspect.signature(function).parameters.values())[skip:]
+            if parameter.kind is not parameter.VAR_KEYWORD}
+
+
+class TestDeclarations:
+    """Each ``cli.COMMANDS`` entry maps its options onto real keywords."""
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_every_option_keyword_is_a_parameter(self, name):
+        command = cli.COMMANDS[name]
+        accepted = _keywords(command.report, skip=1)
+        for function in command.functions:
+            accepted |= _keywords(getattr(api, function))
+        if command.build is not None:
+            accepted |= _keywords(command.build)
+        unknown = [option.flag for option in command.options
+                   if option.keyword not in accepted
+                   and option is not cli._OUTPUT]
+        assert unknown == []
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_a_spelled_default_differs_from_the_api_default(self, name):
+        command = cli.COMMANDS[name]
+        defaults = [getattr(api, function).__kwdefaults__ or {}
+                    for function in command.functions]
+        if command.build is not None:
+            defaults.append(command.build.__kwdefaults__ or {})
+        for option in command.options:
+            if "default" in option.spec:
+                for table in defaults:
+                    assert table.get(option.keyword, object()) \
+                        != option.spec["default"], option.flag
+
+    def test_options_are_declared_once_per_command(self):
+        for name, command in cli.COMMANDS.items():
+            flags = [option.flag for option in command.options]
+            keywords = [option.keyword for option in command.options]
+            assert len(set(flags)) == len(flags), name
+            assert len(set(keywords)) == len(keywords), name
