@@ -18,9 +18,9 @@ import time
 from repro.dse import ArchitectureEvaluator, CampaignRunner, config_key
 from repro.faults import ChaosEvaluatorFactory, corrupt_file
 from repro.service import CampaignService
-from repro.service.jobs import normalise_plan, plan_configs
+from repro.dse.config import table1_configurations
 
-PLAN = {"kind": "table1", "entries": 60, "packets": 6}
+PLAN = {"entries": 60, "packets": 6}
 SPEEDUP_FLOOR = 5.0
 
 
@@ -32,7 +32,7 @@ def _run(service, plan=PLAN):
 
 
 def test_service_recovery_and_cache(benchmark, tmp_path):
-    configs = plan_configs(normalise_plan(PLAN))
+    configs = table1_configurations()
     baseline = CampaignRunner(ArchitectureEvaluator(
         table_entries=PLAN["entries"],
         packet_batch=PLAN["packets"])).run(configs)

@@ -45,10 +45,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro._lazy import lazy_exports
 from repro.dse.campaign import (
-    CampaignPolicy,
     CampaignResult,
     CampaignRunner,
     run_table1_campaign,
+    table1_workload,
 )
 from repro.dse.config import (
     ALL_TABLE_KINDS,
@@ -63,7 +63,6 @@ from repro.dse.evaluator import (
     DEFAULT_EVALUATION_MAX_CYCLES,
     DEFAULT_PACKET_BATCH,
     DEFAULT_TABLE_ENTRIES,
-    ArchitectureEvaluator,
     EvaluationResult,
 )
 from repro.dse.sweep import SupervisionPolicy, write_atomic
@@ -135,28 +134,13 @@ __all__ = [
 ]
 
 
-def _evaluator(*, entries: int, packets: int, hazards: bool,
-               backend: Optional[str], prefixes: Optional[int] = None,
-               seed: int = 2026) -> ArchitectureEvaluator:
-    """The evaluator behind every evaluation entry point: the paper's
-    *entries*-route workload, or a synthesized *prefixes*-route FIB."""
-    routes = None
-    if prefixes is not None:
-        from repro.workload.fib import synthesize_fib
-        routes = synthesize_fib(prefixes, seed=seed)
-    return ArchitectureEvaluator(routes=routes, table_entries=entries,
-                                 packet_batch=packets,
-                                 detect_hazards=hazards, backend=backend)
-
-
 def _campaign(*, jobs: int, journal: Optional[str], resume: bool,
-              cycle_budget: Optional[int], **workload) -> CampaignRunner:
+              **workload) -> CampaignRunner:
     """The one campaign runner every Table 1 and explorer run goes
     through, whatever the job count and whether or not it journals."""
-    policy = CampaignPolicy(
-        cycle_budget=cycle_budget or DEFAULT_EVALUATION_MAX_CYCLES)
-    return CampaignRunner(_evaluator(**workload), journal_path=journal,
-                          resume=resume, policy=policy, jobs=jobs)
+    factory, policy = table1_workload(**workload)
+    return CampaignRunner(factory(), journal_path=journal, resume=resume,
+                          policy=policy, jobs=jobs)
 
 
 def backends() -> Tuple[str, ...]:
@@ -184,9 +168,9 @@ def evaluate(config: ArchitectureConfiguration, *,
     points — a single evaluation always runs in-process.
     """
     del jobs  # a single evaluation has nothing to fan out
-    evaluator = _evaluator(entries=entries, packets=packets,
-                           hazards=hazards, backend=backend)
-    return evaluator.evaluate(config, max_cycles=max_cycles)
+    factory, _ = table1_workload(entries=entries, packets=packets,
+                                 hazards=hazards, backend=backend)
+    return factory().evaluate(config, max_cycles=max_cycles)
 
 
 def table1(**options) -> List[Table1Row]:
@@ -528,12 +512,14 @@ def campaign_service(root: str, *,
                      job_timeout: Optional[float] = None,
                      min_jobs: int = 1,
                      seed: int = 0) -> CampaignService:
-    """Open (or create) the self-healing campaign service at *root*.
+    """Open the self-healing campaign service at *root*.
 
-    The async-style flow::
+    A plan is the keywords of :func:`table1_campaign` (all but ``jobs``,
+    ``journal`` and ``resume``, which the service owns); the first
+    ``submit`` creates the spool. The async-style flow::
 
         svc = api.campaign_service("/tmp/dse", jobs=4)
-        job_id = svc.submit({"kind": "table1", "entries": 50})
+        job_id = svc.submit({"entries": 50, "prefixes": 1000})
         svc.run_pending()               # or: repro serve --root /tmp/dse
         print(svc.poll(job_id))         # progress while running
         document = svc.fetch(job_id)    # completed result + render

@@ -276,13 +276,10 @@ def _describe(text: str, **_) -> Report:
     return text.removesuffix("\n"), None, 0
 
 
-def _submit(service, *, plan: Optional[dict], entries: int, packets: int,
-            hazards: bool, backend: Optional[str], **_) -> Report:
+def _submit(service, *, plan: Optional[dict], **values) -> Report:
     if plan is None:
-        plan = {"kind": "table1", "entries": entries, "packets": packets,
-                "hazards": hazards}
-        if backend is not None:
-            plan["backend"] = backend
+        plan = {keyword: value for keyword, value in values.items()
+                if keyword in _parameters(api.table1_campaign)}
     return service.submit(plan), None, 0
 
 
@@ -621,8 +618,8 @@ COMMANDS: Dict[str, Command] = {
             _opt("--plan", metavar="JSON",
                  convert=lambda text: None if text is None
                  else _parse_json(text, "--plan"),
-                 help="full plan document, e.g. "
-                      "'{\"kind\": \"table1\", \"entries\": 50}'"),
+                 help="full plan: keywords of api.table1_campaign, e.g. "
+                      "'{\"entries\": 50, \"prefixes\": 1000}'"),
             _opt("--entries", type=int),
             _opt("--packets", type=int),
             _opt("--hazards", action="store_true"),

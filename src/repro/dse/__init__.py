@@ -8,8 +8,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                   "config_from_dict", "config_key", "config_to_dict",
                   "evaluate_guarded", "generate_table1",
                   "run_table1_campaign"),
-    ".config": ("ArchitectureConfiguration", "PAPER_CONFIGURATIONS",
-                "paper_configurations"),
+    ".config": ("ArchitectureConfiguration", "paper_configurations",
+                "table1_configurations"),
     ".evaluator": ("ArchitectureEvaluator", "EvaluationResult"),
     ".explorer": ("ExhaustiveExplorer", "ExplorationOutcome",
                   "GreedyExplorer"),

@@ -38,12 +38,13 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dse.config import (
     ArchitectureConfiguration,
     TABLE_KINDS,
-    paper_configurations,
+    table1_configurations,
 )
 from repro.dse.evaluator import (
     DEFAULT_EVALUATION_MAX_CYCLES,
@@ -55,6 +56,7 @@ from repro.dse.sweep import JOURNAL_VERSION, JournaledSweep
 from repro.dse.table1 import PAPER_TABLE1, Table1Row
 from repro.errors import (
     CampaignError,
+    ConfigurationError,
     CycleBudgetError,
     EvaluationFailureError,
     ReproError,
@@ -64,6 +66,7 @@ from repro.estimation.power import estimate_power
 from repro.obs import get_registry
 from repro.obs.catalogue import DSE_EVALUATION_SECONDS, DSE_EVALUATIONS, \
     DSE_QUARANTINED, DSE_RETRIES
+from repro.tta.backends import resolve_backend_name
 
 
 # -- configuration (de)serialisation -----------------------------------------------
@@ -550,6 +553,49 @@ class PoisonedEvaluator:
 # -- Table 1 over a campaign -------------------------------------------------------
 
 
+def table1_workload(*, entries: int, packets: int, hazards: bool,
+                    backend: Optional[str],
+                    cycle_budget: Optional[int] = None,
+                    prefixes: Optional[int] = None,
+                    seed: int = 2026
+                    ) -> Tuple[Callable[[], ArchitectureEvaluator],
+                               CampaignPolicy]:
+    """What a Table-1 workload runs on: an evaluator factory and the
+    campaign's deadline policy.
+
+    The one mapping from the workload keywords of
+    :func:`repro.api.table1_campaign` (every key of a service plan but
+    ``kinds``) to a :class:`CampaignRunner`'s inputs. The factory builds
+    the paper's *entries*-route workload, or a synthesized
+    *prefixes*-route FIB seeded by *seed*. The sizes and the backend
+    name are checked here, before anything is simulated.
+    """
+    if entries < 1 or packets < 1:
+        raise ConfigurationError(
+            f"entries and packets must be >= 1, got {entries} and "
+            f"{packets}")
+    if backend is not None:
+        resolve_backend_name(backend)
+    factory = partial(_table1_evaluator, entries=entries, packets=packets,
+                      hazards=hazards, backend=backend, prefixes=prefixes,
+                      seed=seed)
+    policy = CampaignPolicy(
+        cycle_budget=cycle_budget or DEFAULT_EVALUATION_MAX_CYCLES)
+    return factory, policy
+
+
+def _table1_evaluator(*, entries: int, packets: int, hazards: bool,
+                      backend: Optional[str], prefixes: Optional[int],
+                      seed: int) -> ArchitectureEvaluator:
+    routes = None
+    if prefixes is not None:
+        from repro.workload.fib import synthesize_fib
+        routes = synthesize_fib(prefixes, seed=seed)
+    return ArchitectureEvaluator(routes=routes, table_entries=entries,
+                                 packet_batch=packets,
+                                 detect_hazards=hazards, backend=backend)
+
+
 def run_table1_campaign(runner: CampaignRunner,
                         kinds: Sequence[str] = TABLE_KINDS
                         ) -> Tuple[List[Table1Row], CampaignResult]:
@@ -560,9 +606,7 @@ def run_table1_campaign(runner: CampaignRunner,
     campaign result; quarantined configurations are simply absent from
     the rows and present in ``result.failures``.
     """
-    configs = [config for kind in kinds
-               for config in paper_configurations(kind)]
-    campaign = runner.run(configs)
+    campaign = runner.run(table1_configurations(kinds))
     paper_by_key = {(r.table_kind, r.config_label): r for r in PAPER_TABLE1}
     rows = [Table1Row(paper=paper_by_key.get((result.config.table_kind,
                                               result.config.label())),

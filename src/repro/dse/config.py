@@ -5,13 +5,14 @@ the same type in the processor as well as varying the internal data
 transport capacity [bus count] of the instances" (paper §2).
 
 The paper's Table 1 uses three configurations per routing-table option;
-:data:`PAPER_CONFIGURATIONS` reproduces them verbatim.
+:func:`paper_configurations` reproduces them verbatim, and
+:func:`table1_configurations` lays them out as the Table-1 grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -112,6 +113,8 @@ def paper_configurations(table_kind: str) -> Tuple[ArchitectureConfiguration, ..
     )
 
 
-PAPER_CONFIGURATIONS: Dict[str, Tuple[ArchitectureConfiguration, ...]] = {
-    kind: paper_configurations(kind) for kind in TABLE_KINDS
-}
+def table1_configurations(kinds: Sequence[str] = TABLE_KINDS
+                          ) -> List[ArchitectureConfiguration]:
+    """The Table-1 grid in sweep order: each of *kinds*' three paper
+    configurations, kind by kind."""
+    return [config for kind in kinds for config in paper_configurations(kind)]

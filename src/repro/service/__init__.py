@@ -23,8 +23,8 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".cache": ("CACHE_VERSION", "EvaluationCache", "record_checksum"),
     ".chaos": ("ChaosPhase", "ServiceChaosReport", "run_service_chaos"),
-    ".jobs": ("JOB_STATES", "PLAN_KINDS", "CampaignService", "JobRecord",
-              "normalise_plan", "plan_configs"),
+    ".jobs": ("JOB_STATES", "CampaignService", "JobRecord",
+              "normalise_plan"),
     "repro.dse.sweep": ("SupervisionPolicy",),
     ".supervisor": ("SupervisedCampaignRunner",),
 })

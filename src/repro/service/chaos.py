@@ -34,14 +34,14 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.dse.campaign import CampaignRunner
+from repro.dse.config import table1_configurations
 from repro.dse.sweep import SupervisionPolicy, load_journal
 from repro.faults.process import ChaosEvaluatorFactory, corrupt_file, \
     truncate_file
 from repro.obs import catalogue, get_registry
-from repro.service.jobs import CampaignService, plan_configs
+from repro.service.jobs import CampaignService
 
 DEFAULT_SPEEDUP_FLOOR = 5.0
 
@@ -121,21 +121,16 @@ def run_service_chaos(root: str, *,
                       speedup_floor: float = DEFAULT_SPEEDUP_FLOOR
                       ) -> ServiceChaosReport:
     """Run the full chaos campaign under *root* (a scratch directory)."""
-    from functools import partial
+    from repro.api import table1_campaign
 
-    from repro.dse.evaluator import ArchitectureEvaluator
-
-    plan = {"kind": "table1", "entries": entries, "packets": packets}
-    factory = partial(ArchitectureEvaluator, table_entries=entries,
-                      packet_batch=packets, detect_hazards=False)
-    configs = plan_configs(
-        {"kind": "table1", "entries": entries, "packets": packets,
-         "hazards": False})
+    plan = {"entries": entries, "packets": packets}
+    configs = table1_configurations()
     supervision = SupervisionPolicy(heartbeat_seconds=heartbeat_seconds)
     phases: List[ChaosPhase] = []
 
-    # clean sequential ground truth (no service, no cache, no pool)
-    baseline = CampaignRunner(factory()).run(configs)
+    # clean sequential ground truth: the command line's own Table-1 run
+    # of the plan (no service, no cache, no pool)
+    _, baseline = table1_campaign(**plan)
     baseline_records = baseline.records
     baseline_render = baseline.render()
 
@@ -298,30 +293,3 @@ def run_service_chaos(root: str, *,
     return ServiceChaosReport(phases=phases, cold_seconds=cold_seconds,
                               warm_seconds=warm_seconds,
                               speedup_floor=speedup_floor)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.service.chaos`` — standalone smoke entry."""
-    import argparse
-    import tempfile
-
-    parser = argparse.ArgumentParser(
-        description="service-level chaos campaign")
-    parser.add_argument("--root", default=None)
-    parser.add_argument("--entries", type=int, default=10)
-    parser.add_argument("--packets", type=int, default=2)
-    parser.add_argument("--jobs", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    root = args.root or tempfile.mkdtemp(prefix="service-chaos-")
-    report = run_service_chaos(root, entries=args.entries,
-                               packets=args.packets, jobs=args.jobs,
-                               seed=args.seed)
-    print(report.render())
-    return 0 if report.passed else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -1,8 +1,8 @@
 """The campaign service: a persistent, supervised job queue.
 
 Turns the DSE engine from "a script you run" into "a service many users
-hit": callers :meth:`~CampaignService.submit` a *plan* (a JSON-ready
-sweep description) and get back a job id; the service executes queued
+hit": callers :meth:`~CampaignService.submit` a *plan* (the keywords of
+a Table-1 run, below) and get back a job id; the service executes queued
 jobs under supervision (:mod:`repro.service.supervisor`) with an
 integrity-checked evaluation cache (:mod:`repro.service.cache`), and
 callers :meth:`~CampaignService.poll` progress and
@@ -25,21 +25,20 @@ uninterrupted run. Because the queue lives on disk, ``submit`` and the
 serve loop may run in different processes (the CLI's ``submit`` /
 ``serve`` subcommands).
 
-Plans::
+A plan is the keyword dict of :func:`repro.api.table1_campaign`
+without the run-mode keywords the service owns (``jobs``, ``journal``,
+``resume``); the keywords it leaves out take that function's defaults::
 
-    {"kind": "table1", "entries": 20, "packets": 4, "hazards": false}
-    {"kind": "sweep", "configs": [<config dict>...], "entries": 20,
-     "packets": 4, "hazards": false}
+    {"entries": 20, "packets": 4, "prefixes": 1000}
 
-Both kinds accept an optional ``"backend"`` key ("interpreter" |
-"compiled" | "auto"); pool workers inherit the selection through the
-evaluator factory. It is validated at submit time against
-:mod:`repro.tta.backends`.
+The first :meth:`~CampaignService.submit` creates the spool; every other
+operation refuses a root that holds none. A plan stored in the older
+``{"kind": "table1", ...}`` form still runs; the ``"sweep"`` kind was
+removed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -47,15 +46,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.dse.campaign import (
-    CampaignPolicy,
-    CampaignResult,
-    config_from_dict,
-)
+from repro.dse.campaign import CampaignResult, table1_workload
+from repro.dse.config import table1_configurations
 from repro.dse.sweep import SupervisionPolicy, backoff_delay, \
     load_journal, write_atomic
-from repro.dse.config import TABLE_KINDS, paper_configurations
-from repro.dse.evaluator import DEFAULT_PACKET_BATCH, DEFAULT_TABLE_ENTRIES
 from repro.errors import (
     CampaignError,
     ConfigurationError,
@@ -71,7 +65,8 @@ from repro.service.supervisor import SupervisedCampaignRunner
 
 JOB_STATES = ("queued", "running", "completed", "failed", "cancelled")
 
-PLAN_KINDS = ("table1", "sweep")
+#: the keywords of :func:`repro.api.table1_campaign` a service owns
+_RUN_MODE = ("jobs", "journal", "resume")
 
 #: infrastructure failure classes a job re-run may heal (each retry
 #: resumes from the journal, so nothing completed is repeated)
@@ -81,50 +76,42 @@ MAX_JOB_RETRIES = 2
 
 
 def normalise_plan(plan: Dict[str, object]) -> Dict[str, object]:
-    """Validated, canonical-defaults copy of a job plan."""
+    """The canonical plan: every keyword of
+    :func:`repro.api.table1_campaign` a job may set, defaults filled in,
+    checked by the same constructor the command line runs."""
+    from repro.api import table1_campaign
+
     if not isinstance(plan, dict):
         raise ServiceError(f"a plan must be a dict, got {type(plan).__name__}")
-    kind = plan.get("kind", "table1")
-    if kind not in PLAN_KINDS:
+    plan = dict(plan)
+    # plans stored before plans were keyword dicts name their kind
+    kind = plan.pop("kind", "table1")
+    if kind != "table1":
         raise ServiceError(
-            f"unknown plan kind {kind!r}; choose one of {PLAN_KINDS}")
-    out: Dict[str, object] = {
-        "kind": kind,
-        "entries": int(plan.get("entries", DEFAULT_TABLE_ENTRIES)),
-        "packets": int(plan.get("packets", DEFAULT_PACKET_BATCH)),
-        "hazards": bool(plan.get("hazards", False)),
-        "backend": plan.get("backend"),
-    }
-    if out["entries"] < 1 or out["packets"] < 1:
-        raise ServiceError("entries and packets must be >= 1")
-    if out["backend"] is not None:
-        from repro.tta.backends import resolve_backend_name
-        try:
-            resolve_backend_name(str(out["backend"]))
-        except ConfigurationError as exc:
-            raise ServiceError(str(exc)) from None
-        out["backend"] = str(out["backend"])
-    if kind == "sweep":
-        configs = plan.get("configs")
-        if not isinstance(configs, list) or not configs:
-            raise ServiceError("a sweep plan needs a non-empty "
-                               "'configs' list")
-        # round-trip through the dataclass now so a malformed config
-        # fails at submit time, not minutes later inside a worker
-        out["configs"] = [dataclasses.asdict(config_from_dict(payload))
-                          for payload in configs]
-    unknown = set(plan) - set(out) - {"kind"}
+            f"plan kind {kind!r} is not supported: the 'sweep' kind was "
+            f"removed, and a plan is the keywords of api.table1_campaign")
+    defaults = {keyword: value for keyword, value
+                in table1_campaign.__kwdefaults__.items()
+                if keyword not in _RUN_MODE}
+    unknown = sorted(set(plan) - set(defaults))
     if unknown:
-        raise ServiceError(f"unknown plan fields: {sorted(unknown)}")
-    return out
+        raise ServiceError(f"unknown plan keywords {unknown}; a plan takes "
+                           f"{sorted(defaults)}")
+    plan = {**defaults, **plan}
+    try:
+        plan["kinds"] = list(plan["kinds"])
+        table1_workload(**_workload(plan))
+        table1_configurations(plan["kinds"])
+    except (ConfigurationError, TypeError) as exc:
+        raise ServiceError(f"invalid plan: {exc}") from None
+    return plan
 
 
-def plan_configs(plan: Dict[str, object]):
-    """The configuration list a plan expands to, in sweep order."""
-    if plan["kind"] == "table1":
-        return [config for kind in TABLE_KINDS
-                for config in paper_configurations(kind)]
-    return [config_from_dict(payload) for payload in plan["configs"]]
+def _workload(plan: Dict[str, object]) -> Dict[str, object]:
+    """What decides how each configuration of *plan* evaluates: every
+    keyword but ``kinds``, which only picks the configurations."""
+    return {keyword: value for keyword, value in plan.items()
+            if keyword != "kinds"}
 
 
 @dataclass
@@ -156,17 +143,13 @@ class JobRecord:
                    summary=payload.get("summary", {}))
 
     def render(self) -> str:
-        plan = self.plan
-        describe = plan["kind"]
-        if plan["kind"] == "sweep":
-            describe += f"[{len(plan['configs'])}]"
         progress = ""
         if self.summary:
             progress = (f" evaluated={self.summary.get('evaluated', '?')}"
                         f" cache_hits={self.summary.get('cache_hits', '?')}")
         error = f" error={self.error}" if self.error else ""
-        return (f"{self.job_id}  {self.state:<9} attempts={self.attempts} "
-                f"plan={describe}{progress}{error}")
+        return (f"{self.job_id}  {self.state:<9} attempts={self.attempts}"
+                f"{progress}{error}")
 
 
 class CampaignService:
@@ -183,7 +166,6 @@ class CampaignService:
                  jobs: int = 1,
                  cache: bool = True,
                  supervision: Optional[SupervisionPolicy] = None,
-                 campaign_policy: Optional[CampaignPolicy] = None,
                  seed: int = 0,
                  evaluator_wrapper: Optional[Callable] = None,
                  sleep_fn: Callable[[float], None] = time.sleep):
@@ -193,7 +175,6 @@ class CampaignService:
         self.jobs = jobs
         self.cache_enabled = cache
         self.supervision = supervision or SupervisionPolicy()
-        self.campaign_policy = campaign_policy
         self.seed = seed
         #: chaos/testing seam: wraps the evaluator factory before the
         #: job's evaluator is built from it
@@ -201,8 +182,6 @@ class CampaignService:
         self.sleep_fn = sleep_fn
         self._retry_rng = make_rng(derive_seed(seed, "job-retry"))
         self.last_runner: Optional[SupervisedCampaignRunner] = None
-        for sub in ("jobs", "journals", "results", "cache"):
-            os.makedirs(os.path.join(root, sub), exist_ok=True)
 
     # -- paths --------------------------------------------------------------------
 
@@ -224,6 +203,8 @@ class CampaignService:
         ``job-NNNN-<plan digest>``.
         """
         plan = normalise_plan(plan)
+        for sub in ("jobs", "journals", "results", "cache"):
+            os.makedirs(os.path.join(self.root, sub), exist_ok=True)
         seq = 1 + max((job.seq for job in self.list_jobs()), default=0)
         digest = hashlib.sha256(json.dumps(
             plan, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -245,6 +226,9 @@ class CampaignService:
 
     def list_jobs(self) -> List[JobRecord]:
         directory = os.path.join(self.root, "jobs")
+        if not os.path.isdir(directory):
+            raise ServiceError(f"no campaign spool at {self.root}; "
+                               f"'submit' creates one")
         jobs = []
         for name in os.listdir(directory):
             if name.endswith(".json"):
@@ -258,7 +242,8 @@ class CampaignService:
         journal is append-only, so a concurrent read sees a prefix.
         """
         job = self.status(job_id)
-        total = len(plan_configs(job.plan))
+        total = len(
+            table1_configurations(normalise_plan(job.plan)["kinds"]))
         done = 0
         journal = self._journal_path(job_id)
         if os.path.exists(journal):
@@ -360,41 +345,25 @@ class CampaignService:
         return job
 
     def _run_campaign(self, job: JobRecord) -> CampaignResult:
-        plan = job.plan
         runner = self._make_runner(job)
         self.last_runner = runner
-        return runner.run(plan_configs(plan))
+        return runner.run(
+            table1_configurations(normalise_plan(job.plan)["kinds"]))
 
     def _make_runner(self, job: JobRecord) -> SupervisedCampaignRunner:
-        from functools import partial
-
-        from repro.dse.evaluator import ArchitectureEvaluator
-
-        plan = job.plan
-        factory = partial(ArchitectureEvaluator,
-                          table_entries=plan["entries"],
-                          packet_batch=plan["packets"],
-                          detect_hazards=plan["hazards"],
-                          backend=plan.get("backend"))
+        workload = _workload(normalise_plan(job.plan))
+        factory, policy = table1_workload(**workload)
         if self.evaluator_wrapper is not None:
             factory = self.evaluator_wrapper(factory)
         cache = None
         if self.cache_enabled:
-            namespace = {"entries": plan["entries"],
-                         "packets": plan["packets"],
-                         "hazards": plan["hazards"]}
-            if plan.get("backend") is not None:
-                # partition per engine so a fast-path regression can
-                # never poison the interpreter's cached baseline (the
-                # default namespace is preserved for legacy plans)
-                namespace["backend"] = plan["backend"]
-            cache = EvaluationCache(
-                os.path.join(self.root, "cache"), namespace=namespace)
+            cache = EvaluationCache(os.path.join(self.root, "cache"),
+                                    namespace=workload)
         journal = self._journal_path(job.job_id)
         return SupervisedCampaignRunner(
             factory(), jobs=self.jobs, journal_path=journal,
             resume=os.path.exists(journal) and os.path.getsize(journal) > 0,
-            policy=self.campaign_policy, supervision=self.supervision,
+            policy=policy, supervision=self.supervision,
             cache=cache, seed=self.seed, sleep_fn=self.sleep_fn)
 
     def _finish(self, job: JobRecord, campaign: CampaignResult) -> None:

@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dse.config import (
     ArchitectureConfiguration,
-    TABLE_KINDS,
     paper_configurations,
+    table1_configurations,
 )
 from repro.programs.runner import (
     ForwardingRunResult,
@@ -50,8 +50,7 @@ DEFAULT_CAM_LATENCIES: Tuple[int, ...] = (2, 3)
 def table1_grid(cam_latencies: Sequence[int] = DEFAULT_CAM_LATENCIES,
                 ) -> List[ArchitectureConfiguration]:
     """The paper's nine-configuration grid, plus CAM latency variants."""
-    grid = [config for kind in TABLE_KINDS
-            for config in paper_configurations(kind)]
+    grid = table1_configurations()
     for latency in cam_latencies:
         for config in paper_configurations("cam"):
             grid.append(config.with_cam_latency(latency))

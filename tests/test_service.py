@@ -6,11 +6,12 @@ from functools import partial
 
 import pytest
 
+from repro import api
 from repro.dse import (
-    ArchitectureConfiguration,
     ArchitectureEvaluator,
     CampaignRunner,
     sweep,
+    table1_configurations,
 )
 from repro.errors import (
     JobNotFoundError,
@@ -22,19 +23,17 @@ from repro.service import (
     SupervisedCampaignRunner,
     SupervisionPolicy,
     normalise_plan,
-    plan_configs,
 )
 
 factory = partial(ArchitectureEvaluator, table_entries=10, packet_batch=2)
 
-PLAN = {"kind": "table1", "entries": 10, "packets": 2}
+PLAN = {"entries": 10, "packets": 2}
 
 
 @pytest.fixture(scope="module")
 def baseline():
     """Clean sequential ground truth for the table1 plan."""
-    configs = plan_configs(normalise_plan(PLAN))
-    return CampaignRunner(factory()).run(configs)
+    return CampaignRunner(factory()).run(table1_configurations())
 
 
 def make_service(tmp_path, **kwargs):
@@ -52,30 +51,31 @@ class TestPlans:
             normalise_plan({"kind": "table1", "entires": 10})  # typo
 
     def test_non_positive_sizes_rejected(self):
-        with pytest.raises(ServiceError):
-            normalise_plan({"entries": 0})
+        for plan in ({"entries": 0}, {"packets": 0}):
+            with pytest.raises(ServiceError):
+                normalise_plan(plan)
 
-    def test_sweep_needs_configs(self):
-        with pytest.raises(ServiceError):
-            normalise_plan({"kind": "sweep"})
-
-    def test_sweep_configs_validated_at_submit_time(self):
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
+    def test_sweep_plans_are_refused(self):
+        with pytest.raises(ServiceError, match="'sweep' kind was removed"):
             normalise_plan({"kind": "sweep",
-                            "configs": [{"bus_count": 1,
-                                         "table_kind": "quantum"}]})
+                            "configs": [{"bus_count": 1}]})
 
     def test_table1_plan_expands_to_nine_configs(self):
-        assert len(plan_configs(normalise_plan(PLAN))) == 9
+        assert len(table1_configurations(
+            normalise_plan(PLAN)["kinds"])) == 9
 
-    def test_sweep_plan_round_trips_configs(self):
-        config = ArchitectureConfiguration(bus_count=2,
-                                           table_kind="cam")
-        plan = normalise_plan({
-            "kind": "sweep", "entries": 10, "packets": 2,
-            "configs": [{"bus_count": 2, "table_kind": "cam"}]})
-        assert plan_configs(plan) == [config]
+    def test_plan_is_table1_campaign_keywords_with_defaults(self):
+        plan = normalise_plan({"entries": 10, "kinds": ("cam",)})
+        defaults = api.table1_campaign.__kwdefaults__
+        assert set(plan) == set(defaults) - {"jobs", "journal", "resume"}
+        assert plan["entries"] == 10 and plan["kinds"] == ["cam"]
+        assert plan["packets"] == defaults["packets"]
+
+    def test_legacy_plan_canonicalises_like_the_new_form(self):
+        assert normalise_plan({"kind": "table1", "entries": 10,
+                               "packets": 2, "hazards": False,
+                               "backend": None}) \
+            == normalise_plan({"entries": 10, "packets": 2})
 
 
 class TestQueueLifecycle:
@@ -153,6 +153,76 @@ class TestCacheAcrossJobs:
         assert service.fetch(warm_id)["service"]["cache_hits"] == 0
 
 
+class TestPlansRunAsTable1Campaigns:
+    def test_non_default_keywords_run_as_the_api_call(self, tmp_path):
+        keywords = {"entries": 10, "packets": 2, "kinds": ["cam"],
+                    "prefixes": 30, "seed": 7}
+        service = make_service(tmp_path)
+        job_id = service.submit(keywords)
+        [job] = service.run_pending()
+        assert job.state == "completed"
+        _, campaign = api.table1_campaign(**keywords)
+        document = service.fetch(job_id)
+        assert document["result"]["records"] == campaign.records
+        assert document["render"] == campaign.render()
+        assert document["plan"] == normalise_plan(keywords)
+
+    def test_legacy_job_document_runs(self, tmp_path, baseline):
+        service = make_service(tmp_path)
+        _write_job(service, "job-0001-aa903947", seq=1, plan={
+            "kind": "table1", "entries": 10, "packets": 2,
+            "hazards": False, "backend": None})
+        [job] = service.run_pending()
+        assert job.state == "completed"
+        document = service.fetch(job.job_id)
+        assert document["result"]["records"] == baseline.records
+        assert document["render"] == baseline.render()
+
+    def test_sweep_job_fails_alone(self, tmp_path):
+        service = make_service(tmp_path)
+        _write_job(service, "job-0001-0badc0de", seq=1, plan={
+            "kind": "sweep", "entries": 10, "packets": 2,
+            "configs": [{"bus_count": 1, "table_kind": "cam"}]})
+        next_id = service.submit({**PLAN, "kinds": ["cam"]})
+        sweep_job, next_job = service.run_pending()
+        assert sweep_job.state == "failed"
+        assert "'sweep' kind was removed" in sweep_job.error
+        assert next_job.job_id == next_id and next_job.state == "completed"
+
+    def test_unknown_keyword_rejected_at_submit(self, tmp_path):
+        service = make_service(tmp_path)
+        with pytest.raises(ServiceError,
+                           match=r"unknown plan keywords \['pakets'\]"):
+            service.submit({"entries": 10, "pakets": 2})
+        assert not os.path.exists(service.root)
+
+    def test_cache_is_shared_across_kinds_only(self, tmp_path):
+        service = make_service(tmp_path)
+        base = {**PLAN, "kinds": ["sequential"]}
+
+        def cache_hits(plan):
+            job_id = service.submit(plan)
+            service.run_pending()
+            return service.fetch(job_id)["service"]["cache_hits"]
+        assert cache_hits(base) == 0
+        # kinds only picks configurations: the overlap is served
+        assert cache_hits({**PLAN, "kinds": ["sequential", "cam"]}) == 3
+        budget = 2 * api.DEFAULT_EVALUATION_MAX_CYCLES
+        for change in ({"entries": 12}, {"prefixes": 30},
+                       {"cycle_budget": budget}):
+            assert cache_hits({**base, **change}) == 0, change
+
+
+def _write_job(service, job_id, *, seq, plan):
+    """A queued job document as an older service left it on disk."""
+    for sub in ("jobs", "journals", "results", "cache"):
+        os.makedirs(os.path.join(service.root, sub), exist_ok=True)
+    document = {"job_id": job_id, "plan": plan, "state": "queued",
+                "seq": seq, "attempts": 0, "error": None, "summary": {}}
+    with open(service._job_path(job_id), "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
+
+
 class TestRecovery:
     def test_recover_requeues_running_jobs_and_resumes(
             self, tmp_path, baseline):
@@ -162,7 +232,7 @@ class TestRecovery:
         # a job document stuck in "running"
         job = service.status(job_id)
         runner = service._make_runner(job)
-        runner.run(plan_configs(job.plan)[:4])
+        runner.run(table1_configurations(job.plan["kinds"])[:4])
         job.state = "running"
         service._save(job)
 
@@ -242,7 +312,7 @@ class TestJobDeadline:
             factory(), jobs=1, journal_path=str(journal),
             supervision=SupervisionPolicy(job_timeout_seconds=5.0),
             sleep_fn=lambda seconds: None, time_fn=clock)
-        configs = plan_configs(normalise_plan(PLAN))
+        configs = table1_configurations()
         clock.advance_per_call = 2.0  # 3 calls in, the deadline passes
         with pytest.raises(JobTimeoutError):
             runner.run(configs)
@@ -357,6 +427,22 @@ class TestCli:
         assert main(["submit", "--root", str(tmp_path / "svc"),
                      "--plan", "{not json"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["jobs"], "no campaign spool"),
+        (["jobs", "--poll", "job-0001-cafecafe"], "no job"),
+        (["jobs", "--fetch", "job-0001-cafecafe"], "no job"),
+        (["serve"], "no campaign spool"),
+    ], ids=" ".join)
+    def test_read_commands_refuse_a_missing_spool(self, tmp_path, capsys,
+                                                  argv, refusal):
+        from repro.cli import main
+        root = str(tmp_path / "typo-spool")
+        assert main(argv[:1] + ["--root", root] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert refusal in err and root in err
+        assert not os.path.exists(root)
 
     def test_serve_reports_failed_jobs_with_exit_3(self, tmp_path,
                                                    capsys):

@@ -145,9 +145,11 @@ def test_unjournalled_output_matches_golden(name, tmp_path, capsys):
 
 #: (fetched document digest, job journal digest) of a supervised service
 #: job: ``submit --entries 10 --packets 2``, ``serve --jobs 2``, then
-#: ``jobs --fetch <id> --output``
+#: ``jobs --fetch <id> --output``. The document holds the job id and the
+#: canonical plan (every ``api.table1_campaign`` keyword a job may set);
+#: its records and render are the journal's.
 SERVICE_GOLDEN = (
-    "f130eb619f8bc5ff016c408769b728f21d9d31517cfbfbaf58f4039168966e9f",
+    "66f2c6e4e0574d27120e5ebe750db05c7011a46c42f0196539867d188fc88741",
     "7c8bf7441465080f4e29875e93bf6cf9a90bfbf6940daf4da297d5afdd60eaf0")
 
 
