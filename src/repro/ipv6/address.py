@@ -295,7 +295,7 @@ class Ipv6Prefix:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._network, self._length))
+        return hash((self._network._value, self._length))
 
     def __repr__(self) -> str:
         return f"Ipv6Prefix('{self}')"

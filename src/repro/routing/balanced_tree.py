@@ -35,11 +35,10 @@ back to its own encloser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import RoutingTableError
-from repro.ipv6.address import Ipv6Address, Ipv6Prefix
+from repro.ipv6.address import Ipv6Address, Ipv6Prefix, prefix_mask
 from repro.routing.base import DEFAULT_CAPACITY, RoutingTable
 from repro.routing.entry import RouteEntry
 from repro.routing.memimage import (
@@ -57,18 +56,28 @@ def _key(prefix: Ipv6Prefix) -> Tuple[int, int]:
     return (prefix.network.value, prefix.length)
 
 
-@dataclass
 class _Node:
-    entry: RouteEntry
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
-    height: int = 1
-    #: immediate enclosing prefix in the table (None = top level)
-    enclosing: Optional[Ipv6Prefix] = None
+    __slots__ = ("_entry", "key", "left", "right", "height", "enclosing")
+
+    def __init__(self, entry: RouteEntry):
+        self.entry = entry
+        self.left: Optional[_Node] = None
+        self.right: Optional[_Node] = None
+        self.height = 1
+        #: immediate enclosing prefix in the table (None = top level)
+        self.enclosing: Optional[Ipv6Prefix] = None
 
     @property
-    def key(self) -> Tuple[int, int]:
-        return _key(self.entry.prefix)
+    def entry(self) -> RouteEntry:
+        return self._entry
+
+    @entry.setter
+    def entry(self, entry: RouteEntry) -> None:
+        # the search key is stored, not derived per descent step; every
+        # payload write (insert, replace, delete swap, corruption) goes
+        # through here, so the key always follows the entry
+        self._entry = entry
+        self.key = _key(entry.prefix)
 
 
 def _height(node: Optional[_Node]) -> int:
@@ -132,7 +141,8 @@ class BalancedTreeRoutingTable(RoutingTable):
     # -- lookup ---------------------------------------------------------------
 
     def _lookup(self, address: Ipv6Address) -> Tuple[Optional[RouteEntry], int]:
-        target = (address.value, _ADDRESS_SENTINEL_LENGTH)
+        value = address.value
+        target = (value, _ADDRESS_SENTINEL_LENGTH)
         floor: Optional[_Node] = None
         node = self._root
         steps = 0
@@ -147,7 +157,8 @@ class BalancedTreeRoutingTable(RoutingTable):
         # Chain length is bounded by the node count: a longer walk means
         # a corrupted enclosing pointer closed a cycle — fail stop.
         candidate: Optional[Ipv6Prefix] = floor.entry.prefix if floor else None
-        chain_budget = len(self._nodes) + 1
+        nodes = self._nodes
+        chain_budget = len(nodes) + 1
         while candidate is not None:
             chain_budget -= 1
             if chain_budget < 0:
@@ -155,8 +166,11 @@ class BalancedTreeRoutingTable(RoutingTable):
                     "balanced-tree enclosing chain does not terminate "
                     "(corrupted enclosing pointer)")
             steps += 1
-            chain_node = self._nodes[candidate]
-            if chain_node.entry.prefix.contains(address):
+            chain_node = nodes[candidate]
+            # the key is the entry's (network, length): this is
+            # ``entry.prefix.contains(address)``, range check included
+            network, length = chain_node.key
+            if value & prefix_mask(length) == network:
                 return chain_node.entry, steps
             candidate = chain_node.enclosing
         return None, steps

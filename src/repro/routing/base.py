@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
@@ -42,14 +42,6 @@ class TableStatistics:
     removals: int = 0
     total_update_steps: int = 0
 
-    def record_lookup(self, steps: int, hit: bool) -> None:
-        self.lookups += 1
-        self.total_lookup_steps += steps
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-
     def record_update(self, steps: int, insert: bool) -> None:
         self.total_update_steps += steps
         if insert:
@@ -60,6 +52,44 @@ class TableStatistics:
     @property
     def mean_lookup_steps(self) -> float:
         return self.total_lookup_steps / self.lookups if self.lookups else 0.0
+
+
+def first_matches(
+        rows: "Iterable[Tuple[int, int, RouteEntry]]",
+        addresses: Sequence[Ipv6Address],
+) -> "List[Optional[Tuple[int, RouteEntry]]]":
+    """Per address, the first ``(position, entry)`` of *rows* it matches.
+
+    *rows* are ``(mask, value, entry)`` in scan order; an address
+    matches a row when ``address & mask == value``. The answer is what
+    a first-hit scan over the rows finds, on any rows: each distinct
+    mask files its rows in one hash map (the first position wins a
+    repeated value), the maps are probed in order of their first
+    position, and probing stops once a map's first position lies past
+    the best hit. Rows grouped by descending prefix length (a clean
+    table) stop right after the first hit.
+    """
+    groups: "List[Tuple[int, int, Dict[int, Tuple[int, RouteEntry]]]]" = []
+    by_mask: "Dict[int, Dict[int, Tuple[int, RouteEntry]]]" = {}
+    for position, (mask, value, entry) in enumerate(rows):
+        table = by_mask.get(mask)
+        if table is None:
+            table = by_mask[mask] = {}
+            groups.append((position, mask, table))
+        if value not in table:
+            table[value] = (position, entry)
+    out: "List[Optional[Tuple[int, RouteEntry]]]" = []
+    for address in addresses:
+        value = address.value
+        best: "Optional[Tuple[int, RouteEntry]]" = None
+        for first, mask, table in groups:
+            if best is not None and first > best[0]:
+                break
+            hit = table.get(value & mask)
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best = hit
+        out.append(best)
+    return out
 
 
 class RoutingTable(ABC):
@@ -148,13 +178,15 @@ class RoutingTable(ABC):
         """Longest-prefix match for every address in *addresses*.
 
         Semantically identical to ``[self.lookup(a) for a in addresses]``
-        — same results, same ``stats`` updates, same obs counters — but
-        implementations may override :meth:`_lookup_batch` to amortize
-        per-lookup overhead (the sequential table answers a batch from
-        per-length hash maps instead of rescanning the array per address).
-        Shares the fail-stop contract of :meth:`lookup`: structural
-        exceptions become :class:`~repro.errors.RoutingTableError` and no
-        partial results are accounted.
+        — same results, same ``stats`` updates, same obs counters — on
+        any state, a table damaged by :meth:`corrupt_memory` included.
+        Implementations may override :meth:`_lookup_batch` to amortize
+        per-lookup overhead (the sequential and CAM tables answer a
+        batch from per-mask hash maps, see :func:`first_matches`,
+        instead of rescanning per address). Shares the fail-stop
+        contract of :meth:`lookup`: the batch raises
+        :class:`~repro.errors.RoutingTableError` exactly when one of its
+        per-address lookups would, and no partial results are accounted.
         """
         try:
             pairs = list(self._lookup_batch(addresses))
@@ -171,29 +203,34 @@ class RoutingTable(ABC):
     ) -> "Iterable[Tuple[Optional[RouteEntry], int]]":
         """Raw batch lookup; overrides MUST report the exact (entry,
         steps) pairs the per-address :meth:`_lookup` would have."""
-        return [self._lookup(address) for address in addresses]
+        return list(map(self._lookup, addresses))
 
     def _account_lookups(
             self, pairs: "Sequence[Tuple[Optional[RouteEntry], int]]"
     ) -> List[Optional[LookupResult]]:
-        """Stats for raw ``(entry, steps)`` pairs; each counter then gets
-        what the same lookups one at a time would add, in one publish."""
-        record = self.stats.record_lookup
+        """Stats for raw ``(entry, steps)`` pairs; ``stats`` and each
+        counter then get what the same lookups one at a time would add,
+        in one update."""
         results: List[Optional[LookupResult]] = []
+        append = results.append
         hits = steps_total = 0
         for entry, steps in pairs:
-            record(steps, hit=entry is not None)
             steps_total += steps
             if entry is None:
-                results.append(None)
+                append(None)
             else:
                 hits += 1
-                results.append(LookupResult(entry=entry, steps=steps))
+                append(LookupResult(entry, steps))
+        misses = len(results) - hits
+        stats = self.stats
+        stats.lookups += len(results)
+        stats.hits += hits
+        stats.misses += misses
+        stats.total_lookup_steps += steps_total
         if hits:
             ROUTING_LOOKUPS.inc(hits, kind=self.kind, outcome="hit")
-        if len(results) > hits:
-            ROUTING_LOOKUPS.inc(len(results) - hits, kind=self.kind,
-                                outcome="miss")
+        if misses:
+            ROUTING_LOOKUPS.inc(misses, kind=self.kind, outcome="miss")
         if results:
             ROUTING_LOOKUP_STEPS.inc(steps_total, kind=self.kind)
         return results

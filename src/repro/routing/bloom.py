@@ -51,22 +51,26 @@ BLOOM_SEARCH_LATENCY_CYCLES = 4
 probe, and two provisioned hash-table memory reads."""
 
 
-def _hash_pair(length: int, value: int) -> Tuple[int, int]:
-    digest = hashlib.blake2b(
-        length.to_bytes(2, "big") + value.to_bytes(16, "big"),
-        digest_size=16).digest()
-    h1 = int.from_bytes(digest[:8], "big")
-    h2 = int.from_bytes(digest[8:], "big") | 1  # odd => full period
-    return h1, h2
+_LOW_64 = (1 << 64) - 1
+
+
+def _hash_pair(tag: bytes, value: int) -> Tuple[int, int]:
+    """Double-hashing seeds for *value* in the length class tagged *tag*
+    (its length as 2 big-endian bytes): the two halves of one digest."""
+    digest = int.from_bytes(hashlib.blake2b(
+        tag + value.to_bytes(16, "big"), digest_size=16).digest(), "big")
+    return digest >> 64, (digest & _LOW_64) | 1  # odd => full period
 
 
 class _LengthClass:
     """All state for one prefix length: exact table + counting filter."""
 
-    __slots__ = ("length", "mask", "entries", "counters", "slots")
+    __slots__ = ("length", "tag", "mask", "entries", "counters", "slots")
 
     def __init__(self, length: int, slots: int):
         self.length = length
+        #: the length as hashed into every filter key
+        self.tag = length.to_bytes(2, "big")
         self.mask = prefix_mask(length)
         #: masked network value -> entry (insertion-ordered)
         self.entries: Dict[int, RouteEntry] = {}
@@ -74,15 +78,22 @@ class _LengthClass:
         self.counters = bytearray(slots)
 
     def filter_positive(self, value: int, hash_count: int) -> bool:
-        h1, h2 = _hash_pair(self.length, value)
+        # probe i reads (h1 + i*h2) % slots; reducing h1 and h2 once and
+        # stepping by addition visits the same counters
+        h1, h2 = _hash_pair(self.tag, value)
         counters, slots = self.counters, self.slots
-        for i in range(hash_count):
-            if not counters[(h1 + i * h2) % slots]:
+        index = h1 % slots
+        step = h2 % slots
+        for _ in range(hash_count):
+            if not counters[index]:
                 return False
+            index += step
+            if index >= slots:
+                index -= slots
         return True
 
     def filter_add(self, value: int, hash_count: int) -> None:
-        h1, h2 = _hash_pair(self.length, value)
+        h1, h2 = _hash_pair(self.tag, value)
         counters, slots = self.counters, self.slots
         for i in range(hash_count):
             index = (h1 + i * h2) % slots
@@ -90,7 +101,7 @@ class _LengthClass:
                 counters[index] += 1
 
     def filter_discard(self, value: int, hash_count: int) -> None:
-        h1, h2 = _hash_pair(self.length, value)
+        h1, h2 = _hash_pair(self.tag, value)
         counters, slots = self.counters, self.slots
         for i in range(hash_count):
             index = (h1 + i * h2) % slots
@@ -181,15 +192,16 @@ class BloomRoutingTable(RoutingTable):
 
     def _lookup(self, address: Ipv6Address) -> Tuple[Optional[RouteEntry], int]:
         value = address.value
+        classes, hash_count = self._classes, self.hash_count
         steps = 1  # the parallel Bloom-bank probe counts once
         for length in self._lengths_desc:
             # .get, not []: a corrupted probe-order list must degrade to
             # skipping the phantom length, not crash with a KeyError
-            cls = self._classes.get(length)
+            cls = classes.get(length)
             if cls is None:
                 continue
             masked = value & cls.mask
-            if not cls.filter_positive(masked, self.hash_count):
+            if not cls.filter_positive(masked, hash_count):
                 continue
             steps += 1  # off-filter hash-table access
             entry = cls.entries.get(masked)

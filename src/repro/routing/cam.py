@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.obs.catalogue import ROUTING_CAM_BUSY_CYCLES
-from repro.routing.base import DEFAULT_CAPACITY, RoutingTable
+from repro.routing.base import DEFAULT_CAPACITY, RoutingTable, first_matches
 from repro.routing.entry import RouteEntry
 from repro.routing.memimage import corrupt_entry, pack_entry
 
@@ -130,30 +130,17 @@ class CamRoutingTable(RoutingTable):
     def _lookup_batch(
             self, addresses: Sequence[Ipv6Address]
     ) -> List[Tuple[Optional[RouteEntry], int]]:
-        """Batch search via per-length maps; every search still costs one
-        step and occupies the CAM for one 40 ns slot."""
+        """Batch search via per-mask maps keyed by each line's own match
+        pair; every search still costs one step and occupies the CAM for
+        one 40 ns slot."""
         if addresses:
             ROUTING_CAM_BUSY_CYCLES.inc(
                 self._search_busy_cycles * len(addresses))
-        by_length: "List[Tuple[int, Dict[int, RouteEntry]]]" = []
-        seen: Dict[int, Dict[int, RouteEntry]] = {}
-        for line in self._lines:
-            length = line.entry.prefix.length
-            table = seen.get(length)
-            if table is None:
-                table = seen[length] = {}
-                by_length.append((line.mask, table))
-            table[line.value] = line.entry
-        out: List[Tuple[Optional[RouteEntry], int]] = []
-        for address in addresses:
-            value = address.value
-            found: Optional[RouteEntry] = None
-            for mask, table in by_length:
-                found = table.get(value & mask)
-                if found is not None:
-                    break
-            out.append((found, 1))
-        return out
+        matches = first_matches(
+            ((line.mask, line.value, line.entry) for line in self._lines),
+            addresses)
+        return [(None, 1) if match is None else (match[1], 1)
+                for match in matches]
 
     def load(self, entries: "list[RouteEntry]") -> None:
         """Single-sort bulk line build from an empty CAM (one write per

@@ -74,6 +74,11 @@ class MultibitTrieRoutingTable(RoutingTable):
         if not 1 <= stride <= 32:
             raise RoutingTableError(f"stride out of range: {stride}")
         self.stride = stride
+        #: per-depth ``(shift, mask)`` extracting that level's chunk
+        self._levels: Tuple[Tuple[int, int], ...] = tuple(
+            (ADDRESS_BITS - depth * stride - self._level_width(depth),
+             (1 << self._level_width(depth)) - 1)
+            for depth in range(self.max_depth()))
         self._root = _TrieNode()
         self._node_count = 1
         #: exact-prefix ground truth, insertion-ordered (O(1) get/len)
@@ -84,11 +89,6 @@ class MultibitTrieRoutingTable(RoutingTable):
     def _level_width(self, depth: int) -> int:
         """Bits the node at *depth* spans (the last level may be short)."""
         return min(self.stride, ADDRESS_BITS - depth * self.stride)
-
-    def _chunk(self, value: int, depth: int) -> int:
-        width = self._level_width(depth)
-        shift = ADDRESS_BITS - depth * self.stride - width
-        return (value >> shift) & ((1 << width) - 1)
 
     def _terminal_depth(self, length: int) -> int:
         """Depth of the node a prefix of *length* terminates in."""
@@ -102,10 +102,10 @@ class MultibitTrieRoutingTable(RoutingTable):
     def _expansion(self, prefix: Ipv6Prefix,
                    depth: int) -> Tuple[int, int]:
         """(first chunk, slot count) *prefix* covers in its node."""
-        width = self._level_width(depth)
+        shift, mask = self._levels[depth]
         in_node = prefix.length - depth * self.stride  # 0 for ::/0
-        base = self._chunk(prefix.network.value, depth)
-        span = 1 << (width - in_node)
+        base = (prefix.network.value >> shift) & mask
+        span = 1 << (self._level_width(depth) - in_node)
         return base, span
 
     def _reexpand(self, node: _TrieNode, depth: int) -> int:
@@ -128,10 +128,11 @@ class MultibitTrieRoutingTable(RoutingTable):
     def _insert(self, entry: RouteEntry) -> int:
         prefix = entry.prefix
         target_depth = self._terminal_depth(prefix.length)
+        value = prefix.network.value
         node = self._root
         steps = 1
-        for depth in range(target_depth):
-            chunk = self._chunk(prefix.network.value, depth)
+        for shift, mask in self._levels[:target_depth]:
+            chunk = (value >> shift) & mask
             child = node.children.get(chunk)
             if child is None:
                 child = node.children[chunk] = _TrieNode()
@@ -146,11 +147,12 @@ class MultibitTrieRoutingTable(RoutingTable):
         if prefix not in self._routes:
             raise RoutingTableError(f"no such route: {prefix}")
         target_depth = self._terminal_depth(prefix.length)
+        value = prefix.network.value
         path: List[Tuple[_TrieNode, int]] = []  # (parent, chunk taken)
         node = self._root
         steps = 1
-        for depth in range(target_depth):
-            chunk = self._chunk(prefix.network.value, depth)
+        for shift, mask in self._levels[:target_depth]:
+            chunk = (value >> shift) & mask
             path.append((node, chunk))
             node = node.children[chunk]
             steps += 1
@@ -171,25 +173,21 @@ class MultibitTrieRoutingTable(RoutingTable):
         node = self._root
         best: Optional[RouteEntry] = None
         steps = 0
-        depth = 0
-        # Descent depth is bounded by the pipeline: exceeding it means a
-        # corrupted child page steered the walk off the tree — fail stop.
-        depth_budget = self.max_depth()
-        while True:
-            if depth > depth_budget:
-                raise RoutingTableError(
-                    "multibit-trie descent exceeds the pipeline depth "
-                    "(corrupted child page)")
+        for shift, mask in self._levels:
             steps += 1  # one memory access per level
-            chunk = self._chunk(value, depth)
+            chunk = (value >> shift) & mask
             slot = node.slots.get(chunk)
             if slot is not None:
                 best = slot
-            child = node.children.get(chunk)
-            if child is None:
+            node = node.children.get(chunk)
+            if node is None:
                 return best, steps
-            node = child
-            depth += 1
+        # Descent depth is bounded by the pipeline: a node below the
+        # last level means a corrupted child page steered the walk off
+        # the tree — fail stop.
+        raise RoutingTableError(
+            "multibit-trie descent exceeds the pipeline depth "
+            "(corrupted child page)")
 
     def get(self, prefix: Ipv6Prefix) -> Optional[RouteEntry]:
         return self._routes.get(prefix)
@@ -217,10 +215,11 @@ class MultibitTrieRoutingTable(RoutingTable):
         steps = 0
         for prefix, entry in merged.items():
             target_depth = self._terminal_depth(prefix.length)
+            value = prefix.network.value
             node = self._root
             steps += 1
-            for depth in range(target_depth):
-                chunk = self._chunk(prefix.network.value, depth)
+            for shift, mask in self._levels[:target_depth]:
+                chunk = (value >> shift) & mask
                 child = node.children.get(chunk)
                 if child is None:
                     child = node.children[chunk] = _TrieNode()

@@ -14,8 +14,9 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingTableError
-from repro.ipv6.address import Ipv6Address, Ipv6Prefix, prefix_mask
-from repro.routing.base import DEFAULT_CAPACITY, RoutingTable
+from repro.ipv6.address import ADDRESS_BITS, Ipv6Address, Ipv6Prefix, \
+    prefix_mask
+from repro.routing.base import DEFAULT_CAPACITY, RoutingTable, first_matches
 from repro.routing.entry import RouteEntry
 from repro.routing.memimage import corrupt_entry, pack_entry
 
@@ -94,37 +95,33 @@ class SequentialRoutingTable(RoutingTable):
     def _lookup_batch(
             self, addresses: Sequence[Ipv6Address]
     ) -> List[Tuple[Optional[RouteEntry], int]]:
-        """Answer a batch from per-length hash maps.
+        """Answer a batch from per-mask hash maps (:func:`first_matches`).
 
-        Builds, once per batch, a map ``length -> {masked network:
-        (entry, scan position)}``; each address then probes the distinct
-        lengths in scan order. Results — including the per-address
-        ``steps`` the cycle models consume — are exactly what the linear
-        scan would report: a hit at scan index *i* costs ``i + 1``
-        steps, a miss costs ``len(self)``.
+        Results — including the per-address ``steps`` the cycle models
+        consume — are exactly what the linear scan would report: a hit
+        at scan index *i* costs ``i + 1`` steps, a miss costs
+        ``len(self)``. The maps hold the entries before the first one
+        whose length has no mask (a damaged record); an address the
+        maps miss would reach that entry, so it takes the scan itself,
+        which fails there as a lone lookup does.
         """
-        by_length: "List[Tuple[int, Dict[int, Tuple[RouteEntry, int]]]]" = []
-        seen: Dict[int, Dict[int, Tuple[RouteEntry, int]]] = {}
-        for position, entry in enumerate(self._entries):
+        rows: List[Tuple[int, int, RouteEntry]] = []
+        for entry in self._entries:
             length = entry.prefix.length
-            table = seen.get(length)
-            if table is None:
-                table = seen[length] = {}
-                by_length.append((prefix_mask(length), table))
-            table[entry.prefix.network.value] = (entry, position)
+            if not 0 <= length <= ADDRESS_BITS:
+                break
+            rows.append((prefix_mask(length), entry.prefix.network.value,
+                         entry))
+        scan_ends = len(rows) == len(self._entries)
         miss_steps = len(self._entries)
         out: List[Tuple[Optional[RouteEntry], int]] = []
-        for address in addresses:
-            value = address.value
-            found: Optional[Tuple[RouteEntry, int]] = None
-            for mask, table in by_length:
-                found = table.get(value & mask)
-                if found is not None:
-                    break
-            if found is None:
+        for address, match in zip(addresses, first_matches(rows, addresses)):
+            if match is not None:
+                out.append((match[1], match[0] + 1))
+            elif scan_ends:
                 out.append((None, miss_steps))
             else:
-                out.append((found[0], found[1] + 1))
+                out.append(self._lookup(address))
         return out
 
     def __len__(self) -> int:

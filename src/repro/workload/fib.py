@@ -28,6 +28,7 @@ byte-identical across runs, resumes, and process pools.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -113,16 +114,9 @@ def synthesize_fib(prefix_count: int, interface_count: int = 4,
     provider_harmonic: List[float] = []
 
     def pick_provider() -> Ipv6Prefix:
-        total = provider_harmonic[-1]
-        roll = rng.random() * total
-        lo, hi = 0, len(provider_harmonic) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if provider_harmonic[mid] < roll:
-                lo = mid + 1
-            else:
-                hi = mid
-        return providers[lo]
+        roll = rng.random() * provider_harmonic[-1]
+        index = bisect_left(provider_harmonic, roll)
+        return providers[min(index, len(providers) - 1)]
 
     while len(routes) < prefix_count:
         length = rng.choices(lengths, weights=weights)[0]
@@ -155,7 +149,7 @@ def zipf_addresses(routes: Sequence[RouteEntry], count: int,
 
     Routes are ranked in a seed-deterministic shuffle; rank r receives
     weight ``1/(r+1)^exponent``, so a few hot prefixes dominate the
-    traffic. Sampling uses an inverse-CDF binary search, O(log n) per
+    traffic. Sampling bisects the cumulative weights, O(log n) per
     address, so million-route tables stay cheap.
     """
     if count < 0:
@@ -170,15 +164,9 @@ def zipf_addresses(routes: Sequence[RouteEntry], count: int,
     for rank in range(len(ranked)):
         total += 1.0 / ((rank + 1) ** exponent)
         cumulative.append(total)
+    last = len(cumulative) - 1
     out: List[Ipv6Address] = []
     for _ in range(count):
-        roll = rng.random() * total
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] < roll:
-                lo = mid + 1
-            else:
-                hi = mid
-        out.append(address_inside(ranked[lo].prefix, rng))
+        index = min(bisect_left(cumulative, rng.random() * total), last)
+        out.append(address_inside(ranked[index].prefix, rng))
     return out

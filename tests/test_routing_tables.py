@@ -17,6 +17,7 @@ from repro.routing import (
     TABLE_KINDS,
     make_table,
 )
+from repro.routing.balanced_tree import _key
 from repro.routing.cam import CamPhysicalModel
 from repro.routing.entry import RouteEntry
 from repro.workload.fib import FibProfile, synthesize_fib, zipf_addresses
@@ -278,6 +279,40 @@ class TestBalancedTree:
         assert table.lookup(addr("2001:db8:2::9")).interface == 2
         assert table.lookup(addr("2001:1::9")).interface == 1
         assert table.lookup(addr("9999::9")).interface == 0
+
+    def test_stored_keys_follow_their_entries(self):
+        """Each node stores its search key; every payload write (bulk
+        build, replace, delete's payload swap, corruption of the
+        network and length fields) must leave it equal to the key of
+        the node's entry."""
+
+        def assert_keys_follow(table):
+            for node in table._ordered_nodes():  # noqa: SLF001
+                assert node.key == _key(node.entry.prefix)
+
+        routes = synthesize_fib(120, seed=13)
+        rng = random.Random(17)
+        table = BalancedTreeRoutingTable(capacity=len(routes))
+        table.load(routes)
+        assert_keys_follow(table)
+        table.insert(RouteEntry(prefix=routes[5].prefix,
+                                next_hop=Ipv6Address(9), interface=1))
+        assert_keys_follow(table)
+        swaps = 0
+        for victim in rng.sample(routes, 60):
+            node = table._nodes[victim.prefix]  # noqa: SLF001
+            swaps += node.left is not None and node.right is not None
+            table.remove(victim.prefix)
+            assert_keys_follow(table)
+        assert swaps  # some removals swapped a successor's payload in
+
+        damaged = BalancedTreeRoutingTable(capacity=len(routes))
+        damaged.load(routes)
+        for _ in range(40):
+            bit = rng.randrange(136)  # network 0..127, length 128..135
+            damaged.corrupt_memory("tree-node",
+                                   rng.randrange(len(routes)), bit)
+            assert_keys_follow(damaged)
 
 
 class TestCostShapes:
