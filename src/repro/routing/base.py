@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
@@ -54,42 +54,42 @@ class TableStatistics:
         return self.total_lookup_steps / self.lookups if self.lookups else 0.0
 
 
-def first_matches(
-        rows: "Iterable[Tuple[int, int, RouteEntry]]",
-        addresses: Sequence[Ipv6Address],
-) -> "List[Optional[Tuple[int, RouteEntry]]]":
-    """Per address, the first ``(position, entry)`` of *rows* it matches.
+class FirstMatchIndex:
+    """What a first-hit scan over ``(mask, value, entry)`` rows finds.
 
-    *rows* are ``(mask, value, entry)`` in scan order; an address
-    matches a row when ``address & mask == value``. The answer is what
-    a first-hit scan over the rows finds, on any rows: each distinct
-    mask files its rows in one hash map (the first position wins a
-    repeated value), the maps are probed in order of their first
-    position, and probing stops once a map's first position lies past
-    the best hit. Rows grouped by descending prefix length (a clean
-    table) stop right after the first hit.
+    The rows are in scan order; a value matches a row when ``value &
+    mask == row value``. :meth:`find` answers as the scan does, on any
+    rows: each distinct mask files its rows in one hash map (the first
+    position wins a repeated value), the maps are probed in order of
+    their first position, and probing stops once a map's first position
+    lies past the best hit. Rows grouped by descending prefix length (a
+    clean table) stop right after the first hit.
     """
-    groups: "List[Tuple[int, int, Dict[int, Tuple[int, RouteEntry]]]]" = []
-    by_mask: "Dict[int, Dict[int, Tuple[int, RouteEntry]]]" = {}
-    for position, (mask, value, entry) in enumerate(rows):
-        table = by_mask.get(mask)
-        if table is None:
-            table = by_mask[mask] = {}
-            groups.append((position, mask, table))
-        if value not in table:
-            table[value] = (position, entry)
-    out: "List[Optional[Tuple[int, RouteEntry]]]" = []
-    for address in addresses:
-        value = address.value
+
+    def __init__(self, rows: "Sequence[Tuple[int, int, RouteEntry]]"):
+        groups: "List[Tuple[int, int, Dict[int, Tuple[int, RouteEntry]]]]" = []
+        by_mask: "Dict[int, Dict[int, Tuple[int, RouteEntry]]]" = {}
+        for position, (mask, value, entry) in enumerate(rows):
+            table = by_mask.get(mask)
+            if table is None:
+                table = by_mask[mask] = {}
+                groups.append((position, mask, table))
+            if value not in table:
+                table[value] = (position, entry)
+        #: how many rows the index holds
+        self.size = len(rows)
+        self._groups = groups
+
+    def find(self, value: int) -> "Optional[Tuple[int, RouteEntry]]":
+        """The first ``(position, entry)`` of a row *value* matches."""
         best: "Optional[Tuple[int, RouteEntry]]" = None
-        for first, mask, table in groups:
+        for first, mask, table in self._groups:
             if best is not None and first > best[0]:
                 break
             hit = table.get(value & mask)
             if hit is not None and (best is None or hit[0] < best[0]):
                 best = hit
-        out.append(best)
-    return out
+        return best
 
 
 class RoutingTable(ABC):
@@ -177,19 +177,16 @@ class RoutingTable(ABC):
     ) -> List[Optional[LookupResult]]:
         """Longest-prefix match for every address in *addresses*.
 
-        Semantically identical to ``[self.lookup(a) for a in addresses]``
-        — same results, same ``stats`` updates, same obs counters — on
-        any state, a table damaged by :meth:`corrupt_memory` included.
-        Implementations may override :meth:`_lookup_batch` to amortize
-        per-lookup overhead (the sequential and CAM tables answer a
-        batch from per-mask hash maps, see :func:`first_matches`,
-        instead of rescanning per address). Shares the fail-stop
-        contract of :meth:`lookup`: the batch raises
+        Identical to ``[self.lookup(a) for a in addresses]`` — same
+        results, same ``stats`` updates, same obs counters — on any
+        state, a table damaged by :meth:`corrupt_memory` included; the
+        accounting is one update for the whole batch. Shares the
+        fail-stop contract of :meth:`lookup`: the batch raises
         :class:`~repro.errors.RoutingTableError` exactly when one of its
         per-address lookups would, and no partial results are accounted.
         """
         try:
-            pairs = list(self._lookup_batch(addresses))
+            pairs = list(map(self._lookup, addresses))
         except RoutingTableError:
             raise
         except Exception as exc:
@@ -197,13 +194,6 @@ class RoutingTable(ABC):
                 f"corrupt {self.kind} state during batch lookup: "
                 f"{type(exc).__name__}: {exc}") from exc
         return self._account_lookups(pairs)
-
-    def _lookup_batch(
-            self, addresses: Sequence[Ipv6Address]
-    ) -> "Iterable[Tuple[Optional[RouteEntry], int]]":
-        """Raw batch lookup; overrides MUST report the exact (entry,
-        steps) pairs the per-address :meth:`_lookup` would have."""
-        return list(map(self._lookup, addresses))
 
     def _account_lookups(
             self, pairs: "Sequence[Tuple[Optional[RouteEntry], int]]"

@@ -23,8 +23,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.obs.catalogue import ROUTING_CAM_BUSY_CYCLES
-from repro.routing.base import DEFAULT_CAPACITY, RoutingTable, first_matches
-from repro.routing.entry import RouteEntry
+from repro.routing.base import DEFAULT_CAPACITY, FirstMatchIndex, \
+    RoutingTable
+from repro.routing.entry import LookupResult, RouteEntry
 from repro.routing.memimage import corrupt_entry, pack_entry
 
 CAM_WIDTH_BITS = 136
@@ -87,12 +88,15 @@ class CamRoutingTable(RoutingTable):
         super().__init__(capacity)
         self.physical = physical or CamPhysicalModel()
         self._lines: List[_CamLine] = []
+        #: first-match index over the lines' match pairs; writes drop it
+        self._index: Optional[FirstMatchIndex] = None
         # CAM occupancy per search at the part's reference clock, cached
-        # so the lookup path publishes busy cycles without recomputing
+        # so lookup accounting publishes busy cycles without recomputing
         self._search_busy_cycles = self.physical.search_cycles(
             self.physical.reference_clock_mhz * 1e6)
 
     def _insert(self, entry: RouteEntry) -> int:
+        self._index = None
         prefix = entry.prefix
         for line in self._lines:
             if line.entry.prefix == prefix:
@@ -114,33 +118,33 @@ class CamRoutingTable(RoutingTable):
         for i, line in enumerate(self._lines):
             if line.entry.prefix == prefix:
                 del self._lines[i]
+                self._index = None
                 return 1 + (len(self._lines) - i)
         raise RoutingTableError(f"no such route: {prefix}")
 
     def _lookup(self, address: Ipv6Address) -> Tuple[Optional[RouteEntry], int]:
         # Hardware matches all lines in parallel; the model's "steps" is 1
         # regardless of occupancy — the defining property of the CAM row.
-        ROUTING_CAM_BUSY_CYCLES.inc(self._search_busy_cycles)
-        value = address.value
-        for line in self._lines:
-            if (value & line.mask) == line.value:
-                return line.entry, 1
-        return None, 1
+        # The priority encoder's pick is the first matching line.
+        index = self._index
+        if index is None:
+            index = self._index = self._build_index()
+        match = index.find(address.value)
+        return (None if match is None else match[1]), 1
 
-    def _lookup_batch(
-            self, addresses: Sequence[Ipv6Address]
-    ) -> List[Tuple[Optional[RouteEntry], int]]:
-        """Batch search via per-mask maps keyed by each line's own match
-        pair; every search still costs one step and occupies the CAM for
-        one 40 ns slot."""
-        if addresses:
+    def _build_index(self) -> FirstMatchIndex:
+        return FirstMatchIndex(
+            [(line.mask, line.value, line.entry) for line in self._lines])
+
+    def _account_lookups(
+            self, pairs: "Sequence[Tuple[Optional[RouteEntry], int]]"
+    ) -> List[Optional[LookupResult]]:
+        """Every search also occupies the CAM for one 40 ns slot."""
+        results = super()._account_lookups(pairs)
+        if results:
             ROUTING_CAM_BUSY_CYCLES.inc(
-                self._search_busy_cycles * len(addresses))
-        matches = first_matches(
-            ((line.mask, line.value, line.entry) for line in self._lines),
-            addresses)
-        return [(None, 1) if match is None else (match[1], 1)
-                for match in matches]
+                self._search_busy_cycles * len(results))
+        return results
 
     def load(self, entries: "list[RouteEntry]") -> None:
         """Single-sort bulk line build from an empty CAM (one write per
@@ -158,6 +162,7 @@ class CamRoutingTable(RoutingTable):
             _CamLine(value=entry.prefix.network.value,
                      mask=entry.prefix.mask(), entry=entry)
             for entry in ordered]
+        self._index = None
         self._account_bulk_load(len(entries), len(merged))
 
     def search_latency_cycles(self) -> int:
@@ -208,6 +213,7 @@ class CamRoutingTable(RoutingTable):
         self._check_memory_index(site, index, len(self._lines))
         line = self._lines[index]
         prefix = line.entry.prefix
+        self._index = None
         if bit < 128:
             line.value ^= 1 << (127 - bit)
             return f"cam-row[{index}] value bit {bit} ({prefix})"

@@ -41,14 +41,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.obs.catalogue import ROUTING_CORRUPTION_DETECTED, \
     ROUTING_DEGRADED_LOOKUPS
 from repro.routing.base import RoutingTable
-from repro.routing.entry import RouteEntry
+from repro.routing.entry import LookupResult, RouteEntry
 from repro.routing.memimage import pack_entry
 
 PROTECTION_MODES: Tuple[str, ...] = ("none", "parity", "checksum")
@@ -165,6 +165,13 @@ class ProtectedRoutingTable(RoutingTable):
         self._record_detection()
         self._quarantine(entry.prefix)
         return self._degraded_lookup(address)
+
+    def _account_lookups(
+            self, pairs: "Sequence[Tuple[Optional[RouteEntry], int]]"
+    ) -> List[Optional[LookupResult]]:
+        # stats and kind are shared, and each lookup ran one inner
+        # _lookup; the inner table adds what it publishes (CAM busy)
+        return self.inner._account_lookups(pairs)
 
     def _verify_hit(self, entry: RouteEntry, address: Ipv6Address) -> bool:
         try:

@@ -11,12 +11,13 @@ behaviour that drives the 6 GHz requirement in Table 1.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import ADDRESS_BITS, Ipv6Address, Ipv6Prefix, \
     prefix_mask
-from repro.routing.base import DEFAULT_CAPACITY, RoutingTable, first_matches
+from repro.routing.base import DEFAULT_CAPACITY, FirstMatchIndex, \
+    RoutingTable
 from repro.routing.entry import RouteEntry
 from repro.routing.memimage import corrupt_entry, pack_entry
 
@@ -29,10 +30,13 @@ class SequentialRoutingTable(RoutingTable):
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         super().__init__(capacity)
         self._entries: List[RouteEntry] = []
+        #: first-match index over ``_entries``; every write drops it
+        self._index: Optional[FirstMatchIndex] = None
 
     # -- core operations -----------------------------------------------------
 
     def _insert(self, entry: RouteEntry) -> int:
+        self._index = None
         steps = 0
         for i, existing in enumerate(self._entries):
             steps += 1
@@ -55,14 +59,36 @@ class SequentialRoutingTable(RoutingTable):
         for i, existing in enumerate(self._entries):
             if existing.prefix == prefix:
                 del self._entries[i]
+                self._index = None
                 return i + 1 + (len(self._entries) - i)
         raise RoutingTableError(f"no such route: {prefix}")
 
     def _lookup(self, address: Ipv6Address) -> Tuple[Optional[RouteEntry], int]:
-        for steps, entry in enumerate(self._entries, 1):
-            if entry.prefix.contains(address):
-                return entry, steps
-        return None, len(self._entries)
+        """The scan's answer and cost (a hit at position *i* costs
+        ``i + 1`` steps, a miss ``len(self)``), from the first-match
+        index. The index stops before the first entry whose length has
+        no mask; an address it misses fails there, as the scan does."""
+        index = self._index
+        if index is None:
+            index = self._index = self._build_index()
+        match = index.find(address.value)
+        if match is not None:
+            return match[1], match[0] + 1
+        entries = self._entries
+        if index.size < len(entries):
+            # raises the scan's own out-of-range error
+            prefix_mask(entries[index.size].prefix.length)
+        return None, len(entries)
+
+    def _build_index(self) -> FirstMatchIndex:
+        rows: List[Tuple[int, int, RouteEntry]] = []
+        for entry in self._entries:
+            length = entry.prefix.length
+            if not 0 <= length <= ADDRESS_BITS:
+                break
+            rows.append((prefix_mask(length), entry.prefix.network.value,
+                         entry))
+        return FirstMatchIndex(rows)
 
     def get(self, prefix: Ipv6Prefix) -> Optional[RouteEntry]:
         for entry in self._entries:
@@ -90,39 +116,8 @@ class SequentialRoutingTable(RoutingTable):
             merged[entry.prefix] = entry
         self._entries = sorted(
             merged.values(), key=lambda entry: -entry.prefix.length)
+        self._index = None
         self._account_bulk_load(len(entries), len(merged))
-
-    def _lookup_batch(
-            self, addresses: Sequence[Ipv6Address]
-    ) -> List[Tuple[Optional[RouteEntry], int]]:
-        """Answer a batch from per-mask hash maps (:func:`first_matches`).
-
-        Results — including the per-address ``steps`` the cycle models
-        consume — are exactly what the linear scan would report: a hit
-        at scan index *i* costs ``i + 1`` steps, a miss costs
-        ``len(self)``. The maps hold the entries before the first one
-        whose length has no mask (a damaged record); an address the
-        maps miss would reach that entry, so it takes the scan itself,
-        which fails there as a lone lookup does.
-        """
-        rows: List[Tuple[int, int, RouteEntry]] = []
-        for entry in self._entries:
-            length = entry.prefix.length
-            if not 0 <= length <= ADDRESS_BITS:
-                break
-            rows.append((prefix_mask(length), entry.prefix.network.value,
-                         entry))
-        scan_ends = len(rows) == len(self._entries)
-        miss_steps = len(self._entries)
-        out: List[Tuple[Optional[RouteEntry], int]] = []
-        for address, match in zip(addresses, first_matches(rows, addresses)):
-            if match is not None:
-                out.append((match[1], match[0] + 1))
-            elif scan_ends:
-                out.append((None, miss_steps))
-            else:
-                out.append(self._lookup(address))
-        return out
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -152,6 +147,7 @@ class SequentialRoutingTable(RoutingTable):
         self._check_memory_index(site, index, len(self._entries))
         before = self._entries[index]
         self._entries[index] = corrupt_entry(before, bit)
+        self._index = None
         return f"entry[{index}] bit {bit} ({before.prefix})"
 
     # -- memory image (for the TACO data memory) ------------------------------
