@@ -225,6 +225,15 @@ def vulnerability_row(config: ArchitectureConfiguration,
     }
 
 
+def sum_outcomes(rows: Sequence[Dict[str, object]]) -> Dict[str, int]:
+    """Per-outcome trial totals over the *rows* of a sweep result."""
+    totals = {outcome: 0 for outcome in OUTCOMES}
+    for row in rows:
+        for outcome, count in row["outcomes"].items():
+            totals[outcome] += count
+    return totals
+
+
 @dataclass
 class SdcSweepResult:
     """Outcome of one (possibly resumed) SDC sweep."""
@@ -240,11 +249,7 @@ class SdcSweepResult:
 
     @property
     def outcome_totals(self) -> Dict[str, int]:
-        totals = {outcome: 0 for outcome in OUTCOMES}
-        for row in self.rows:
-            for outcome, count in row["outcomes"].items():
-                totals[outcome] += count
-        return totals
+        return sum_outcomes(self.rows)
 
     def render(self) -> str:
         """Deterministic text artifact — byte-identical whether the
@@ -537,11 +542,7 @@ class MemorySweepResult:
 
     @property
     def outcome_totals(self) -> Dict[str, int]:
-        totals = {outcome: 0 for outcome in OUTCOMES}
-        for row in self.rows:
-            for outcome, count in row["outcomes"].items():
-                totals[outcome] += count
-        return totals
+        return sum_outcomes(self.rows)
 
     def render(self) -> str:
         """Deterministic text artifact — byte-identical whether the

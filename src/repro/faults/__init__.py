@@ -22,9 +22,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                  "control_plane_drops"),
     ".datapath": ("FAULT_SITES", "DatapathFault", "DatapathFaultInjector"),
     ".flaps": ("FlapEvent", "FlapSchedule"),
-    ".memory": ("ENTRY_BITS", "ENTRY_BYTES", "MEMORY_SITES", "MemoryFault",
-                "MemoryFaultInjector", "corrupt_entry", "pack_entry",
-                "unpack_entry_raw"),
+    ".memory": ("MEMORY_SITES", "MemoryFault", "MemoryFaultInjector"),
     ".model": ("FaultModel", "FaultStatistics"),
     ".process": ("ChaosEvaluatorFactory", "corrupt_file", "truncate_file"),
     ".scenario": ("ChaosScenario", "ResilienceReport",

@@ -11,8 +11,8 @@ stored state, through the narrow memory seam every
 
 * ``memory_sites()`` — which of the canonical :data:`MEMORY_SITES` the
   structure physically has;
-* ``memory_record_count(site)`` / ``memory_record(site, index)`` — a
-  deterministic enumeration of that site's records as raw bytes;
+* ``memory_records(site)`` — a deterministic enumeration of that
+  site's records as raw bytes, read in one pass;
 * ``corrupt_memory(site, index, bit)`` — flip one bit of one record
   *in the live structure*, exactly as an SEU would, bypassing every
   validation layer the software API enforces.
@@ -26,7 +26,8 @@ injecting at another site never reshuffles it.
 Entry corruption model
 ----------------------
 Stored routes are modelled as a packed 304-bit record (network 128 +
-length 8 + next hop 128 + interface 16 + metric 8 + route tag 16).
+length 8 + next hop 128 + interface 16 + metric 8 + route tag 16),
+laid out by :mod:`repro.routing.memimage`.
 A flip is applied to the packed image and the record is rebuilt
 *without validation* (``object.__new__`` construction): a corrupted
 prefix length of 203 or a metric of 97 exists silently in memory, just
@@ -41,19 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.faults.seeds import derive_seed, make_rng
-# The packing primitives live in repro.routing.memimage (a leaf below
-# every table implementation) so the tables' corruption seams can use
-# them without importing this package; re-exported here as the
-# injection-facing API.
-from repro.routing.memimage import (  # noqa: F401  (re-exports)
-    ENTRY_BITS,
-    ENTRY_BYTES,
-    corrupt_entry,
-    pack_entry,
-    raw_address,
-    raw_prefix,
-    unpack_entry_raw,
-)
 
 #: canonical table-state fault sites, in application-precedence order
 MEMORY_SITES: Tuple[str, ...] = (
@@ -132,14 +120,11 @@ class MemoryFaultInjector:
         for strike in range(flips):
             site = eligible[strike % len(eligible)]
             rng = self._rngs[site]
-            count = table.memory_record_count(site)
-            if count < 1:
+            records = table.memory_records(site)
+            if not records:
                 continue  # empty site: the particle hit unused silicon
-            index = rng.randrange(count)
-            record = table.memory_record(site, index)
-            if not record:
-                continue
-            bit = rng.randrange(len(record) * 8)
+            index = rng.randrange(len(records))
+            bit = rng.randrange(len(records[index]) * 8)
             detail = table.corrupt_memory(site, index, bit)
             fault = MemoryFault(site=site, index=index, bit=bit,
                                 detail=detail)

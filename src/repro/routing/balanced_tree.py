@@ -413,19 +413,6 @@ class BalancedTreeRoutingTable(RoutingTable):
         return (b"\x01" + enclosing.network.value.to_bytes(16, "big")
                 + bytes([enclosing.length & 0xFF]))
 
-    def memory_record_count(self, site: str) -> int:
-        if site != "tree-node":
-            return super().memory_record_count(site)
-        return len(self._nodes)
-
-    def memory_record(self, site: str, index: int) -> bytes:
-        if site != "tree-node":
-            return super().memory_record(site, index)
-        nodes = self._ordered_nodes()
-        self._check_memory_index(site, index, len(nodes))
-        node = nodes[index]
-        return pack_entry(node.entry) + self._pack_enclosing(node.enclosing)
-
     def memory_records(self, site: str) -> List[bytes]:
         if site != "tree-node":
             return super().memory_records(site)

@@ -285,7 +285,7 @@ class RoutingTable(ABC):
     #
     # The table-state fault injector (repro.faults.memory) and the
     # integrity wrapper (repro.routing.protected) see every structure
-    # through these four methods. A site is one physical memory bank
+    # through these three methods. A site is one physical memory bank
     # (entry array, node pool, match lines, counter vector); its records
     # enumerate deterministically so that seeded strikes and scrub
     # baselines agree across processes.
@@ -294,26 +294,11 @@ class RoutingTable(ABC):
         """Physical state banks this structure exposes for injection."""
         return ()
 
-    def memory_record_count(self, site: str) -> int:
-        """Number of addressable records at *site*."""
-        raise RoutingTableError(
-            f"{self.kind} table has no memory site {site!r}")
-
-    def memory_record(self, site: str, index: int) -> bytes:
-        """The raw memory image of record *index* at *site*."""
-        raise RoutingTableError(
-            f"{self.kind} table has no memory site {site!r}")
-
     def memory_records(self, site: str) -> List[bytes]:
-        """All records at *site*, in enumeration order.
-
-        Semantically ``[self.memory_record(site, i) for i in range(
-        self.memory_record_count(site))]``; implementations whose
-        per-record access re-walks the structure override this with a
-        single traversal (the integrity scrub reads every record).
-        """
-        return [self.memory_record(site, index)
-                for index in range(self.memory_record_count(site))]
+        """The raw memory image of every record at *site*, in
+        enumeration order."""
+        raise RoutingTableError(
+            f"{self.kind} table has no memory site {site!r}")
 
     def corrupt_memory(self, site: str, index: int, bit: int) -> str:
         """Flip *bit* of record *index* at *site* in the live structure.

@@ -285,25 +285,6 @@ class BloomRoutingTable(RoutingTable):
                 if (cls := self._classes.get(length)) is not None
                 for value in cls.entries]
 
-    def memory_record_count(self, site: str) -> int:
-        if site == "bloom-filter":
-            return len(self._lengths_desc)
-        if site == "bloom-bucket":
-            return len(self._bucket_records())
-        return super().memory_record_count(site)
-
-    def memory_record(self, site: str, index: int) -> bytes:
-        if site == "bloom-filter":
-            self._check_memory_index(site, index, len(self._lengths_desc))
-            cls = self._classes[self._lengths_desc[index]]
-            return bytes(cls.counters)
-        if site == "bloom-bucket":
-            records = self._bucket_records()
-            self._check_memory_index(site, index, len(records))
-            cls, value = records[index]
-            return pack_entry(cls.entries[value])
-        return super().memory_record(site, index)
-
     def memory_records(self, site: str) -> List[bytes]:
         if site == "bloom-filter":
             return [bytes(self._classes[length].counters)

@@ -193,19 +193,13 @@ class CamRoutingTable(RoutingTable):
     def memory_sites(self) -> Tuple[str, ...]:
         return ("cam-row",)
 
-    def memory_record_count(self, site: str) -> int:
+    def memory_records(self, site: str) -> List[bytes]:
         if site != "cam-row":
-            return super().memory_record_count(site)
-        return len(self._lines)
-
-    def memory_record(self, site: str, index: int) -> bytes:
-        if site != "cam-row":
-            return super().memory_record(site, index)
-        self._check_memory_index(site, index, len(self._lines))
-        line = self._lines[index]
-        return (line.value.to_bytes(16, "big")
+            return super().memory_records(site)
+        return [line.value.to_bytes(16, "big")
                 + line.mask.to_bytes(16, "big")
-                + pack_entry(line.entry))
+                + pack_entry(line.entry)
+                for line in self._lines]
 
     def corrupt_memory(self, site: str, index: int, bit: int) -> str:
         if site != "cam-row":

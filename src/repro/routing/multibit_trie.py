@@ -310,26 +310,6 @@ class MultibitTrieRoutingTable(RoutingTable):
         return [(node, chunk) for node in self._dfs_nodes()
                 for chunk in sorted(node.slots)]
 
-    def memory_record_count(self, site: str) -> int:
-        if site == "trie-node":
-            return len(self._pointer_pages())
-        if site == "trie-slot":
-            return len(self._slot_records())
-        return super().memory_record_count(site)
-
-    def memory_record(self, site: str, index: int) -> bytes:
-        if site == "trie-node":
-            pages = self._pointer_pages()
-            self._check_memory_index(site, index, len(pages))
-            return b"".join(chunk.to_bytes(2, "big")
-                            for chunk in sorted(pages[index].children))
-        if site == "trie-slot":
-            records = self._slot_records()
-            self._check_memory_index(site, index, len(records))
-            node, chunk = records[index]
-            return chunk.to_bytes(2, "big") + pack_entry(node.slots[chunk])
-        return super().memory_record(site, index)
-
     def memory_records(self, site: str) -> List[bytes]:
         if site == "trie-node":
             return [b"".join(chunk.to_bytes(2, "big")

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
@@ -77,9 +77,7 @@ class ProtectedRoutingTable(RoutingTable):
     wrapper exactly as it would the bare table.
     """
 
-    def __init__(self, inner: RoutingTable, protection: str = "checksum",
-                 rebuild_factory: Optional[
-                     Callable[[], RoutingTable]] = None):
+    def __init__(self, inner: RoutingTable, protection: str = "checksum"):
         if protection not in PROTECTION_MODES:
             raise RoutingTableError(
                 f"unknown protection mode {protection!r}; "
@@ -94,8 +92,6 @@ class ProtectedRoutingTable(RoutingTable):
         self.kind = inner.kind
         self.hardware_search = inner.hardware_search
         self.stats = inner.stats  # one shared accounting stream
-        self._rebuild_factory = rebuild_factory or (
-            lambda: type(inner)(capacity=inner.capacity))
         #: exact route journal — the RIB behind the protected FIB
         self._journal: Dict[Ipv6Prefix, RouteEntry] = {
             entry.prefix: entry for entry in inner}
@@ -285,7 +281,7 @@ class ProtectedRoutingTable(RoutingTable):
 
     def rebuild(self) -> None:
         """Reconstruct the inner structure from the route journal."""
-        fresh = self._rebuild_factory()
+        fresh = type(self.inner)(capacity=self.inner.capacity)
         fresh.stats = self.stats  # keep the single accounting stream
         fresh.load(list(self._journal.values()))
         self.inner = fresh
@@ -296,12 +292,6 @@ class ProtectedRoutingTable(RoutingTable):
 
     def memory_sites(self) -> Tuple[str, ...]:
         return self.inner.memory_sites()
-
-    def memory_record_count(self, site: str) -> int:
-        return self.inner.memory_record_count(site)
-
-    def memory_record(self, site: str, index: int) -> bytes:
-        return self.inner.memory_record(site, index)
 
     def memory_records(self, site: str) -> List[bytes]:
         return self.inner.memory_records(site)
@@ -318,7 +308,7 @@ class ProtectedRoutingTable(RoutingTable):
     def protected_records(self) -> int:
         """Records carrying a protection word (overhead pricing input)."""
         return len(self._journal) + sum(
-            self.inner.memory_record_count(site)
+            len(self.inner.memory_records(site))
             for site in self.inner.memory_sites())
 
     def protection_stats(self) -> Dict[str, object]:

@@ -130,16 +130,10 @@ class SequentialRoutingTable(RoutingTable):
     def memory_sites(self) -> Tuple[str, ...]:
         return ("entry",)
 
-    def memory_record_count(self, site: str) -> int:
+    def memory_records(self, site: str) -> List[bytes]:
         if site != "entry":
-            return super().memory_record_count(site)
-        return len(self._entries)
-
-    def memory_record(self, site: str, index: int) -> bytes:
-        if site != "entry":
-            return super().memory_record(site, index)
-        self._check_memory_index(site, index, len(self._entries))
-        return pack_entry(self._entries[index])
+            return super().memory_records(site)
+        return [pack_entry(entry) for entry in self._entries]
 
     def corrupt_memory(self, site: str, index: int, bit: int) -> str:
         if site != "entry":

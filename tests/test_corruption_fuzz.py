@@ -75,7 +75,7 @@ def test_trie_deep_chunk_rekey_is_fail_stop():
     that used to raise KeyError from dict dispatch) must stay inside
     the contract."""
     table = loaded("multibit-trie")
-    count = table.memory_record_count("trie-node")
+    count = len(table.memory_records("trie-node"))
     for index in range(min(count, 8)):
         table.corrupt_memory("trie-node", index, (index * 3) % 16)
     assert_fail_stop(table, ADDRESSES)
@@ -85,7 +85,7 @@ def test_bloom_filter_bit_damage_is_fail_stop():
     """Directed: counting-Bloom vector damage produces false negatives
     and false positives, never structural exceptions."""
     table = loaded("bloom")
-    count = table.memory_record_count("bloom-filter")
+    count = len(table.memory_records("bloom-filter"))
     for index in range(count):
         for bit in (0, 3, 11):
             table.corrupt_memory("bloom-filter", index, bit)

@@ -159,8 +159,9 @@ def strike(table, trial):
     sites = table.memory_sites()
     site = sites[trial % len(sites)]
     rng = random.Random(trial)
-    index = rng.randrange(table.memory_record_count(site))
-    bit = rng.randrange(len(table.memory_record(site, index)) * 8)
+    records = table.memory_records(site)
+    index = rng.randrange(len(records))
+    bit = rng.randrange(len(records[index]) * 8)
     table.corrupt_memory(site, index, bit)
     return f"{table.kind} trial {trial}: {site}[{index}] bit {bit}"
 

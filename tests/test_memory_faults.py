@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import FaultInjectionError, Ipv6Error, RoutingTableError
-from repro.faults.memory import (
-    ENTRY_BITS,
-    ENTRY_BYTES,
-    MEMORY_SITES,
-    MemoryFaultInjector,
-    corrupt_entry,
-    pack_entry,
-    unpack_entry_raw,
-)
+from repro.faults.memory import MEMORY_SITES, MemoryFaultInjector
 from repro.ipv6.address import Ipv6Address
 from repro.routing import TABLE_KINDS, make_table
-from repro.routing.memimage import _pack_fields, raw_prefix
+from repro.routing.memimage import (
+    ENTRY_BITS,
+    ENTRY_BYTES,
+    _pack_fields,
+    corrupt_entry,
+    pack_entry,
+    raw_prefix,
+    unpack_entry_raw,
+)
+from repro.routing.protected import ProtectedRoutingTable
 from repro.workload.fib import synthesize_fib
 
 ROUTES = synthesize_fib(60, seed=12)
@@ -162,23 +163,20 @@ def test_corrupt_entry_never_validates_silently():
 def test_memory_sites_and_records(kind):
     table = loaded(kind)
     assert table.memory_sites() == EXPECTED_SITES[kind]
+    protected = ProtectedRoutingTable(loaded(kind))
+    assert protected.memory_sites() == EXPECTED_SITES[kind]
     for site in table.memory_sites():
-        count = table.memory_record_count(site)
-        assert count > 0
         records = table.memory_records(site)
-        assert len(records) == count
-        # bulk enumeration must agree with per-index reads
-        for index in (0, count // 2, count - 1):
-            assert table.memory_record(site, index) == records[index]
+        assert records and all(records)
+        # the wrapper reads its inner table's memory, record for record
+        assert protected.memory_records(site) == records
 
 
 @pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
 def test_unknown_site_rejected(kind):
     table = loaded(kind)
     with pytest.raises(RoutingTableError):
-        table.memory_record_count("no-such-site")
-    with pytest.raises(RoutingTableError):
-        table.memory_record("no-such-site", 0)
+        table.memory_records("no-such-site")
     with pytest.raises(RoutingTableError):
         table.corrupt_memory("no-such-site", 0, 0)
 
@@ -186,12 +184,13 @@ def test_unknown_site_rejected(kind):
 @pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
 def test_out_of_range_index_rejected(kind):
     table = loaded(kind)
-    site = table.memory_sites()[0]
-    count = table.memory_record_count(site)
-    with pytest.raises(RoutingTableError):
-        table.memory_record(site, count)
-    with pytest.raises(RoutingTableError):
-        table.memory_record(site, -1)
+    for site in table.memory_sites():
+        records = table.memory_records(site)
+        for index in (len(records), -1):
+            with pytest.raises(RoutingTableError):
+                table.corrupt_memory(site, index, 0)
+        # a rejected strike damages nothing
+        assert table.memory_records(site) == records
 
 
 @pytest.mark.parametrize("kind", sorted(TABLE_KINDS))

@@ -156,7 +156,7 @@ def test_corrupted_hit_is_quarantined_and_served_from_journal():
             break
     assert target is not None
     # corrupt every entry so the serving one is definitely damaged
-    inner_count = table.memory_record_count("entry")
+    inner_count = len(table.memory_records("entry"))
     for index in range(inner_count):
         table.corrupt_memory("entry", index, 5)
     entry, _ = probe(table, target)
