@@ -442,8 +442,7 @@ def sdc_sweep(configs, *,
               max_faults: Optional[int] = None,
               jobs: int = 1,
               journal: Optional[str] = None,
-              resume: bool = False,
-              backend: Optional[str] = None) -> SdcSweepResult:
+              resume: bool = False) -> SdcSweepResult:
     """Soft-error vulnerability sweep over *configs*.
 
     Every configuration runs ``trials`` seeded datapath-injection trials
@@ -463,7 +462,7 @@ def sdc_sweep(configs, *,
     runner = SdcSweepRunner(
         entries=entries, packet_batch=packets, sites=sites,
         trials=trials, rate=rate, seed=seed, max_faults=max_faults,
-        jobs=jobs, journal_path=journal, resume=resume, backend=backend)
+        jobs=jobs, journal_path=journal, resume=resume)
     return runner.run(list(configs))
 
 

@@ -22,7 +22,7 @@ a process pool with ``--jobs N``; stdout, ``--output`` and the journal
 are byte-identical at every job count. ``--hazards`` attaches the TTA
 hazard detector to every simulation.
 ``--backend interpreter|compiled|auto`` (on ``table1``/``evaluate``/
-``explore``/``sdc``/``submit``) selects the simulation engine; the
+``explore``/``submit``) selects the simulation engine; the
 ``compiled`` fast path produces bit-identical reports and falls back to
 the interpreter whenever an observation hook is attached.
 ``--output PATH`` writes the subcommand's result as JSON (the uniform
@@ -598,7 +598,7 @@ COMMANDS: Dict[str, Command] = {
                  help="routing table size (default %(default)s)"),
             _opt("--packets", type=int,
                  help="measurement batch size (default %(default)s)"),
-            *_sweep("trial"), _BACKEND, _OUTPUT),
+            *_sweep("trial"), _OUTPUT),
         _rendered(lambda result: not any(row["failed"]
                                          for row in result.rows),
                   failed=3),

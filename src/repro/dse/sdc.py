@@ -1,35 +1,41 @@
-"""SDC-sweep campaigns: datapath vulnerability across a design space.
+"""SDC-sweep campaigns: soft-error vulnerability across a design space.
 
-The reliability counterpart of the performance sweeps: for every
-architecture configuration, run many seeded soft-error injection trials
-(one per ``(site, trial index)``), classify each against the
-fault-free golden run with the :class:`~repro.verify.DifferentialOracle`,
-and distil a per-configuration vulnerability row — SDC rate, detection
-coverage, mean faults-to-failure.
+The reliability counterpart of the performance sweeps, in two fault
+domains. The datapath sweep strikes bits *in flight* (TTA buses, FU
+latches, socket decodes) of every architecture configuration and asks
+the :class:`~repro.verify.DifferentialOracle`; the memory sweep strikes
+bits *at rest* in the stored FIB of every (table kind, protection) cell
+and asks the :class:`~repro.verify.MemoryDifferentialOracle`. Each
+seeded trial (one per ``(cell, site, trial index)``) is classified
+against its fault-free golden run, and each cell's trials are distilled
+into one vulnerability row: SDC rate, detection coverage, and the
+fields only that sweep reports.
 
-Both sweeps run on the shared :class:`~repro.dse.sweep.JournaledSweep`
-engine, so everything hard-won by the performance campaigns is reused,
-not reinvented:
+The two sweeps share one skeleton and differ only in the oracle a trial
+asks and the few row fields each alone reports:
 
-* **journal + resume** — every classified trial is appended to the same
-  fsync'd JSONL journal format, so a killed sweep resumes without
-  repeating a single simulation and its final ``--output`` JSON is
-  byte-identical;
-* **parallelism** — trials fan out over a process pool; each worker
-  builds its workload once and keeps an oracle cache, so the golden
-  reference for a configuration is simulated once per worker, not once
-  per trial. Records are persisted in plan order, so the journal is
-  byte-identical to a sequential run's. A worker that dies does not end
-  the sweep: the trials it left unfinished are re-probed one at a time,
-  and a trial that kills its prober too is recorded failed with
+* **trials** — a trial's journal ``key`` and its record identity are
+  built from one field dict, and one :func:`_classify` turns a trial
+  into its record, containing any :class:`~repro.errors.ReproError` as a
+  ``failed`` record;
+* **tally** — one :func:`_tally` counts outcomes, failures and per-site
+  histograms and derives the two rates for both row kinds;
+* **engine** — both run on the shared
+  :class:`~repro.dse.sweep.JournaledSweep`: an fsync'd JSONL journal, so
+  a killed sweep resumes without repeating a simulation and its
+  ``--output`` is byte-identical; a process pool whose workers build
+  their workload and oracle cache once, persisting records in plan
+  order, so the journal is byte-identical to a sequential run's; and a
+  worker that dies leaves its trials to be re-probed one at a time, a
+  trial that kills its prober too being recorded failed with
   ``WorkerCrashError``;
 * **determinism** — trial seeds derive from
-  :func:`~repro.faults.seeds.derive_seed`\\ ``(seed, config_key, site,
-  index)``, so results do not depend on job count, completion order, or
-  which trials were resumed from the journal;
-* **observability** — injection and outcome counters are published in
-  the parent at persist time only, so sequential, parallel, and resumed
-  sweeps account identically.
+  :func:`~repro.faults.seeds.derive_seed` over the trial's identity, so
+  results do not depend on job count, completion order, or which trials
+  were resumed from the journal;
+* **observability** — trial, outcome and injection counters are
+  published in the parent at persist time only, so sequential, parallel
+  and resumed sweeps account identically.
 """
 
 from __future__ import annotations
@@ -55,12 +61,12 @@ from repro.faults.seeds import derive_seed
 from repro.obs.catalogue import SDC_INJECTIONS, SDC_MEMORY_INJECTIONS, \
     SDC_OUTCOMES, SDC_RESUMED, SDC_TRIALS
 from repro.routing import TABLE_KINDS, make_table
-from repro.routing.entry import RouteEntry
 from repro.routing.protected import PROTECTION_MODES
 from repro.verify.oracle import (
     OUTCOMES,
     DifferentialOracle,
     MemoryDifferentialOracle,
+    TrialOutcome,
 )
 from repro.workload import generate_routes, worst_case_workload
 from repro.workload.fib import synthesize_fib, zipf_addresses
@@ -69,12 +75,121 @@ DEFAULT_FIB_SEED = 2026
 DEFAULT_TRAFFIC_SEED = 77
 
 
-# -- trials ------------------------------------------------------------------------
+# -- the shared skeleton -----------------------------------------------------------
+
+
+class _Trial:
+    """A scheduled injection trial: its journal key and its record
+    identity are built from one dict of fields."""
+
+    def _fields(self) -> Dict[str, object]:
+        raise NotImplementedError
+
+    @property
+    def key(self) -> str:
+        """Canonical journal identity of this trial."""
+        return json.dumps(self._fields(), sort_keys=True,
+                          separators=(",", ":"))
+
+    def identity(self) -> Dict[str, object]:
+        """The fields every record of this trial carries."""
+        return {"v": JOURNAL_VERSION, "key": self.key, **self._fields()}
+
+    def outcome(self, oracles) -> TrialOutcome:
+        """Run this trial on the oracle its sweep's cache holds for it."""
+        raise NotImplementedError
+
+
+def _classify(trial: _Trial, oracles) -> Dict[str, object]:
+    """One trial -> one journal record (never raises for ReproError)."""
+    try:
+        outcome = trial.outcome(oracles)
+    except ReproError as exc:
+        return failed_record(trial.identity(), type(exc).__name__,
+                             str(exc))
+    return {**trial.identity(), "status": "ok",
+            "outcome": outcome.to_dict()}
+
+
+def _tally(records: Sequence[Dict[str, object]],
+           sites: Sequence[str]) -> Dict[str, object]:
+    """The row fields both sweeps share: outcome counts over the ``ok``
+    records, per-site histograms in *sites* order, the ``failed`` count
+    and the two derived rates."""
+    counts = dict.fromkeys(OUTCOMES, 0)
+    by_site: Dict[str, Dict[str, int]] = {}
+    failed = 0
+    for record in records:
+        if record["status"] != "ok":
+            failed += 1
+            continue
+        klass = record["outcome"]["outcome"]
+        counts[klass] += 1
+        by_site.setdefault(record["site"],
+                           dict.fromkeys(OUTCOMES, 0))[klass] += 1
+    ok = sum(counts.values())
+    not_masked = ok - counts["masked"]
+    caught = counts["detected"] + counts["crash"] + counts["hang"]
+    return {
+        "trials": ok,
+        "failed": failed,
+        "outcomes": counts,
+        "by_site": {site: by_site[site] for site in sites
+                    if site in by_site},
+        "sdc_rate": counts["sdc"] / ok if ok else None,
+        "detection_coverage": caught / not_masked if not_masked else None,
+    }
+
+
+def _ok_outcomes(records: Sequence[Dict[str, object]]
+                 ) -> List[Dict[str, object]]:
+    return [record["outcome"] for record in records
+            if record["status"] == "ok"]
+
+
+def sum_outcomes(rows: Sequence[Dict[str, object]]) -> Dict[str, int]:
+    """Per-outcome trial totals over the *rows* of a sweep result."""
+    totals = dict.fromkeys(OUTCOMES, 0)
+    for row in rows:
+        for outcome, count in row["outcomes"].items():
+            totals[outcome] += count
+    return totals
+
+
+class _TrialSweep(JournaledSweep):
+    """The engine hooks both sweeps share; a runner adds its plan, its
+    oracle cache and the counter its strikes are published under."""
+
+    measure = staticmethod(_classify)
+    resumed_metric = SDC_RESUMED
+
+    def _failed_record(self, trial: _Trial, error: str,
+                       message: str) -> Dict[str, object]:
+        return failed_record(trial.identity(), error, message)
+
+    def _publish(self, record: Dict[str, object]) -> None:
+        """Trial, outcome and injection counters for one fresh record."""
+        SDC_TRIALS.inc(status=record["status"])
+        if record["status"] != "ok":
+            return
+        outcome = record["outcome"]
+        SDC_OUTCOMES.inc(outcome=outcome["outcome"])
+        for site, count in sorted(outcome["faults_by_site"].items()):
+            self._count_injections(record, site, count)
+
+    def _count_injections(self, record: Dict[str, object], site: str,
+                          count: int) -> None:
+        raise NotImplementedError
+
+
+# ===================================================================================
+# Datapath vulnerability sweep
+# ===================================================================================
 
 
 @dataclass(frozen=True)
-class SdcTrial:
-    """One scheduled injection trial."""
+class SdcTrial(_Trial):
+    """One scheduled datapath injection trial."""
 
     config: ArchitectureConfiguration
     site: str
@@ -83,17 +198,20 @@ class SdcTrial:
     rate: float
     max_faults: Optional[int]
 
-    @property
-    def key(self) -> str:
-        """Canonical journal identity of this trial."""
-        return json.dumps({
-            "config": config_key(self.config),
-            "site": self.site,
-            "trial": self.index,
-            "seed": self.seed,
-            "rate": self.rate,
-            "max_faults": self.max_faults,
-        }, sort_keys=True, separators=(",", ":"))
+    def _fields(self) -> Dict[str, object]:
+        return {"config": config_key(self.config), "site": self.site,
+                "trial": self.index, "seed": self.seed, "rate": self.rate,
+                "max_faults": self.max_faults}
+
+    def identity(self) -> Dict[str, object]:
+        # the record spells the configuration out; the key names it
+        return {**super().identity(),
+                "config": config_to_dict(self.config)}
+
+    def outcome(self, oracles: _DatapathOracles) -> TrialOutcome:
+        return oracles(self.config).classify(
+            seed=self.seed, rate=self.rate, sites=(self.site,),
+            max_faults=self.max_faults)
 
 
 def plan_trials(configs: Sequence[ArchitectureConfiguration],
@@ -115,29 +233,13 @@ def plan_trials(configs: Sequence[ArchitectureConfiguration],
     return plan
 
 
-def _trial_identity(trial: SdcTrial) -> Dict[str, object]:
-    return {
-        "v": JOURNAL_VERSION,
-        "key": trial.key,
-        "config": config_to_dict(trial.config),
-        "site": trial.site,
-        "trial": trial.index,
-        "seed": trial.seed,
-        "rate": trial.rate,
-        "max_faults": trial.max_faults,
-    }
-
-
 class _DatapathOracles:
     """A process's oracle cache: one golden simulation per
     configuration, shared by every trial of it."""
 
-    def __init__(self, routes, packets, max_cycles: Optional[int],
-                 backend: Optional[str]):
+    def __init__(self, routes, packets):
         self.routes = routes
         self.packets = packets
-        self.max_cycles = max_cycles
-        self.backend = backend
         self._oracles: Dict[str, DifferentialOracle] = {}
 
     def __call__(self, config: ArchitectureConfiguration
@@ -145,93 +247,28 @@ class _DatapathOracles:
         key = config_key(config)
         oracle = self._oracles.get(key)
         if oracle is None:
-            oracle = DifferentialOracle(config, self.routes, self.packets,
-                                        max_cycles=self.max_cycles,
-                                        backend=self.backend)
+            oracle = DifferentialOracle(config, self.routes, self.packets)
             self._oracles[key] = oracle
         return oracle
-
-
-def _classify_trial(trial: SdcTrial,
-                    oracles: _DatapathOracles) -> Dict[str, object]:
-    """One trial -> one journal record (never raises for ReproError)."""
-    oracle = oracles(trial.config)
-    try:
-        outcome = oracle.classify(
-            seed=trial.seed, rate=trial.rate, sites=(trial.site,),
-            max_faults=trial.max_faults)
-    except ReproError as exc:
-        return failed_record(_trial_identity(trial), type(exc).__name__,
-                             str(exc))
-    return {**_trial_identity(trial), "status": "ok",
-            "outcome": outcome.to_dict()}
-
-
-def _publish_trial(record: Dict[str, object]) -> Optional[Dict[str, object]]:
-    """Trial and outcome counters shared by both sweeps; returns the
-    outcome of an ``ok`` record for the caller's injection counters."""
-    SDC_TRIALS.inc(status=record["status"])
-    if record["status"] != "ok":
-        return None
-    outcome = record["outcome"]
-    SDC_OUTCOMES.inc(outcome=outcome["outcome"])
-    return outcome
-
-
-# -- results -----------------------------------------------------------------------
 
 
 def vulnerability_row(config: ArchitectureConfiguration,
                       records: Sequence[Dict[str, object]]
                       ) -> Dict[str, object]:
     """Distil one configuration's trial records into its table row."""
-    counts = {outcome: 0 for outcome in OUTCOMES}
-    by_site: Dict[str, Dict[str, int]] = {}
-    failed = 0
-    faults_total = 0
-    failure_faults: List[int] = []
-    for record in records:
-        if record["status"] != "ok":
-            failed += 1
-            continue
-        outcome = record["outcome"]
-        klass = outcome["outcome"]
-        counts[klass] += 1
-        faults = outcome["faults_injected"]
-        faults_total += faults
-        site = record["site"]
-        site_counts = by_site.setdefault(
-            site, {o: 0 for o in OUTCOMES})
-        site_counts[klass] += 1
-        if klass != "masked":
-            failure_faults.append(faults)
-    ok = sum(counts.values())
-    not_masked = ok - counts["masked"]
-    caught = counts["detected"] + counts["crash"] + counts["hang"]
+    outcomes = _ok_outcomes(records)
+    failure_faults = [outcome["faults_injected"] for outcome in outcomes
+                      if outcome["outcome"] != "masked"]
     return {
         "table": config.table_kind,
         "config": config.label(),
-        "trials": ok,
-        "failed": failed,
-        "outcomes": dict(counts),
-        "by_site": {site: dict(site_counts)
-                    for site, site_counts in sorted(by_site.items())},
-        "faults_injected": faults_total,
-        "sdc_rate": counts["sdc"] / ok if ok else None,
-        "detection_coverage": caught / not_masked if not_masked else None,
+        **_tally(records, FAULT_SITES),
+        "faults_injected": sum(outcome["faults_injected"]
+                               for outcome in outcomes),
         "mean_faults_to_failure":
             sum(failure_faults) / len(failure_faults)
             if failure_faults else None,
     }
-
-
-def sum_outcomes(rows: Sequence[Dict[str, object]]) -> Dict[str, int]:
-    """Per-outcome trial totals over the *rows* of a sweep result."""
-    totals = {outcome: 0 for outcome in OUTCOMES}
-    for row in rows:
-        for outcome, count in row["outcomes"].items():
-            totals[outcome] += count
-    return totals
 
 
 @dataclass
@@ -273,24 +310,18 @@ class SdcSweepResult:
         }
 
 
-# -- the runner --------------------------------------------------------------------
+class SdcSweepRunner(_TrialSweep):
+    """Journal-backed, optionally parallel datapath SDC-sweep driver.
 
-
-class SdcSweepRunner(JournaledSweep):
-    """Journal-backed, optionally parallel SDC-sweep driver.
-
-    *routes*/*packets* default to the same deterministic workload the
-    performance evaluator uses (``generate_routes`` +
+    Trials run on the same deterministic workload the performance
+    evaluator uses (``generate_routes(entries)`` +
     ``worst_case_workload``), so vulnerability numbers are measured on
-    exactly the workload the performance numbers were.
+    exactly the workload the performance numbers were. Every trial
+    attaches the hazard detector and the fault injector as simulator
+    hooks, so it runs on the interpreter.
     """
 
-    measure = staticmethod(_classify_trial)
-    resumed_metric = SDC_RESUMED
-
     def __init__(self,
-                 routes: Optional[Sequence[RouteEntry]] = None,
-                 packets: Optional[Sequence[Tuple[int, bytes]]] = None,
                  entries: int = 20,
                  packet_batch: int = 4,
                  sites: Optional[Sequence[str]] = None,
@@ -298,12 +329,10 @@ class SdcSweepRunner(JournaledSweep):
                  rate: float = DEFAULT_RATE,
                  seed: int = 0,
                  max_faults: Optional[int] = None,
-                 max_cycles: Optional[int] = None,
                  jobs: int = 1,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 chunk_size: Optional[int] = None,
-                 backend: Optional[str] = None):
+                 chunk_size: Optional[int] = None):
         if trials < 1:
             raise CampaignError(f"trials must be >= 1, got {trials}")
         chosen = tuple(sites) if sites is not None else FAULT_SITES
@@ -314,18 +343,13 @@ class SdcSweepRunner(JournaledSweep):
                 f"valid sites are {sorted(FAULT_SITES)}")
         super().__init__(journal_path, resume, jobs=jobs,
                          chunk_size=chunk_size)
-        self.routes = list(routes) if routes is not None \
-            else generate_routes(entries)
-        self.packets = list(packets) if packets is not None \
-            else worst_case_workload(self.routes, packet_batch)
+        self.routes = generate_routes(entries)
+        self.packets = worst_case_workload(self.routes, packet_batch)
         self.sites = tuple(s for s in FAULT_SITES if s in chosen)
         self.trials = trials
         self.rate = rate
         self.seed = seed
         self.max_faults = max_faults
-        self.max_cycles = max_cycles
-        #: simulation engine, inherited by every pool worker
-        self.backend = backend
 
     def run(self, configs: Sequence[ArchitectureConfiguration]
             ) -> SdcSweepResult:
@@ -351,31 +375,16 @@ class SdcSweepRunner(JournaledSweep):
     # -- engine hooks -------------------------------------------------------------
 
     def _context_spec(self):
-        return _DatapathOracles, (self.routes, self.packets,
-                                  self.max_cycles, self.backend)
+        return _DatapathOracles, (self.routes, self.packets)
 
-    def _failed_record(self, trial: SdcTrial, error: str,
-                       message: str) -> Dict[str, object]:
-        return failed_record(_trial_identity(trial), error, message)
-
-    def _publish(self, record: Dict[str, object]) -> None:
-        """Injection/outcome counters for one fresh trial record."""
-        outcome = _publish_trial(record)
-        if outcome is None:
-            return
-        for site, count in sorted(outcome["faults_by_site"].items()):
-            SDC_INJECTIONS.inc(count, site=site)
+    def _count_injections(self, record: Dict[str, object], site: str,
+                          count: int) -> None:
+        SDC_INJECTIONS.inc(count, site=site)
 
 
 # ===================================================================================
-# Memory-state (table FIB) vulnerability sweep
+# Memory-state (stored FIB) vulnerability sweep
 # ===================================================================================
-#
-# The datapath sweep above strikes bits *in flight*; this sweep strikes
-# bits *at rest* — the stored FIB of any routing structure at any scale,
-# under any protection mode — using the MemoryDifferentialOracle. Same
-# journal format, same resume semantics, same parent-side metrics
-# discipline, same sequential == parallel == resumed byte-identity.
 
 
 def memory_sites_for(kind: str) -> Tuple[str, ...]:
@@ -384,7 +393,7 @@ def memory_sites_for(kind: str) -> Tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class MemoryTrial:
+class MemoryTrial(_Trial):
     """One scheduled table-state injection trial."""
 
     kind: str
@@ -394,18 +403,15 @@ class MemoryTrial:
     seed: int
     flips: int
 
-    @property
-    def key(self) -> str:
-        """Canonical journal identity of this trial."""
-        return json.dumps({
-            "mode": "memory",
-            "kind": self.kind,
-            "protection": self.protection,
-            "site": self.site,
-            "trial": self.index,
-            "seed": self.seed,
-            "flips": self.flips,
-        }, sort_keys=True, separators=(",", ":"))
+    def _fields(self) -> Dict[str, object]:
+        return {"mode": "memory", "kind": self.kind,
+                "protection": self.protection, "site": self.site,
+                "trial": self.index, "seed": self.seed,
+                "flips": self.flips}
+
+    def outcome(self, oracles: _MemoryOracles) -> TrialOutcome:
+        return oracles(self.kind, self.protection).classify(
+            seed=self.seed, site=self.site, flips=self.flips)
 
 
 def plan_memory_trials(kinds: Sequence[str], protections: Sequence[str],
@@ -428,31 +434,16 @@ def plan_memory_trials(kinds: Sequence[str], protections: Sequence[str],
     return plan
 
 
-def _memory_identity(trial: MemoryTrial) -> Dict[str, object]:
-    return {
-        "v": JOURNAL_VERSION,
-        "key": trial.key,
-        "mode": "memory",
-        "kind": trial.kind,
-        "protection": trial.protection,
-        "site": trial.site,
-        "trial": trial.index,
-        "seed": trial.seed,
-        "flips": trial.flips,
-    }
-
-
 class _MemoryOracles:
     """A process's FIB, traffic and oracle cache: the workload is built
     once per process, one clean golden build per (kind, protection)."""
 
-    def __init__(self, prefixes: int, fib_seed: int, lookups: int,
-                 traffic_seed: int):
+    def __init__(self, prefixes: int, fib_seed: int, lookups: int):
         # Workers re-synthesize the FIB deterministically from the scalar
         # parameters instead of shipping ~N route objects per process.
         self.routes = synthesize_fib(prefixes, seed=fib_seed)
         self.addresses = zipf_addresses(self.routes, lookups,
-                                        seed=traffic_seed)
+                                        seed=DEFAULT_TRAFFIC_SEED)
         self._oracles: Dict[Tuple[str, str], MemoryDifferentialOracle] = {}
 
     def __call__(self, kind: str,
@@ -466,59 +457,17 @@ class _MemoryOracles:
         return oracle
 
 
-def _classify_memory_trial(trial: MemoryTrial,
-                           oracles: _MemoryOracles) -> Dict[str, object]:
-    """One trial -> one journal record (never raises for ReproError)."""
-    oracle = oracles(trial.kind, trial.protection)
-    try:
-        outcome = oracle.classify(seed=trial.seed, site=trial.site,
-                                  flips=trial.flips)
-    except ReproError as exc:
-        return failed_record(_memory_identity(trial), type(exc).__name__,
-                             str(exc))
-    return {**_memory_identity(trial), "status": "ok",
-            "outcome": outcome.to_dict()}
-
-
-# -- results -----------------------------------------------------------------------
-
-
 def memory_vulnerability_row(kind: str, protection: str,
                              records: Sequence[Dict[str, object]],
                              protection_cost: Optional[Dict[str, object]]
                              ) -> Dict[str, object]:
     """Distil one (kind, protection) cell into its table row."""
-    counts = {outcome: 0 for outcome in OUTCOMES}
-    by_site: Dict[str, Dict[str, int]] = {}
-    failed = 0
-    flips_total = 0
-    for record in records:
-        if record["status"] != "ok":
-            failed += 1
-            continue
-        outcome = record["outcome"]
-        klass = outcome["outcome"]
-        counts[klass] += 1
-        flips_total += outcome["faults_injected"]
-        site_counts = by_site.setdefault(
-            record["site"], {o: 0 for o in OUTCOMES})
-        site_counts[klass] += 1
-    ok = sum(counts.values())
-    not_masked = ok - counts["masked"]
-    caught = counts["detected"] + counts["crash"] + counts["hang"]
     return {
         "kind": kind,
         "protection": protection,
-        "trials": ok,
-        "failed": failed,
-        "outcomes": dict(counts),
-        # canonical physical order, not alphabetical, so cross-kind
-        # rows list their sites the way MEMORY_SITES declares them
-        "by_site": {site: dict(by_site[site])
-                    for site in MEMORY_SITES if site in by_site},
-        "flips_injected": flips_total,
-        "sdc_rate": counts["sdc"] / ok if ok else None,
-        "detection_coverage": caught / not_masked if not_masked else None,
+        **_tally(records, MEMORY_SITES),
+        "flips_injected": sum(outcome["faults_injected"]
+                              for outcome in _ok_outcomes(records)),
         "protection_cost": protection_cost,
     }
 
@@ -572,14 +521,13 @@ class MemorySweepResult:
         }
 
 
-# -- the runner --------------------------------------------------------------------
+class MemorySweepRunner(_TrialSweep):
+    """Journal-backed, optionally parallel table-state sweep driver.
 
-
-class MemorySweepRunner(JournaledSweep):
-    """Journal-backed, optionally parallel table-state sweep driver."""
-
-    measure = staticmethod(_classify_memory_trial)
-    resumed_metric = SDC_RESUMED
+    Every trial replays the same ``lookups`` Zipf probe addresses, drawn
+    with :data:`DEFAULT_TRAFFIC_SEED` from a ``prefixes``-route FIB
+    synthesized with ``fib_seed``.
+    """
 
     def __init__(self,
                  kinds: Optional[Sequence[str]] = None,
@@ -590,7 +538,6 @@ class MemorySweepRunner(JournaledSweep):
                  flips: int = DEFAULT_MEMORY_FLIPS,
                  seed: int = 0,
                  fib_seed: int = DEFAULT_FIB_SEED,
-                 traffic_seed: int = DEFAULT_TRAFFIC_SEED,
                  jobs: int = 1,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
@@ -628,7 +575,6 @@ class MemorySweepRunner(JournaledSweep):
         self.flips = flips
         self.seed = seed
         self.fib_seed = fib_seed
-        self.traffic_seed = traffic_seed
 
     def run(self) -> MemorySweepResult:
         """Sweep every ``kind x protection x site x trial``."""
@@ -668,24 +614,9 @@ class MemorySweepRunner(JournaledSweep):
     # -- engine hooks -------------------------------------------------------------
 
     def _context_spec(self):
-        return _MemoryOracles, (self.prefixes, self.fib_seed, self.lookups,
-                                self.traffic_seed)
+        return _MemoryOracles, (self.prefixes, self.fib_seed, self.lookups)
 
-    def _failed_record(self, trial: MemoryTrial, error: str,
-                       message: str) -> Dict[str, object]:
-        return failed_record(_memory_identity(trial), error, message)
-
-    def _publish(self, record: Dict[str, object]) -> None:
-        """Parent-side, persist-time-only metrics (same discipline as
-        the datapath sweep: resumed trials never double-count)."""
-        outcome = _publish_trial(record)
-        if outcome is None:
-            return
-        for site, count in sorted(outcome["faults_by_site"].items()):
-            SDC_MEMORY_INJECTIONS.inc(count, memory_site=site,
-                                      protection=record["protection"])
-
-
-def run_memory_sweep(**kwargs) -> MemorySweepResult:
-    """One-shot convenience over :class:`MemorySweepRunner`."""
-    return MemorySweepRunner(**kwargs).run()
+    def _count_injections(self, record: Dict[str, object], site: str,
+                          count: int) -> None:
+        SDC_MEMORY_INJECTIONS.inc(count, memory_site=site,
+                                  protection=record["protection"])

@@ -52,6 +52,10 @@ FAULT_SITES: Tuple[str, ...] = (
 #: TACO datapath width: upsets flip one of these bits
 WORD_BITS = 32
 
+#: applied faults an injector keeps a record of, so a trial's journal
+#: record stays bounded; every fault is still counted
+MAX_FAULT_RECORDS = 64
+
 
 @dataclass(frozen=True)
 class DatapathFault:
@@ -78,17 +82,13 @@ class DatapathFaultInjector:
 
     def __init__(self, seed: int = 0, rate: float = 0.0,
                  sites: Optional[Sequence[str]] = None,
-                 max_faults: Optional[int] = None,
-                 max_records: int = 64):
+                 max_faults: Optional[int] = None):
         if not 0.0 <= rate <= 1.0:
             raise FaultInjectionError(
                 f"rate must be in [0, 1], got {rate}")
         if max_faults is not None and max_faults < 0:
             raise FaultInjectionError(
                 f"max_faults must be non-negative, got {max_faults}")
-        if max_records < 0:
-            raise FaultInjectionError(
-                f"max_records must be non-negative, got {max_records}")
         chosen = tuple(sites) if sites is not None else FAULT_SITES
         unknown = sorted(set(chosen) - set(FAULT_SITES))
         if unknown:
@@ -100,7 +100,6 @@ class DatapathFaultInjector:
         #: canonical order regardless of how the caller listed them
         self.sites = tuple(s for s in FAULT_SITES if s in chosen)
         self.max_faults = max_faults
-        self.max_records = max_records
         self.transports_observed = 0
         self.faults_injected = 0
         self.faults_by_site: Dict[str, int] = {s: 0 for s in self.sites}
@@ -157,7 +156,7 @@ class DatapathFaultInjector:
         site, move, value, detail = applied
         self.faults_injected += 1
         self.faults_by_site[site] += 1
-        if len(self.faults) < self.max_records:
+        if len(self.faults) < MAX_FAULT_RECORDS:
             self.faults.append(DatapathFault(
                 cycle=cycle, pc=pc, bus=bus, site=site, detail=detail))
         return move, value

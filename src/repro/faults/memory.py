@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
+from repro.faults.datapath import MAX_FAULT_RECORDS
 from repro.faults.seeds import derive_seed, make_rng
 
 #: canonical table-state fault sites, in application-precedence order
@@ -81,21 +82,16 @@ class MemoryFaultInjector:
     """
 
     def __init__(self, seed: int = 0,
-                 sites: Optional[Sequence[str]] = None,
-                 max_records: int = 64):
+                 sites: Optional[Sequence[str]] = None):
         chosen = tuple(sites) if sites is not None else MEMORY_SITES
         unknown = sorted(set(chosen) - set(MEMORY_SITES))
         if unknown:
             raise FaultInjectionError(
                 f"unknown memory sites {unknown}; "
                 f"valid sites are {sorted(MEMORY_SITES)}")
-        if max_records < 0:
-            raise FaultInjectionError(
-                f"max_records must be non-negative, got {max_records}")
         self.seed = seed
         #: canonical order regardless of how the caller listed them
         self.sites = tuple(s for s in MEMORY_SITES if s in chosen)
-        self.max_records = max_records
         self.flips_applied = 0
         self.flips_by_site: Dict[str, int] = {s: 0 for s in self.sites}
         self.faults: List[MemoryFault] = []
@@ -131,7 +127,7 @@ class MemoryFaultInjector:
             applied.append(fault)
             self.flips_applied += 1
             self.flips_by_site[site] += 1
-            if len(self.faults) < self.max_records:
+            if len(self.faults) < MAX_FAULT_RECORDS:
                 self.faults.append(fault)
         return applied
 

@@ -140,17 +140,11 @@ class DifferentialOracle:
     def __init__(self, config: ArchitectureConfiguration,
                  routes: Sequence[RouteEntry],
                  packets: Sequence[Tuple[int, bytes]],
-                 max_cycles: Optional[int] = None,
-                 backend: Optional[str] = None):
+                 max_cycles: Optional[int] = None):
         self.config = config
         self.routes = list(routes)
         self.packets = list(packets)
         self._max_cycles = max_cycles
-        #: requested simulation engine (the hazard detector and the
-        #: fault injector are hooks, so the compiled backend will fall
-        #: back to the interpreter transparently — the knob is threaded
-        #: anyway so every runner shares one selection path)
-        self.backend = backend
         self._golden: Optional[ForwardingRunResult] = None
         self._golden_error: Optional[BaseException] = None
         self._golden_signature: Optional[Dict[str, object]] = None
@@ -172,8 +166,7 @@ class DifferentialOracle:
             try:
                 result = run_forwarding(
                     self.config, self.routes, self.packets,
-                    options=RunOptions(backend=self.backend, verify=True,
-                                       detect_hazards=True))
+                    options=RunOptions(verify=True, detect_hazards=True))
             except ReproError as exc:
                 self._golden_error = exc
                 raise
@@ -215,8 +208,7 @@ class DifferentialOracle:
         try:
             result = run_forwarding(
                 self.config, self.routes, self.packets,
-                options=RunOptions(backend=self.backend,
-                                   max_cycles=self.hang_budget,
+                options=RunOptions(max_cycles=self.hang_budget,
                                    verify=False, detect_hazards=True,
                                    instrument=injector.attach))
         except CycleBudgetError as exc:
@@ -224,10 +216,6 @@ class DifferentialOracle:
                 injector, OUTCOME_HANG,
                 f"cycle budget of {exc.cycles} exhausted at pc={exc.pc}",
                 diagnosis=exc.diagnosis)
-        except ReproError as exc:
-            return self._outcome(
-                injector, OUTCOME_CRASH, str(exc),
-                error_type=type(exc).__name__)
         except Exception as exc:  # noqa: BLE001 — any escape is a crash
             return self._outcome(
                 injector, OUTCOME_CRASH, str(exc),
@@ -309,14 +297,13 @@ class MemoryDifferentialOracle:
 
     def __init__(self, kind: str, protection: str,
                  routes: Sequence[RouteEntry],
-                 addresses: Sequence[Ipv6Address],
-                 capacity: Optional[int] = None):
+                 addresses: Sequence[Ipv6Address]):
         self.kind = kind
         self.protection = protection
         self.routes = list(routes)
         self.addresses = list(addresses)
-        self.capacity = capacity if capacity is not None else (
-            len({entry.prefix for entry in self.routes}) + 8)
+        #: every distinct prefix fits, with room to spare
+        self.capacity = len({entry.prefix for entry in self.routes}) + 8
         self._golden_signatures: Optional[List[Tuple[object, ...]]] = None
         self._golden_steps = 0
         #: measured on the clean golden build (overhead-pricing inputs)
@@ -395,10 +382,6 @@ class MemoryDifferentialOracle:
                         f"lookup-step budget of {budget} exhausted "
                         f"after {len(signatures)} lookups",
                         steps=table.stats.total_lookup_steps - start_steps)
-        except ReproError as exc:
-            return self._outcome(
-                injector, OUTCOME_CRASH, str(exc),
-                error_type=type(exc).__name__)
         except Exception as exc:  # noqa: BLE001 — any escape is a crash
             return self._outcome(
                 injector, OUTCOME_CRASH, str(exc),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.asm import ProgramBuilder, assemble
 from repro.errors import FaultInjectionError
+from repro.faults import datapath
 from repro.faults.datapath import FAULT_SITES, DatapathFaultInjector
 from repro.faults.seeds import derive_seed, make_rng
 from repro.tta import (
@@ -68,8 +69,7 @@ def make_filter_harness(rate, sites=None, seed=0, max_faults=None):
     processor.reset()
     simulator = Simulator(processor, program)
     injector = DatapathFaultInjector(seed=seed, rate=rate, sites=sites,
-                                     max_faults=max_faults,
-                                     max_records=10_000)
+                                     max_faults=max_faults)
     injector.attach(simulator)
     return injector
 
@@ -204,6 +204,12 @@ class TestSiteSelection:
         outputs = replay(injector, rounds=3)
         assert injector.faults_injected == len(outputs)
 
+    def test_fault_records_are_capped(self):
+        injector = make_filter_harness(rate=1.0, sites=("bus",))
+        replay(injector, rounds=20)
+        assert injector.faults_injected == 80
+        assert len(injector.faults) == datapath.MAX_FAULT_RECORDS
+
     def test_max_faults_budget(self):
         injector = make_filter_harness(rate=1.0, max_faults=2)
         outputs = replay(injector, rounds=3)
@@ -215,10 +221,13 @@ class TestSiteSelection:
 
 
 class TestStreamIndependence:
-    def test_disabling_a_site_leaves_other_streams_alone(self):
+    def test_disabling_a_site_leaves_other_streams_alone(self,
+                                                         monkeypatch):
         """The bus stream's decisions do not depend on which sibling
         sites are enabled — adding a site to a sweep cannot re-roll
         another site's faults on the same transport sequence."""
+        # keep a record of every fault, not just the first 64
+        monkeypatch.setattr(datapath, "MAX_FAULT_RECORDS", 10_000)
         lone = make_filter_harness(rate=0.2, sites=("bus",), seed=4)
         replay(lone, rounds=100)
         paired = make_filter_harness(rate=0.2, sites=("bus", "result"),

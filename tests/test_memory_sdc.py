@@ -12,7 +12,6 @@ from repro.dse.sdc import (
     MemoryTrial,
     memory_sites_for,
     plan_memory_trials,
-    run_memory_sweep,
 )
 from repro.faults.seeds import derive_seed
 from repro.routing import memimage
@@ -62,8 +61,8 @@ def test_trial_key_is_order_stable():
 
 
 def test_sequential_equals_parallel():
-    seq = run_memory_sweep(**SWEEP)
-    par = run_memory_sweep(jobs=2, **SWEEP)
+    seq = MemorySweepRunner(**SWEEP).run()
+    par = MemorySweepRunner(jobs=2, **SWEEP).run()
     assert json.dumps(seq.to_dict(), sort_keys=True) == \
         json.dumps(par.to_dict(), sort_keys=True)
     assert seq.render() == par.render()
@@ -71,12 +70,13 @@ def test_sequential_equals_parallel():
 
 def test_resume_is_byte_identical(tmp_path):
     journal = str(tmp_path / "mem.jsonl")
-    full = run_memory_sweep(journal_path=journal, **SWEEP)
+    full = MemorySweepRunner(journal_path=journal, **SWEEP).run()
     # simulate a kill: truncate the journal to its first 4 records
     lines = open(journal).read().splitlines(True)
     partial = str(tmp_path / "partial.jsonl")
     open(partial, "w").write("".join(lines[:4]))
-    resumed = run_memory_sweep(journal_path=partial, resume=True, **SWEEP)
+    resumed = MemorySweepRunner(journal_path=partial, resume=True,
+                                **SWEEP).run()
     assert resumed.resumed == 4
     assert json.dumps(full.to_dict(), sort_keys=True) == \
         json.dumps(resumed.to_dict(), sort_keys=True)
@@ -85,9 +85,9 @@ def test_resume_is_byte_identical(tmp_path):
 
 def test_existing_journal_without_resume_is_refused(tmp_path):
     journal = str(tmp_path / "mem.jsonl")
-    run_memory_sweep(journal_path=journal, **SWEEP)
+    MemorySweepRunner(journal_path=journal, **SWEEP).run()
     with pytest.raises(CampaignError, match="already exists"):
-        run_memory_sweep(journal_path=journal, **SWEEP)
+        MemorySweepRunner(journal_path=journal, **SWEEP).run()
 
 
 def test_resume_without_journal_is_refused():
@@ -108,7 +108,7 @@ def test_unknown_kind_and_protection_are_refused():
 def test_protected_cells_meet_detection_coverage_floor():
     """Acceptance: >= 90% of non-masked injected state flips on a
     protected table are detected in the smoke configuration."""
-    result = run_memory_sweep(prefixes=80, lookups=40, trials=2, seed=7)
+    result = MemorySweepRunner(prefixes=80, lookups=40, trials=2, seed=7).run()
     for row in result.rows:
         if row["protection"] == "none":
             continue
@@ -118,7 +118,7 @@ def test_protected_cells_meet_detection_coverage_floor():
 
 
 def test_protection_cost_rows_are_priced():
-    result = run_memory_sweep(**SWEEP)
+    result = MemorySweepRunner(**SWEEP).run()
     for row in result.rows:
         cost = row["protection_cost"]
         assert cost["protection"] == row["protection"]
@@ -152,7 +152,7 @@ def test_pinned_cam_sdc_caught_only_differentially():
 
 def test_failed_rows_counted_not_raised(tmp_path):
     """A sweep never dies on a classification failure; it records it."""
-    result = run_memory_sweep(**SWEEP)
+    result = MemorySweepRunner(**SWEEP).run()
     for row in result.rows:
         assert row["failed"] == 0  # this config classifies cleanly
         assert row["trials"] > 0

@@ -75,8 +75,8 @@ CAM_TABLE1_ROWS = {
 }
 
 
-def pinned_counters(action):
-    """``{(name, "label=value,..."): total}`` of the pinned counters
+def pinned_counters(action, names=PINNED):
+    """``{(name, "label=value,..."): total}`` of the counters in *names*
     *action* publishes into a fresh registry."""
     fresh = MetricsRegistry(enabled=True)
     previous = set_registry(fresh)
@@ -88,7 +88,7 @@ def pinned_counters(action):
     return {(name, ",".join(f"{key}={value}" for key, value
                             in sorted(item["labels"].items()))):
             item["value"]
-            for name in PINNED if name in counters
+            for name in names if name in counters
             for item in counters[name]["values"]}
 
 

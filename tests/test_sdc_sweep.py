@@ -64,6 +64,15 @@ class TestPlanning:
         assert key["config"] == config_key(CONFIGS[0])
         assert key["site"] == "bus" and key["trial"] == 0
 
+    def test_trial_key_separates_fault_caps(self):
+        """A journalled trial is never resumed into a sweep with another
+        fault cap: the cap is part of the key."""
+        capped, uncapped = (
+            plan_trials(CONFIGS[:1], ("bus",), 1, 0.002, 0, cap)[0]
+            for cap in (1, None))
+        assert capped.key != uncapped.key
+        assert json.loads(capped.key)["max_faults"] == 1
+
 
 class TestValidation:
     def test_bad_jobs(self):
@@ -227,3 +236,11 @@ class TestCli:
         code = cli_main(self.ARGS + ["--journal", str(journal)])
         assert code == 2
         assert "already exists" in capsys.readouterr().err
+
+    def test_backend_is_not_an_option(self, capsys):
+        """Every trial attaches hooks, so the interpreter always runs:
+        the sweep has no engine to select."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(self.ARGS + ["--backend", "compiled"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err

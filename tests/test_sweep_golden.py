@@ -5,8 +5,9 @@ that moves every mode the same way passes them all. These digests pin the
 actual bytes: the SHA-256 of each ``--output`` document with its
 wall-clock ``metrics`` section removed (canonical JSON), and of the
 journal. A digest may only move in a change that means to alter that
-sweep's output. The router and conformance commands at the end, which
-write no journal, pin their stdout as well.
+sweep's output. The two SDC sweeps pin their rendered stdout too, and
+the router and conformance commands at the end, which write no journal,
+pin their stdout as well.
 """
 
 import hashlib
@@ -125,6 +126,25 @@ def test_sweep_output_matches_golden(name, tmp_path, capsys):
     digests = run_case(name, tmp_path)
     capsys.readouterr()
     assert digests == GOLDEN[name]
+
+
+#: name -> digest of the rendered table the case prints, which neither
+#: the ``--output`` document nor the journal holds
+STDOUT_GOLDEN = {
+    "datapath-jobs1":
+        "8f698de62332cc10a428df544eeb2ae2dd8c95ea06866f5f011156db116253d1",
+    "datapath-socket":
+        "5651ae97096324632cc1c46c6c47fbe7bb1b58c46071d408eed32b784836100b",
+    "memory-jobs1":
+        "67cc2d8026d5c5a64e6c5d967c384188e258cb92fa6e3797a59ce7638d476aa0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_GOLDEN))
+def test_sweep_stdout_matches_golden(name, tmp_path, capsys):
+    capsys.readouterr()
+    run_case(name, tmp_path)
+    assert sha256(capsys.readouterr().out.encode()) == STDOUT_GOLDEN[name]
 
 
 #: runs without a journal, pinned to the digest of the journalled case
