@@ -603,8 +603,11 @@ class MemorySweepRunner(_TrialSweep):
                          protection: str) -> Dict[str, object]:
         """Table-1-style pricing of the cell's protection hardware,
         measured on the clean golden build (deterministic, so rows are
-        byte-identical across sequential/parallel/resumed runs)."""
-        oracle = self._local_context()(kind, protection)
+        byte-identical across sequential/parallel/resumed runs). A clean
+        table's steps, footprint and records do not depend on its
+        protection, so each kind is measured once, on the golden of the
+        first protection the sweep runs."""
+        oracle = self._local_context()(kind, self.protections[0])
         _ = oracle.golden
         return estimate_protection_overhead(
             kind, protection, self.prefixes,

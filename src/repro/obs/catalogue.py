@@ -52,21 +52,22 @@ class Metric:
             self._bound = (registry, instrument)
         return instrument
 
-    # a disabled registry costs each publish one call and one check
+    # a disabled registry costs each publish one call and one check; an
+    # enabled one hands the labels dict to the instrument in one call
     def inc(self, amount: float = 1, **labels: object) -> None:
         registry = _metrics._default_registry
         if registry.enabled:
-            self._instrument(registry).inc(amount, **labels)
+            self._instrument(registry)._inc(amount, labels)
 
     def set(self, value: float, **labels: object) -> None:
         registry = _metrics._default_registry
         if registry.enabled:
-            self._instrument(registry).set(value, **labels)
+            self._instrument(registry)._set(value, labels)
 
     def observe(self, value: float, **labels: object) -> None:
         registry = _metrics._default_registry
         if registry.enabled:
-            self._instrument(registry).observe(value, **labels)
+            self._instrument(registry)._observe(value, labels)
 
 
 _counter = functools.partial(Metric, "counter")

@@ -96,8 +96,12 @@ class _Scalar(_Instrument):
         self._values: Dict[_LabelKey, float] = {}
 
     def inc(self, amount: float = 1, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
+        if self._registry.enabled:
+            self._inc(amount, labels)
+
+    def _inc(self, amount: float, labels: Dict[str, object]) -> None:
+        """:meth:`inc` with the labels in one dict, on an enabled
+        registry: the catalogue's one-call publish."""
         if amount < 0 and self.monotonic:
             raise ObservabilityError(
                 f"counter {self.name!r} cannot decrease (amount={amount})")
@@ -125,8 +129,10 @@ class Gauge(_Scalar):
     kind = "gauge"
 
     def set(self, value: float, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
+        if self._registry.enabled:
+            self._set(value, labels)
+
+    def _set(self, value: float, labels: Dict[str, object]) -> None:
         self._values[self._key(labels)] = value
 
     def dec(self, amount: float = 1, **labels: object) -> None:
@@ -152,8 +158,10 @@ class Histogram(_Instrument):
         self._counts: Dict[_LabelKey, int] = {}
 
     def observe(self, value: float, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
+        if self._registry.enabled:
+            self._observe(value, labels)
+
+    def _observe(self, value: float, labels: Dict[str, object]) -> None:
         key = self._key(labels)
         series = self._series.get(key)
         if series is None:

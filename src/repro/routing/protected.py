@@ -28,17 +28,21 @@ paths, none of which is allowed to raise out of a lookup:
 3. **Scrub** — :meth:`verify_integrity` re-reads every record of every
    memory site and compares protection words against the
    :meth:`checkpoint` baseline, the background scrubber every SRAM
-   controller runs.
+   controller runs. A record whose bytes match the baseline keeps its
+   word, so only changed records are worded.
 
 Degraded serving: whenever the inner structure cannot be trusted for an
 address, the answer comes from a linear LPM over the journal (counted
 in ``degraded_lookups`` and ``routing_degraded_lookups_total``) — the
 slow-but-safe path. :meth:`rebuild` reconstructs a fresh inner
-structure from the journal and re-arms the baseline.
+structure from the journal and re-arms the baseline; :meth:`replica`
+loads one the same way into an independent copy, the target a fault
+trial damages while the clean table stays intact.
 """
 
 from __future__ import annotations
 
+import copy
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -47,7 +51,7 @@ from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.obs.catalogue import ROUTING_CORRUPTION_DETECTED, \
     ROUTING_DEGRADED_LOOKUPS
-from repro.routing.base import RoutingTable
+from repro.routing.base import RoutingTable, TableStatistics
 from repro.routing.entry import LookupResult, RouteEntry
 from repro.routing.memimage import pack_entry
 
@@ -96,7 +100,8 @@ class ProtectedRoutingTable(RoutingTable):
         self._journal: Dict[Ipv6Prefix, RouteEntry] = {
             entry.prefix: entry for entry in inner}
         self._route_words: Dict[Ipv6Prefix, int] = {}
-        self._site_words: Dict[str, List[int]] = {}
+        #: the records of every memory site at the last checkpoint
+        self._site_records: Dict[str, List[bytes]] = {}
         self._scrub_armed = False
         self.detected_corruptions = 0
         self.degraded_lookups = 0
@@ -235,16 +240,13 @@ class ProtectedRoutingTable(RoutingTable):
     # -- scrub / rebuild --------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Arm the scrub baseline: per-record protection words for every
-        memory site. The per-route words need no refresh: every journal
-        update keeps them in step."""
-        if self.protection == "none":
-            self._scrub_armed = True
-            return
-        self._site_words = {
-            site: [self._word(record)
-                   for record in self.inner.memory_records(site)]
-            for site in self.inner.memory_sites()}
+        """Arm the scrub baseline: the records of every memory site. The
+        per-route words need no refresh: every journal update keeps them
+        in step."""
+        if self.protection != "none":
+            self._site_records = {
+                site: self.inner.memory_records(site)
+                for site in self.inner.memory_sites()}
         self._scrub_armed = True
 
     def verify_integrity(self) -> List[CorruptionEvent]:
@@ -257,7 +259,8 @@ class ProtectedRoutingTable(RoutingTable):
         if self.protection == "none" or not self._scrub_armed:
             return []
         events: List[CorruptionEvent] = []
-        for site, baseline in self._site_words.items():
+        word = self._word
+        for site, baseline in self._site_records.items():
             try:
                 current = self.inner.memory_records(site)
             except Exception as exc:
@@ -265,13 +268,18 @@ class ProtectedRoutingTable(RoutingTable):
                     site=site, index=-1,
                     detail=f"site unreadable: {type(exc).__name__}"))
                 continue
+            if current == baseline:
+                continue
             if len(current) != len(baseline):
                 events.append(CorruptionEvent(
                     site=site, index=-1,
                     detail=f"record count {len(current)} != "
                            f"baseline {len(baseline)}"))
-            for index, record in enumerate(current[:len(baseline)]):
-                if self._word(record) != baseline[index]:
+            # an unchanged record keeps its word; a changed one is
+            # caught only if its word changed too (parity misses
+            # even-weight damage)
+            for index, (record, clean) in enumerate(zip(current, baseline)):
+                if record != clean and word(record) != word(clean):
                     events.append(CorruptionEvent(
                         site=site, index=index,
                         detail="protection word mismatch"))
@@ -279,14 +287,44 @@ class ProtectedRoutingTable(RoutingTable):
             self._record_detection(len(events))
         return events
 
+    def _load_inner(self, stats: TableStatistics) -> RoutingTable:
+        """A new structure of the inner kind, loaded from the route
+        journal, accounting into *stats*."""
+        fresh = type(self.inner)(capacity=self.inner.capacity)
+        fresh.stats = stats
+        fresh.load(list(self._journal.values()))
+        return fresh
+
     def rebuild(self) -> None:
         """Reconstruct the inner structure from the route journal."""
-        fresh = type(self.inner)(capacity=self.inner.capacity)
-        fresh.stats = self.stats  # keep the single accounting stream
-        fresh.load(list(self._journal.values()))
-        self.inner = fresh
+        # keep the single accounting stream
+        self.inner = self._load_inner(self.stats)
         self.rebuilds += 1
         self.checkpoint()
+
+    def replica(self) -> "ProtectedRoutingTable":
+        """An independent copy of this table, armed and undamaged.
+
+        Its inner structure is loaded from the journal as :meth:`rebuild`
+        loads one, with statistics of its own; the journal and route
+        words are copied, not re-worded, and the scrub baseline is taken
+        over, not re-read. That baseline holds when this table was
+        checkpointed straight after a bulk :meth:`load` into an empty
+        structure, or after a :meth:`rebuild`: a fresh load of the same
+        journal lays out the same records. Nothing done to the copy
+        reaches this table.
+        """
+        if not self._scrub_armed:
+            raise RoutingTableError(
+                "replica of an unarmed table; checkpoint() it first")
+        twin = copy.copy(self)
+        twin.inner = self._load_inner(TableStatistics())
+        twin.stats = twin.inner.stats
+        twin._journal = dict(self._journal)
+        twin._route_words = dict(self._route_words)
+        twin.detected_corruptions = twin.degraded_lookups = 0
+        twin.quarantined_routes = twin.rebuilds = 0
+        return twin
 
     # -- memory seam (the injector strikes through the wrapper) ----------------
 

@@ -292,7 +292,9 @@ class MemoryDifferentialOracle:
 
     One oracle is bound to one ``(kind, protection, routes,
     addresses)`` cell; the golden signatures are computed once on a
-    clean build, then every trial corrupts a fresh build.
+    clean build, then every trial corrupts a
+    :meth:`~ProtectedRoutingTable.replica` of it, so the cell's clean
+    work (route words, scrub baseline) is done once.
     """
 
     def __init__(self, kind: str, protection: str,
@@ -306,6 +308,8 @@ class MemoryDifferentialOracle:
         self.capacity = len({entry.prefix for entry in self.routes}) + 8
         self._golden_signatures: Optional[List[Tuple[object, ...]]] = None
         self._golden_steps = 0
+        #: the clean, checkpointed build the golden run answered from
+        self._clean: Optional[ProtectedRoutingTable] = None
         #: measured on the clean golden build (overhead-pricing inputs)
         self.table_memory_bytes = 0
         self.protected_records = 0
@@ -340,6 +344,7 @@ class MemoryDifferentialOracle:
             self._golden_steps = table.stats.total_lookup_steps - start
             self.table_memory_bytes = table.table_memory_bytes()
             self.protected_records = table.protected_records()
+            self._clean = table
         return self._golden_signatures
 
     @property
@@ -360,13 +365,13 @@ class MemoryDifferentialOracle:
                    + degraded_worst, MIN_MEMORY_STEP_BUDGET)
 
     def classify(self, seed: int, site: str, flips: int = 1) -> TrialOutcome:
-        """Corrupt a fresh table and classify the outcome.
+        """Corrupt a replica of the clean table and classify the outcome.
 
         Deterministic: the same ``(cell, seed, site, flips)`` always
         produces the identical outcome record.
         """
         golden = self.golden
-        table = self.build()
+        table = self._clean.replica()
         injector = MemoryFaultInjector(seed=seed, sites=(site,))
         faults = injector.inject(table, flips=flips)
         detected_before = table.detected_corruptions

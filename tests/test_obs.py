@@ -265,6 +265,48 @@ class TestCatalogue:
                                 labels=("router", "reason")).value(
             router="r1", reason="malformed") == 0
 
+    def test_entries_validate_labels(self, registry):
+        """An entry hands its labels to the instrument in one dict; the
+        instrument still rejects a renamed, missing or extra name."""
+        entries = [
+            (catalogue.ROUTING_LOOKUPS.inc, 1,
+             {"kind": "cam", "outcome": "hit"}),
+            (catalogue.TTA_CYCLES_PER_SECOND.set, 1.0,
+             {"backend": "interpreter"}),
+            (catalogue.TTA_RUN_SECONDS.observe, 0.5,
+             {"backend": "interpreter"}),
+        ]
+        for publish, value, labels in entries:
+            first, *rest = labels
+            kept = {name: labels[name] for name in rest}
+            for bad in ({**kept, "bogus": labels[first]}, kept,
+                        {**labels, "bogus": "x"}):
+                with pytest.raises(ObservabilityError):
+                    publish(value, **bad)
+            publish(value, **labels)
+        snapshot = registry.snapshot()
+        for section, name, labels in (
+                ("counters", "routing_lookups_total",
+                 {"kind": "cam", "outcome": "hit"}),
+                ("gauges", "tta_cycles_per_second",
+                 {"backend": "interpreter"}),
+                ("histograms", "tta_run_seconds",
+                 {"backend": "interpreter"})):
+            assert [value["labels"] for value
+                    in snapshot[section][name]["values"]] == [labels]
+
+    def test_entry_counter_rejects_negative_amount(self, registry):
+        with pytest.raises(ObservabilityError):
+            catalogue.ROUTING_LOOKUPS.inc(-1, kind="cam", outcome="hit")
+        catalogue.ROUTING_LOOKUPS.inc(2, kind="cam", outcome="hit")
+        assert registry.counter(
+            "routing_lookups_total", labels=("kind", "outcome")).value(
+            kind="cam", outcome="hit") == 2
+        # a gauge may go down
+        catalogue.DSE_POOL_SIZE.set(3)
+        catalogue.DSE_POOL_SIZE.inc(-1)
+        assert registry.gauge("dse_pool_size").value() == 2
+
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "schemas",
                            "metrics.schema.json")

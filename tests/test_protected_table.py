@@ -296,3 +296,85 @@ def test_route_words_track_the_journal(kind, protection, operations):
         assert_route_words_track_journal(table)
         table.checkpoint()
         assert_route_words_track_journal(table)
+
+
+# -- the scrub compares bytes, then words -------------------------------------------
+
+
+@pytest.mark.parametrize("protection, flagged",
+                         [("parity", 0), ("checksum", 1)])
+def test_parity_misses_two_flips_in_one_record(protection, flagged):
+    """Even-weight damage within one record keeps its parity: the scrub
+    sees the bytes change, but only the checksum word changes with them."""
+    table = build("sequential", protection)
+    before = table.memory_records("entry")
+    for bit in (NEXT_HOP_BIT, NEXT_HOP_BIT + 1):
+        table.corrupt_memory("entry", 0, bit)
+    after = table.memory_records("entry")
+    assert after[0] != before[0] and after[1:] == before[1:]
+    events = table.verify_integrity()
+    assert [(event.site, event.index) for event in events] \
+        == [("entry", 0)] * flagged
+
+
+# -- replicas: a fault trial's copy of the clean table ------------------------------
+
+
+def table_state(table):
+    """Everything a trial could change: records, journal, route words,
+    scrub baseline and the protection counters."""
+    return ({site: table.memory_records(site)
+             for site in table.memory_sites()},
+            dict(table._journal), dict(table._route_words),
+            dict(table._site_records), table._scrub_armed,
+            table.protection_stats())
+
+
+@pytest.mark.parametrize("protection", PROTECTION_MODES)
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+def test_replica_equals_a_fresh_build(kind, protection):
+    clean = build(kind, protection)
+    for address in ADDRESSES:  # the golden run answers from the clean table
+        clean.lookup(address)
+    fresh = build(kind, protection)
+    twin = clean.replica()
+    assert table_state(twin) == table_state(fresh)
+    assert twin.stats == fresh.stats
+    assert twin.inner is not clean.inner
+    assert twin.stats is twin.inner.stats
+    assert twin.stats is not clean.stats
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+def test_struck_replica_is_scrubbed_and_spares_the_clean_table(kind):
+    clean = build(kind, "checksum")
+    state = table_state(clean)
+    twin = clean.replica()
+    assert corrupt_and_look_up(twin, kind, 0, 0)
+    assert twin.quarantined_routes == 1
+    MemoryFaultInjector(seed=4).inject(twin, flips=4)
+    for address in ADDRESSES:
+        twin.lookup(address)
+    assert twin.verify_integrity()
+    assert table_state(clean) == state
+    assert clean.verify_integrity() == []
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+def test_writes_to_a_replica_spare_the_clean_table(kind):
+    clean = build(kind, "parity")
+    state = table_state(clean)
+    twin = clean.replica()
+    twin.remove(ROUTES[0].prefix)
+    twin.insert(replace(ROUTES[1], route_tag=ROUTES[1].route_tag ^ 1))
+    twin.insert(POOL[0])
+    twin.checkpoint()
+    assert_route_words_track_journal(twin)
+    assert table_state(clean) == state
+
+
+def test_replica_of_an_unarmed_table_is_refused():
+    table = build("cam", "parity")
+    table.insert(POOL[0])
+    with pytest.raises(RoutingTableError):
+        table.replica()

@@ -27,6 +27,12 @@ DATAPATH = ["sdc", "--table", "sequential", "--buses", "1", "--site", "bus",
 MEMORY = ["sdc", "--prefixes", "40", "--lookups", "30", "--trials", "1",
           "--seed", "7", "--table", "sequential", "--table", "cam",
           "--table", "bloom"]
+#: every table kind under parity with three flips a trial: damage of even
+#: weight in one record slips past the scrub, and the trie and tree sites
+#: are struck too
+MEMORY_PARITY = ["sdc", "--prefixes", "80", "--lookups", "40", "--trials",
+                 "6", "--seed", "11", "--protection", "parity", "--flips",
+                 "3"]
 #: the datapath sweep with only socket faults: a misrouted move writes a
 #: port other than the one its instruction names
 DATAPATH_SOCKET = ["sdc", "--table", "sequential", "--buses", "1",
@@ -44,6 +50,7 @@ CASES = {
     "datapath-socket": DATAPATH_SOCKET + ["--jobs", "1"],
     "memory-jobs1": MEMORY + ["--jobs", "1"],
     "memory-jobs2": MEMORY + ["--jobs", "2"],
+    "memory-parity-flips3": MEMORY_PARITY + ["--jobs", "1"],
     "table1-jobs1": TABLE1 + ["--jobs", "1"],
     "table1-jobs2": TABLE1 + ["--jobs", "2"],
     # the compiled backend: pinned to the interpreter's bytes
@@ -76,6 +83,9 @@ GOLDEN = {
     "memory-jobs2": (
         "cc1fc362f37c19fa8e00f2741f12e20383fc792ed023017756655379090d1f5e",
         "4bd69e6b52ee791f153047f4198f57a9a938d1f40eddbc43f1ffbd67061f8ec3"),
+    "memory-parity-flips3": (
+        "c9b4ada2dbb6ecc466a6b95c5609fded6abb0db87d7f0bbaf27328f79faa786f",
+        "e621a9f84a99daa34c2109c623a976e54135a62a77d8e40daef98f26af629da0"),
     "table1-jobs1": (
         "35449676f151948a0a0a1e7a0d0f27a45d8751e6fd2003cb2483385ee63916e2",
         "7c8bf7441465080f4e29875e93bf6cf9a90bfbf6940daf4da297d5afdd60eaf0"),
