@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.dse import (
     ArchitectureEvaluator,
+    CampaignRunner,
     DesignConstraints,
     DesignSpace,
     ExhaustiveExplorer,
@@ -28,9 +29,11 @@ def test_heuristic_explorer(benchmark, evaluator):
     space = DesignSpace(bus_counts=(1, 2, 3, 4), fu_set_counts=(1, 2, 3))
     constraints = DesignConstraints(max_power_w=25.0)
 
-    exhaustive = ExhaustiveExplorer(evaluator, constraints).explore(space)
+    exhaustive = ExhaustiveExplorer(CampaignRunner(evaluator),
+                                    constraints).explore(space)
 
-    greedy_explorer = GreedyExplorer(build_evaluator(), constraints)
+    greedy_explorer = GreedyExplorer(CampaignRunner(build_evaluator()),
+                                     constraints)
     greedy = benchmark.pedantic(greedy_explorer.explore, args=(space,),
                                 rounds=1, iterations=1)
 

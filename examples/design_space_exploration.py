@@ -11,6 +11,7 @@ Run:  python examples/design_space_exploration.py
 
 from repro.dse import (
     ArchitectureEvaluator,
+    CampaignRunner,
     DesignConstraints,
     DesignSpace,
     GreedyExplorer,
@@ -35,7 +36,7 @@ def main() -> None:
     print("\n=== Extension: automated exploration (paper future work) ===")
     space = DesignSpace(bus_counts=(1, 2, 3, 4), fu_set_counts=(1, 2, 3))
     constraints = DesignConstraints(max_power_w=25.0)
-    explorer = GreedyExplorer(evaluator, constraints)
+    explorer = GreedyExplorer(CampaignRunner(evaluator), constraints)
     outcome = explorer.explore(space)
     print(f"space: {space.size()} configurations; heuristic evaluated "
           f"{outcome.evaluations_used}")

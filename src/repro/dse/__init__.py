@@ -18,8 +18,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".pareto": ("DesignConstraints", "pareto_front", "select_best"),
     ".sdc": ("SdcSweepResult", "SdcSweepRunner", "SdcTrial", "plan_trials",
              "vulnerability_row"),
-    ".protocols": ("BatchEvaluator", "EvaluatorProtocol",
-                   "supports_batching"),
+    ".protocols": ("EvaluatorProtocol",),
     ".space": ("DesignSpace", "paper_space"),
     ".sweep": ("JournaledSweep", "load_journal", "write_atomic",
                "write_atomic_bytes"),

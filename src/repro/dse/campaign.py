@@ -58,7 +58,6 @@ from repro.errors import (
     CampaignError,
     ConfigurationError,
     CycleBudgetError,
-    EvaluationFailureError,
     ReproError,
 )
 from repro.estimation.area import estimate_area
@@ -345,14 +344,11 @@ class CampaignRunner(JournaledSweep):
     """Journal-backed, fault-isolating wrapper around an evaluator — the
     one runner every Table 1 and explorer sweep goes through.
 
-    Duck-type compatible with :class:`Evaluator` (``evaluate(config)``),
-    so explorers run on top of it unchanged: journal hits short-circuit,
-    fresh evaluations are guarded and persisted, and failures surface as
-    :class:`~repro.errors.EvaluationFailureError` (which the explorers
-    treat as a dead end, not a crash). It is a
-    :class:`~repro.dse.protocols.BatchEvaluator` too, so explorers expand
-    whole search frontiers through :meth:`evaluate_batch` and visit the
-    same configurations in the same order at every job count.
+    Explorers expand each search frontier through :meth:`evaluate_batch`:
+    journal hits short-circuit, fresh evaluations are guarded and
+    persisted, and a failure comes back as ``None`` (a dead end, not a
+    crash). Every frontier is one sweep, so a search visits the same
+    configurations in the same order at every job count.
 
     Journal, resume and sweeps run on the shared
     :class:`~repro.dse.sweep.JournaledSweep` engine. With ``jobs > 1`` a
@@ -377,29 +373,6 @@ class CampaignRunner(JournaledSweep):
         self.evaluator = evaluator
         self.policy = policy or CampaignPolicy()
 
-    # -- evaluator-compatible surface ---------------------------------------------
-
-    def evaluate(self, config: ArchitectureConfiguration, *,
-                 max_cycles: Optional[int] = None) -> EvaluationResult:
-        """Journal-aware, fault-isolated evaluation of one configuration.
-
-        Raises :class:`EvaluationFailureError` (carrying the structured
-        failure) instead of the evaluator's raw errors; the failure is
-        already recorded and quarantined by the time it is raised.
-        *max_cycles* overrides the policy's cycle budget for this call.
-        """
-        key = config_key(config)
-        record = self._records.get(key)
-        if record is None:
-            record = self._persist(key, self._measure_here(
-                config, max_cycles=max_cycles))
-        else:
-            self._count_resumed(key)
-        if record["status"] == "ok":
-            return result_from_record(record)
-        raise EvaluationFailureError(record["message"],
-                                     failure=failure_from_record(record))
-
     def seed_record(self, key: str, record: Dict[str, object]) -> None:
         """Install an externally recovered record (evaluation cache hit,
         cross-campaign import) as if it had been journalled by this run.
@@ -416,40 +389,6 @@ class CampaignRunner(JournaledSweep):
         self._records[key] = record
         self._append(record)
 
-    def failure_reason(self, config: ArchitectureConfiguration
-                       ) -> Optional[str]:
-        """The error class name of a recorded *failed* evaluation of
-        *config* (``"WorkerCrashError"``, ``"CycleBudgetError"``, ...),
-        or ``None`` if it has no record or succeeded. Lets callers
-        classify contained failures without parsing exceptions."""
-        record = self._records.get(config_key(config))
-        if record is None or record["status"] == "ok":
-            return None
-        return record["error"]
-
-    def forget_failure(self, config: ArchitectureConfiguration) -> bool:
-        """Drop a recorded *failed* evaluation so the next evaluate of
-        *config* runs fresh; returns whether anything was dropped.
-
-        The journal keeps the failed record — history is append-only —
-        and the retry's record is appended after it, which wins on
-        replay (last record per key). Successful records are never
-        dropped: retrying a success would break byte-identical resume.
-        """
-        key = config_key(config)
-        record = self._records.get(key)
-        if record is None or record["status"] == "ok":
-            return False
-        del self._records[key]
-        self._replayed_keys.discard(key)
-        return True
-
-    def evaluate_batch(self, configs: Sequence[ArchitectureConfiguration]
-                       ) -> List[Optional[EvaluationResult]]:
-        """Aligned results for *configs*; ``None`` marks a failure."""
-        return [result_from_record(record) if record["status"] == "ok"
-                else None for record in self.run(configs).records]
-
     # -- sweep driver -------------------------------------------------------------
 
     def run(self, configs: Sequence[ArchitectureConfiguration]
@@ -458,6 +397,12 @@ class CampaignRunner(JournaledSweep):
         come back in input order whatever the job count, so the rendered
         artifact is byte-identical to a sequential run's."""
         return self._result(self._sweep(configs))
+
+    def evaluate_batch(self, configs: Sequence[ArchitectureConfiguration]
+                       ) -> List[Optional[EvaluationResult]]:
+        """Aligned results for *configs*; ``None`` marks a failure."""
+        return [result_from_record(record) if record["status"] == "ok"
+                else None for record in self._sweep(configs)]
 
     def result(self) -> CampaignResult:
         """Every record this runner holds, in the order it first recorded
@@ -484,14 +429,11 @@ class CampaignRunner(JournaledSweep):
     def _context_spec(self):
         return _campaign_context, (self.evaluator, self.policy)
 
-    def _measure_here(self, config: ArchitectureConfiguration,
-                      max_cycles: Optional[int] = None
+    def _measure_here(self, config: ArchitectureConfiguration
                       ) -> Dict[str, object]:
-        policy = self.policy if max_cycles is None else \
-            dataclasses.replace(self.policy, cycle_budget=max_cycles)
         registry = get_registry()
         t0 = registry.time() if registry.enabled else 0.0
-        record = evaluate_guarded(self.evaluator, config, policy)
+        record = evaluate_guarded(self.evaluator, config, self.policy)
         if registry.enabled:
             DSE_EVALUATION_SECONDS.observe(registry.time() - t0,
                                            status=record["status"])

@@ -12,6 +12,14 @@ constraints" (§5). Two searchers over a :class:`DesignSpace`:
   constraint-satisfying design stops improving. Evaluations are cached,
   so its cost is the number of *distinct* designs visited.
 
+Both search through a :class:`~repro.dse.campaign.CampaignRunner`: every
+frontier (the whole space, all restart points, all neighbours of the
+current best) is one :meth:`~repro.dse.campaign.CampaignRunner.evaluate_batch`
+call, concurrent when the runner has ``jobs > 1``. A configuration whose
+evaluation failed comes back as ``None``, a dead end the search routes
+around; the runner has already contained, journalled and (for a killed
+or stalled worker) re-probed it.
+
 The E1 benchmark shows the heuristic reaches the exhaustive optimum with
 a fraction of the evaluations on the paper's space.
 """
@@ -19,21 +27,14 @@ a fraction of the evaluations on the paper's space.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.dse.campaign import CampaignRunner
 from repro.dse.config import ArchitectureConfiguration
 from repro.dse.evaluator import EvaluationResult
 from repro.dse.pareto import DesignConstraints, select_best
-from repro.dse.protocols import Evaluator, supports_batching
 from repro.dse.space import DesignSpace
-from repro.errors import EvaluationFailureError, SimulationError
-
-#: failure classes caused by the *infrastructure* (a worker process
-#: died or wedged), not by the configuration itself — worth one retry
-#: before the configuration is written off
-_TRANSIENT_FAILURES = frozenset({"WorkerCrashError", "WorkerStallError"})
 
 
 @dataclass
@@ -70,37 +71,26 @@ def _score(result: EvaluationResult,
     """Lower is better: infeasible designs rank by how far the required
     clock overshoots; admissible ones by power."""
     if constraints.admits(result):
-        power = (result.power.system_w if constraints.include_cam_power
-                 else result.power.processor_w)
-        return (0, power)
+        return (0, result.power.system_w)
     return (1, result.required_clock_hz)
 
 
 class ExhaustiveExplorer:
-    def __init__(self, evaluator: Evaluator,
+    def __init__(self, runner: CampaignRunner,
                  constraints: Optional[DesignConstraints] = None):
-        self.evaluator = evaluator
+        self.runner = runner
         self.constraints = constraints or DesignConstraints()
 
     def explore(self, space: DesignSpace) -> ExplorationOutcome:
         configs = space.configurations()
         results: List[EvaluationResult] = []
         failed: List[ArchitectureConfiguration] = []
-        if supports_batching(self.evaluator):
-            # one call for the whole space: a CampaignRunner with
-            # jobs > 1 sweeps it concurrently
-            for config, result in zip(
-                    configs, self.evaluator.evaluate_batch(configs)):
-                if result is None:
-                    failed.append(config)
-                else:
-                    results.append(result)
-        else:
-            for config in configs:
-                try:
-                    results.append(self.evaluator.evaluate(config))
-                except SimulationError:
-                    failed.append(config)
+        for config, result in zip(configs,
+                                  self.runner.evaluate_batch(configs)):
+            if result is None:
+                failed.append(config)
+            else:
+                results.append(result)
         return ExplorationOutcome(
             best=select_best(results, self.constraints),
             evaluated=results,
@@ -109,34 +99,20 @@ class ExhaustiveExplorer:
 
 
 class GreedyExplorer:
-    """Hill climbing with restarts from each table option's cheapest point.
+    """Hill climbing with restarts from each table option's cheapest point."""
 
-    Failures are classified before they become dead ends: a *transient*
-    failure (a pool worker crashed or stalled under this configuration —
-    infrastructure, not design) gets exactly one backoff retry; a
-    *structural* one (budget overrun, functional mismatch, estimation
-    error — properties of the design itself) is cached as a permanent
-    ``None`` sentinel and never retried. *sleep_fn* is injectable so
-    tests replay the backoff without waiting.
-    """
-
-    def __init__(self, evaluator: Evaluator,
-                 constraints: Optional[DesignConstraints] = None,
-                 retry_backoff_seconds: float = 0.05,
-                 sleep_fn: Callable[[float], None] = time.sleep):
-        self.evaluator = evaluator
+    def __init__(self, runner: CampaignRunner,
+                 constraints: Optional[DesignConstraints] = None):
+        self.runner = runner
         self.constraints = constraints or DesignConstraints()
-        self.retry_backoff_seconds = retry_backoff_seconds
-        self.sleep_fn = sleep_fn
-        #: transient-failure retries attempted (at most one per config)
-        self.transient_retries = 0
         #: keyed by the *logical* configuration (CAM search latency
         #: normalised away — the evaluator's fixed point re-resolves it),
         #: so restarts and repeated explore() calls reuse every result;
-        #: ``None`` marks a configuration whose evaluation failed.
+        #: ``None`` marks a configuration whose evaluation failed. A
+        #: resumed runner also holds records this search never visited,
+        #: so its records cannot stand in for this cache.
         self._cache: Dict[ArchitectureConfiguration,
                           Optional[EvaluationResult]] = {}
-        self._retried: Set[ArchitectureConfiguration] = set()
 
     def explore(self, space: DesignSpace) -> ExplorationOutcome:
         best: Optional[EvaluationResult] = None
@@ -146,11 +122,8 @@ class GreedyExplorer:
             counters=min(space.fu_set_counts),
             comparators=min(space.fu_set_counts),
             table_kind=kind) for kind in space.table_kinds]
-        # frontier expansion: a batch-capable evaluator (process pool)
-        # takes all restart points in one concurrent call
-        self._prefetch(starts)
-        for start in starts:
-            candidate = self._climb(start, space)
+        for first in self._expand(starts):
+            candidate = self._climb(first, space)
             if candidate is None:
                 continue
             if best is None or (_score(candidate, self.constraints)
@@ -170,82 +143,17 @@ class GreedyExplorer:
     def _key(config: ArchitectureConfiguration) -> ArchitectureConfiguration:
         return config.with_cam_latency(1)
 
-    def _prefetch(self, configs: Sequence[ArchitectureConfiguration]) -> None:
-        """Evaluate every uncached configuration in one batch call.
-
-        A no-op unless the evaluator supports batching, in which case a
-        whole search frontier (all restart points, all neighbours of the
-        current best) is evaluated concurrently instead of one at a time.
-        """
-        if not supports_batching(self.evaluator):
-            return
-        missing = []
-        for config in configs:
-            key = self._key(config)
-            if key not in self._cache and key not in missing:
-                missing.append(key)
-        if not missing:
-            return
-        for key, result in zip(missing,
-                               self.evaluator.evaluate_batch(missing)):
-            self._cache[key] = result  # None marks a contained failure
-        retryable = [key for key in missing
-                     if self._cache[key] is None
-                     and self._transient_reason(key) is not None
-                     and key not in self._retried]
-        if not retryable:
-            return
-        self._retried.update(retryable)
-        self.transient_retries += len(retryable)
-        self.sleep_fn(self.retry_backoff_seconds)
-        for key in retryable:
-            self.evaluator.forget_failure(key)
-        for key, result in zip(retryable,
-                               self.evaluator.evaluate_batch(retryable)):
-            self._cache[key] = result  # still None => now structural
-
-    def _transient_reason(self, key: ArchitectureConfiguration
-                          ) -> Optional[str]:
-        """The transient error class a batch evaluator recorded for
-        *key*, when it exposes one (journal-backed runners do)."""
-        reason_of = getattr(self.evaluator, "failure_reason", None)
-        if reason_of is None or \
-                not hasattr(self.evaluator, "forget_failure"):
-            return None
-        reason = reason_of(key)
-        return reason if reason in _TRANSIENT_FAILURES else None
-
-    def _evaluate(self, config: ArchitectureConfiguration
-                  ) -> Optional[EvaluationResult]:
-        key = self._key(config)
-        if key not in self._cache:
-            try:
-                self._cache[key] = self.evaluator.evaluate(key)
-            except SimulationError as exc:
-                # One bad configuration must not abort the whole climb:
-                # let the search route around it. Infrastructure-class
-                # failures get a single backoff retry first; anything
-                # structural becomes a permanent dead-end sentinel.
-                self._cache[key] = None
-                if self._should_retry(key, exc):
-                    self.transient_retries += 1
-                    self.sleep_fn(self.retry_backoff_seconds)
-                    self.evaluator.forget_failure(key)
-                    try:
-                        self._cache[key] = self.evaluator.evaluate(key)
-                    except SimulationError:
-                        self._cache[key] = None
-        return self._cache[key]
-
-    def _should_retry(self, key: ArchitectureConfiguration,
-                      exc: SimulationError) -> bool:
-        if key in self._retried:
-            return False
-        self._retried.add(key)
-        return (isinstance(exc, EvaluationFailureError)
-                and exc.failure is not None
-                and exc.failure.error in _TRANSIENT_FAILURES
-                and hasattr(self.evaluator, "forget_failure"))
+    def _expand(self, configs: Sequence[ArchitectureConfiguration]
+                ) -> List[Optional[EvaluationResult]]:
+        """Results aligned with *configs*; every uncached one is
+        evaluated in one runner batch. ``None`` marks a dead end."""
+        keys = [self._key(config) for config in configs]
+        missing = list(dict.fromkeys(
+            key for key in keys if key not in self._cache))
+        if missing:
+            self._cache.update(zip(missing,
+                                   self.runner.evaluate_batch(missing)))
+        return [self._cache[key] for key in keys]
 
     def _neighbours(self, config: ArchitectureConfiguration,
                     space: DesignSpace) -> List[ArchitectureConfiguration]:
@@ -264,17 +172,13 @@ class GreedyExplorer:
                                    comparators=n))
         return out
 
-    def _climb(self, start: ArchitectureConfiguration,
+    def _climb(self, current: Optional[EvaluationResult],
                space: DesignSpace) -> Optional[EvaluationResult]:
-        current = self._evaluate(start)
         if current is None:
             return None
         while True:
-            neighbours = self._neighbours(current.config, space)
-            self._prefetch(neighbours)  # all moves evaluated concurrently
-            moves = [m for m in
-                     (self._evaluate(n) for n in neighbours)
-                     if m is not None]
+            moves = [m for m in self._expand(
+                self._neighbours(current.config, space)) if m is not None]
             if not moves:
                 return current
             best_move = min(moves, key=lambda r: _score(r, self.constraints))

@@ -19,9 +19,8 @@ class DesignConstraints:
     """Selection limits: a design must fit all of them."""
 
     max_area_mm2: Optional[float] = None
+    #: system power: the processor plus any external CAM chip
     max_power_w: Optional[float] = None
-    #: count the external CAM chip's power against the budget?
-    include_cam_power: bool = True
 
     def admits(self, result: EvaluationResult) -> bool:
         if not result.feasible or result.area is None or result.power is None:
@@ -29,32 +28,29 @@ class DesignConstraints:
         if self.max_area_mm2 is not None and \
                 result.area.total_mm2 > self.max_area_mm2:
             return False
-        power = (result.power.system_w if self.include_cam_power
-                 else result.power.processor_w)
-        if self.max_power_w is not None and power > self.max_power_w:
+        if self.max_power_w is not None and \
+                result.power.system_w > self.max_power_w:
             return False
         return True
 
 
-def _objectives(result: EvaluationResult,
-                include_cam_power: bool) -> "tuple[float, float, float]":
-    power = (result.power.system_w if include_cam_power
-             else result.power.processor_w)
-    return (result.required_clock_hz, result.area.total_mm2, power)
+def _objectives(result: EvaluationResult) -> "tuple[float, float, float]":
+    return (result.required_clock_hz, result.area.total_mm2,
+            result.power.system_w)
 
 
-def pareto_front(results: Sequence[EvaluationResult],
-                 include_cam_power: bool = True) -> List[EvaluationResult]:
+def pareto_front(results: Sequence[EvaluationResult]
+                 ) -> List[EvaluationResult]:
     """Non-dominated feasible designs over (clock, area, power)."""
     feasible = [r for r in results if r.feasible and r.area and r.power]
     front: List[EvaluationResult] = []
     for candidate in feasible:
-        c = _objectives(candidate, include_cam_power)
+        c = _objectives(candidate)
         dominated = False
         for other in feasible:
             if other is candidate:
                 continue
-            o = _objectives(other, include_cam_power)
+            o = _objectives(other)
             if all(a <= b for a, b in zip(o, c)) and o != c:
                 dominated = True
                 break
@@ -72,7 +68,5 @@ def select_best(results: Sequence[EvaluationResult],
     admissible = [r for r in results if constraints.admits(r)]
     if not admissible:
         return None
-    return min(admissible, key=lambda r: (
-        r.power.system_w if constraints.include_cam_power
-        else r.power.processor_w,
-        r.area.total_mm2))
+    return min(admissible, key=lambda r: (r.power.system_w,
+                                          r.area.total_mm2))

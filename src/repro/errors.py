@@ -148,12 +148,3 @@ class CacheIntegrityError(ServiceError):
     """An evaluation-cache entry failed its integrity check (torn write,
     bit rot, truncation). Raised only by strict readers; the cache
     itself quarantines the entry and recomputes transparently."""
-
-
-class EvaluationFailureError(SimulationError):
-    """A campaign evaluation failed; ``failure`` holds the structured
-    :class:`repro.dse.campaign.EvaluationFailure` record."""
-
-    def __init__(self, message: str, *, failure=None):
-        super().__init__(message)
-        self.failure = failure

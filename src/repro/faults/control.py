@@ -297,8 +297,7 @@ class ControlPlaneAssault:
                  interface: int = 0, seed: int = 2080,
                  attack_rounds: int = 30, burst_per_round: int = 2,
                  kinds: Sequence[str] = ATTACK_KINDS,
-                 max_rounds: int = 600, quiet_rounds: int = 20,
-                 watch_window: int = 64):
+                 max_rounds: int = 600, quiet_rounds: int = 20):
         if attack_rounds < 1:
             raise FaultInjectionError(
                 f"attack_rounds must be positive, got {attack_rounds}")
@@ -319,7 +318,6 @@ class ControlPlaneAssault:
         self.kinds = tuple(kinds)
         self.max_rounds = max_rounds
         self.quiet_rounds = quiet_rounds
-        self.watch_window = watch_window
         self._ran = False
 
     def run(self) -> AssaultReport:
@@ -330,8 +328,7 @@ class ControlPlaneAssault:
         network = self.network
         victim = network.routers[self.victim]
 
-        watchdog = SimulationWatchdog(network,
-                                      window_rounds=self.watch_window)
+        watchdog = SimulationWatchdog(network)
         baseline = network.run_until_converged(
             max_rounds=self.max_rounds, quiet_rounds=self.quiet_rounds,
             watchdog=watchdog)

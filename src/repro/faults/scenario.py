@@ -30,6 +30,10 @@ from repro.ipv6.address import Ipv6Prefix
 from repro.ipv6.ripng import METRIC_INFINITY
 from repro.router.network import ConvergenceReport, Network
 
+#: simulated seconds a scenario runs past its last scripted flap, so the
+#: flap's effect is observable
+SETTLE_SECONDS = 1.0
+
 #: factory mapping a link index to its fault model (None = leave clean)
 FaultFactory = Callable[[int], Optional[FaultModel]]
 
@@ -189,9 +193,7 @@ class ChaosScenario:
                  chaos_seconds: float = 0.0,
                  max_rounds: int = 600,
                  quiet_rounds: int = 20,
-                 recovery_max_rounds: int = 900,
-                 settle_seconds: float = 1.0,
-                 watch_window: int = 64):
+                 recovery_max_rounds: int = 900):
         if chaos_seconds < 0:
             raise FaultInjectionError(
                 f"chaos_seconds must be non-negative, got {chaos_seconds}")
@@ -202,8 +204,6 @@ class ChaosScenario:
         self.max_rounds = max_rounds
         self.quiet_rounds = quiet_rounds
         self.recovery_max_rounds = recovery_max_rounds
-        self.settle_seconds = settle_seconds
-        self.watch_window = watch_window
         self._models: List[FaultModel] = []
         self._ran = False
 
@@ -242,8 +242,7 @@ class ChaosScenario:
         if self.flaps is not None:
             network.set_flap_schedule(self.flaps)
 
-        watchdog = SimulationWatchdog(network,
-                                      window_rounds=self.watch_window)
+        watchdog = SimulationWatchdog(network)
         baseline = network.run_until_converged(
             max_rounds=self.max_rounds, quiet_rounds=self.quiet_rounds,
             watchdog=watchdog)
@@ -252,9 +251,7 @@ class ChaosScenario:
         chaos_end = network.now + self.chaos_seconds
         if self.flaps is not None and len(self.flaps):
             # run at least until the last scripted event has been applied
-            # (plus a settle margin so its effect is observable)
-            chaos_end = max(chaos_end,
-                            self.flaps.end_time + self.settle_seconds)
+            chaos_end = max(chaos_end, self.flaps.end_time + SETTLE_SECONDS)
         chaos_rounds = 0
         while network.now < chaos_end:
             network.step()

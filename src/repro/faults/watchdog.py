@@ -17,6 +17,10 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.ipv6.ripng import METRIC_INFINITY
 
+#: trailing rounds a watchdog diagnoses; the chaos and assault harnesses
+#: watch this many
+WINDOW_ROUNDS = 64
+
 #: (router name, prefix text) -> last observed metric (INFINITY if expired)
 _MetricKey = Tuple[str, str]
 
@@ -61,7 +65,7 @@ class SimulationWatchdog:
     #: many times at one router inside the window
     OSCILLATION_THRESHOLD = 2
 
-    def __init__(self, network, window_rounds: int = 64):
+    def __init__(self, network, window_rounds: int = WINDOW_ROUNDS):
         self.network = network
         self.window_rounds = window_rounds
         self.rounds_observed = 0

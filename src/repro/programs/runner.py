@@ -9,7 +9,7 @@ semantics, and reports cycles-per-datagram plus utilisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dse.config import ArchitectureConfiguration
@@ -32,7 +32,8 @@ class RunOptions:
 
     The one options object every evaluation path accepts — the runner,
     the DSE evaluator, :mod:`repro.api`, the campaign runners, and the
-    CLI all thread it (or its fields) down to :func:`run_forwarding`.
+    CLI all build one and pass it down to :func:`run_forwarding` as
+    ``options=``.
     ``None`` fields mean "use the shared default": the backend resolves
     through :func:`repro.tta.backends.resolve_backend_name` and the
     cycle ceiling through
@@ -55,12 +56,6 @@ class RunOptions:
     #: replaces the default tuned program generator; the seam the
     #: conformance suite's program mutants use
     program_factory: Optional[Callable[["RouterMachine"], object]] = None
-
-    def merged(self, **overrides) -> "RunOptions":
-        """A copy with the non-None *overrides* applied."""
-        changes = {key: value for key, value in overrides.items()
-                   if value is not None}
-        return replace(self, **changes) if changes else self
 
     @property
     def effective_max_cycles(self) -> int:
@@ -141,19 +136,14 @@ def run_forwarding(config: ArchitectureConfiguration,
                    routes: Sequence[RouteEntry],
                    packets: Sequence[Tuple[int, bytes]],
                    machine: Optional[RouterMachine] = None,
-                   options: Optional[RunOptions] = None,
-                   max_cycles: Optional[int] = None,
-                   verify: Optional[bool] = None,
-                   backend: Optional[str] = None) -> ForwardingRunResult:
+                   options: Optional[RunOptions] = None
+                   ) -> ForwardingRunResult:
     """Simulate one batch of datagrams through a fresh machine.
 
     Execution and observation knobs travel on *options* (a
-    :class:`RunOptions`); *max_cycles*, *verify* and *backend* stay
-    first-class keyword shortcuts that override the options object when
-    given.
+    :class:`RunOptions`; ``None`` runs with its defaults).
     """
-    options = (options or RunOptions()).merged(
-        max_cycles=max_cycles, verify=verify, backend=backend)
+    options = options or RunOptions()
 
     if machine is None:
         machine = build_machine(config, table_capacity=max(len(routes), 100))

@@ -9,15 +9,14 @@ from repro import api
 from repro.dse import (
     ArchitectureConfiguration,
     ArchitectureEvaluator,
-    BatchEvaluator,
     CampaignRunner,
     DesignConstraints,
     EvaluatorProtocol,
     GreedyExplorer,
+    PoisonedEvaluator,
     generate_table1,
     paper_space,
     render_table1,
-    supports_batching,
 )
 
 
@@ -95,19 +94,18 @@ class TestFacade:
 class TestEvaluatorProtocol:
     def test_concrete_types_satisfy_the_protocol(self):
         assert isinstance(small_evaluator(), EvaluatorProtocol)
+        assert isinstance(PoisonedEvaluator(small_evaluator(), []),
+                          EvaluatorProtocol)
+        # the runner wraps an evaluator; it is not one itself
         runner = CampaignRunner(small_evaluator())
-        assert isinstance(runner, EvaluatorProtocol)
-        assert isinstance(runner, BatchEvaluator)
-        assert supports_batching(runner)
-
-    def test_plain_evaluator_does_not_claim_batching(self):
-        assert not supports_batching(small_evaluator())
-        assert not supports_batching(StubEvaluator())
+        assert isinstance(runner.evaluator, EvaluatorProtocol)
+        assert not isinstance(runner, EvaluatorProtocol)
 
     def test_explorer_accepts_a_protocol_stub(self):
         stub = StubEvaluator()
         assert isinstance(stub, EvaluatorProtocol)
-        explorer = GreedyExplorer(stub, DesignConstraints(max_power_w=50.0))
+        explorer = GreedyExplorer(CampaignRunner(stub),
+                                  DesignConstraints(max_power_w=50.0))
         outcome = explorer.explore(paper_space())
         assert stub.calls > 0
         assert outcome.best is not None

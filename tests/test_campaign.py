@@ -26,7 +26,6 @@ from repro.dse.campaign import (
 from repro.errors import (
     CampaignError,
     CycleBudgetError,
-    EvaluationFailureError,
     FunctionalMismatchError,
 )
 from repro.tta import LoopSignature
@@ -102,9 +101,8 @@ class TestFaultIsolation:
 
     def test_quarantined_config_not_retried(self, sweep):
         runner = sweep["runner"]
-        with pytest.raises(EvaluationFailureError) as err:
-            runner.evaluate(POISON)
-        assert err.value.failure.config == POISON
+        [failure] = runner.run([POISON]).failures
+        assert failure.config == POISON
         assert runner.quarantined == [POISON]
 
     def test_failure_record_roundtrip(self):
@@ -266,7 +264,7 @@ class TestBudgetPolicy:
             flaky, policy=CampaignPolicy(cycle_budget=100_000))
         config = ArchitectureConfiguration(bus_count=3,
                                            table_kind="sequential")
-        result = runner.evaluate(config)  # retry at 400k succeeds
+        [result] = runner.run([config]).results  # retry at 400k succeeds
         assert flaky.calls == 2
         assert result.cycles_per_packet > 0
 

@@ -85,7 +85,7 @@ class TestOneCampaignPath:
             ArchitectureEvaluator(table_entries=20, packet_batch=4))
         configs = paper_space().configurations()[:3]
         for config in reversed(configs):
-            runner.evaluate(config)
+            runner.run([config])
         assert [r.config for r in runner.result().results] \
             == list(reversed(configs))
 

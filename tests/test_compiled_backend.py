@@ -351,16 +351,6 @@ class TestRunOptions:
                 options=RunOptions(detect_hazards=True))
         assert result.hazard_report is not None
 
-    def test_keyword_shortcuts_override_options(self):
-        options = RunOptions(max_cycles=10, verify=True)
-        merged = options.merged(max_cycles=99, verify=False)
-        assert merged.max_cycles == 99
-        assert merged.verify is False
-        # None means "not given" and leaves the option untouched
-        untouched = options.merged(max_cycles=None, verify=None)
-        assert untouched == options
-        assert options.max_cycles == 10  # frozen original untouched
-
     def test_default_max_cycles_is_the_shared_constant(self):
         assert RunOptions().effective_max_cycles == DEFAULT_RUN_MAX_CYCLES
         assert RunOptions(max_cycles=7).effective_max_cycles == 7

@@ -22,6 +22,11 @@ from repro.dse import (
 from repro.dse.table1 import PAPER_TABLE1, format_clock
 from repro.errors import ConfigurationError
 from repro.estimation.technology import MAX_CLOCK_HZ
+from repro.faults import ChaosEvaluatorFactory
+
+
+def small_evaluator():
+    return ArchitectureEvaluator(table_entries=20, packet_batch=4)
 
 
 @pytest.fixture(scope="module")
@@ -194,8 +199,10 @@ class TestExplorers:
     def test_greedy_matches_exhaustive_on_paper_space(self, evaluator):
         space = paper_space()
         constraints = DesignConstraints(max_power_w=30.0)
-        exhaustive = ExhaustiveExplorer(evaluator, constraints).explore(space)
-        greedy = GreedyExplorer(evaluator, constraints).explore(space)
+        exhaustive = ExhaustiveExplorer(CampaignRunner(evaluator),
+                                        constraints).explore(space)
+        greedy = GreedyExplorer(CampaignRunner(evaluator),
+                                constraints).explore(space)
         assert exhaustive.best is not None
         assert greedy.best is not None
         assert greedy.best.config == exhaustive.best.config
@@ -215,9 +222,8 @@ class TestExplorers:
             def __getattr__(self, name):
                 return getattr(self.evaluator, name)
 
-        counting = CountingEvaluator(
-            ArchitectureEvaluator(table_entries=20, packet_batch=4))
-        explorer = GreedyExplorer(counting)
+        counting = CountingEvaluator(small_evaluator())
+        explorer = GreedyExplorer(CampaignRunner(counting))
         explorer.explore(paper_space())
         explorer.explore(DesignSpace(bus_counts=(1, 2, 3),
                                      fu_set_counts=(1, 3)))
@@ -233,9 +239,9 @@ class TestExplorers:
     def test_explorer_routes_around_failures(self):
         poison = ArchitectureConfiguration(bus_count=1,
                                            table_kind="sequential")
-        wrapped = PoisonedEvaluator(
-            ArchitectureEvaluator(table_entries=20, packet_batch=4), [poison])
-        outcome = GreedyExplorer(wrapped).explore(paper_space())
+        wrapped = PoisonedEvaluator(small_evaluator(), [poison])
+        outcome = GreedyExplorer(CampaignRunner(wrapped)).explore(
+            paper_space())
         # the sequential climb dies at its start; the other table options
         # still produce a winner and the failure is reported, not raised
         assert outcome.best is not None
@@ -248,9 +254,7 @@ class TestExplorers:
                                            table_kind="sequential")
         journal = tmp_path / "journal.jsonl"
         runner = CampaignRunner(
-            PoisonedEvaluator(
-                ArchitectureEvaluator(table_entries=20, packet_batch=4),
-                [poison]),
+            PoisonedEvaluator(small_evaluator(), [poison]),
             journal_path=str(journal))
         outcome = GreedyExplorer(runner).explore(paper_space())
         assert outcome.best is not None
@@ -282,92 +286,26 @@ class TestEnergyMetric:
         assert result.energy_per_packet_nj(1e6) is None
 
 
-class CrashOnceEvaluator:
-    """Raises an infrastructure (worker-crash) error the first *crashes*
-    times the victim configuration is evaluated, then delegates."""
-
-    def __init__(self, victim, crashes=1):
-        from repro.dse import config_key
-        self.evaluator = ArchitectureEvaluator(table_entries=20,
-                                               packet_batch=4)
-        self.victim_key = config_key(victim)
-        self.remaining = crashes
-        self.crash_count = 0
-
-    def evaluate(self, config, max_cycles=None):
-        from repro.dse import config_key
-        from repro.errors import WorkerCrashError
-        if self.remaining > 0 and config_key(config) == self.victim_key:
-            self.remaining -= 1
-            self.crash_count += 1
-            raise WorkerCrashError("worker killed (simulated OOM)")
-        return self.evaluator.evaluate(config, max_cycles=max_cycles)
-
-
-class _NoBatch:
-    """Hides ``evaluate_batch`` so the explorer takes its sequential
-    path; failure classification still flows through the runner."""
-
-    def __init__(self, runner):
-        self.runner = runner
-
-    def evaluate(self, config, max_cycles=None):
-        return self.runner.evaluate(config)
-
-    def forget_failure(self, config):
-        return self.runner.forget_failure(config)
-
-
-class TestTransientFailureRetry:
-    #: the cheapest sequential design — always one of the explorer's
-    #: restart points, so the injected failure hits the prefetch batch
+class TestPooledExplorer:
+    #: the cheapest sequential design: a restart point, so the kill hits
+    #: the explorer's first frontier
     VICTIM = ArchitectureConfiguration(bus_count=1,
                                        table_kind="sequential")
 
-    def test_batch_transient_failure_gets_one_backoff_retry(self):
-        crashing = CrashOnceEvaluator(self.VICTIM)
-        runner = CampaignRunner(crashing)
-        sleeps = []
-        explorer = GreedyExplorer(runner, sleep_fn=sleeps.append)
-        outcome = explorer.explore(paper_space())
-        assert crashing.crash_count == 1
-        assert explorer.transient_retries == 1
-        assert sleeps == [explorer.retry_backoff_seconds]
-        # the retry recovered the result: nothing quarantined, and the
-        # sequential climb still produced candidates
+    def test_killed_worker_is_survived_by_the_engine_alone(self, tmp_path):
+        clean_journal = tmp_path / "clean.jsonl"
+        clean = GreedyExplorer(CampaignRunner(
+            small_evaluator(), journal_path=str(clean_journal))).explore(
+                paper_space())
+        chaos = ChaosEvaluatorFactory(
+            small_evaluator, sentinel_dir=str(tmp_path / "sentinels"),
+            kill_config=self.VICTIM)
+        journal = tmp_path / "pooled.jsonl"
+        runner = CampaignRunner(chaos(), jobs=2, journal_path=str(journal))
+        outcome = GreedyExplorer(runner).explore(paper_space())
+        # the sweep engine re-probed the killed configuration alone and
+        # recovered it; the explorer saw a result, never the crash
+        assert runner.worker_crashes == 1
         assert outcome.failed == []
-        assert outcome.best is not None
-
-    def test_sequential_transient_failure_also_retries(self):
-        crashing = CrashOnceEvaluator(self.VICTIM)
-        sleeps = []
-        explorer = GreedyExplorer(_NoBatch(CampaignRunner(crashing)),
-                                  sleep_fn=sleeps.append)
-        outcome = explorer.explore(paper_space())
-        assert explorer.transient_retries == 1
-        assert sleeps == [explorer.retry_backoff_seconds]
-        assert outcome.failed == []
-
-    def test_structural_failure_is_never_retried(self):
-        poison = self.VICTIM
-        runner = CampaignRunner(PoisonedEvaluator(
-            ArchitectureEvaluator(table_entries=20, packet_batch=4), [poison]))
-        sleeps = []
-        explorer = GreedyExplorer(runner, sleep_fn=sleeps.append)
-        outcome = explorer.explore(paper_space())
-        # a functional mismatch is a property of the design, not the
-        # infrastructure: permanent sentinel, zero retries, no backoff
-        assert explorer.transient_retries == 0
-        assert sleeps == []
-        assert poison.with_cam_latency(1) in outcome.failed
-
-    def test_repeated_transient_failure_becomes_permanent(self):
-        crashing = CrashOnceEvaluator(self.VICTIM, crashes=10)
-        explorer = GreedyExplorer(CampaignRunner(crashing),
-                                  sleep_fn=lambda seconds: None)
-        outcome = explorer.explore(paper_space())
-        # one retry, not an unbounded loop; the second crash writes the
-        # configuration off as a dead end
-        assert crashing.crash_count == 2
-        assert explorer.transient_retries == 1
-        assert self.VICTIM.with_cam_latency(1) in outcome.failed
+        assert outcome.to_dict() == clean.to_dict()
+        assert journal.read_bytes() == clean_journal.read_bytes()

@@ -89,12 +89,9 @@ class TestDeterminism:
         assert campaign.records == sequential.records[:3]
 
     def test_satisfies_the_evaluator_protocols(self, parallel):
-        from repro.dse import BatchEvaluator, EvaluatorProtocol, \
-            supports_batching
+        from repro.dse import EvaluatorProtocol
         _, runner = parallel
-        assert isinstance(runner, EvaluatorProtocol)
-        assert isinstance(runner, BatchEvaluator)
-        assert supports_batching(runner)
+        assert isinstance(runner.evaluator, EvaluatorProtocol)
 
 
 class TestValidation:
