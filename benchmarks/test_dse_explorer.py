@@ -10,7 +10,6 @@ fewer configurations.
 from __future__ import annotations
 
 from repro.dse import (
-    ArchitectureEvaluator,
     CampaignRunner,
     DesignConstraints,
     DesignSpace,
@@ -21,10 +20,6 @@ from repro.dse import (
 from repro.reporting import render_rows
 
 
-def build_evaluator():
-    return ArchitectureEvaluator(table_entries=100, packet_batch=6)
-
-
 def test_heuristic_explorer(benchmark, evaluator):
     space = DesignSpace(bus_counts=(1, 2, 3, 4), fu_set_counts=(1, 2, 3))
     constraints = DesignConstraints(max_power_w=25.0)
@@ -32,8 +27,7 @@ def test_heuristic_explorer(benchmark, evaluator):
     exhaustive = ExhaustiveExplorer(CampaignRunner(evaluator),
                                     constraints).explore(space)
 
-    greedy_explorer = GreedyExplorer(CampaignRunner(build_evaluator()),
-                                     constraints)
+    greedy_explorer = GreedyExplorer(CampaignRunner(evaluator), constraints)
     greedy = benchmark.pedantic(greedy_explorer.explore, args=(space,),
                                 rounds=1, iterations=1)
 

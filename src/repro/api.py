@@ -138,9 +138,9 @@ def _campaign(*, jobs: int, journal: Optional[str], resume: bool,
               **workload) -> CampaignRunner:
     """The one campaign runner every Table 1 and explorer run goes
     through, whatever the job count and whether or not it journals."""
-    factory, policy = table1_workload(**workload)
+    factory, cycle_budget = table1_workload(**workload)
     return CampaignRunner(factory(), journal_path=journal, resume=resume,
-                          policy=policy, jobs=jobs)
+                          cycle_budget=cycle_budget, jobs=jobs)
 
 
 def backends() -> Tuple[str, ...]:

@@ -3,8 +3,8 @@
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".campaign": ("CampaignPolicy", "CampaignResult", "CampaignRunner",
-                  "EvaluationFailure", "PoisonedEvaluator",
+    ".campaign": ("CampaignResult", "CampaignRunner", "EvaluationFailure",
+                  "PoisonedEvaluator",
                   "config_from_dict", "config_key", "config_to_dict",
                   "evaluate_guarded", "generate_table1",
                   "run_table1_campaign"),

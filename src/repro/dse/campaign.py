@@ -14,8 +14,8 @@ over a ``jobs``-worker pool:
   retries, loop signature) instead of an exception that aborts the sweep;
 * **cycle-budget deadlines** — each evaluation runs under a cycle budget;
   a budget-class failure (:class:`~repro.errors.CycleBudgetError`) is
-  retried once at a larger budget before the configuration is declared
-  runaway;
+  retried once at :data:`RETRY_BUDGET_FACTOR` times the budget before
+  the configuration is declared runaway;
 * **quarantine** — configurations that fail deterministically (functional
   mismatches, structural errors, exhausted retries) are quarantined:
   recorded, reported, and never re-evaluated;
@@ -276,19 +276,17 @@ def failure_from_record(record: Dict[str, object]) -> EvaluationFailure:
 # -- the runner --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CampaignPolicy:
-    """Deadline and retry policy for one campaign."""
-
-    cycle_budget: int = DEFAULT_EVALUATION_MAX_CYCLES
-    retry_budget_factor: int = 4
-    max_retries: int = 1
+#: a budget-class failure is retried at this multiple of its budget ...
+RETRY_BUDGET_FACTOR = 4
+#: ... this many times before the configuration is declared runaway
+MAX_RETRIES = 1
 
 
 def evaluate_guarded(evaluator: Evaluator,
                      config: ArchitectureConfiguration,
-                     policy: CampaignPolicy) -> Dict[str, object]:
-    """One evaluation under the campaign deadline/retry policy.
+                     cycle_budget: int) -> Dict[str, object]:
+    """One evaluation under *cycle_budget* and the campaign's retry
+    rule.
 
     Returns the journal record (``status`` ``ok`` or ``failed``) and never
     raises for the failure classes a campaign contains
@@ -296,15 +294,15 @@ def evaluate_guarded(evaluator: Evaluator,
     :class:`CampaignRunner`, in this process and in its pool workers
     alike — each worker enforces the cycle budget locally.
     """
-    budget = policy.cycle_budget
+    budget = cycle_budget
     retries = 0
     while True:
         try:
             result = evaluator.evaluate(config, max_cycles=budget)
         except CycleBudgetError as exc:
-            if retries < policy.max_retries:
+            if retries < MAX_RETRIES:
                 retries += 1
-                budget *= policy.retry_budget_factor
+                budget *= RETRY_BUDGET_FACTOR
                 continue
             failure = EvaluationFailure(
                 config=config, error=type(exc).__name__,
@@ -327,17 +325,17 @@ def evaluate_guarded(evaluator: Evaluator,
         return result_to_record(result, config)
 
 
-def _campaign_context(evaluator: Evaluator, policy: CampaignPolicy):
+def _campaign_context(evaluator: Evaluator, cycle_budget: int):
     """The measurement context of a campaign, in the parent and in every
-    pool worker: the runner's evaluator and its deadline policy."""
-    return evaluator, policy
+    pool worker: the runner's evaluator and its cycle budget."""
+    return evaluator, cycle_budget
 
 
 def _evaluate(config: ArchitectureConfiguration,
               context) -> Dict[str, object]:
     """One guarded evaluation; always returns a record."""
-    evaluator, policy = context
-    return evaluate_guarded(evaluator, config, policy)
+    evaluator, cycle_budget = context
+    return evaluate_guarded(evaluator, config, cycle_budget)
 
 
 class CampaignRunner(JournaledSweep):
@@ -365,13 +363,14 @@ class CampaignRunner(JournaledSweep):
     def __init__(self, evaluator: Evaluator,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 policy: Optional[CampaignPolicy] = None,
+                 cycle_budget: Optional[int] = None,
                  *, jobs: int = 1,
                  chunk_size: Optional[int] = None):
         super().__init__(journal_path, resume, jobs=jobs,
                          chunk_size=chunk_size)
         self.evaluator = evaluator
-        self.policy = policy or CampaignPolicy()
+        #: the first budget of every evaluation (``None``: the default)
+        self.cycle_budget = cycle_budget or DEFAULT_EVALUATION_MAX_CYCLES
 
     def seed_record(self, key: str, record: Dict[str, object]) -> None:
         """Install an externally recovered record (evaluation cache hit,
@@ -427,13 +426,13 @@ class CampaignRunner(JournaledSweep):
     # -- engine hooks -------------------------------------------------------------
 
     def _context_spec(self):
-        return _campaign_context, (self.evaluator, self.policy)
+        return _campaign_context, (self.evaluator, self.cycle_budget)
 
     def _measure_here(self, config: ArchitectureConfiguration
                       ) -> Dict[str, object]:
         registry = get_registry()
         t0 = registry.time() if registry.enabled else 0.0
-        record = evaluate_guarded(self.evaluator, config, self.policy)
+        record = evaluate_guarded(self.evaluator, config, self.cycle_budget)
         if registry.enabled:
             DSE_EVALUATION_SECONDS.observe(registry.time() - t0,
                                            status=record["status"])
@@ -501,9 +500,9 @@ def table1_workload(*, entries: int, packets: int, hazards: bool,
                     prefixes: Optional[int] = None,
                     seed: int = 2026
                     ) -> Tuple[Callable[[], ArchitectureEvaluator],
-                               CampaignPolicy]:
+                               Optional[int]]:
     """What a Table-1 workload runs on: an evaluator factory and the
-    campaign's deadline policy.
+    campaign's cycle budget.
 
     The one mapping from the workload keywords of
     :func:`repro.api.table1_campaign` (every key of a service plan but
@@ -521,9 +520,7 @@ def table1_workload(*, entries: int, packets: int, hazards: bool,
     factory = partial(_table1_evaluator, entries=entries, packets=packets,
                       hazards=hazards, backend=backend, prefixes=prefixes,
                       seed=seed)
-    policy = CampaignPolicy(
-        cycle_budget=cycle_budget or DEFAULT_EVALUATION_MAX_CYCLES)
-    return factory, policy
+    return factory, cycle_budget
 
 
 def _table1_evaluator(*, entries: int, packets: int, hazards: bool,

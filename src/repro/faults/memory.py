@@ -92,8 +92,8 @@ class MemoryFaultInjector:
         self.seed = seed
         #: canonical order regardless of how the caller listed them
         self.sites = tuple(s for s in MEMORY_SITES if s in chosen)
-        self.flips_applied = 0
-        self.flips_by_site: Dict[str, int] = {s: 0 for s in self.sites}
+        self.faults_injected = 0
+        self.faults_by_site: Dict[str, int] = {s: 0 for s in self.sites}
         self.faults: List[MemoryFault] = []
         self._rngs = {site: make_rng(derive_seed(seed, site))
                       for site in self.sites}
@@ -125,8 +125,8 @@ class MemoryFaultInjector:
             fault = MemoryFault(site=site, index=index, bit=bit,
                                 detail=detail)
             applied.append(fault)
-            self.flips_applied += 1
-            self.flips_by_site[site] += 1
+            self.faults_injected += 1
+            self.faults_by_site[site] += 1
             if len(self.faults) < MAX_FAULT_RECORDS:
                 self.faults.append(fault)
         return applied
@@ -134,14 +134,14 @@ class MemoryFaultInjector:
     def stats(self) -> Dict[str, object]:
         """JSON-ready statistics (embedded in sweep trial records)."""
         return {
-            "flips_applied": self.flips_applied,
-            "flips_by_site": {site: count for site, count
-                              in sorted(self.flips_by_site.items())
-                              if count},
+            "faults_injected": self.faults_injected,
+            "faults_by_site": {site: count for site, count
+                               in sorted(self.faults_by_site.items())
+                               if count},
             "faults": [fault.to_dict() for fault in self.faults],
         }
 
     def __repr__(self) -> str:
         return (f"<MemoryFaultInjector seed={self.seed} "
                 f"sites={'/'.join(self.sites)} "
-                f"applied={self.flips_applied}>")
+                f"injected={self.faults_injected}>")

@@ -35,9 +35,9 @@ HEADER_BYTES = 4
 #: Senders split larger updates; receivers treat anything bigger as hostile.
 MAX_RTES_PER_MESSAGE = (1280 - 40 - 8 - HEADER_BYTES) // RTE_BYTES
 
-# RFC 2080 timer defaults (seconds). The paper notes stabilised-network
-# updates arrive "once in 2 minutes"; the base RFC interval is 30 s with
-# garbage collection after expiry — both are configurable in our engine.
+# RFC 2080 timers (seconds), fixed in the engine. The paper notes
+# stabilised-network updates arrive "once in 2 minutes"; the base RFC
+# interval is 30 s, with garbage collection after expiry.
 UPDATE_INTERVAL_S = 30.0
 ROUTE_TIMEOUT_S = 180.0
 GARBAGE_COLLECTION_S = 120.0

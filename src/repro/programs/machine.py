@@ -34,7 +34,8 @@ from repro.tta.fus import (
     Shifter,
 )
 
-DEFAULT_MEMORY_WORDS = 1 << 17
+MEMORY_WORDS = 1 << 17
+LINE_CARD_COUNT = 4
 TABLE_BASE_WORD = 0x8000
 SLOT_BASE_WORD = 0x100
 
@@ -67,9 +68,8 @@ class RouterMachine:
 
     # -- slow path (control plane) ---------------------------------------------------
 
-    def attach_ripng(self,
-                     interface_addresses: Sequence["Ipv6Address"],
-                     **engine_options) -> "RipngEngine":
+    def attach_ripng(self, interface_addresses: Sequence["Ipv6Address"]
+                     ) -> "RipngEngine":
         """Attach a RIPng engine that consumes punted control datagrams.
 
         The TACO fast path punts multicast-destined datagrams (RIPng
@@ -81,7 +81,7 @@ class RouterMachine:
         from repro.router.ripng_engine import RipngEngine
         self.ripng = RipngEngine(
             router_name="taco", table=self.table,
-            interface_count=len(self.line_cards), **engine_options)
+            interface_count=len(self.line_cards))
         self.interface_addresses = list(interface_addresses)
         return self.ripng
 
@@ -128,10 +128,8 @@ class RouterMachine:
 
 
 def build_machine(config: ArchitectureConfiguration,
-                  line_card_count: int = 4,
                   table: Optional[RoutingTable] = None,
                   table_capacity: int = 100,
-                  memory_words: int = DEFAULT_MEMORY_WORDS,
                   slot_count: int = 64,
                   slot_bytes: int = 2048,
                   connectivity: Optional[dict] = None) -> RouterMachine:
@@ -142,8 +140,8 @@ def build_machine(config: ArchitectureConfiguration,
     connected. The bus scheduler honours the restriction, so tuned
     programs still assemble — just onto fewer legal slots.
     """
-    memory = DataMemory(memory_words)
-    line_cards = [LineCard(i) for i in range(line_card_count)]
+    memory = DataMemory(MEMORY_WORDS)
+    line_cards = [LineCard(i) for i in range(LINE_CARD_COUNT)]
     slots = SlotPool(memory, base_word=SLOT_BASE_WORD,
                      slot_bytes=slot_bytes, slot_count=slot_count)
     if table is None:

@@ -159,7 +159,7 @@ def run_forwarding(config: ArchitectureConfiguration,
                 f"queue depth for batches of {len(packets)}")
 
     machine.processor.reset()
-    simulator = create_simulator(machine.processor, program, strict=True,
+    simulator = create_simulator(machine.processor, program,
                                  backend=options.backend)
     detector = None
     if options.detect_hazards:

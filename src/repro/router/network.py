@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
+from repro.ipv6.ripng import UPDATE_INTERVAL_S
 from repro.obs import get_registry
 from repro.obs.catalogue import NET_CONVERGENCE_ROUNDS, NET_CONVERGENCE_RUNS, \
     NET_CONVERGENCE_SECONDS, NET_FRAMES_DELIVERED, NET_FRAMES_IN_FLIGHT, \
@@ -293,26 +294,24 @@ class Network:
 
         Quiet means no RIPng datagram crossed any link; periodic updates
         restart the clock, so *quiet_rounds* must stay below the update
-        interval (30 s at 1 s steps) — a quiet window that long can never
-        occur and is rejected up front as a :class:`ConfigurationError`.
+        interval (30 s at 1 s steps) — on a network running RIPng a quiet
+        window that long can never occur and is rejected up front as a
+        :class:`ConfigurationError`.
 
         A *watchdog* (:class:`repro.faults.SimulationWatchdog`) observes
         every round; on non-convergence its diagnosis is attached to the
         report so callers learn *why* the control plane kept churning.
         """
-        intervals = [router.ripng.update_interval
-                     for router in self.routers.values() if router.ripng]
-        if intervals and \
-                quiet_rounds * self.step_seconds >= min(intervals):
+        if quiet_rounds * self.step_seconds >= UPDATE_INTERVAL_S and \
+                any(router.ripng for router in self.routers.values()):
             raise ConfigurationError(
                 f"quiet_rounds ({quiet_rounds}) x step_seconds "
                 f"({self.step_seconds}) = "
                 f"{quiet_rounds * self.step_seconds} s, which is not below "
-                f"the shortest RIPng update interval ({min(intervals)} s): "
+                f"the RIPng update interval ({UPDATE_INTERVAL_S} s): "
                 f"periodic updates would reset the quiet counter before it "
                 f"ever reached quiet_rounds, so convergence could never be "
-                f"detected; lower quiet_rounds/step_seconds or raise the "
-                f"update interval")
+                f"detected; lower quiet_rounds or step_seconds")
         registry = get_registry()
         t0 = registry.time() if registry.enabled else 0.0
         quiet = 0

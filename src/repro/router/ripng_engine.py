@@ -5,7 +5,9 @@ datagrams broadcasted by the adjacent routers ... At regular intervals,
 the routing table information is broadcasted to the adjacent routers"
 (§3). This engine implements that: periodic full updates with split
 horizon (poisoned reverse optional), triggered updates on metric change,
-route timeout and garbage collection, and the request/response protocol.
+route timeout and garbage collection on RFC 2080's fixed timers (30 s
+updates, 180 s timeout, 120 s garbage collection), and the
+request/response protocol.
 
 It drives a :class:`~repro.routing.base.RoutingTable` — any of the three
 implementations — so RIPng activity exercises the exact insert/remove
@@ -39,6 +41,9 @@ from repro.routing.entry import RouteEntry
 #: messages are returned as (interface, encoded bytes)
 OutboundMessage = Tuple[int, bytes]
 
+#: the length of the prefix an interface address announces
+INTERFACE_PREFIX_LENGTH = 64
+
 
 @dataclass
 class RipngRoute:
@@ -63,19 +68,12 @@ class RipngEngine:
     """The distance-vector state machine of one router."""
 
     def __init__(self, router_name: str, table: RoutingTable,
-                 interface_count: int,
-                 update_interval: float = UPDATE_INTERVAL_S,
-                 route_timeout: float = ROUTE_TIMEOUT_S,
-                 garbage_interval: float = GARBAGE_COLLECTION_S,
-                 poisoned_reverse: bool = False):
+                 interface_count: int, poisoned_reverse: bool = False):
         if interface_count < 1:
             raise RipngError("need at least one interface")
         self.router_name = router_name
         self.table = table
         self.interface_count = interface_count
-        self.update_interval = update_interval
-        self.route_timeout = route_timeout
-        self.garbage_interval = garbage_interval
         self.poisoned_reverse = poisoned_reverse
         self.routes: Dict[Ipv6Prefix, RipngRoute] = {}
         self._next_update_at = 0.0
@@ -93,9 +91,8 @@ class RipngEngine:
 
     # -- interfaces ----------------------------------------------------------------------
 
-    def add_interface(self, address: Ipv6Address, interface: int,
-                      prefix_length: int = 64) -> None:
-        """Grow the engine by one interface and announce its prefix.
+    def add_interface(self, address: Ipv6Address, interface: int) -> None:
+        """Grow the engine by one interface and announce its /64.
 
         *interface* must be the next free index — the engine addresses
         interfaces densely (``range(interface_count)``) when emitting.
@@ -105,14 +102,13 @@ class RipngEngine:
                 f"interfaces must be added densely: expected index "
                 f"{self.interface_count}, got {interface}")
         self.interface_count += 1
-        self.add_connected(address, interface, prefix_length)
+        self.add_connected(address, interface)
 
     # -- route origination ---------------------------------------------------------------
 
-    def add_connected(self, address: Ipv6Address, interface: int,
-                      prefix_length: int = 64) -> None:
-        """Announce the directly attached prefix of an interface."""
-        prefix = Ipv6Prefix.of(address, prefix_length)
+    def add_connected(self, address: Ipv6Address, interface: int) -> None:
+        """Announce the directly attached /64 of an interface."""
+        prefix = Ipv6Prefix.of(address, INTERFACE_PREFIX_LENGTH)
         route = RipngRoute(
             prefix=prefix, metric=1,
             next_hop=Ipv6Address(0), interface=interface,
@@ -240,7 +236,7 @@ class RipngEngine:
             route = RipngRoute(prefix=prefix, metric=metric,
                                next_hop=next_hop, interface=interface,
                                learned_from=sender,
-                               timeout_at=now + self.route_timeout,
+                               timeout_at=now + ROUTE_TIMEOUT_S,
                                route_tag=route_tag)
             self.routes[prefix] = route
             if not self._install(route):
@@ -250,7 +246,7 @@ class RipngEngine:
             return
         if from_current_gateway:
             # same gateway: always refresh, adopt any metric change
-            current.timeout_at = now + self.route_timeout
+            current.timeout_at = now + ROUTE_TIMEOUT_S
             if metric != current.metric:
                 current.metric = metric
                 current.changed = True
@@ -268,7 +264,7 @@ class RipngEngine:
             current.next_hop = next_hop
             current.interface = interface
             current.learned_from = sender
-            current.timeout_at = now + self.route_timeout
+            current.timeout_at = now + ROUTE_TIMEOUT_S
             current.garbage_at = None
             current.changed = True
             if not self._install(current):
@@ -295,7 +291,7 @@ class RipngEngine:
             self._pending_triggered = False
         if now >= self._next_update_at:
             out.extend(self._emit_updates(changed_only=False))
-            self._next_update_at = now + self.update_interval
+            self._next_update_at = now + UPDATE_INTERVAL_S
         return out
 
     def _expire(self, now: float) -> None:
@@ -315,7 +311,7 @@ class RipngEngine:
             del self.routes[prefix]
 
     def _start_deletion(self, route: RipngRoute, now: float) -> None:
-        route.garbage_at = now + self.garbage_interval
+        route.garbage_at = now + GARBAGE_COLLECTION_S
         if route.prefix in self.table:
             self.table.remove(route.prefix)
 

@@ -352,7 +352,7 @@ class CampaignService:
 
     def _make_runner(self, job: JobRecord) -> SupervisedCampaignRunner:
         workload = _workload(normalise_plan(job.plan))
-        factory, policy = table1_workload(**workload)
+        factory, cycle_budget = table1_workload(**workload)
         if self.evaluator_wrapper is not None:
             factory = self.evaluator_wrapper(factory)
         cache = None
@@ -363,7 +363,7 @@ class CampaignService:
         return SupervisedCampaignRunner(
             factory(), jobs=self.jobs, journal_path=journal,
             resume=os.path.exists(journal) and os.path.getsize(journal) > 0,
-            policy=policy, supervision=self.supervision,
+            cycle_budget=cycle_budget, supervision=self.supervision,
             cache=cache, seed=self.seed, sleep_fn=self.sleep_fn)
 
     def _finish(self, job: JobRecord, campaign: CampaignResult) -> None:

@@ -28,7 +28,6 @@ import time
 from typing import Callable, Optional, Sequence
 
 from repro.dse.campaign import (
-    CampaignPolicy,
     CampaignResult,
     CampaignRunner,
     config_key,
@@ -52,7 +51,7 @@ class SupervisedCampaignRunner(CampaignRunner):
                  jobs: int = 2,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 policy: Optional[CampaignPolicy] = None,
+                 cycle_budget: Optional[int] = None,
                  chunk_size: Optional[int] = None,
                  supervision: Optional[SupervisionPolicy] = None,
                  cache: Optional[EvaluationCache] = None,
@@ -60,7 +59,7 @@ class SupervisedCampaignRunner(CampaignRunner):
                  sleep_fn: Callable[[float], None] = time.sleep,
                  time_fn: Callable[[], float] = time.monotonic):
         super().__init__(evaluator, journal_path=journal_path,
-                         resume=resume, policy=policy, jobs=jobs,
+                         resume=resume, cycle_budget=cycle_budget, jobs=jobs,
                          chunk_size=chunk_size)
         self.supervision = supervision or SupervisionPolicy()
         self.sleep_fn = sleep_fn

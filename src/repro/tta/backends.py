@@ -62,9 +62,8 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
 
 
 def create_simulator(processor: TacoProcessor, program: ProgramMemory,
-                     strict: bool = True,
                      backend: Optional[str] = None) -> Simulator:
     """The one construction point for simulators across the repo."""
     module, name = BACKENDS[resolve_backend_name(backend)]
     factory = getattr(importlib.import_module(module), name)
-    return factory(processor, program, strict=strict)
+    return factory(processor, program)

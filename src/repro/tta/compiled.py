@@ -178,7 +178,7 @@ class _Codegen:
 
 
 def _emit_read(gen: _Codegen, lines: List[str], processor: TacoProcessor,
-               source, var: str, strict: bool, indent: str) -> Optional[str]:
+               source, var: str, indent: str) -> Optional[str]:
     """Emit the source-read lines for one move; returns the value
     expression (a literal for immediates, *var* for port reads)."""
     if isinstance(source, Immediate):
@@ -192,13 +192,11 @@ def _emit_read(gen: _Codegen, lines: List[str], processor: TacoProcessor,
             f'write-only port {fu.name}.{port.name}")')
         return None
     port_var = gen.bind(f"_p_{_ident(fu.name)}_{_ident(port.name)}", port)
-    if strict:
-        lines.append(
-            f"{indent}if cycle < {port_var}.valid_from_cycle:")
-        lines.append(
-            f'{indent}    raise SimulationError(f"cycle {{cycle}}: '
-            f"{fu.name}.{port.name} not valid until cycle "
-            f'{{{port_var}.valid_from_cycle}}")')
+    lines.append(f"{indent}if cycle < {port_var}.valid_from_cycle:")
+    lines.append(
+        f'{indent}    raise SimulationError(f"cycle {{cycle}}: '
+        f"{fu.name}.{port.name} not valid until cycle "
+        f'{{{port_var}.valid_from_cycle}}")')
     lines.append(f"{indent}{var} = {port_var}.value")
     return var
 
@@ -510,7 +508,7 @@ def _emit_write(gen: _Codegen, lines: List[str], processor: TacoProcessor,
 
 
 def _emit_step(gen: _Codegen, processor: TacoProcessor, instruction,
-               strict: bool, tracked: Dict[str, FunctionalUnit]
+               tracked: Dict[str, FunctionalUnit]
                ) -> Tuple[str, Tuple[str, ...]]:
     """Emit ``_step``: guards, reads, then writes in bus order.
 
@@ -531,13 +529,13 @@ def _emit_step(gen: _Codegen, processor: TacoProcessor, instruction,
         body.append("    _sq = 0")
     # Phase 3 of the interpreter step: guard evaluation + source reads,
     # in bus order (reads see start-of-cycle values; port reads have no
-    # side effects, but order still fixes which strict violation fires
+    # side effects, but order still fixes which premature read fires
     # first).
     values: Dict[int, Optional[str]] = {}
     for bus, move in slots:
         if move.guard is None:
             values[bus] = _emit_read(gen, body, processor, move.source,
-                                     f"_v{bus}", strict, "    ")
+                                     f"_v{bus}", "    ")
             continue
         guard_fu = processor.fu(move.guard.fu)
         guard_var = gen.bind(f"_f_{_ident(guard_fu.name)}", guard_fu)
@@ -546,7 +544,7 @@ def _emit_step(gen: _Codegen, processor: TacoProcessor, instruction,
         body.append(f"    if {test}:")
         body.append(f"        _g{bus} = True")
         values[bus] = _emit_read(gen, body, processor, move.source,
-                                 f"_v{bus}", strict, "        ")
+                                 f"_v{bus}", "        ")
         body.append("    else:")
         body.append(f"        _g{bus} = False")
         body.append("        _sq += 1")
@@ -646,8 +644,8 @@ def _emit_drive(gen: _Codegen, processor: TacoProcessor, length: int,
 
 #: function text -> code object, least recently used first; a text
 #: depends only on its instruction (the driver's: on the program length
-#: and the generic FUs), the processor's shape and ``strict``, so every
-#: machine of one shape shares the code
+#: and the generic FUs) and the processor's shape, so every machine of
+#: one shape shares the code
 _CODE_CACHE: Dict[str, CodeType] = {}
 _CODE_CACHE_MAX = 4096
 
@@ -680,8 +678,8 @@ def _code_objects(texts: Sequence[str]) -> Dict[str, CodeType]:
     return codes
 
 
-def compile_program(processor: TacoProcessor, program: ProgramMemory,
-                    strict: bool = True) -> _CompiledProgram:
+def compile_program(processor: TacoProcessor,
+                    program: ProgramMemory) -> _CompiledProgram:
     """Pre-decode *program* against *processor* into a flat schedule."""
     processor.validate_program(program)
     gen = _Codegen()
@@ -689,8 +687,7 @@ def compile_program(processor: TacoProcessor, program: ProgramMemory,
     occupancy = []
     tracked: Dict[str, FunctionalUnit] = {}
     for instruction in program:
-        steps.append(_emit_step(gen, processor, instruction, strict,
-                                tracked))
+        steps.append(_emit_step(gen, processor, instruction, tracked))
         occupancy.append(tuple(
             bus for bus, move in enumerate(instruction.moves)
             if move is not None))
@@ -719,9 +716,8 @@ class CompiledSimulator(Simulator):
 
     backend_name = "compiled"
 
-    def __init__(self, processor: TacoProcessor, program: ProgramMemory,
-                 strict: bool = True):
-        super().__init__(processor, program, strict=strict)
+    def __init__(self, processor: TacoProcessor, program: ProgramMemory):
+        super().__init__(processor, program)
         self._compiled: Optional[_CompiledProgram] = None
         self._drive_squashed = 0
 
@@ -742,8 +738,8 @@ class CompiledSimulator(Simulator):
         reason = self._fallback_reason()
         if reason is None:
             if self._compiled is None:
-                self._compiled = compile_program(
-                    self.processor, self.program, strict=self.strict)
+                self._compiled = compile_program(self.processor,
+                                                 self.program)
             if any(fu._pending for fu in self._compiled.untracked_fus):
                 # Stepping the interpreter first (or a different program
                 # on the same processor) left completions pending on an

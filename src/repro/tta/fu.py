@@ -110,12 +110,12 @@ class FunctionalUnit:
             self._busy_until = cycle + self.latency
             self._execute(port.name, value, cycle)
 
-    def read(self, port_name: str, cycle: int, strict: bool = False) -> int:
+    def read(self, port_name: str, cycle: int) -> int:
         port = self.port(port_name)
         if not port.is_readable:
             raise SimulationError(
                 f"cycle {cycle}: move reads write-only port {self.name}.{port_name}")
-        if strict and cycle < port.valid_from_cycle:
+        if cycle < port.valid_from_cycle:
             raise SimulationError(
                 f"cycle {cycle}: {self.name}.{port_name} not valid until "
                 f"cycle {port.valid_from_cycle}")
@@ -131,8 +131,8 @@ class FunctionalUnit:
             # Eager: see the timing contract in the module docstring.
             self._apply(ready, results, result_bit)
             return
-        # Mark the affected result ports in-flight right away, so strict
-        # simulation flags a read issued before the operation completes.
+        # Mark the affected result ports in-flight right away, so the
+        # simulator flags a read issued before the operation completes.
         for port_name in results:
             port = self.port(port_name)
             port.valid_from_cycle = max(port.valid_from_cycle, ready)

@@ -1,6 +1,6 @@
 """Hazard detection: turn silent or crashing misbehavior into diagnostics.
 
-The strict simulator already *rejects* some ill-formed behaviour (premature
+The simulator already *rejects* some ill-formed behaviour (premature
 result reads, structural hazards on non-pipelined FUs). This module covers
 the misbehaviour that is silent — legal-looking move streams that almost
 certainly indicate a scheduler or program bug — and the misbehaviour whose
@@ -37,6 +37,9 @@ from repro.tta.ports import PortKind, PortRef
 #: diagnosis; covers every loop body the code generators emit
 PC_WINDOW = 64
 
+#: a pc suffix counts as a loop once its body occurs this many times
+_MIN_LOOP_REPEATS = 2
+
 _REGISTER_FILE_KIND = "gpr"
 
 
@@ -57,8 +60,7 @@ class LoopSignature:
                 f"x{self.repeats} in the last window)")
 
 
-def loop_signature(pcs: Sequence[int],
-                   min_repeats: int = 2) -> Optional[LoopSignature]:
+def loop_signature(pcs: Sequence[int]) -> Optional[LoopSignature]:
     """Smallest repeating suffix of a pc history, or None if aperiodic.
 
     Scans candidate periods shortest-first so a tight spin (``pc -> pc``)
@@ -66,13 +68,13 @@ def loop_signature(pcs: Sequence[int],
     """
     history = list(pcs)
     n = len(history)
-    for period in range(1, n // min_repeats + 1):
+    for period in range(1, n // _MIN_LOOP_REPEATS + 1):
         matched = 0
         while matched + period < n and \
                 history[n - 1 - matched] == history[n - 1 - matched - period]:
             matched += 1
         repeats = matched // period + 1
-        if repeats >= min_repeats:
+        if repeats >= _MIN_LOOP_REPEATS:
             return LoopSignature(pcs=tuple(history[n - period:]),
                                  repeats=repeats)
     return None
@@ -179,7 +181,7 @@ class HazardDetector:
             return
         fu = self.processor.fu(source.fu)
         if fu.kind != _REGISTER_FILE_KIND:
-            return  # result-port timing is policed by the strict simulator
+            return  # result-port timing is policed by the simulator
         # Same-cycle writes are deliberately NOT consulted: reads see
         # start-of-cycle state, so a register first written this cycle is
         # still unwritten from this move's point of view.

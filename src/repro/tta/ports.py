@@ -45,7 +45,7 @@ class Port:
         self.kind = kind
         self.value = 0
         #: first cycle at which the current value may legitimately be read;
-        #: the strict simulator flags premature result reads with this.
+        #: the simulator flags premature result reads with this.
         self.valid_from_cycle = 0
         # The kind never changes, so the simulator's per-move checks read
         # these flags instead of re-deriving them.

@@ -89,12 +89,10 @@ class Simulator:
     #: see :mod:`repro.tta.backends`
     backend_name = "interpreter"
 
-    def __init__(self, processor: TacoProcessor, program: ProgramMemory,
-                 strict: bool = True):
+    def __init__(self, processor: TacoProcessor, program: ProgramMemory):
         processor.validate_program(program)
         self.processor = processor
         self.program = program
-        self.strict = strict
         self.report = SimulationReport(
             bus_busy_cycles=[0] * processor.bus_count)
         self.cycle = 0
@@ -195,7 +193,6 @@ class Simulator:
         # 3. guards + source reads
         move_hook = self.move_hook
         transport_filter = self.transport_filter
-        strict = self.strict
         issued: List[Tuple[int, Move, int, Optional[FunctionalUnit],
                            Port]] = []
         for (bus_index, move, guard_fu, negate, source_fu, source,
@@ -211,11 +208,11 @@ class Simulator:
                 continue
             if source_fu is None:
                 value = source
-            elif source.is_readable and not (
-                    strict and cycle < source.valid_from_cycle):
+            elif source.is_readable and \
+                    cycle >= source.valid_from_cycle:
                 value = source.value
             else:  # raises the write-only or not-yet-valid error
-                value = source_fu.read(source.name, cycle, strict=strict)
+                value = source_fu.read(source.name, cycle)
             if transport_filter is not None:
                 filtered, value = transport_filter(
                     cycle, pc, bus_index, move, value)
@@ -279,9 +276,8 @@ class Simulator:
 
 
 def simulate(processor: TacoProcessor, program: ProgramMemory,
-             max_cycles: int = DEFAULT_MAX_CYCLES,
-             strict: bool = True) -> SimulationReport:
+             max_cycles: int = DEFAULT_MAX_CYCLES) -> SimulationReport:
     """One-shot convenience: reset, run to halt, return the report."""
     processor.reset()
-    simulator = Simulator(processor, program, strict=strict)
+    simulator = Simulator(processor, program)
     return simulator.run(max_cycles=max_cycles)

@@ -47,8 +47,8 @@ class TracingSimulator(Simulator):
     """A Simulator that records every transport it issues."""
 
     def __init__(self, processor: TacoProcessor, program: ProgramMemory,
-                 strict: bool = True, max_trace_cycles: int = 100_000):
-        super().__init__(processor, program, strict=strict)
+                 max_trace_cycles: int = 100_000):
+        super().__init__(processor, program)
         self.trace: List[TraceCycle] = []
         self.max_trace_cycles = max_trace_cycles
         #: True once any cycle fell past ``max_trace_cycles`` — a partial
@@ -99,10 +99,10 @@ class TracingSimulator(Simulator):
 
 
 def trace_program(processor: TacoProcessor, program: ProgramMemory,
-                  max_cycles: int = 100_000,
-                  strict: bool = True) -> "tuple[SimulationReport, TracingSimulator]":
+                  max_cycles: int = 100_000
+                  ) -> "tuple[SimulationReport, TracingSimulator]":
     """Run to halt with tracing enabled; returns (report, tracer)."""
     processor.reset()
-    simulator = TracingSimulator(processor, program, strict=strict)
+    simulator = TracingSimulator(processor, program)
     report = simulator.run(max_cycles=max_cycles)
     return report, simulator

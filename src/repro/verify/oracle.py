@@ -12,7 +12,7 @@ whole point of an SDC study:
   error, no new hazard, nothing — but its forwarded datagrams or
   execution profile diverge from the golden run. Only a differential
   comparison can see this class;
-* ``crash``    — the simulation raised (strict-mode port violation,
+* ``crash``    — the simulation raised (premature result read,
   functional model error...): fail-stop behaviour;
 * ``hang``     — the run blew a cycle budget sized from the golden
   run's own cycle count; the watchdog's loop diagnosis is preserved.
@@ -93,6 +93,19 @@ class TrialOutcome:
             "diagnosis": self.diagnosis,
             "error_type": self.error_type,
         }
+
+
+def _trial_outcome(injector, outcome: str, detail: str,
+                   **fields) -> TrialOutcome:
+    """One classified trial, its fault counts read from *injector*'s own
+    statistics (a memory injector observes no transports)."""
+    stats = injector.stats()
+    return TrialOutcome(
+        outcome=outcome, detail=detail,
+        faults_injected=stats["faults_injected"],
+        transports_observed=stats.get("transports_observed", 0),
+        faults_by_site=stats["faults_by_site"], faults=stats["faults"],
+        **fields)
 
 
 def _forwarding_signature(result: ForwardingRunResult) -> Dict[str, object]:
@@ -212,12 +225,12 @@ class DifferentialOracle:
                                    verify=False, detect_hazards=True,
                                    instrument=injector.attach))
         except CycleBudgetError as exc:
-            return self._outcome(
+            return _trial_outcome(
                 injector, OUTCOME_HANG,
                 f"cycle budget of {exc.cycles} exhausted at pc={exc.pc}",
                 diagnosis=exc.diagnosis)
         except Exception as exc:  # noqa: BLE001 — any escape is a crash
-            return self._outcome(
+            return _trial_outcome(
                 injector, OUTCOME_CRASH, str(exc),
                 error_type=type(exc).__name__)
 
@@ -229,7 +242,7 @@ class DifferentialOracle:
         if new_hazards:
             kinds = ", ".join(f"{kind} x{count}" for kind, count
                               in sorted(new_hazards.items()))
-            return self._outcome(
+            return _trial_outcome(
                 injector, OUTCOME_DETECTED,
                 f"hazard detector flagged: {kinds}",
                 cycles=result.report.cycles, new_hazards=new_hazards)
@@ -237,33 +250,14 @@ class DifferentialOracle:
         diffs = _diff_signatures(golden_signature,
                                  _forwarding_signature(result))
         if diffs:
-            return self._outcome(
+            return _trial_outcome(
                 injector, OUTCOME_SDC,
                 "silent divergence: " + "; ".join(diffs),
                 cycles=result.report.cycles)
-        return self._outcome(
+        return _trial_outcome(
             injector, OUTCOME_MASKED,
             "identical to the golden run",
             cycles=result.report.cycles)
-
-    def _outcome(self, injector: DatapathFaultInjector, outcome: str,
-                 detail: str, *, cycles: Optional[int] = None,
-                 new_hazards: Optional[Dict[str, int]] = None,
-                 diagnosis: Optional[str] = None,
-                 error_type: Optional[str] = None) -> TrialOutcome:
-        return TrialOutcome(
-            outcome=outcome,
-            detail=detail,
-            faults_injected=injector.faults_injected,
-            transports_observed=injector.transports_observed,
-            faults_by_site={site: count for site, count
-                            in injector.faults_by_site.items() if count},
-            faults=[fault.to_dict() for fault in injector.faults],
-            new_hazards=new_hazards or {},
-            cycles=cycles,
-            diagnosis=diagnosis,
-            error_type=error_type,
-        )
 
 
 #: floor for the per-trial lookup-step budget of the memory oracle
@@ -382,13 +376,13 @@ class MemoryDifferentialOracle:
             for address in self.addresses:
                 signatures.append(self._signature(table.lookup(address)))
                 if table.stats.total_lookup_steps - start_steps > budget:
-                    return self._outcome(
+                    return _trial_outcome(
                         injector, OUTCOME_HANG,
                         f"lookup-step budget of {budget} exhausted "
                         f"after {len(signatures)} lookups",
-                        steps=table.stats.total_lookup_steps - start_steps)
+                        cycles=table.stats.total_lookup_steps - start_steps)
         except Exception as exc:  # noqa: BLE001 — any escape is a crash
-            return self._outcome(
+            return _trial_outcome(
                 injector, OUTCOME_CRASH, str(exc),
                 error_type=type(exc).__name__)
         steps = table.stats.total_lookup_steps - start_steps
@@ -402,34 +396,17 @@ class MemoryDifferentialOracle:
             if scrub:
                 parts.append(f"scrub flagged {len(scrub)} record(s) at "
                              + ", ".join(sorted({e.site for e in scrub})))
-            return self._outcome(
-                injector, OUTCOME_DETECTED, "; ".join(parts), steps=steps,
+            return _trial_outcome(
+                injector, OUTCOME_DETECTED, "; ".join(parts), cycles=steps,
                 new_hazards={"live_detections": live,
                              "scrub_events": len(scrub)})
         diffs = sum(1 for got, want in zip(signatures, golden)
                     if got != want)
         if diffs:
-            return self._outcome(
+            return _trial_outcome(
                 injector, OUTCOME_SDC,
                 f"silent divergence on {diffs}/{len(golden)} lookups",
-                steps=steps)
+                cycles=steps)
         detail = ("identical to the clean table"
                   if faults else "no eligible record to strike")
-        return self._outcome(injector, OUTCOME_MASKED, detail, steps=steps)
-
-    def _outcome(self, injector: MemoryFaultInjector, outcome: str,
-                 detail: str, *, steps: Optional[int] = None,
-                 new_hazards: Optional[Dict[str, int]] = None,
-                 error_type: Optional[str] = None) -> TrialOutcome:
-        return TrialOutcome(
-            outcome=outcome,
-            detail=detail,
-            faults_injected=injector.flips_applied,
-            transports_observed=0,
-            faults_by_site={site: count for site, count
-                            in injector.flips_by_site.items() if count},
-            faults=[fault.to_dict() for fault in injector.faults],
-            new_hazards=new_hazards or {},
-            cycles=steps,
-            error_type=error_type,
-        )
+        return _trial_outcome(injector, OUTCOME_MASKED, detail, cycles=steps)

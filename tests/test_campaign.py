@@ -7,7 +7,6 @@ import pytest
 from repro.dse import (
     ArchitectureConfiguration,
     ArchitectureEvaluator,
-    CampaignPolicy,
     CampaignRunner,
     PoisonedEvaluator,
     generate_table1,
@@ -260,8 +259,7 @@ class RunawayEvaluator:
 class TestBudgetPolicy:
     def test_budget_failure_retried_at_larger_budget(self):
         flaky = FlakyBudgetEvaluator(small_evaluator(), threshold=200_000)
-        runner = CampaignRunner(
-            flaky, policy=CampaignPolicy(cycle_budget=100_000))
+        runner = CampaignRunner(flaky, cycle_budget=100_000)
         config = ArchitectureConfiguration(bus_count=3,
                                            table_kind="sequential")
         [result] = runner.run([config]).results  # retry at 400k succeeds
@@ -269,8 +267,7 @@ class TestBudgetPolicy:
         assert result.cycles_per_packet > 0
 
     def test_runaway_quarantined_after_exhausted_retries(self):
-        runner = CampaignRunner(RunawayEvaluator(),
-                                policy=CampaignPolicy(cycle_budget=1000))
+        runner = CampaignRunner(RunawayEvaluator(), cycle_budget=1000)
         config = ArchitectureConfiguration(bus_count=3,
                                            table_kind="sequential")
         campaign = runner.run([config])
@@ -352,8 +349,7 @@ class TestRetryWithoutMetrics:
             before = registry.snapshot()
             flaky = FlakyBudgetEvaluator(small_evaluator(),
                                          threshold=200_000)
-            runner = CampaignRunner(
-                flaky, policy=CampaignPolicy(cycle_budget=100_000))
+            runner = CampaignRunner(flaky, cycle_budget=100_000)
             config = ArchitectureConfiguration(bus_count=3,
                                                table_kind="sequential")
             campaign = runner.run([config])

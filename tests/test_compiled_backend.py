@@ -10,7 +10,8 @@ import pytest
 from repro import api
 from repro.dse.config import ArchitectureConfiguration, paper_configurations
 from repro.dse.evaluator import DEFAULT_EVALUATION_MAX_CYCLES
-from repro.errors import ConfigurationError, CycleBudgetError
+from repro.errors import ConfigurationError, CycleBudgetError, \
+    SimulationError
 from repro.obs import MetricsRegistry, set_registry
 from repro.programs.forwarding import MODE_BENCH, build_forwarding_program
 from repro.programs.machine import build_machine
@@ -19,7 +20,18 @@ from repro.tta import compiled as compiled_backend
 from repro.tta import (
     DEFAULT_RUN_MAX_CYCLES,
     CompiledSimulator,
+    DataMemory,
+    FunctionalUnit,
+    Immediate,
+    Instruction,
+    Interconnect,
+    Move,
+    PortKind,
+    PortRef,
+    ProgramMemory,
+    RegisterFileUnit,
     Simulator,
+    TacoProcessor,
     compile_program,
 )
 from repro.tta.backends import (
@@ -160,6 +172,43 @@ class TestBitIdentity:
                                            verify=False))
                 errors[backend] = str(excinfo.value)
             assert errors[BACKEND_INTERPRETER] == errors[BACKEND_COMPILED]
+
+    def test_premature_read_error_parity(self):
+        """A move that reads a result port before its operation
+        completes raises the same error on both backends."""
+
+        class SlowUnit(FunctionalUnit):
+            kind = "slow"
+            latency = 3
+
+            def _declare_ports(self):
+                self.add_port("t", PortKind.TRIGGER)
+                self.add_port("r", PortKind.RESULT)
+
+            def _execute(self, trigger_port, value, cycle):
+                self.finish(cycle, {"r": value + 1})
+
+        errors = []
+        for backend in (BACKEND_INTERPRETER, BACKEND_COMPILED):
+            processor = TacoProcessor(
+                Interconnect(bus_count=1),
+                [SlowUnit("slow0"), RegisterFileUnit("gpr", 2)],
+                data_memory=DataMemory(16))
+            program = ProgramMemory([
+                Instruction.of([Move(Immediate(4), PortRef("slow0", "t"))],
+                               1),
+                Instruction.of([Move(PortRef("slow0", "r"),
+                                     PortRef("gpr", "r0"))], 1),
+                Instruction.of([Move(Immediate(0), PortRef("nc", "halt"))],
+                               1)])
+            processor.reset()
+            simulator = create_simulator(processor, program, backend=backend)
+            with pytest.raises(SimulationError) as excinfo:
+                simulator.run()
+            errors.append((simulator.metrics_backend, str(excinfo.value)))
+        message = "cycle 1: slow0.r not valid until cycle 3"
+        assert errors == [(BACKEND_INTERPRETER, message),
+                          (BACKEND_COMPILED, message)]
 
 
 def _bindings(function):

@@ -218,7 +218,7 @@ def test_injector_is_deterministic():
         injector.inject(table, flips=4)
         results.append(injector.stats())
     assert results[0] == results[1]
-    assert results[0]["flips_applied"] == 4
+    assert results[0]["faults_injected"] == 4
 
 
 def test_injector_streams_are_independent_per_site():
@@ -242,7 +242,7 @@ def test_injector_skips_sites_the_table_lacks():
     table = loaded("cam")
     injector = MemoryFaultInjector(seed=0, sites=("entry",))
     injector.inject(table, flips=3)
-    assert injector.flips_applied == 0
+    assert injector.faults_injected == 0
 
 
 def test_injector_sites_are_canonically_ordered():

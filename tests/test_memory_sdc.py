@@ -150,6 +150,26 @@ def test_pinned_cam_sdc_caught_only_differentially():
     assert outcome.outcome == "detected"
 
 
+def test_lookup_budget_overrun_is_a_hang():
+    """A trial whose lookups outrun the step budget is classified
+    ``hang`` at the first lookup that takes the run past the budget;
+    reaching the budget exactly is not an overrun."""
+    routes = synthesize_fib(40, seed=2026)
+    addresses = zipf_addresses(routes, 10, seed=77)
+
+    class TinyBudget(MemoryDifferentialOracle):
+        step_budget = 69  # the steps of the first three lookups
+
+    outcome = TinyBudget("sequential", "none", routes, addresses).classify(
+        seed=3, site="entry", flips=1)
+    assert outcome.outcome == "hang"
+    assert outcome.detail == \
+        "lookup-step budget of 69 exhausted after 4 lookups"
+    assert outcome.cycles == 100
+    assert (outcome.faults_injected, outcome.faults_by_site) == \
+        (1, {"entry": 1})
+
+
 def test_failed_rows_counted_not_raised(tmp_path):
     """A sweep never dies on a classification failure; it records it."""
     result = MemorySweepRunner(**SWEEP).run()

@@ -111,7 +111,7 @@ def test_scrub_detects_every_injected_flip(kind):
         table = build(kind, "checksum")
         injector = MemoryFaultInjector(seed=seed)
         injector.inject(table, flips=1)
-        if injector.flips_applied:
+        if injector.faults_injected:
             assert table.verify_integrity(), (
                 f"scrub missed a flip: kind={kind} seed={seed}")
 
