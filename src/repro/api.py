@@ -153,7 +153,6 @@ def backends() -> Tuple[str, ...]:
 
 
 def evaluate(config: ArchitectureConfiguration, *,
-             jobs: int = 1,
              entries: int = DEFAULT_TABLE_ENTRIES,
              packets: int = DEFAULT_PACKET_BATCH,
              hazards: bool = False,
@@ -164,10 +163,8 @@ def evaluate(config: ArchitectureConfiguration, *,
     *entries*/*packets* size the routing-table workload; *hazards*
     attaches the TTA hazard detector; *max_cycles* caps the simulation;
     *backend* picks the simulation engine (see :func:`backends`).
-    *jobs* is accepted for signature symmetry with the sweep entry
-    points — a single evaluation always runs in-process.
+    A single evaluation always runs in-process.
     """
-    del jobs  # a single evaluation has nothing to fan out
     factory, _ = table1_workload(entries=entries, packets=packets,
                                  hazards=hazards, backend=backend)
     return factory().evaluate(config, max_cycles=max_cycles)

@@ -366,11 +366,16 @@ class CampaignRunner(JournaledSweep):
                  cycle_budget: Optional[int] = None,
                  *, jobs: int = 1,
                  chunk_size: Optional[int] = None):
+        if cycle_budget is None:
+            cycle_budget = DEFAULT_EVALUATION_MAX_CYCLES
+        elif cycle_budget < 1:
+            raise CampaignError(
+                f"cycle budget must be >= 1, got {cycle_budget}")
         super().__init__(journal_path, resume, jobs=jobs,
                          chunk_size=chunk_size)
         self.evaluator = evaluator
-        #: the first budget of every evaluation (``None``: the default)
-        self.cycle_budget = cycle_budget or DEFAULT_EVALUATION_MAX_CYCLES
+        #: the first budget of every evaluation
+        self.cycle_budget = cycle_budget
 
     def seed_record(self, key: str, record: Dict[str, object]) -> None:
         """Install an externally recovered record (evaluation cache hit,

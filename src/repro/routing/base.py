@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
+    Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
@@ -162,15 +163,42 @@ class RoutingTable(ABC):
         structure (see :mod:`repro.faults.memory`) must surface as a
         *detectable* routing failure, not an arbitrary crash.
         """
+        return self.lookup_within((address,))[0][0]
+
+    def lookup_within(
+            self, addresses: Iterable[Ipv6Address],
+            budget: Optional[int] = None
+    ) -> Tuple[List[Optional[LookupResult]], int]:
+        """Look up *addresses* in order until their steps pass *budget*.
+
+        Returns the results of the lookups made and their total steps.
+        The lookup that takes the total past *budget* is the last one
+        made; with no budget, every address is looked up. Each lookup
+        keeps the fail-stop contract of :meth:`lookup`. However the call
+        ends, by an overrun or a raise too, every lookup that answered is
+        accounted, in one update; one that raised is not.
+        """
+        pairs: List[Tuple[Optional[RouteEntry], int]] = []
+        append = pairs.append
+        lookup = self._lookup
+        total = 0
         try:
-            entry, steps = self._lookup(address)
-        except RoutingTableError:
-            raise
-        except Exception as exc:
-            raise RoutingTableError(
-                f"corrupt {self.kind} state during lookup: "
-                f"{type(exc).__name__}: {exc}") from exc
-        return self._account_lookups(((entry, steps),))[0]
+            for address in addresses:
+                try:
+                    pair = lookup(address)
+                except RoutingTableError:
+                    raise
+                except Exception as exc:
+                    raise RoutingTableError(
+                        f"corrupt {self.kind} state during lookup: "
+                        f"{type(exc).__name__}: {exc}") from exc
+                append(pair)
+                total += pair[1]
+                if budget is not None and total > budget:
+                    break
+        finally:
+            results = self._account_lookups(pairs)
+        return results, total
 
     def lookup_batch(
             self, addresses: Sequence[Ipv6Address]

@@ -35,14 +35,23 @@ Degraded serving: whenever the inner structure cannot be trusted for an
 address, the answer comes from a linear LPM over the journal (counted
 in ``degraded_lookups`` and ``routing_degraded_lookups_total``) — the
 slow-but-safe path. :meth:`rebuild` reconstructs a fresh inner
-structure from the journal and re-arms the baseline; :meth:`replica`
-loads one the same way into an independent copy, the target a fault
-trial damages while the clean table stays intact.
+structure from the journal and re-arms the baseline.
+
+Checkpoint image: :meth:`checkpoint` also keeps an image of the inner
+structure, one ``pickle`` dump that passes every ``RouteEntry``,
+``Ipv6Prefix`` and ``Ipv6Address`` by reference instead of copying it.
+Sharing them is safe: they are immutable, and a strike never changes
+one in place (:mod:`repro.routing.memimage` builds a damaged record as a
+new object). :meth:`replica` restores that image into an independent
+copy, the target a fault trial damages while the clean table stays
+intact, without rebuilding anything from the journal.
 """
 
 from __future__ import annotations
 
 import copy
+import io
+import pickle
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -51,11 +60,43 @@ from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.obs.catalogue import ROUTING_CORRUPTION_DETECTED, \
     ROUTING_DEGRADED_LOOKUPS
-from repro.routing.base import RoutingTable, TableStatistics
+from repro.routing.base import RoutingTable
 from repro.routing.entry import LookupResult, RouteEntry
 from repro.routing.memimage import pack_entry
 
 PROTECTION_MODES: Tuple[str, ...] = ("none", "parity", "checksum")
+
+#: the immutable objects a checkpoint image shares with its table
+_SHARED_TYPES = frozenset((RouteEntry, Ipv6Prefix, Ipv6Address))
+
+#: a checkpoint image: the pickled structure, and the shared objects
+#: its persistent ids index
+_Image = Tuple[bytes, List[object]]
+
+
+def _dump_image(table: RoutingTable) -> _Image:
+    """*table* pickled, its shared objects passed by reference."""
+    shared: List[object] = []
+
+    def persistent_id(obj: object) -> Optional[int]:
+        if type(obj) in _SHARED_TYPES:
+            shared.append(obj)
+            return len(shared) - 1
+        return None
+
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = persistent_id
+    pickler.dump(table)
+    return buffer.getvalue(), shared
+
+
+def _load_image(image: _Image) -> RoutingTable:
+    """A new structure restored from a :func:`_dump_image` image."""
+    data, shared = image
+    unpickler = pickle.Unpickler(io.BytesIO(data))
+    unpickler.persistent_load = shared.__getitem__
+    return unpickler.load()
 
 
 @dataclass(frozen=True)
@@ -102,6 +143,8 @@ class ProtectedRoutingTable(RoutingTable):
         self._route_words: Dict[Ipv6Prefix, int] = {}
         #: the records of every memory site at the last checkpoint
         self._site_records: Dict[str, List[bytes]] = {}
+        #: the inner structure at the last checkpoint
+        self._image: Optional[_Image] = None
         self._scrub_armed = False
         self.detected_corruptions = 0
         self.degraded_lookups = 0
@@ -242,11 +285,14 @@ class ProtectedRoutingTable(RoutingTable):
     def checkpoint(self) -> None:
         """Arm the scrub baseline: the records of every memory site. The
         per-route words need no refresh: every journal update keeps them
-        in step."""
+        in step. Also keep the image :meth:`replica` restores: the inner
+        structure and its ``stats`` as they are now, sharing their
+        routes, prefixes and addresses with the live structure."""
         if self.protection != "none":
             self._site_records = {
                 site: self.inner.memory_records(site)
                 for site in self.inner.memory_sites()}
+        self._image = _dump_image(self.inner)
         self._scrub_armed = True
 
     def verify_integrity(self) -> List[CorruptionEvent]:
@@ -287,38 +333,29 @@ class ProtectedRoutingTable(RoutingTable):
             self._record_detection(len(events))
         return events
 
-    def _load_inner(self, stats: TableStatistics) -> RoutingTable:
-        """A new structure of the inner kind, loaded from the route
-        journal, accounting into *stats*."""
-        fresh = type(self.inner)(capacity=self.inner.capacity)
-        fresh.stats = stats
-        fresh.load(list(self._journal.values()))
-        return fresh
-
     def rebuild(self) -> None:
         """Reconstruct the inner structure from the route journal."""
-        # keep the single accounting stream
-        self.inner = self._load_inner(self.stats)
+        fresh = type(self.inner)(capacity=self.inner.capacity)
+        fresh.stats = self.stats  # keep the single accounting stream
+        fresh.load(list(self._journal.values()))
+        self.inner = fresh
         self.rebuilds += 1
         self.checkpoint()
 
     def replica(self) -> "ProtectedRoutingTable":
-        """An independent copy of this table, armed and undamaged.
+        """An independent copy of this table as it was checkpointed.
 
-        Its inner structure is loaded from the journal as :meth:`rebuild`
-        loads one, with statistics of its own; the journal and route
-        words are copied, not re-worded, and the scrub baseline is taken
-        over, not re-read. That baseline holds when this table was
-        checkpointed straight after a bulk :meth:`load` into an empty
-        structure, or after a :meth:`rebuild`: a fresh load of the same
-        journal lays out the same records. Nothing done to the copy
-        reaches this table.
+        Its inner structure, ``stats`` included, is restored from the
+        :meth:`checkpoint` image, whatever built this table and whatever
+        struck it since; the journal and route words are copied, not
+        re-worded, and the scrub baseline is taken over, not re-read.
+        Nothing done to the copy reaches this table.
         """
         if not self._scrub_armed:
             raise RoutingTableError(
                 "replica of an unarmed table; checkpoint() it first")
         twin = copy.copy(self)
-        twin.inner = self._load_inner(TableStatistics())
+        twin.inner = _load_image(self._image)
         twin.stats = twin.inner.stats
         twin._journal = dict(self._journal)
         twin._route_words = dict(self._route_words)

@@ -370,22 +370,18 @@ class MemoryDifferentialOracle:
         faults = injector.inject(table, flips=flips)
         detected_before = table.detected_corruptions
         budget = self.step_budget
-        start_steps = table.stats.total_lookup_steps
-        signatures: List[Tuple[object, ...]] = []
         try:
-            for address in self.addresses:
-                signatures.append(self._signature(table.lookup(address)))
-                if table.stats.total_lookup_steps - start_steps > budget:
-                    return _trial_outcome(
-                        injector, OUTCOME_HANG,
-                        f"lookup-step budget of {budget} exhausted "
-                        f"after {len(signatures)} lookups",
-                        cycles=table.stats.total_lookup_steps - start_steps)
+            results, steps = table.lookup_within(self.addresses, budget)
         except Exception as exc:  # noqa: BLE001 — any escape is a crash
             return _trial_outcome(
                 injector, OUTCOME_CRASH, str(exc),
                 error_type=type(exc).__name__)
-        steps = table.stats.total_lookup_steps - start_steps
+        if steps > budget:
+            return _trial_outcome(
+                injector, OUTCOME_HANG,
+                f"lookup-step budget of {budget} exhausted "
+                f"after {len(results)} lookups", cycles=steps)
+        signatures = [self._signature(result) for result in results]
         live = table.detected_corruptions - detected_before
         scrub = table.verify_integrity()
         if live or scrub:

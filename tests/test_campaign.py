@@ -17,6 +17,7 @@ from repro.dse import (
     write_atomic,
 )
 from repro.dse.campaign import (
+    DEFAULT_EVALUATION_MAX_CYCLES,
     config_key,
     failure_from_record,
     failure_to_record,
@@ -279,6 +280,22 @@ class TestBudgetPolicy:
         assert "pc loop [7->8]" in failure.loop
         assert "after 1 retry(ies)" in failure.render()
 
+    def test_default_budget_when_none_is_given(self):
+        assert CampaignRunner(small_evaluator()).cycle_budget \
+            == DEFAULT_EVALUATION_MAX_CYCLES
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_refused(self, budget, tmp_path):
+        """Neither the default nor a sweep that quarantines everything:
+        the runner refuses the budget before it touches the journal."""
+        from repro import api
+        journal = tmp_path / "t1.jsonl"
+        with pytest.raises(CampaignError,
+                           match=f"cycle budget must be >= 1, got {budget}"):
+            api.table1_campaign(entries=20, packets=4, cycle_budget=budget,
+                                journal=str(journal))
+        assert not journal.exists()
+
 
 class TestMismatchDiagnostics:
     def test_mismatch_error_carries_failed_run(self, monkeypatch):
@@ -370,3 +387,14 @@ class TestCli:
         rc = main(["table1", "--journal", str(journal)])
         assert rc == 2
         assert "already exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_table1_refuses_a_budget_below_one(self, budget, capsys):
+        from repro.cli import main
+        rc = main(["table1", "--entries", "20", "--packets", "4",
+                   "--cycle-budget", budget])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"table1 failed: cycle budget must be >= 1, got {budget}\n"

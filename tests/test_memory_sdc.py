@@ -14,9 +14,11 @@ from repro.dse.sdc import (
     plan_memory_trials,
 )
 from repro.faults.seeds import derive_seed
-from repro.routing import memimage
+from repro.routing import ProtectedRoutingTable, memimage
+from repro.routing.base import TableStatistics
 from repro.verify.oracle import MemoryDifferentialOracle
 from repro.workload.fib import synthesize_fib, zipf_addresses
+from tests.test_routing_counters import pinned_counters
 
 SWEEP = dict(kinds=("sequential", "bloom"), prefixes=60, lookups=30,
              trials=2, seed=5)
@@ -150,17 +152,21 @@ def test_pinned_cam_sdc_caught_only_differentially():
     assert outcome.outcome == "detected"
 
 
+#: a small cell whose trials end early: by an overrun, or by a crash
+SMALL_ROUTES = synthesize_fib(40, seed=2026)
+SMALL_ADDRESSES = zipf_addresses(SMALL_ROUTES, 10, seed=77)
+
+
+class TinyBudget(MemoryDifferentialOracle):
+    step_budget = 69  # the steps of the first three sequential lookups
+
+
 def test_lookup_budget_overrun_is_a_hang():
     """A trial whose lookups outrun the step budget is classified
     ``hang`` at the first lookup that takes the run past the budget;
     reaching the budget exactly is not an overrun."""
-    routes = synthesize_fib(40, seed=2026)
-    addresses = zipf_addresses(routes, 10, seed=77)
-
-    class TinyBudget(MemoryDifferentialOracle):
-        step_budget = 69  # the steps of the first three lookups
-
-    outcome = TinyBudget("sequential", "none", routes, addresses).classify(
+    outcome = TinyBudget("sequential", "none", SMALL_ROUTES,
+                         SMALL_ADDRESSES).classify(
         seed=3, site="entry", flips=1)
     assert outcome.outcome == "hang"
     assert outcome.detail == \
@@ -168,6 +174,67 @@ def test_lookup_budget_overrun_is_a_hang():
     assert outcome.cycles == 100
     assert (outcome.faults_injected, outcome.faults_by_site) == \
         (1, {"entry": 1})
+
+
+def struck_replicas(monkeypatch):
+    """The replicas ``classify`` strikes, in the order it makes them."""
+    made = []
+    replica = ProtectedRoutingTable.replica
+
+    def recording_replica(self):
+        made.append(replica(self))
+        return made[-1]
+
+    monkeypatch.setattr(ProtectedRoutingTable, "replica", recording_replica)
+    return made
+
+
+def classified_counters(oracle, **trial):
+    """The outcome of one trial and the lookup counters it and its
+    cell's golden run publish."""
+    outcomes = []
+    counters = pinned_counters(
+        lambda: outcomes.append(oracle.classify(**trial)),
+        names=("routing_lookups_total", "routing_lookup_steps_total"))
+    return outcomes[0], counters
+
+
+def test_overrun_trial_accounts_each_lookup_it_made(monkeypatch):
+    """A hang trial accounts every lookup up to and including the one
+    that took it past the budget: 4 lookups and 100 steps, on top of
+    the golden run's 10 lookups and 198 steps."""
+    replicas = struck_replicas(monkeypatch)
+    outcome, counters = classified_counters(
+        TinyBudget("sequential", "none", SMALL_ROUTES, SMALL_ADDRESSES),
+        seed=3, site="entry", flips=1)
+    assert outcome.outcome == "hang"
+    assert counters == {
+        ("routing_lookups_total", "kind=sequential,outcome=hit"): 14,
+        ("routing_lookup_steps_total", "kind=sequential"): 298}
+    assert replicas[-1].stats == TableStatistics(
+        lookups=4, hits=4, total_lookup_steps=100,
+        inserts=40, total_update_steps=40)
+
+
+def test_crashed_trial_accounts_the_lookups_before_the_raise(monkeypatch):
+    """A lookup that raises out of an unprotected table is not
+    accounted; the five that answered before it are: 5 lookups and 34
+    steps, on top of the golden run's 10 lookups and 64 steps."""
+    replicas = struck_replicas(monkeypatch)
+    outcome, counters = classified_counters(
+        MemoryDifferentialOracle("balanced-tree", "none", SMALL_ROUTES,
+                                 SMALL_ADDRESSES),
+        seed=68, site="tree-node", flips=1)
+    assert (outcome.outcome, outcome.error_type) == \
+        ("crash", "RoutingTableError")
+    assert outcome.detail.startswith(
+        "corrupt balanced-tree state during lookup: KeyError: ")
+    assert counters == {
+        ("routing_lookups_total", "kind=balanced-tree,outcome=hit"): 15,
+        ("routing_lookup_steps_total", "kind=balanced-tree"): 98}
+    assert replicas[-1].stats == TableStatistics(
+        lookups=5, hits=5, total_lookup_steps=34,
+        inserts=40, total_update_steps=40)
 
 
 def test_failed_rows_counted_not_raised(tmp_path):

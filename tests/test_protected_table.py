@@ -345,6 +345,34 @@ def test_replica_equals_a_fresh_build(kind, protection):
     assert twin.stats is not clean.stats
 
 
+@pytest.mark.parametrize("protection", PROTECTION_MODES)
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+def test_replica_is_the_checkpoint_not_the_struck_table(kind, protection):
+    """A strike on the clean table after its checkpoint does not reach
+    its replicas: each is the table as it was checkpointed."""
+    clean = build(kind, protection)
+    MemoryFaultInjector(seed=4).inject(clean, flips=4)
+    fresh = build(kind, protection)
+    assert table_state(clean) != table_state(fresh)
+    twin = clean.replica()
+    assert table_state(twin) == table_state(fresh)
+    assert twin.stats == fresh.stats
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+def test_struck_replica_spares_its_sibling(kind):
+    """Two replicas of one table share no structure: striking one
+    leaves the other, and the clean table, equal to a fresh build."""
+    clean = build(kind, "checksum")
+    fresh = build(kind, "checksum")
+    struck, sibling = clean.replica(), clean.replica()
+    MemoryFaultInjector(seed=4).inject(struck, flips=4)
+    assert table_state(struck) != table_state(fresh)
+    for table in (sibling, clean):
+        assert table_state(table) == table_state(fresh)
+        assert table.stats == fresh.stats
+
+
 @pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
 def test_struck_replica_is_scrubbed_and_spares_the_clean_table(kind):
     clean = build(kind, "checksum")

@@ -10,6 +10,8 @@ to the lookup path must leave every one of them as it is.
 
 from repro import api
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.routing import PROTECTION_MODES, TABLE_KINDS, make_table
+from repro.workload.fib import synthesize_fib
 
 PINNED = ("routing_lookups_total", "routing_lookup_steps_total",
           "routing_cam_busy_cycles_total",
@@ -97,6 +99,26 @@ def test_memory_sweep_counters_over_all_kinds():
     detections, degraded answers and CAM occupancy."""
     assert pinned_counters(lambda: api.memory_sdc_sweep(
         prefixes=60, lookups=40, trials=8, jobs=1)) == MEMORY_SWEEP
+
+
+def test_memory_sweep_writes_only_its_golden_tables():
+    """A trial strikes a replica restored from its cell's checkpoint and
+    writes no table, so the sweep's update counters are its golden
+    builds alone: one bulk load of the FIB per (kind, protection) cell."""
+    routes = synthesize_fib(60, seed=2026)
+    cells = len(PROTECTION_MODES)
+    expected = {}
+    for kind in sorted(TABLE_KINDS):
+        table = make_table(kind, capacity=len(routes) + 8)
+        table.load(routes)
+        expected[("routing_updates_total", f"kind={kind},op=insert")] = \
+            cells * table.stats.inserts
+        expected[("routing_update_steps_total", f"kind={kind}")] = \
+            cells * table.stats.total_update_steps
+    assert pinned_counters(lambda: api.memory_sdc_sweep(
+        prefixes=60, lookups=40, trials=8, jobs=1),
+        names=("routing_updates_total",
+               "routing_update_steps_total")) == expected
 
 
 def test_default_table1_cam_rows_counters():
