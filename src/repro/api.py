@@ -60,7 +60,6 @@ from repro.dse.config import (
     ArchitectureConfiguration,
 )
 from repro.dse.evaluator import (
-    DEFAULT_EVALUATION_MAX_CYCLES,
     DEFAULT_PACKET_BATCH,
     DEFAULT_TABLE_ENTRIES,
     EvaluationResult,
@@ -76,6 +75,7 @@ from repro.obs import MetricsRegistry, get_registry, render_snapshot
 from repro.programs.machine import build_machine
 from repro.programs.runner import RunOptions
 from repro.tta.backends import BACKEND_AUTO, BACKENDS
+from repro.tta.simulator import DEFAULT_MAX_CYCLES
 
 # Every subcommand runs the Table-1 engine imported above; the names
 # below belong to other subsystems and load on first lookup.
@@ -122,7 +122,7 @@ __all__ = [
     "write_atomic",
     "ALL_TABLE_KINDS",
     "BACKEND_AUTO",
-    "DEFAULT_EVALUATION_MAX_CYCLES",
+    "DEFAULT_MAX_CYCLES",
     "TABLE_KINDS",
     "ArchitectureConfiguration",
     "CampaignResult",
@@ -161,12 +161,14 @@ def evaluate(config: ArchitectureConfiguration, *,
     """Evaluate one architecture configuration (simulate + estimate).
 
     *entries*/*packets* size the routing-table workload; *hazards*
-    attaches the TTA hazard detector; *max_cycles* caps the simulation;
-    *backend* picks the simulation engine (see :func:`backends`).
-    A single evaluation always runs in-process.
+    attaches the TTA hazard detector; *max_cycles* caps the simulation
+    (default :data:`DEFAULT_MAX_CYCLES`; below 1 is refused before
+    anything runs); *backend* picks the simulation engine (see
+    :func:`backends`). A single evaluation always runs in-process.
     """
-    factory, _ = table1_workload(entries=entries, packets=packets,
-                                 hazards=hazards, backend=backend)
+    factory, max_cycles = table1_workload(
+        entries=entries, packets=packets, hazards=hazards, backend=backend,
+        cycle_budget=max_cycles)
     return factory().evaluate(config, max_cycles=max_cycles)
 
 

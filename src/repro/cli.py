@@ -402,7 +402,7 @@ def _sweep(item: str) -> Tuple[Option, ...]:
 
 _CAMPAIGN = _sweep("evaluation") + (
     _opt("--cycle-budget", type=int,
-         default=api.DEFAULT_EVALUATION_MAX_CYCLES,
+         default=api.DEFAULT_MAX_CYCLES,
          help="per-evaluation cycle deadline (one retry at 4x before "
               "quarantine)"),
     _opt("--hazards", action="store_true",

@@ -46,11 +46,7 @@ from repro.dse.config import (
     TABLE_KINDS,
     table1_configurations,
 )
-from repro.dse.evaluator import (
-    DEFAULT_EVALUATION_MAX_CYCLES,
-    ArchitectureEvaluator,
-    EvaluationResult,
-)
+from repro.dse.evaluator import ArchitectureEvaluator, EvaluationResult
 from repro.dse.protocols import Evaluator
 from repro.dse.sweep import JOURNAL_VERSION, JournaledSweep
 from repro.dse.table1 import PAPER_TABLE1, Table1Row
@@ -66,6 +62,7 @@ from repro.obs import get_registry
 from repro.obs.catalogue import DSE_EVALUATION_SECONDS, DSE_EVALUATIONS, \
     DSE_QUARANTINED, DSE_RETRIES
 from repro.tta.backends import resolve_backend_name
+from repro.tta.simulator import DEFAULT_MAX_CYCLES
 
 
 # -- configuration (de)serialisation -----------------------------------------------
@@ -363,14 +360,9 @@ class CampaignRunner(JournaledSweep):
     def __init__(self, evaluator: Evaluator,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 cycle_budget: Optional[int] = None,
+                 cycle_budget: int = DEFAULT_MAX_CYCLES,
                  *, jobs: int = 1,
                  chunk_size: Optional[int] = None):
-        if cycle_budget is None:
-            cycle_budget = DEFAULT_EVALUATION_MAX_CYCLES
-        elif cycle_budget < 1:
-            raise CampaignError(
-                f"cycle budget must be >= 1, got {cycle_budget}")
         super().__init__(journal_path, resume, jobs=jobs,
                          chunk_size=chunk_size)
         self.evaluator = evaluator
@@ -476,7 +468,7 @@ class PoisonedEvaluator:
         self._error = error or FunctionalMismatchError
 
     def evaluate(self, config: ArchitectureConfiguration,
-                 max_cycles: Optional[int] = None) -> EvaluationResult:
+                 max_cycles: int = DEFAULT_MAX_CYCLES) -> EvaluationResult:
         if config_key(config) in self._poisoned:
             raise self._error(
                 f"poisoned configuration {config.describe()}")
@@ -504,22 +496,26 @@ def table1_workload(*, entries: int, packets: int, hazards: bool,
                     cycle_budget: Optional[int] = None,
                     prefixes: Optional[int] = None,
                     seed: int = 2026
-                    ) -> Tuple[Callable[[], ArchitectureEvaluator],
-                               Optional[int]]:
+                    ) -> Tuple[Callable[[], ArchitectureEvaluator], int]:
     """What a Table-1 workload runs on: an evaluator factory and the
-    campaign's cycle budget.
+    cycle budget of each evaluation.
 
     The one mapping from the workload keywords of
     :func:`repro.api.table1_campaign` (every key of a service plan but
-    ``kinds``) to a :class:`CampaignRunner`'s inputs. The factory builds
-    the paper's *entries*-route workload, or a synthesized
-    *prefixes*-route FIB seeded by *seed*. The sizes and the backend
-    name are checked here, before anything is simulated.
+    ``kinds``) to a :class:`CampaignRunner`'s inputs, and the one place
+    a budget of ``None`` becomes :data:`DEFAULT_MAX_CYCLES`. The factory
+    builds the paper's *entries*-route workload, or a synthesized
+    *prefixes*-route FIB seeded by *seed*. The sizes, the budget and the
+    backend name are checked here, before anything is simulated.
     """
     if entries < 1 or packets < 1:
         raise ConfigurationError(
             f"entries and packets must be >= 1, got {entries} and "
             f"{packets}")
+    if cycle_budget is None:
+        cycle_budget = DEFAULT_MAX_CYCLES
+    elif cycle_budget < 1:
+        raise CampaignError(f"cycle budget must be >= 1, got {cycle_budget}")
     if backend is not None:
         resolve_backend_name(backend)
     factory = partial(_table1_evaluator, entries=entries, packets=packets,

@@ -7,22 +7,28 @@ power at that clock. Configurations whose required clock exceeds the
 0.18 µm library limit get no physical estimate — the paper's "NA" rows.
 
 The CAM option needs a fixed point: the CAM's 40 ns search occupies more
-*cycles* at higher clocks, and more cycles raise the required clock. We
-iterate latency → simulate → clock → latency until stable (it converges in
-a handful of rounds because latency enters cycles additively).
+*cycles* at higher clocks, and more cycles raise the required clock.
+:func:`repro.estimation.frequency.cam_search_latency` iterates latency →
+simulate → clock → latency until stable (three rounds on the Table-1
+rows, since latency enters cycles additively); each latency is simulated
+once and the converged run is the one reported.
+
+Every simulation runs under a cycle ceiling, by default
+:data:`repro.tta.simulator.DEFAULT_MAX_CYCLES`; exhausting it raises
+:class:`~repro.errors.CycleBudgetError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.dse.config import ArchitectureConfiguration
 from repro.errors import FunctionalMismatchError
 from repro.estimation.area import AreaBreakdown, estimate_area
-from repro.estimation.frequency import ThroughputConstraint
+from repro.estimation.frequency import ThroughputConstraint, \
+    cam_search_latency
 from repro.estimation.power import PowerBreakdown, estimate_power
 from repro.estimation.technology import MAX_CLOCK_HZ
 from repro.programs.runner import (
@@ -30,19 +36,13 @@ from repro.programs.runner import (
     RunOptions,
     run_forwarding,
 )
-from repro.routing.cam import CAM_SEARCH_TIME_NS
 from repro.routing.entry import RouteEntry
-from repro.tta.simulator import DEFAULT_RUN_MAX_CYCLES
+from repro.tta.simulator import DEFAULT_MAX_CYCLES
 from repro.workload import generate_routes, worst_case_workload
 
 #: the paper's workload: a 100-route table, measured over 12 packets
 DEFAULT_TABLE_ENTRIES = 100
 DEFAULT_PACKET_BATCH = 12
-#: the evaluator shares the runner's (and the CLI's) cycle ceiling — a
-#: CAM fixed point at latency > 1 must not be classified differently
-#: depending on which entry point launched it
-DEFAULT_EVALUATION_MAX_CYCLES = DEFAULT_RUN_MAX_CYCLES
-_MAX_FIXED_POINT_ROUNDS = 12
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,13 @@ class EvaluationResult:
 
 
 class ArchitectureEvaluator:
-    """Evaluates configurations against one workload + constraint."""
+    """Evaluates configurations against one workload at the paper's
+    10 Gbps constraint."""
+
+    constraint = ThroughputConstraint()
 
     def __init__(self, routes: Optional[Sequence[RouteEntry]] = None,
                  packets: Optional[Sequence[Tuple[int, bytes]]] = None,
-                 constraint: Optional[ThroughputConstraint] = None,
                  packet_batch: int = DEFAULT_PACKET_BATCH,
                  table_entries: int = DEFAULT_TABLE_ENTRIES,
                  detect_hazards: bool = False,
@@ -125,7 +127,6 @@ class ArchitectureEvaluator:
             generate_routes(table_entries)
         self.packets = list(packets) if packets is not None else \
             worst_case_workload(self.routes, packet_batch)
-        self.constraint = constraint or ThroughputConstraint()
         self.detect_hazards = detect_hazards
         #: simulation engine for every run this evaluator makes
         #: (None = the default backend; see :mod:`repro.tta.backends`)
@@ -135,7 +136,7 @@ class ArchitectureEvaluator:
     # -- public -------------------------------------------------------------------
 
     def evaluate(self, config: ArchitectureConfiguration,
-                 max_cycles: Optional[int] = None) -> EvaluationResult:
+                 max_cycles: int = DEFAULT_MAX_CYCLES) -> EvaluationResult:
         """Evaluate one configuration.
 
         *max_cycles* caps the simulation; exhausting it raises
@@ -146,7 +147,18 @@ class ArchitectureEvaluator:
         inspect the mismatch without re-simulating.
         """
         if config.table_kind == "cam":
-            run, config = self._run_cam_fixed_point(config, max_cycles)
+            run = None
+
+            def cycles_at(latency: int) -> float:
+                # the fixed point settles on the latency it asked for
+                # last, so only the latest run is kept: an earlier run's
+                # machine is dropped before the next one is built
+                nonlocal run
+                run = None
+                run = self._run(config.with_cam_latency(latency), max_cycles)
+                return run.cycles_per_packet
+
+            config = config.with_cam_latency(cam_search_latency(cycles_at))
         else:
             run = self._run(config, max_cycles)
         if not run.correct:
@@ -176,14 +188,12 @@ class ArchitectureEvaluator:
     # -- internals --------------------------------------------------------------------
 
     def _run(self, config: ArchitectureConfiguration,
-             max_cycles: Optional[int] = None) -> ForwardingRunResult:
+             max_cycles: int) -> ForwardingRunResult:
         self.evaluations += 1
         return run_forwarding(
             config, self.routes, self.packets,
-            options=RunOptions(
-                backend=self.backend,
-                max_cycles=max_cycles or DEFAULT_EVALUATION_MAX_CYCLES,
-                detect_hazards=self.detect_hazards))
+            options=RunOptions(backend=self.backend, max_cycles=max_cycles,
+                               detect_hazards=self.detect_hazards))
 
     @staticmethod
     def _program_store_kbyte(run: ForwardingRunResult) -> float:
@@ -193,21 +203,3 @@ class ArchitectureEvaluator:
         from repro.asm.encoding import EncodingScheme
         scheme = EncodingScheme.for_processor(run.machine.processor)
         return scheme.program_bytes(run.program_length) / 1024.0
-
-    def _run_cam_fixed_point(self, config: ArchitectureConfiguration,
-                             max_cycles: Optional[int] = None,
-                             ) -> Tuple[ForwardingRunResult,
-                                        ArchitectureConfiguration]:
-        latency = 1
-        run = None
-        for _ in range(_MAX_FIXED_POINT_ROUNDS):
-            candidate = config.with_cam_latency(latency)
-            run = self._run(candidate, max_cycles)
-            clock = self.constraint.required_clock(run.cycles_per_packet)
-            next_latency = max(
-                1, math.ceil(CAM_SEARCH_TIME_NS * 1e-9 * clock))
-            if next_latency == latency:
-                return run, candidate
-            latency = next_latency
-        assert run is not None
-        return run, config.with_cam_latency(latency)

@@ -14,7 +14,7 @@ works, with the usual caveat that only method *presence* is checked.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # avoid a module cycle with repro.dse.evaluator
     from repro.dse.config import ArchitectureConfiguration
@@ -25,7 +25,8 @@ if TYPE_CHECKING:  # avoid a module cycle with repro.dse.evaluator
 class Evaluator(Protocol):
     """Evaluates one architecture configuration.
 
-    ``max_cycles`` caps the simulation; exhausting it raises
+    ``max_cycles`` caps the simulation (a campaign always passes its
+    budget); exhausting it raises
     :class:`~repro.errors.CycleBudgetError`. Implementations signal a
     failed evaluation by raising a :class:`~repro.errors.ReproError`;
     the runner records it as a failed, quarantined configuration and a
@@ -33,7 +34,7 @@ class Evaluator(Protocol):
     """
 
     def evaluate(self, config: "ArchitectureConfiguration", *,
-                 max_cycles: Optional[int] = None) -> "EvaluationResult":
+                 max_cycles: int) -> "EvaluationResult":
         ...
 
 

@@ -15,8 +15,10 @@ from measurement with no further degrees of freedom (see EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import EstimationError
+from repro.routing.cam import CamPhysicalModel
 
 LINE_RATE_BPS = 10e9
 """The 10 Gbps ethernet target of the paper."""
@@ -62,3 +64,32 @@ class ThroughputConstraint:
         return (f"{self.line_rate_bps / 1e9:.0f} Gbps at "
                 f"{self.mean_packet_bytes:.0f} B/datagram "
                 f"({self.packets_per_second / 1e6:.2f} Mpps)")
+
+
+#: rounds before a CAM latency fixed point is declared divergent (the
+#: Table-1 rows converge in three, the lookup cost model in five)
+MAX_FIXED_POINT_ROUNDS = 12
+
+
+def cam_search_latency(cycles_at: Callable[[int], float],
+                       cam: CamPhysicalModel = CamPhysicalModel()) -> int:
+    """The CAM search latency, in cycles, that is consistent with itself.
+
+    The CAM's search is a wall-clock constant, so it occupies more
+    *cycles* at higher clocks, and more cycles raise the clock the line
+    rate requires. Starting at latency 1, ask *cycles_at* for the
+    cycles per datagram at a latency, derive the required clock, and
+    move to the latency :meth:`CamPhysicalModel.search_cycles` gives at
+    that clock until the two agree. *cycles_at* is called once per
+    round; a latency that has not settled within
+    :data:`MAX_FIXED_POINT_ROUNDS` raises :class:`EstimationError`.
+    """
+    latency = 1
+    for _ in range(MAX_FIXED_POINT_ROUNDS):
+        needed = cam.search_cycles(required_clock_hz(cycles_at(latency)))
+        if needed == latency:
+            return latency
+        latency = needed
+    raise EstimationError(
+        f"CAM latency fixed point did not converge within "
+        f"{MAX_FIXED_POINT_ROUNDS} rounds (last latency {latency})")

@@ -18,7 +18,8 @@ so 6 GHz ⇒ ~1392 cycles/datagram ⇒ ~11.9 cycles per scanned entry on
 top of a 200-cycle datagram-processing overhead. The hardware-searched
 structures (CAM, trie, Bloom) spend their fixed search latency instead
 of per-step cycles — the CAM's in wall-clock nanoseconds (resolved
-against the clock by the same fixed point the evaluator uses), the
+against the clock by the evaluator's fixed point,
+:func:`~repro.estimation.frequency.cam_search_latency`), the
 trie/Bloom's in pipeline cycles.
 
 Area scales with the measured structure footprint via
@@ -30,13 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.dse.config import ArchitectureConfiguration
 from repro.errors import EstimationError
 from repro.estimation import technology as tech
 from repro.estimation.area import AreaBreakdown, estimate_area
-from repro.estimation.frequency import ThroughputConstraint
+from repro.estimation.frequency import cam_search_latency, \
+    required_clock_hz
 from repro.estimation.power import PowerBreakdown, estimate_power
 from repro.routing.cam import CAM_WIDTH_BITS, CamPhysicalModel
 
@@ -109,26 +111,6 @@ class LookupEstimate:
         }
 
 
-def _cam_fixed_point(constraint: ThroughputConstraint,
-                     overhead_cycles: float,
-                     search_ns: float) -> "tuple[float, float]":
-    """(cycles_per_packet, clock) where the wall-clock search converges.
-
-    Same shape as the evaluator's CAM fixed point: the search occupies
-    ``ceil(search_ns × clock)`` cycles, and the clock that sustains the
-    line rate depends on those cycles in turn.
-    """
-    latency = 1
-    for _ in range(32):
-        cycles = overhead_cycles + latency
-        clock = constraint.required_clock(cycles)
-        needed = max(1, math.ceil(search_ns * 1e-9 * clock))
-        if needed == latency:
-            return cycles, clock
-        latency = needed
-    raise EstimationError("CAM latency fixed point did not converge")
-
-
 #: protection-word width per protected record, by mode (the hardware
 #: cost of turning silent corruption into detected events)
 PROTECTION_WORD_BITS: Dict[str, int] = {
@@ -142,9 +124,7 @@ def estimate_protection_overhead(kind: str, protection: str,
                                  prefix_count: int,
                                  mean_lookup_steps: float,
                                  table_memory_bytes: int,
-                                 protected_records: int,
-                                 constraint: Optional[
-                                     ThroughputConstraint] = None) -> dict:
+                                 protected_records: int) -> dict:
     """Area/power cost of carrying parity/checksum words in the table.
 
     Prices the protected structure exactly like the unprotected one
@@ -164,12 +144,11 @@ def estimate_protection_overhead(kind: str, protection: str,
             f"protected records must be non-negative: {protected_records}")
     config = ArchitectureConfiguration(bus_count=1, table_kind=kind)
     base = estimate_lookup_point(
-        config, prefix_count, mean_lookup_steps, table_memory_bytes,
-        constraint=constraint)
+        config, prefix_count, mean_lookup_steps, table_memory_bytes)
     overhead_bytes = -(-protected_records * word_bits // 8)
     shielded = estimate_lookup_point(
         config, prefix_count, mean_lookup_steps,
-        table_memory_bytes + overhead_bytes, constraint=constraint)
+        table_memory_bytes + overhead_bytes)
     return {
         "protection": protection,
         "word_bits": word_bits,
@@ -187,15 +166,13 @@ def estimate_protection_overhead(kind: str, protection: str,
 def estimate_lookup_point(config: ArchitectureConfiguration,
                           prefix_count: int,
                           mean_lookup_steps: float,
-                          table_memory_bytes: int,
-                          constraint: Optional[ThroughputConstraint] = None,
-                          bus_utilization: float = 1.0) -> LookupEstimate:
-    """Derive clock/area/power for one measured sweep cell."""
+                          table_memory_bytes: int) -> LookupEstimate:
+    """Derive clock/area/power for one measured sweep cell at the
+    paper's 10 Gbps constraint, with the buses fully utilised."""
     if prefix_count < 1:
         raise EstimationError(f"prefix count must be positive: {prefix_count}")
     if mean_lookup_steps < 0:
         raise EstimationError(f"negative mean steps: {mean_lookup_steps}")
-    constraint = constraint or ThroughputConstraint()
     try:
         params = LOOKUP_COST_MODELS[config.table_kind]
     except KeyError:
@@ -204,14 +181,15 @@ def estimate_lookup_point(config: ArchitectureConfiguration,
             f"{config.table_kind!r}") from None
 
     if params.wall_clock_search_ns > 0.0:
-        cycles, clock = _cam_fixed_point(
-            constraint, LOOKUP_OVERHEAD_CYCLES, params.wall_clock_search_ns)
+        cycles = LOOKUP_OVERHEAD_CYCLES + cam_search_latency(
+            lambda latency: LOOKUP_OVERHEAD_CYCLES + latency,
+            CamPhysicalModel(search_time_ns=params.wall_clock_search_ns))
     else:
         steps = mean_lookup_steps
         if params.parallelizable:
             steps /= config.search_fu_sets
         cycles = LOOKUP_OVERHEAD_CYCLES + params.cycles_per_step * steps
-        clock = constraint.required_clock(cycles)
+    clock = required_clock_hz(cycles)
 
     feasible = clock <= tech.MAX_CLOCK_HZ
     # Physical estimates are only meaningful inside the library's clock
@@ -219,8 +197,7 @@ def estimate_lookup_point(config: ArchitectureConfiguration,
     capped = min(clock, tech.MAX_CLOCK_HZ)
     area = estimate_area(config, capped,
                          table_kbyte=table_memory_bytes / 1024.0)
-    power = estimate_power(config, capped, bus_utilization=bus_utilization,
-                           area=area)
+    power = estimate_power(config, capped, area=area)
     if config.table_kind == "cam":
         chips = max(1, math.ceil(
             prefix_count * CAM_WIDTH_BITS / CAM_CHIP_BITS))

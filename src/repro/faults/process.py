@@ -64,7 +64,7 @@ class _ChaosEvaluator:
         os.close(fd)
         return True
 
-    def evaluate(self, config, max_cycles=None):
+    def evaluate(self, config, max_cycles):
         from repro.dse.campaign import config_key
         key = config_key(config)
         if self.kill_key is not None and key == self.kill_key \

@@ -22,7 +22,7 @@ from repro.routing import make_table
 from repro.routing.entry import RouteEntry
 from repro.tta.backends import create_simulator
 from repro.tta.hazards import HazardDetector, HazardReport
-from repro.tta.simulator import DEFAULT_RUN_MAX_CYCLES, Simulator
+from repro.tta.simulator import DEFAULT_MAX_CYCLES, Simulator
 from repro.tta.stats import SimulationReport
 
 
@@ -34,17 +34,16 @@ class RunOptions:
     the DSE evaluator, :mod:`repro.api`, the campaign runners, and the
     CLI all build one and pass it down to :func:`run_forwarding` as
     ``options=``.
-    ``None`` fields mean "use the shared default": the backend resolves
-    through :func:`repro.tta.backends.resolve_backend_name` and the
-    cycle ceiling through
-    :data:`repro.tta.simulator.DEFAULT_RUN_MAX_CYCLES`.
+    A ``None`` backend resolves through
+    :func:`repro.tta.backends.resolve_backend_name`; the cycle ceiling
+    defaults to :data:`repro.tta.simulator.DEFAULT_MAX_CYCLES`.
     """
 
     #: simulation engine name ("interpreter" | "compiled" | "auto");
     #: None = the default backend
     backend: Optional[str] = None
-    #: cycle budget; None = DEFAULT_RUN_MAX_CYCLES
-    max_cycles: Optional[int] = None
+    #: cycle budget; exhausting it raises CycleBudgetError
+    max_cycles: int = DEFAULT_MAX_CYCLES
     #: cross-check line-card output against the golden forwarding model
     verify: bool = True
     #: attach the hazard detector (forces an interpreter fallback on the
@@ -56,11 +55,6 @@ class RunOptions:
     #: replaces the default tuned program generator; the seam the
     #: conformance suite's program mutants use
     program_factory: Optional[Callable[["RouterMachine"], object]] = None
-
-    @property
-    def effective_max_cycles(self) -> int:
-        return DEFAULT_RUN_MAX_CYCLES if self.max_cycles is None \
-            else self.max_cycles
 
 
 @dataclass
@@ -167,7 +161,7 @@ def run_forwarding(config: ArchitectureConfiguration,
         detector.attach(simulator)
     if options.instrument is not None:
         options.instrument(simulator)
-    report = simulator.run(max_cycles=options.effective_max_cycles)
+    report = simulator.run(max_cycles=options.max_cycles)
 
     mismatches: List[str] = []
     forwarded = sum(len(card.transmitted) for card in machine.line_cards)

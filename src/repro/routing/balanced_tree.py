@@ -368,17 +368,7 @@ class BalancedTreeRoutingTable(RoutingTable):
         return len(self._nodes)
 
     def __iter__(self) -> Iterator[RouteEntry]:
-        out: List[RouteEntry] = []
-
-        def visit(node: Optional[_Node]) -> None:
-            if node is None:
-                return
-            visit(node.left)
-            out.append(node.entry)
-            visit(node.right)
-
-        visit(self._root)
-        return iter(out)
+        return iter([node.entry for node in self._ordered_nodes()])
 
     # -- memory-state corruption seam -------------------------------------------
     #

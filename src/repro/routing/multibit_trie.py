@@ -247,31 +247,14 @@ class MultibitTrieRoutingTable(RoutingTable):
 
     def slot_count(self) -> int:
         """Total expanded slots — the memory footprint driver."""
-        total = 0
-
-        def visit(node: _TrieNode) -> None:
-            nonlocal total
-            total += len(node.slots)
-            for child in node.children.values():
-                visit(child)
-
-        visit(self._root)
-        return total
+        return sum(len(node.slots) for node in self._dfs_nodes())
 
     def table_memory_bytes(self) -> int:
         """On-chip SRAM footprint: a 16-byte header per node plus a
         4-byte word per occupied slot and child pointer (the sparse
         pages the "compressed" layout stores)."""
-        total = 0
-
-        def visit(node: _TrieNode) -> None:
-            nonlocal total
-            total += 16 + 4 * (len(node.slots) + len(node.children))
-            for child in node.children.values():
-                visit(child)
-
-        visit(self._root)
-        return total
+        return sum(16 + 4 * (len(node.slots) + len(node.children))
+                   for node in self._dfs_nodes())
 
     # -- memory-state corruption seam ------------------------------------------
     #
@@ -292,16 +275,19 @@ class MultibitTrieRoutingTable(RoutingTable):
     def memory_sites(self) -> Tuple[str, ...]:
         return ("trie-node", "trie-slot")
 
-    def _dfs_nodes(self) -> List[_TrieNode]:
-        out: List[_TrieNode] = []
-
-        def visit(node: _TrieNode) -> None:
-            out.append(node)
-            for chunk in sorted(node.children):
-                visit(node.children[chunk])
-
-        visit(self._root)
-        return out
+    def _dfs_nodes(self) -> Iterator[_TrieNode]:
+        """Every node in pre-order, children by ascending chunk."""
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            yield node
+            children = node.children
+            if len(children) > 1:
+                # push the largest chunk first so the smallest pops next
+                stack.extend([children[chunk]
+                              for chunk in sorted(children, reverse=True)])
+            else:
+                stack.extend(children.values())
 
     def _pointer_pages(self) -> List[_TrieNode]:
         return [node for node in self._dfs_nodes() if node.children]

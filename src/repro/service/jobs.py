@@ -102,7 +102,7 @@ def normalise_plan(plan: Dict[str, object]) -> Dict[str, object]:
         plan["kinds"] = list(plan["kinds"])
         table1_workload(**_workload(plan))
         table1_configurations(plan["kinds"])
-    except (ConfigurationError, TypeError) as exc:
+    except (CampaignError, ConfigurationError, TypeError) as exc:
         raise ServiceError(f"invalid plan: {exc}") from None
     return plan
 

@@ -37,6 +37,7 @@ from repro.dse.protocols import Evaluator
 from repro.dse.sweep import SupervisionPolicy
 from repro.errors import JobTimeoutError
 from repro.service.cache import EvaluationCache
+from repro.tta.simulator import DEFAULT_MAX_CYCLES
 
 
 class SupervisedCampaignRunner(CampaignRunner):
@@ -51,7 +52,7 @@ class SupervisedCampaignRunner(CampaignRunner):
                  jobs: int = 2,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 cycle_budget: Optional[int] = None,
+                 cycle_budget: int = DEFAULT_MAX_CYCLES,
                  chunk_size: Optional[int] = None,
                  supervision: Optional[SupervisionPolicy] = None,
                  cache: Optional[EvaluationCache] = None,

@@ -22,8 +22,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".hazards": ("Hazard", "HazardDetector", "HazardReport", "LoopSignature",
                  "loop_signature"),
     ".processor": ("TacoProcessor",),
-    ".simulator": ("DEFAULT_MAX_CYCLES", "DEFAULT_RUN_MAX_CYCLES",
-                   "Simulator", "simulate"),
+    ".simulator": ("DEFAULT_MAX_CYCLES", "Simulator", "simulate"),
     ".stats": ("SimulationReport",),
     ".compiled": ("CompiledSimulator", "compile_program"),
     ".backends": ("BACKEND_AUTO", "BACKEND_COMPILED", "BACKEND_INTERPRETER",

@@ -48,14 +48,12 @@ from repro.tta.ports import Immediate, Port
 from repro.tta.processor import TacoProcessor
 from repro.tta.stats import SimulationReport
 
-DEFAULT_MAX_CYCLES = 2_000_000
-
-#: the one cycle ceiling every end-to-end evaluation path shares — the
-#: forwarding runner, the DSE evaluator, and the CLI's ``--cycle-budget``
-#: all resolve their defaults to this constant (a CAM fixed point at
-#: latency > 1 runs several times longer than a latency-1 pass, so the
-#: paths must agree or they classify the same config differently)
-DEFAULT_RUN_MAX_CYCLES = 5_000_000
+#: the one cycle ceiling: the default of every run, and of the forwarding
+#: runner, the DSE evaluator, campaigns and the CLI's ``--cycle-budget``
+#: (a CAM fixed point at latency > 1 runs several times longer than a
+#: latency-1 pass, so the paths must agree or they classify the same
+#: config differently)
+DEFAULT_MAX_CYCLES = 5_000_000
 
 #: one decoded move slot: (bus, move, guard FU or None, guard negate,
 #: source FU or None for an immediate, source port or immediate value,

@@ -205,7 +205,6 @@ def verify_backend(backend: str = "compiled",
                    routes: Optional[Sequence[RouteEntry]] = None,
                    packets: Optional[Sequence[Tuple[int, bytes]]] = None,
                    reference: str = REFERENCE_BACKEND,
-                   max_cycles: Optional[int] = None,
                    ) -> BackendEquivalenceReport:
     """Run the differential proof for *backend* across a config grid.
 
@@ -226,10 +225,10 @@ def verify_backend(backend: str = "compiled",
     for config in configs:
         golden = run_forwarding(
             config, routes, packets,
-            options=RunOptions(backend=reference, max_cycles=max_cycles))
+            options=RunOptions(backend=reference))
         candidate = run_forwarding(
             config, routes, packets,
-            options=RunOptions(backend=backend, max_cycles=max_cycles))
+            options=RunOptions(backend=backend))
         ref_sig = run_signature(golden)
         cand_sig = run_signature(candidate)
         identical = signature_bytes(ref_sig) == signature_bytes(cand_sig)

@@ -17,7 +17,6 @@ from repro.dse import (
     write_atomic,
 )
 from repro.dse.campaign import (
-    DEFAULT_EVALUATION_MAX_CYCLES,
     config_key,
     failure_from_record,
     failure_to_record,
@@ -28,7 +27,7 @@ from repro.errors import (
     CycleBudgetError,
     FunctionalMismatchError,
 )
-from repro.tta import LoopSignature
+from repro.tta import DEFAULT_MAX_CYCLES, LoopSignature
 
 #: in the paper's space but not among the Table 1 configurations, so the
 #: quarantine shows up in sweeps without breaking Table 1 regeneration
@@ -282,12 +281,12 @@ class TestBudgetPolicy:
 
     def test_default_budget_when_none_is_given(self):
         assert CampaignRunner(small_evaluator()).cycle_budget \
-            == DEFAULT_EVALUATION_MAX_CYCLES
+            == DEFAULT_MAX_CYCLES
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_is_refused(self, budget, tmp_path):
         """Neither the default nor a sweep that quarantines everything:
-        the runner refuses the budget before it touches the journal."""
+        the budget is refused before the journal is touched."""
         from repro import api
         journal = tmp_path / "t1.jsonl"
         with pytest.raises(CampaignError,
@@ -295,6 +294,21 @@ class TestBudgetPolicy:
             api.table1_campaign(entries=20, packets=4, cycle_budget=budget,
                                 journal=str(journal))
         assert not journal.exists()
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_evaluate_refuses_a_budget_below_one(self, budget, monkeypatch):
+        """Neither the default budget nor a CycleBudgetError: the
+        refusal comes before anything is simulated."""
+        from repro import api
+        from repro.dse import evaluator
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated under a refused budget")
+        monkeypatch.setattr(evaluator, "run_forwarding", simulate)
+        config = ArchitectureConfiguration(bus_count=3, table_kind="cam")
+        with pytest.raises(CampaignError,
+                           match=f"cycle budget must be >= 1, got {budget}"):
+            api.evaluate(config, entries=10, packets=2, max_cycles=budget)
 
 
 class TestMismatchDiagnostics:

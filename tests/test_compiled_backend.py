@@ -9,7 +9,6 @@ import pytest
 
 from repro import api
 from repro.dse.config import ArchitectureConfiguration, paper_configurations
-from repro.dse.evaluator import DEFAULT_EVALUATION_MAX_CYCLES
 from repro.errors import ConfigurationError, CycleBudgetError, \
     SimulationError
 from repro.obs import MetricsRegistry, set_registry
@@ -18,7 +17,7 @@ from repro.programs.machine import build_machine
 from repro.programs.runner import RunOptions, run_forwarding
 from repro.tta import compiled as compiled_backend
 from repro.tta import (
-    DEFAULT_RUN_MAX_CYCLES,
+    DEFAULT_MAX_CYCLES,
     CompiledSimulator,
     DataMemory,
     FunctionalUnit,
@@ -254,15 +253,15 @@ class TestSharedCode:
         before = _port_state(machine_a)
         sim_b = CompiledSimulator(machine_b.processor, program)
         sim_b._compiled = compiled_b
-        report_b = sim_b.run(max_cycles=DEFAULT_RUN_MAX_CYCLES)
+        report_b = sim_b.run(max_cycles=DEFAULT_MAX_CYCLES)
         assert _port_state(machine_a) == before
         assert _port_state(machine_b) != before
         sim_a = CompiledSimulator(machine_a.processor, program)
         sim_a._compiled = compiled_a
-        report_a = sim_a.run(max_cycles=DEFAULT_RUN_MAX_CYCLES)
+        report_a = sim_a.run(max_cycles=DEFAULT_MAX_CYCLES)
         assert sim_a.metrics_backend == sim_b.metrics_backend == "compiled"
         expected = Simulator(reference.processor, program).run(
-            max_cycles=DEFAULT_RUN_MAX_CYCLES)
+            max_cycles=DEFAULT_MAX_CYCLES)
         assert report_a == expected
         assert report_b == expected
         assert _port_state(machine_a) == _port_state(reference)
@@ -379,7 +378,7 @@ class TestFallback:
         sim.step()
         compiled.untracked_fus[0].finish(sim.cycle, {}, latency=2)
         assert any(fu._pending for fu in compiled.untracked_fus)
-        report = sim.run(max_cycles=DEFAULT_RUN_MAX_CYCLES)
+        report = sim.run(max_cycles=DEFAULT_MAX_CYCLES)
         assert report.halted
         assert sim.metrics_backend == "interpreter"
         assert self._fallback_count(registry, "pending_state") == 1
@@ -400,19 +399,36 @@ class TestRunOptions:
                 options=RunOptions(detect_hazards=True))
         assert result.hazard_report is not None
 
-    def test_default_max_cycles_is_the_shared_constant(self):
-        assert RunOptions().effective_max_cycles == DEFAULT_RUN_MAX_CYCLES
-        assert RunOptions(max_cycles=7).effective_max_cycles == 7
-
 
 class TestMaxCyclesUnification:
-    def test_evaluator_and_runner_share_one_ceiling(self):
-        assert DEFAULT_EVALUATION_MAX_CYCLES is DEFAULT_RUN_MAX_CYCLES
-
-    def test_cli_cycle_budget_default_matches(self):
+    def test_every_path_defaults_to_the_one_ceiling(self, monkeypatch):
+        """The simulator, the runner, api.evaluate through the evaluator,
+        CampaignRunner and the CLI's --cycle-budget all run under the
+        one constant when no budget is given."""
+        import inspect
         from repro.cli import _build_parser
-        args = _build_parser().parse_args(["table1"])
-        assert args.cycle_budget == DEFAULT_RUN_MAX_CYCLES
+        from repro.dse import CampaignRunner, evaluator
+        assert DEFAULT_MAX_CYCLES == 5_000_000
+        for run in (Simulator.run, CompiledSimulator.run):
+            assert inspect.signature(run).parameters["max_cycles"].default \
+                is DEFAULT_MAX_CYCLES
+        assert RunOptions().max_cycles is DEFAULT_MAX_CYCLES
+        budgets = []
+        real_run_forwarding = evaluator.run_forwarding
+
+        def spy(*args, options, **kwargs):
+            budgets.append(options.max_cycles)
+            return real_run_forwarding(*args, options=options, **kwargs)
+        monkeypatch.setattr(evaluator, "run_forwarding", spy)
+        api.evaluate(CONFIG, entries=10, packets=2)
+        assert budgets == [DEFAULT_MAX_CYCLES]
+        runner = CampaignRunner(evaluator.ArchitectureEvaluator(
+            table_entries=10, packet_batch=2))
+        assert runner.cycle_budget is DEFAULT_MAX_CYCLES
+        assert api.DEFAULT_MAX_CYCLES is DEFAULT_MAX_CYCLES
+        for command in ("table1", "explore"):
+            args = _build_parser().parse_args([command])
+            assert args.cycle_budget is DEFAULT_MAX_CYCLES
 
 
 class TestApiThreading:

@@ -87,6 +87,19 @@ class TestEvaluator:
         assert expected == max(1, math.ceil(
             40e-9 * result.required_clock_hz))
 
+    @pytest.mark.parametrize("label, latency", [
+        ("1BUS/1FU", 13), ("3BUS/1FU", 7), ("3BUS/3CNT,3CMP,3M", 7)])
+    def test_cam_row_simulates_each_latency_once(self, label, latency):
+        """Latency 1, the first estimate, then the fixed point: three
+        simulations, and the reported run is the converged one."""
+        [config] = [c for c in paper_configurations("cam")
+                    if c.label() == label]
+        evaluator = ArchitectureEvaluator()
+        result = evaluator.evaluate(config)
+        assert evaluator.evaluations == 3
+        assert result.config.cam_search_latency == latency
+        assert result.run.config == result.config
+
 
 class TestTable1:
     def test_has_nine_rows_in_paper_order(self, table1_rows):

@@ -133,3 +133,42 @@ class TestFrequency:
             required_clock_hz(0)
         with pytest.raises(EstimationError):
             packet_rate(0, 100)
+
+
+class TestCamFixedPoint:
+    """One fixed point resolves the CAM's 40 ns search against the clock,
+    for the evaluator's simulated cycles and the lookup cost model."""
+
+    def test_lookup_cam_point_is_unchanged(self):
+        from repro.estimation.lookup import estimate_lookup_point
+        for prefixes in (100, 10_000):
+            estimate = estimate_lookup_point(CAM, prefixes, 1.0, 4096)
+            # latency 42 at 242 cycles/datagram: 40 ns at 1.04 GHz
+            assert estimate.cycles_per_packet == 242.0
+            assert estimate.required_clock_hz == 1043103448.275862
+
+    def test_converges_to_a_self_consistent_latency(self):
+        from repro.estimation.frequency import cam_search_latency
+        calls = []
+
+        def cycles_at(latency):
+            calls.append(latency)
+            return 200.0 + latency
+        assert cam_search_latency(cycles_at) == 42
+        assert calls == [1, 35, 41, 42]
+
+    def test_an_oscillating_callback_raises(self):
+        from repro.estimation.frequency import (
+            MAX_FIXED_POINT_ROUNDS,
+            cam_search_latency,
+        )
+        calls = []
+
+        def cycles_at(latency):
+            # 10 cycles need a 2-cycle search, 5 cycles a 1-cycle one
+            calls.append(latency)
+            return 10.0 if latency == 1 else 5.0
+        with pytest.raises(EstimationError, match="did not converge"):
+            cam_search_latency(cycles_at)
+        assert calls[:4] == [1, 2, 1, 2]
+        assert len(calls) == MAX_FIXED_POINT_ROUNDS

@@ -196,6 +196,14 @@ class TestPlansRunAsTable1Campaigns:
             service.submit({"entries": 10, "pakets": 2})
         assert not os.path.exists(service.root)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected_at_submit(self, tmp_path, budget):
+        service = make_service(tmp_path)
+        with pytest.raises(ServiceError, match=(
+                f"invalid plan: cycle budget must be >= 1, got {budget}")):
+            service.submit({**PLAN, "cycle_budget": budget})
+        assert not os.path.exists(service.root)
+
     def test_cache_is_shared_across_kinds_only(self, tmp_path):
         service = make_service(tmp_path)
         base = {**PLAN, "kinds": ["sequential"]}
@@ -207,7 +215,7 @@ class TestPlansRunAsTable1Campaigns:
         assert cache_hits(base) == 0
         # kinds only picks configurations: the overlap is served
         assert cache_hits({**PLAN, "kinds": ["sequential", "cam"]}) == 3
-        budget = 2 * api.DEFAULT_EVALUATION_MAX_CYCLES
+        budget = 2 * api.DEFAULT_MAX_CYCLES
         for change in ({"entries": 12}, {"prefixes": 30},
                        {"cycle_budget": budget}):
             assert cache_hits({**base, **change}) == 0, change
@@ -427,6 +435,23 @@ class TestCli:
         assert main(["submit", "--root", str(tmp_path / "svc"),
                      "--plan", "{not json"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_submit_refuses_a_budget_below_one(self, tmp_path, capsys,
+                                               budget):
+        from repro.cli import main
+        root = str(tmp_path / "svc")
+        assert main(["submit", "--root", root, "--entries", "10",
+                     "--packets", "2"]) == 0
+        queued = os.listdir(os.path.join(root, "jobs"))
+        capsys.readouterr()
+        assert main(["submit", "--root", root, "--plan",
+                     f'{{"cycle_budget": {budget}}}']) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("submit failed: invalid plan: cycle budget "
+                                f"must be >= 1, got {budget}\n")
+        assert os.listdir(os.path.join(root, "jobs")) == queued
 
     @pytest.mark.parametrize("argv, refusal", [
         (["jobs"], "no campaign spool"),
