@@ -399,20 +399,25 @@ class TestRunOptions:
                 options=RunOptions(detect_hazards=True))
         assert result.hazard_report is not None
 
+    def test_default_max_cycles_is_the_shared_constant(self):
+        assert RunOptions().max_cycles is DEFAULT_MAX_CYCLES
+        assert RunOptions(max_cycles=7).max_cycles == 7
+
 
 class TestMaxCyclesUnification:
-    def test_every_path_defaults_to_the_one_ceiling(self, monkeypatch):
-        """The simulator, the runner, api.evaluate through the evaluator,
-        CampaignRunner and the CLI's --cycle-budget all run under the
-        one constant when no budget is given."""
+    def test_every_path_defaults_to_the_one_ceiling(self):
+        """Both simulators and the public API carry the one constant."""
         import inspect
-        from repro.cli import _build_parser
-        from repro.dse import CampaignRunner, evaluator
         assert DEFAULT_MAX_CYCLES == 5_000_000
         for run in (Simulator.run, CompiledSimulator.run):
             assert inspect.signature(run).parameters["max_cycles"].default \
                 is DEFAULT_MAX_CYCLES
-        assert RunOptions().max_cycles is DEFAULT_MAX_CYCLES
+        assert api.DEFAULT_MAX_CYCLES is DEFAULT_MAX_CYCLES
+
+    def test_evaluator_and_runner_share_one_ceiling(self, monkeypatch):
+        """api.evaluate through the evaluator and CampaignRunner run under
+        the same ceiling as run_forwarding when no budget is given."""
+        from repro.dse import CampaignRunner, evaluator
         budgets = []
         real_run_forwarding = evaluator.run_forwarding
 
@@ -425,7 +430,9 @@ class TestMaxCyclesUnification:
         runner = CampaignRunner(evaluator.ArchitectureEvaluator(
             table_entries=10, packet_batch=2))
         assert runner.cycle_budget is DEFAULT_MAX_CYCLES
-        assert api.DEFAULT_MAX_CYCLES is DEFAULT_MAX_CYCLES
+
+    def test_cli_cycle_budget_default_matches(self):
+        from repro.cli import _build_parser
         for command in ("table1", "explore"):
             args = _build_parser().parse_args([command])
             assert args.cycle_budget is DEFAULT_MAX_CYCLES
