@@ -360,9 +360,10 @@ class CampaignRunner(JournaledSweep):
     def __init__(self, evaluator: Evaluator,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 cycle_budget: int = DEFAULT_MAX_CYCLES,
+                 cycle_budget: Optional[int] = None,
                  *, jobs: int = 1,
                  chunk_size: Optional[int] = None):
+        cycle_budget = resolve_cycle_budget(cycle_budget)
         super().__init__(journal_path, resume, jobs=jobs,
                          chunk_size=chunk_size)
         self.evaluator = evaluator
@@ -491,6 +492,16 @@ class PoisonedEvaluator:
 # -- Table 1 over a campaign -------------------------------------------------------
 
 
+def resolve_cycle_budget(cycle_budget: Optional[int]) -> int:
+    """The cycle budget of each evaluation: ``None`` is
+    :data:`DEFAULT_MAX_CYCLES`, and a budget below 1 is refused."""
+    if cycle_budget is None:
+        return DEFAULT_MAX_CYCLES
+    if cycle_budget < 1:
+        raise CampaignError(f"cycle budget must be >= 1, got {cycle_budget}")
+    return cycle_budget
+
+
 def table1_workload(*, entries: int, packets: int, hazards: bool,
                     backend: Optional[str],
                     cycle_budget: Optional[int] = None,
@@ -502,20 +513,17 @@ def table1_workload(*, entries: int, packets: int, hazards: bool,
 
     The one mapping from the workload keywords of
     :func:`repro.api.table1_campaign` (every key of a service plan but
-    ``kinds``) to a :class:`CampaignRunner`'s inputs, and the one place
-    a budget of ``None`` becomes :data:`DEFAULT_MAX_CYCLES`. The factory
+    ``kinds``) to a :class:`CampaignRunner`'s inputs. The factory
     builds the paper's *entries*-route workload, or a synthesized
-    *prefixes*-route FIB seeded by *seed*. The sizes, the budget and the
-    backend name are checked here, before anything is simulated.
+    *prefixes*-route FIB seeded by *seed*. The sizes, the budget (by
+    :func:`resolve_cycle_budget`) and the backend name are checked here,
+    before anything is simulated.
     """
     if entries < 1 or packets < 1:
         raise ConfigurationError(
             f"entries and packets must be >= 1, got {entries} and "
             f"{packets}")
-    if cycle_budget is None:
-        cycle_budget = DEFAULT_MAX_CYCLES
-    elif cycle_budget < 1:
-        raise CampaignError(f"cycle budget must be >= 1, got {cycle_budget}")
+    cycle_budget = resolve_cycle_budget(cycle_budget)
     if backend is not None:
         resolve_backend_name(backend)
     factory = partial(_table1_evaluator, entries=entries, packets=packets,

@@ -27,8 +27,8 @@ from typing import Optional, Sequence, Tuple
 from repro.dse.config import ArchitectureConfiguration
 from repro.errors import FunctionalMismatchError
 from repro.estimation.area import AreaBreakdown, estimate_area
-from repro.estimation.frequency import ThroughputConstraint, \
-    cam_search_latency
+from repro.estimation.frequency import cam_search_latency, \
+    required_clock_hz
 from repro.estimation.power import PowerBreakdown, estimate_power
 from repro.estimation.technology import MAX_CLOCK_HZ
 from repro.programs.runner import (
@@ -115,8 +115,6 @@ class ArchitectureEvaluator:
     """Evaluates configurations against one workload at the paper's
     10 Gbps constraint."""
 
-    constraint = ThroughputConstraint()
-
     def __init__(self, routes: Optional[Sequence[RouteEntry]] = None,
                  packets: Optional[Sequence[Tuple[int, bytes]]] = None,
                  packet_batch: int = DEFAULT_PACKET_BATCH,
@@ -167,7 +165,7 @@ class ArchitectureEvaluator:
                 f"{run.mismatches} ({run.report.cycles} cycles executed)",
                 run=run)
         cycles = run.cycles_per_packet
-        clock = self.constraint.required_clock(cycles)
+        clock = required_clock_hz(cycles)
         feasible = clock <= MAX_CLOCK_HZ
         area = power = None
         if feasible:

@@ -71,8 +71,7 @@ class ThroughputConstraint:
 MAX_FIXED_POINT_ROUNDS = 12
 
 
-def cam_search_latency(cycles_at: Callable[[int], float],
-                       cam: CamPhysicalModel = CamPhysicalModel()) -> int:
+def cam_search_latency(cycles_at: Callable[[int], float]) -> int:
     """The CAM search latency, in cycles, that is consistent with itself.
 
     The CAM's search is a wall-clock constant, so it occupies more
@@ -84,6 +83,7 @@ def cam_search_latency(cycles_at: Callable[[int], float],
     round; a latency that has not settled within
     :data:`MAX_FIXED_POINT_ROUNDS` raises :class:`EstimationError`.
     """
+    cam = CamPhysicalModel()
     latency = 1
     for _ in range(MAX_FIXED_POINT_ROUNDS):
         needed = cam.search_cycles(required_clock_hz(cycles_at(latency)))

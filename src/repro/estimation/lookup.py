@@ -59,8 +59,6 @@ class LookupCostParameters:
     cycles_per_step: float
     #: the per-step work parallelizes over the FU search sets
     parallelizable: bool = True
-    #: wall-clock search time replacing per-step cycles (CAM only)
-    wall_clock_search_ns: float = 0.0
 
 
 LOOKUP_COST_MODELS: Dict[str, LookupCostParameters] = {
@@ -68,9 +66,8 @@ LOOKUP_COST_MODELS: Dict[str, LookupCostParameters] = {
     "sequential": LookupCostParameters(cycles_per_step=11.9),
     # a tree step adds a pointer chase to the compare: slightly dearer
     "balanced-tree": LookupCostParameters(cycles_per_step=14.0),
-    # the 40 ns CAM+SRAM search is a wall-clock constant
-    "cam": LookupCostParameters(cycles_per_step=0.0, parallelizable=False,
-                                wall_clock_search_ns=40.0),
+    # the CAM+SRAM search is a wall-clock constant (CamPhysicalModel)
+    "cam": LookupCostParameters(cycles_per_step=0.0, parallelizable=False),
     # one pipelined on-chip SRAM access per trie level
     "multibit-trie": LookupCostParameters(cycles_per_step=1.0,
                                           parallelizable=False),
@@ -180,10 +177,9 @@ def estimate_lookup_point(config: ArchitectureConfiguration,
             f"no lookup cost model for table kind "
             f"{config.table_kind!r}") from None
 
-    if params.wall_clock_search_ns > 0.0:
+    if config.table_kind == "cam":
         cycles = LOOKUP_OVERHEAD_CYCLES + cam_search_latency(
-            lambda latency: LOOKUP_OVERHEAD_CYCLES + latency,
-            CamPhysicalModel(search_time_ns=params.wall_clock_search_ns))
+            lambda latency: LOOKUP_OVERHEAD_CYCLES + latency)
     else:
         steps = mean_lookup_steps
         if params.parallelizable:

@@ -282,12 +282,9 @@ class MultibitTrieRoutingTable(RoutingTable):
             node = stack.pop()
             yield node
             children = node.children
-            if len(children) > 1:
-                # push the largest chunk first so the smallest pops next
-                stack.extend([children[chunk]
-                              for chunk in sorted(children, reverse=True)])
-            else:
-                stack.extend(children.values())
+            # largest chunk pushed first, so the smallest pops next
+            stack.extend(children[chunk]
+                         for chunk in sorted(children, reverse=True))
 
     def _pointer_pages(self) -> List[_TrieNode]:
         return [node for node in self._dfs_nodes() if node.children]

@@ -37,7 +37,6 @@ from repro.dse.protocols import Evaluator
 from repro.dse.sweep import SupervisionPolicy
 from repro.errors import JobTimeoutError
 from repro.service.cache import EvaluationCache
-from repro.tta.simulator import DEFAULT_MAX_CYCLES
 
 
 class SupervisedCampaignRunner(CampaignRunner):
@@ -52,7 +51,7 @@ class SupervisedCampaignRunner(CampaignRunner):
                  jobs: int = 2,
                  journal_path: Optional[str] = None,
                  resume: bool = False,
-                 cycle_budget: int = DEFAULT_MAX_CYCLES,
+                 cycle_budget: Optional[int] = None,
                  chunk_size: Optional[int] = None,
                  supervision: Optional[SupervisionPolicy] = None,
                  cache: Optional[EvaluationCache] = None,

@@ -282,6 +282,21 @@ class TestBudgetPolicy:
     def test_default_budget_when_none_is_given(self):
         assert CampaignRunner(small_evaluator()).cycle_budget \
             == DEFAULT_MAX_CYCLES
+        assert CampaignRunner(small_evaluator(),
+                              cycle_budget=None).cycle_budget \
+            == DEFAULT_MAX_CYCLES
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_runner_built_directly_refuses_a_budget_below_one(
+            self, budget, tmp_path):
+        """A runner built without table1_workload applies the same rule
+        before it touches the journal."""
+        journal = tmp_path / "t1.jsonl"
+        with pytest.raises(CampaignError,
+                           match=f"cycle budget must be >= 1, got {budget}"):
+            CampaignRunner(small_evaluator(), journal_path=str(journal),
+                           cycle_budget=budget)
+        assert not journal.exists()
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_is_refused(self, budget, tmp_path):

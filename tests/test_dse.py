@@ -22,6 +22,7 @@ from repro.dse import (
 from repro.dse.table1 import PAPER_TABLE1, format_clock
 from repro.errors import ConfigurationError
 from repro.estimation.technology import MAX_CLOCK_HZ
+from repro.estimation.frequency import packet_rate
 from repro.faults import ChaosEvaluatorFactory
 
 
@@ -286,7 +287,7 @@ class TestEnergyMetric:
     def test_energy_per_packet(self, evaluator):
         result = evaluator.evaluate(ArchitectureConfiguration(
             bus_count=3, table_kind="cam"))
-        rate = evaluator.constraint.packets_per_second
+        rate = packet_rate()
         energy = result.energy_per_packet_nj(rate)
         assert energy is not None and energy > 0
         # consistency: energy * rate == system power (within float noise)
