@@ -568,8 +568,8 @@ def _emit_step(gen: _Codegen, processor: TacoProcessor, instruction,
 def _emit_drive(gen: _Codegen, processor: TacoProcessor, length: int,
                 commit_fus: Sequence[FunctionalUnit]
                 ) -> Tuple[str, Tuple[str, ...]]:
-    """Emit the per-cycle driver: the interpreter's step() skeleton with
-    the commit scan, dispatch, and autonomous ticks unrolled. It takes
+    """Emit the per-cycle driver: the interpreter's cycle-loop skeleton
+    with the commit scan, dispatch, and autonomous ticks unrolled. It takes
     the step functions as the bound name ``_steps``."""
     gen.begin_function()
     gen.params.add("_steps")
@@ -744,7 +744,8 @@ class CompiledSimulator(Simulator):
                 # Stepping the interpreter first (or a different program
                 # on the same processor) left completions pending on an
                 # FU this schedule applies eagerly or never triggers;
-                # only the interpreter's full commit scan retires those.
+                # the interpreter commits every FU the processor's
+                # queued_units names, so it retires those.
                 reason = "pending_state"
         if reason is not None:
             SIMULATOR_FALLBACK.inc(reason=reason)

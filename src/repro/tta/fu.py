@@ -19,6 +19,11 @@ Timing contract (shared with :mod:`repro.tta.simulator`):
   completion is queued, and the simulator commits it at the start of the
   cycle it matures in; of the stock units, only the CAM RTU's
   multi-cycle searches and the oppu's result bits get there.
+* Queueing a completion names the FU in its processor's
+  ``queued_units``; :meth:`FunctionalUnit.commit` and
+  :meth:`FunctionalUnit.reset` drop the name once nothing is left
+  queued. The simulator's commit step visits only the named FUs. The set
+  holds names, not FUs, so an FU never refers back to itself through it.
 * The paper's FUs all have ``latency = 1`` ("each FU has been designed to
   complete the execution of its function in one clock cycle"); only the
   CAM routing-table unit deviates, because its 40 ns search is a wall-clock
@@ -30,7 +35,7 @@ Timing contract (shared with :mod:`repro.tta.simulator`):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError, TtaError
 from repro.tta.ports import WORD_MASK, Port, PortKind
@@ -52,6 +57,11 @@ class FunctionalUnit:
         self.result_bit = False
         self.trigger_count = 0
         self._pending: List[Tuple[int, Dict[str, int], Optional[bool]]] = []
+        #: the set this FU names itself in while it has queued
+        #: completions: its processor's ``queued_units`` (see
+        #: :meth:`share_queued_units`), or its own until a processor
+        #: adopts it
+        self._queued_units: Set[str] = set()
         #: whether this class has a real (non-base) :meth:`tick`
         self.overrides_tick = type(self).tick is not FunctionalUnit.tick
         self._busy_until = 0
@@ -88,6 +98,13 @@ class FunctionalUnit:
     def operand(self, name: str) -> int:
         """Convenience for subclasses reading an operand latch."""
         return self.ports[name].value
+
+    def share_queued_units(self, queued_units: Set[str]) -> None:
+        """Name this FU in *queued_units* whenever it has queued
+        completions, from now on (and now, if it has any)."""
+        self._queued_units = queued_units
+        if self._pending:
+            queued_units.add(self.name)
 
     # -- simulator interface ------------------------------------------------------
 
@@ -137,12 +154,11 @@ class FunctionalUnit:
             port = self.port(port_name)
             port.valid_from_cycle = max(port.valid_from_cycle, ready)
         self._pending.append((ready, results, result_bit))
+        self._queued_units.add(self.name)
 
     def commit(self, cycle: int) -> None:
         """Apply queued completions that mature at or before *cycle*
         (call at cycle start)."""
-        if not self._pending:
-            return
         remaining = []
         # Apply in schedule order so a newer completion overwrites an older one.
         for ready, results, bit in self._pending:
@@ -151,6 +167,8 @@ class FunctionalUnit:
             else:
                 remaining.append((ready, results, bit))
         self._pending = remaining
+        if not remaining:
+            self._queued_units.discard(self.name)
 
     def _apply(self, ready: int, results: Dict[str, int],
                bit: Optional[bool]) -> None:
@@ -176,6 +194,7 @@ class FunctionalUnit:
         self.result_bit = False
         self.trigger_count = 0
         self._pending.clear()
+        self._queued_units.discard(self.name)
         self._busy_until = 0
 
     def __repr__(self) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.errors import ConfigurationError, TtaError
 from repro.tta.bus import Interconnect
@@ -33,6 +33,11 @@ class TacoProcessor:
             if fu.name in self.fus:
                 raise ConfigurationError(f"duplicate FU name {fu.name!r}")
             self.fus[fu.name] = fu
+        #: names of the FUs with queued completions, in no order; each
+        #: FU keeps its own name current (see :mod:`repro.tta.fu`)
+        self.queued_units: Set[str] = set()
+        for fu in self.fus.values():
+            fu.share_queued_units(self.queued_units)
 
     # -- lookup -----------------------------------------------------------------
 

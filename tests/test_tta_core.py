@@ -1,5 +1,8 @@
 """TTA core semantics: ports, triggers, latency, guards, control flow."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import (
@@ -8,6 +11,7 @@ from repro.errors import (
     TtaError,
 )
 from repro.tta import (
+    DEFAULT_MAX_CYCLES,
     DataMemory,
     Guard,
     Immediate,
@@ -24,8 +28,13 @@ from repro.tta import (
     simulate,
     truncate,
 )
+from repro.programs.forwarding import MODE_BENCH, build_forwarding_program
+from repro.programs.machine import build_machine
+from repro.programs.runner import RunOptions, run_forwarding
 from repro.tta.fu import FunctionalUnit
 from repro.tta.fus import Comparator, Counter, Shifter
+from repro.verify import table1_grid
+from repro.workload import generate_routes, worst_case_workload
 
 P = PortRef
 I = Immediate
@@ -402,24 +411,27 @@ class TestEagerCompletion:
         # Every stock unit is latency 1, so only two kinds of completion
         # are queued: the CAM rows' searches, at the latency their clock
         # fixed point derives, and the result bit of the ticking oppu.
+        # Every completion passes through finish, which queues it or
+        # applies it at once, so the test watches finish.
         from repro import api
 
-        step = Simulator.step
-        steps, pending = [0], set()
+        finish = FunctionalUnit.finish
+        finishes, pending = [0], set()
 
-        def checked_step(sim):
-            step(sim)
-            steps[0] += 1
+        def checked_finish(fu, cycle, results, result_bit=None,
+                           latency=None):
+            queued = len(fu._pending)
+            finish(fu, cycle, results, result_bit, latency)
+            finishes[0] += 1
             pending.update(
                 (fu.name, getattr(fu, "search_latency", fu.latency),
                  fu.overrides_tick and bit is not None)
-                for fu in sim.processor.fus.values()
-                for _ready, _results, bit in fu._pending)
+                for _ready, _results, bit in fu._pending[queued:])
 
-        monkeypatch.setattr(Simulator, "step", checked_step)
+        monkeypatch.setattr(FunctionalUnit, "finish", checked_finish)
         rows = api.table1(backend="interpreter")
         assert len(rows) == 9
-        assert steps[0] > 0
+        assert finishes[0] > 0
         assert {name for name, _, _ in pending} == {"rtu0", "oppu0"}
         assert all(latency > 1 or ticking_bit
                    for _, latency, ticking_bit in pending)
@@ -563,3 +575,208 @@ class TestReportMaintenance:
         assert processor.fu("cmp0").ports["o"].value == 0
         # observers see the transport as it happened on the bus
         assert P("gpr", "r7") in seen and P("cmp0", "o") not in seen
+
+    def test_in_place_write_wraps_a_filtered_value(self):
+        # a transport filter may hand back any integer; a plain operand
+        # or register write still lands on the 32-bit datapath
+        processor = make_processor()
+        sim = self.simulator(processor)
+        widened = {P("cnt0", "o"): lambda value: value | 1 << 40,
+                   P("gpr", "r0"): lambda value: -value}
+
+        def widen(cycle, pc, bus, move, value):
+            return move, widened.get(move.destination, int)(value)
+
+        sim.transport_filter = widen
+        sim.run()
+        assert processor.fu("cnt0").ports["o"].value == 3
+        assert processor.fu("gpr").ports["r0"].value == truncate(-7)
+
+
+def _grid_run(config, drive):
+    """One small Table-1 batch on a fresh machine of *config*, driven by
+    *drive(simulator)*; returns the report and the machine's state."""
+    routes = generate_routes(12)
+    machine = build_machine(config, table_capacity=100)
+    machine.load_routes(routes)
+    program = build_forwarding_program(machine, mode=MODE_BENCH)
+    for iface, raw in worst_case_workload(routes, 3):
+        assert machine.offered_load(iface, raw)
+    processor = machine.processor
+    processor.reset()
+    sim = Simulator(processor, program)
+    drive(sim)
+    state = {name: (fu.trigger_count, fu.result_bit, fu._busy_until,
+                    list(fu._pending),
+                    {port.name: (port.value, port.valid_from_cycle)
+                     for port in fu.ports.values()})
+             for name, fu in processor.fus.items()}
+    return sim.report, state, processor.nc.pc, \
+        list(processor.data_memory._words), \
+        [list(card.transmitted) for card in machine.line_cards]
+
+
+def _stepped(sim):
+    for _ in range(100_000):
+        if sim.run_cycles(1).halted:
+            return
+    raise AssertionError("stepped run did not halt")
+
+
+def _hooked(sim):
+    sim.move_hook = lambda cycle, pc, bus, move, value: None
+    sim.run()
+
+
+class TestOneCycleLoop:
+    """``run``, ``run_cycles`` and ``step`` drive one loop body, with or
+    without a hook."""
+
+    @pytest.mark.parametrize(
+        "config", table1_grid((13, 7)),
+        ids=lambda config: f"{config.label()}-{config.table_kind}"
+                           f"@{config.cam_search_latency}")
+    def test_run_stepped_and_hooked_runs_agree(self, config):
+        reference = _grid_run(config, Simulator.run)
+        assert reference[0].halted and reference[0].cycles > 0
+        assert _grid_run(config, _stepped) == reference
+        assert _grid_run(config, _hooked) == reference
+
+
+def _raising_run(rows, max_cycles=DEFAULT_MAX_CYCLES):
+    processor = make_processor(extra=[SlowTriggerUnit("slow0")])
+    processor.reset()
+    sim = Simulator(processor, ProgramMemory(
+        [Instruction.of(row, processor.bus_count) for row in rows]))
+    with pytest.raises(SimulationError) as raised:
+        sim.run(max_cycles=max_cycles)
+    report = sim.report
+    # every FU's trigger count is brought up to date on the raise too
+    assert report.fu_triggers == {name: fu.trigger_count
+                                  for name, fu in processor.fus.items()}
+    assert report.cycles == sim.cycle
+    return str(raised.value), (
+        report.cycles, report.instructions_fetched, report.moves_executed,
+        report.moves_squashed, report.bus_busy_cycles,
+        {name: count for name, count in report.fu_triggers.items()
+         if count})
+
+
+class TestReportOnRaise:
+    """A raise mid-cycle leaves the report as of the last completed
+    move: the cycle in flight is not counted, its fetch is, and so are
+    the moves on lower buses that were written before the raise."""
+
+    def test_read_only_write(self):
+        assert _raising_run([
+            [Move(I(3), P("cnt0", "o")), Move(I(4), P("cnt0", "t_add"))],
+            [Move(I(1), P("cnt0", "t_inc")),
+             Move(I(2), P("gpr", "r1"), Guard("cmp0"))],
+            [Move(I(7), P("gpr", "r0")), Move(I(1), P("cnt0", "r"))],
+        ]) == ("cycle 2: move writes read-only port cnt0.r",
+               (2, 3, 4, 1, [3, 2], {"cnt0": 2}))
+
+    def test_structural_hazard(self):
+        assert _raising_run([
+            [Move(I(4), P("slow0", "t")), Move(I(1), P("cnt0", "t_inc"))],
+            [Move(I(9), P("gpr", "r0")), Move(I(5), P("slow0", "t"))],
+        ]) == ("cycle 1: structural hazard — slow0 busy until cycle 3",
+               (1, 2, 3, 0, [2, 1], {"cnt0": 1, "slow0": 1}))
+
+    def test_budget_exhaustion(self):
+        message, report = _raising_run([
+            [Move(I(1), P("cnt0", "t_inc")), Move(I(0), P("nc", "pc"))],
+        ], max_cycles=7)
+        assert message.startswith(
+            "program did not halt within 7 cycles (pc=0)")
+        assert report == (7, 7, 14, 0, [7, 7], {"cnt0": 7, "nc": 7})
+
+
+class TestQueuedUnits:
+    """The processor's set of FUs with queued completions, which the
+    commit step visits instead of every FU."""
+
+    PROGRAM = [
+        Instruction.of([], 2), Instruction.of([], 2),
+        Instruction.of([Move(P("slow0", "r"), P("gpr", "r0"))], 2),
+        Instruction.of([Move(I(0), P("nc", "halt"))], 2),
+    ]
+
+    @staticmethod
+    def processor():
+        processor = make_processor(extra=[SlowTriggerUnit("slow0")])
+        processor.reset()
+        return processor
+
+    def test_completion_queued_before_the_first_cycle_commits(self):
+        processor = self.processor()
+        processor.fu("slow0").write("t", 4, cycle=0)  # ready in cycle 3
+        assert processor.queued_units == {"slow0"}
+        sim = Simulator(processor, ProgramMemory(
+            [Instruction.of([], 2), *self.PROGRAM]))
+        sim.run()
+        assert processor.fu("gpr").ports["r0"].value == 5
+        assert processor.queued_units == set()
+
+    def test_second_simulator_commits_the_first_ones_completion(self):
+        processor = self.processor()
+        first = Simulator(processor, ProgramMemory([
+            Instruction.of([Move(I(4), P("slow0", "t"))], 2),
+            Instruction.of([Move(I(0), P("nc", "halt"))], 2)]))
+        first.run_cycles(1)
+        assert processor.queued_units == {"slow0"}
+        # the second one starts at pc 1 and counts cycles from 0, so it
+        # reads in its cycle 3, when the completion matures
+        second = Simulator(processor, ProgramMemory(
+            [Instruction.of([], 2)] * 2 + self.PROGRAM))
+        second.run()
+        assert processor.fu("gpr").ports["r0"].value == 5
+        assert processor.queued_units == set()
+
+    def test_reset_between_runs_drops_the_queued_units(self):
+        processor = self.processor()
+        processor.fu("slow0").write("t", 4, cycle=0)
+        processor.reset()
+        assert processor.queued_units == set()
+        assert processor.fu("slow0")._pending == []
+        sim = Simulator(processor, ProgramMemory([
+            Instruction.of([Move(I(6), P("slow0", "t"))], 2),
+            *self.PROGRAM]))
+        sim.run()
+        assert processor.fu("gpr").ports["r0"].value == 7
+        assert processor.queued_units == set()
+
+    def test_unit_stays_queued_while_a_completion_remains(self):
+        processor = make_processor(extra=[MixedLatencyUnit("mix0", 3)])
+        processor.reset()
+        sim = Simulator(processor, ProgramMemory([
+            Instruction.of([Move(I(5), P("mix0", "t_slow"))], 2),
+            Instruction.of([Move(I(8), P("mix0", "t_fast"))], 2),
+            Instruction.of([], 2),
+            Instruction.of([Move(I(0), P("nc", "halt"))], 2)]))
+        sim.run_cycles(3)  # cycle 2 committed the fast completion only
+        assert processor.queued_units == {"mix0"}
+        sim.run()
+        assert processor.fu("mix0").ports["r"].value == 5
+        assert processor.queued_units == set()
+
+    @pytest.mark.parametrize("backend", ["interpreter", "compiled"])
+    def test_a_finished_machine_is_freed_without_the_cycle_collector(
+            self, backend):
+        # a set holding FUs that hold the set would keep every dropped
+        # machine alive until the cyclic collector runs
+        routes = generate_routes(12)
+        config = table1_grid(())[-1].with_cam_latency(13)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_forwarding(
+                config, routes, worst_case_workload(routes, 3),
+                options=RunOptions(backend=backend))
+            assert result.report.halted
+            processor = weakref.ref(result.machine.processor)
+            rtu = weakref.ref(result.machine.processor.fu("rtu0"))
+            del result
+            assert processor() is None and rtu() is None
+        finally:
+            gc.enable()
