@@ -24,8 +24,9 @@ asks and the few row fields each alone reports:
   :class:`~repro.dse.sweep.JournaledSweep`: an fsync'd JSONL journal, so
   a killed sweep resumes without repeating a simulation and its
   ``--output`` is byte-identical; a process pool whose workers build
-  their workload and oracle cache once, persisting records in plan
-  order, so the journal is byte-identical to a sequential run's; and a
+  their oracle cache once (the memory sweep hands them the clean
+  builds its parent made), persisting records in plan order, so the
+  journal is byte-identical to a sequential run's; and a
   worker that dies leaves its trials to be re-probed one at a time, a
   trial that kills its prober too being recorded failed with
   ``WorkerCrashError``;
@@ -64,6 +65,7 @@ from repro.routing import TABLE_KINDS, make_table
 from repro.routing.protected import PROTECTION_MODES
 from repro.verify.oracle import (
     OUTCOMES,
+    CleanBuild,
     DifferentialOracle,
     MemoryDifferentialOracle,
     TrialOutcome,
@@ -435,15 +437,14 @@ def plan_memory_trials(kinds: Sequence[str], protections: Sequence[str],
 
 
 class _MemoryOracles:
-    """A process's FIB, traffic and oracle cache: the workload is built
-    once per process, one clean golden build per (kind, protection)."""
+    """A process's oracle cache over the sweep's clean builds, one per
+    kind: each (kind, protection) oracle is its kind's build under that
+    protection. The parent makes the builds before any pool starts and
+    hands them to every worker, so no worker re-synthesizes the FIB and
+    the traffic or builds a clean table."""
 
-    def __init__(self, prefixes: int, fib_seed: int, lookups: int):
-        # Workers re-synthesize the FIB deterministically from the scalar
-        # parameters instead of shipping ~N route objects per process.
-        self.routes = synthesize_fib(prefixes, seed=fib_seed)
-        self.addresses = zipf_addresses(self.routes, lookups,
-                                        seed=DEFAULT_TRAFFIC_SEED)
+    def __init__(self, builds: Dict[str, CleanBuild]):
+        self.builds = builds
         self._oracles: Dict[Tuple[str, str], MemoryDifferentialOracle] = {}
 
     def __call__(self, kind: str,
@@ -451,8 +452,8 @@ class _MemoryOracles:
         cell = (kind, protection)
         oracle = self._oracles.get(cell)
         if oracle is None:
-            oracle = MemoryDifferentialOracle(
-                kind, protection, self.routes, self.addresses)
+            oracle = MemoryDifferentialOracle.over(self.builds[kind],
+                                                   protection)
             self._oracles[cell] = oracle
         return oracle
 
@@ -575,9 +576,18 @@ class MemorySweepRunner(_TrialSweep):
         self.flips = flips
         self.seed = seed
         self.fib_seed = fib_seed
+        #: each kind's clean build, made by :meth:`run`
+        self._builds: Dict[str, CleanBuild] = {}
 
     def run(self) -> MemorySweepResult:
         """Sweep every ``kind x protection x site x trial``."""
+        # the clean work of each kind, done here once for the trials of
+        # every process and for the pricing below
+        routes = synthesize_fib(self.prefixes, seed=self.fib_seed)
+        addresses = zipf_addresses(routes, self.lookups,
+                                   seed=DEFAULT_TRAFFIC_SEED)
+        self._builds = {kind: CleanBuild(kind, routes, addresses)
+                        for kind in self.kinds}
         ordered = self._sweep(plan_memory_trials(
             self.kinds, self.protections, self.trials, self.flips,
             self.seed))
@@ -602,22 +612,22 @@ class MemorySweepRunner(_TrialSweep):
     def _protection_cost(self, kind: str,
                          protection: str) -> Dict[str, object]:
         """Table-1-style pricing of the cell's protection hardware,
-        measured on the clean golden build (deterministic, so rows are
-        byte-identical across sequential/parallel/resumed runs). A clean
+        measured on the kind's clean build (deterministic, so rows are
+        byte-identical across sequential/parallel/resumed runs; a clean
         table's steps, footprint and records do not depend on its
-        protection, so each kind is measured once, on the golden of the
-        first protection the sweep runs."""
-        oracle = self._local_context()(kind, self.protections[0])
-        _ = oracle.golden
+        protection)."""
+        build = self._builds[kind]
         return estimate_protection_overhead(
             kind, protection, self.prefixes,
-            oracle.mean_lookup_steps, oracle.table_memory_bytes,
-            oracle.protected_records if protection != "none" else 0)
+            build.mean_lookup_steps, build.table_memory_bytes,
+            build.protected_records if protection != "none" else 0)
 
     # -- engine hooks -------------------------------------------------------------
 
     def _context_spec(self):
-        return _MemoryOracles, (self.prefixes, self.fib_seed, self.lookups)
+        # under fork a worker inherits the builds; under spawn they are
+        # pickled once per worker
+        return _MemoryOracles, (self._builds,)
 
     def _count_injections(self, record: Dict[str, object], site: str,
                           count: int) -> None:

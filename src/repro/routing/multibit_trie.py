@@ -33,6 +33,7 @@ state repeated inserts would have built (verified by
 
 from __future__ import annotations
 
+from struct import pack
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import RoutingTableError
@@ -275,19 +276,34 @@ class MultibitTrieRoutingTable(RoutingTable):
     def memory_sites(self) -> Tuple[str, ...]:
         return ("trie-node", "trie-slot")
 
-    def _dfs_nodes(self) -> Iterator[_TrieNode]:
+    def _dfs_nodes(self) -> List[_TrieNode]:
         """Every node in pre-order, children by ascending chunk."""
+        nodes = []
         stack = [self._root]
         while stack:
             node = stack.pop()
-            yield node
+            nodes.append(node)
             children = node.children
-            # largest chunk pushed first, so the smallest pops next
-            stack.extend(children[chunk]
-                         for chunk in sorted(children, reverse=True))
+            if children:
+                # largest chunk pushed first, so the smallest pops next
+                stack += [children[chunk]
+                          for chunk in sorted(children, reverse=True)]
+        return nodes
 
-    def _pointer_pages(self) -> List[_TrieNode]:
-        return [node for node in self._dfs_nodes() if node.children]
+    def _pointer_pages(self) -> List[Tuple[_TrieNode, List[int]]]:
+        """Every node with children in pre-order, each with its chunk
+        keys sorted once: the ``trie-node`` records, in order."""
+        pages = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            children = node.children
+            if children:
+                keys = sorted(children)
+                pages.append((node, keys))
+                # largest chunk pushed first, so the smallest pops next
+                stack += [children[chunk] for chunk in reversed(keys)]
+        return pages
 
     def _slot_records(self) -> List[Tuple[_TrieNode, int]]:
         return [(node, chunk) for node in self._dfs_nodes()
@@ -295,20 +311,24 @@ class MultibitTrieRoutingTable(RoutingTable):
 
     def memory_records(self, site: str) -> List[bytes]:
         if site == "trie-node":
-            return [b"".join(chunk.to_bytes(2, "big")
-                             for chunk in sorted(node.children))
-                    for node in self._pointer_pages()]
+            return [pack(f">{len(keys)}H", *keys)
+                    for _, keys in self._pointer_pages()]
         if site == "trie-slot":
-            return [chunk.to_bytes(2, "big") + pack_entry(node.slots[chunk])
-                    for node, chunk in self._slot_records()]
+            records: List[bytes] = []
+            for node in self._dfs_nodes():
+                slots = node.slots
+                if slots:
+                    records += [chunk.to_bytes(2, "big")
+                                + pack_entry(slots[chunk])
+                                for chunk in sorted(slots)]
+            return records
         return super().memory_records(site)
 
     def corrupt_memory(self, site: str, index: int, bit: int) -> str:
         if site == "trie-node":
             pages = self._pointer_pages()
             self._check_memory_index(site, index, len(pages))
-            node = pages[index]
-            keys = sorted(node.children)
+            node, keys = pages[index]
             old_chunk = keys[bit // 16]
             new_chunk = old_chunk ^ (1 << (15 - bit % 16))
             child = node.children.pop(old_chunk)

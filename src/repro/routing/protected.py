@@ -45,6 +45,11 @@ one in place (:mod:`repro.routing.memimage` builds a damaged record as a
 new object). :meth:`replica` restores that image into an independent
 copy, the target a fault trial damages while the clean table stays
 intact, without rebuilding anything from the journal.
+
+Views: a clean table's checkpoint does not depend on its protection, so
+:meth:`under` takes one checkpointed table under another protection. The
+view shares the structure, the image and the scrub baseline and words
+the routes anew, so one load and one checkpoint serve every protection.
 """
 
 from __future__ import annotations
@@ -99,6 +104,13 @@ def _load_image(image: _Image) -> RoutingTable:
     return unpickler.load()
 
 
+def _check_protection(protection: str) -> None:
+    if protection not in PROTECTION_MODES:
+        raise RoutingTableError(
+            f"unknown protection mode {protection!r}; "
+            f"choose from {list(PROTECTION_MODES)}")
+
+
 @dataclass(frozen=True)
 class CorruptionEvent:
     """One scrub finding: a record whose protection word went stale."""
@@ -123,10 +135,7 @@ class ProtectedRoutingTable(RoutingTable):
     """
 
     def __init__(self, inner: RoutingTable, protection: str = "checksum"):
-        if protection not in PROTECTION_MODES:
-            raise RoutingTableError(
-                f"unknown protection mode {protection!r}; "
-                f"choose from {list(PROTECTION_MODES)}")
+        _check_protection(protection)
         if isinstance(inner, ProtectedRoutingTable):
             raise RoutingTableError(
                 "refusing to nest protection wrappers")
@@ -362,6 +371,31 @@ class ProtectedRoutingTable(RoutingTable):
         twin.detected_corruptions = twin.degraded_lookups = 0
         twin.quarantined_routes = twin.rebuilds = 0
         return twin
+
+    def under(self, protection: str) -> "ProtectedRoutingTable":
+        """This checkpointed table under *protection*, with no reload
+        and no new checkpoint.
+
+        The view shares the inner structure, its image, the journal and
+        the scrub baseline; its route words are *protection*'s own, and
+        a ``none`` view keeps no baseline. Only a protected table's
+        checkpoint reads the baseline its views share. Neither table is
+        for lookups or strikes: those go to a :meth:`replica`.
+        """
+        _check_protection(protection)
+        if self.protection == "none" or not self._scrub_armed:
+            raise RoutingTableError(
+                "view of a table with no scrub baseline; checkpoint() a "
+                "protected table first")
+        view = copy.copy(self)
+        view.protection = protection
+        view._route_words = {}
+        view._site_records = {}
+        if protection != "none":
+            view._route_words = {prefix: view._word(pack_entry(entry))
+                                 for prefix, entry in self._journal.items()}
+            view._site_records = self._site_records
+        return view
 
     # -- memory seam (the injector strikes through the wrapper) ----------------
 

@@ -158,7 +158,13 @@ class FunctionalUnit:
 
     def commit(self, cycle: int) -> None:
         """Apply queued completions that mature at or before *cycle*
-        (call at cycle start)."""
+        (call at cycle start). A unit stays queued through a whole CAM
+        search, so a queue where nothing matures is left as it is."""
+        for ready, _, _ in self._pending:
+            if ready <= cycle:
+                break
+        else:
+            return
         remaining = []
         # Apply in schedule order so a newer completion overwrites an older one.
         for ready, results, bit in self._pending:

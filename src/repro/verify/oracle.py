@@ -264,6 +264,68 @@ class DifferentialOracle:
 MIN_MEMORY_STEP_BUDGET = 10_000
 
 
+def _lookup_signature(result) -> Tuple[object, ...]:
+    """What must match for a lookup to count as identical: the
+    forwarding decision (steps are a cost, not a semantic)."""
+    if result is None:
+        return ("miss",)
+    entry = result.entry
+    return ("hit", entry.next_hop.value, entry.interface,
+            entry.prefix.network.value, entry.prefix.length)
+
+
+class CleanBuild:
+    """The clean work of one table kind, done once for every protection.
+
+    One load of the FIB and one checkpoint (its image and its scrub
+    baseline), then one golden replay of the lookups: their signatures,
+    their steps and the entries they answered. The footprint and the
+    protected records, the inputs that price a protection, are read off
+    the same build. None of it depends on the protection: a
+    :class:`MemoryDifferentialOracle` takes the build's table
+    :meth:`~ProtectedRoutingTable.under` its own, and a sweep builds
+    each kind once and hands the builds to every process.
+    """
+
+    def __init__(self, kind: str, routes: Sequence[RouteEntry],
+                 addresses: Sequence[Ipv6Address]):
+        self.kind = kind
+        self.routes = list(routes)
+        self.addresses = list(addresses)
+        #: every distinct prefix fits, with room to spare
+        capacity = len({entry.prefix for entry in self.routes}) + 8
+        # built under checksum, whose checkpoint reads the scrub
+        # baseline every protected view shares
+        self.table = ProtectedRoutingTable(
+            make_table(kind, capacity=capacity), protection="checksum")
+        self.table.load(self.routes)
+        self.table.checkpoint()
+        results, self.golden_steps = self.table.lookup_within(
+            self.addresses)
+        #: the entry each golden lookup answered (None for a miss)
+        self.golden_entries = [None if result is None else result.entry
+                               for result in results]
+        #: per-address signatures of the golden lookups
+        self.golden = [_lookup_signature(result) for result in results]
+        self.table_memory_bytes = self.table.table_memory_bytes()
+        self.protected_records = self.table.protected_records()
+
+    @property
+    def mean_lookup_steps(self) -> float:
+        return (self.golden_steps / len(self.addresses)
+                if self.addresses else 0.0)
+
+    @property
+    def step_budget(self) -> int:
+        """Lookup-step budget per trial. Degraded (journal-served)
+        lookups legitimately cost ``len(routes)`` steps each, so the
+        budget provisions for a fully degraded run; only a true
+        runaway exceeds it."""
+        degraded_worst = 2 * len(self.addresses) * (len(self.routes) + 16)
+        return max(self.golden_steps * HANG_BUDGET_MULTIPLIER
+                   + degraded_worst, MIN_MEMORY_STEP_BUDGET)
+
+
 class MemoryDifferentialOracle:
     """Classifies table-state injection trials against a clean table.
 
@@ -285,10 +347,13 @@ class MemoryDifferentialOracle:
       clean run (structure bounds make this a backstop class).
 
     One oracle is bound to one ``(kind, protection, routes,
-    addresses)`` cell; the golden signatures are computed once on a
-    clean build, then every trial corrupts a
-    :meth:`~ProtectedRoutingTable.replica` of it, so the cell's clean
-    work (route words, scrub baseline) is done once.
+    addresses)`` cell. Its clean state is a :class:`CleanBuild` of the
+    kind under the cell's protection: the build's structure, image,
+    scrub baseline and golden replay, with the protection's own route
+    words. A standalone oracle makes its own build on first use;
+    :meth:`over` shares one build among the cells of a kind. Every
+    trial corrupts a :meth:`~ProtectedRoutingTable.replica` of that
+    clean state.
     """
 
     def __init__(self, kind: str, protection: str,
@@ -298,65 +363,36 @@ class MemoryDifferentialOracle:
         self.protection = protection
         self.routes = list(routes)
         self.addresses = list(addresses)
-        #: every distinct prefix fits, with room to spare
-        self.capacity = len({entry.prefix for entry in self.routes}) + 8
-        self._golden_signatures: Optional[List[Tuple[object, ...]]] = None
-        self._golden_steps = 0
-        #: the clean, checkpointed build the golden run answered from
+        self._build: Optional[CleanBuild] = None
+        #: the clean, checkpointed table a trial replicates
         self._clean: Optional[ProtectedRoutingTable] = None
-        #: measured on the clean golden build (overhead-pricing inputs)
-        self.table_memory_bytes = 0
-        self.protected_records = 0
 
-    def build(self) -> ProtectedRoutingTable:
-        """A fresh protected table loaded with the cell's FIB."""
-        inner = make_table(self.kind, capacity=self.capacity)
-        table = ProtectedRoutingTable(inner, protection=self.protection)
-        table.load(self.routes)
-        table.checkpoint()
-        return table
-
-    @staticmethod
-    def _signature(result) -> Tuple[object, ...]:
-        """What must match for a lookup to count as identical: the
-        forwarding decision (steps are a cost, not a semantic)."""
-        if result is None:
-            return ("miss",)
-        entry = result.entry
-        return ("hit", entry.next_hop.value, entry.interface,
-                entry.prefix.network.value, entry.prefix.length)
+    @classmethod
+    def over(cls, build: CleanBuild,
+             protection: str) -> "MemoryDifferentialOracle":
+        """The oracle of *build*'s kind under *protection*, sharing the
+        build's clean work."""
+        oracle = cls(build.kind, protection, build.routes, build.addresses)
+        oracle._build = build
+        return oracle
 
     @property
-    def golden(self) -> List[Tuple[object, ...]]:
-        """Per-address signatures of the clean table (computed once)."""
-        if self._golden_signatures is None:
-            table = self.build()
-            start = table.stats.total_lookup_steps
-            self._golden_signatures = [
-                self._signature(table.lookup(address))
-                for address in self.addresses]
-            self._golden_steps = table.stats.total_lookup_steps - start
-            self.table_memory_bytes = table.table_memory_bytes()
-            self.protected_records = table.protected_records()
-            self._clean = table
-        return self._golden_signatures
+    def build(self) -> CleanBuild:
+        """The kind's clean build (made on first use)."""
+        if self._build is None:
+            self._build = CleanBuild(self.kind, self.routes, self.addresses)
+        return self._build
 
     @property
-    def mean_lookup_steps(self) -> float:
-        _ = self.golden
-        return (self._golden_steps / len(self.addresses)
-                if self.addresses else 0.0)
+    def clean(self) -> ProtectedRoutingTable:
+        """The build under this cell's protection (taken on first use)."""
+        if self._clean is None:
+            self._clean = self.build.table.under(self.protection)
+        return self._clean
 
     @property
     def step_budget(self) -> int:
-        """Lookup-step budget per trial. Degraded (journal-served)
-        lookups legitimately cost ``len(routes)`` steps each, so the
-        budget provisions for a fully degraded run; only a true
-        runaway exceeds it."""
-        _ = self.golden
-        degraded_worst = 2 * len(self.addresses) * (len(self.routes) + 16)
-        return max(self._golden_steps * HANG_BUDGET_MULTIPLIER
-                   + degraded_worst, MIN_MEMORY_STEP_BUDGET)
+        return self.build.step_budget
 
     def classify(self, seed: int, site: str, flips: int = 1) -> TrialOutcome:
         """Corrupt a replica of the clean table and classify the outcome.
@@ -364,8 +400,8 @@ class MemoryDifferentialOracle:
         Deterministic: the same ``(cell, seed, site, flips)`` always
         produces the identical outcome record.
         """
-        golden = self.golden
-        table = self._clean.replica()
+        build = self.build
+        table = self.clean.replica()
         injector = MemoryFaultInjector(seed=seed, sites=(site,))
         faults = injector.inject(table, flips=flips)
         detected_before = table.detected_corruptions
@@ -381,7 +417,6 @@ class MemoryDifferentialOracle:
                 injector, OUTCOME_HANG,
                 f"lookup-step budget of {budget} exhausted "
                 f"after {len(results)} lookups", cycles=steps)
-        signatures = [self._signature(result) for result in results]
         live = table.detected_corruptions - detected_before
         scrub = table.verify_integrity()
         if live or scrub:
@@ -396,8 +431,16 @@ class MemoryDifferentialOracle:
                 injector, OUTCOME_DETECTED, "; ".join(parts), cycles=steps,
                 new_hazards={"live_detections": live,
                              "scrub_events": len(scrub)})
-        diffs = sum(1 for got, want in zip(signatures, golden)
-                    if got != want)
+        # a replica answers with the golden entry objects themselves
+        # until a strike replaces one, so only a changed answer needs
+        # its signature
+        golden = build.golden
+        diffs = 0
+        for result, entry, want in zip(results, build.golden_entries,
+                                       golden):
+            got = None if result is None else result.entry
+            if got is not entry and _lookup_signature(result) != want:
+                diffs += 1
         if diffs:
             return _trial_outcome(
                 injector, OUTCOME_SDC,

@@ -1,7 +1,9 @@
 """Table-state fault injector: packing, seams, determinism, validation."""
 
+import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,7 @@ from repro.routing.memimage import (
     raw_prefix,
     unpack_entry_raw,
 )
+from repro.routing.multibit_trie import MultibitTrieRoutingTable
 from repro.routing.protected import ProtectedRoutingTable
 from repro.workload.fib import synthesize_fib
 
@@ -205,6 +208,89 @@ def test_corrupt_memory_changes_the_record_image(kind):
         assert table.memory_records(site) != after_table.memory_records(
             site) or before != after_table.memory_records(site)
         table = loaded(kind)  # fresh table for the next site
+
+
+# -- the trie's memory reads against the walk they were first written with ----------
+
+
+def reference_nodes(trie):
+    """Every trie node in pre-order, children by ascending chunk."""
+    stack = [trie._root]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = node.children
+        stack.extend(children[chunk]
+                     for chunk in sorted(children, reverse=True))
+
+
+def reference_targets(trie, site):
+    """``(node, chunk or None)`` per record of *site*, in record order."""
+    if site == "trie-node":
+        return [(node, None) for node in reference_nodes(trie)
+                if node.children]
+    return [(node, chunk) for node in reference_nodes(trie)
+            for chunk in sorted(node.slots)]
+
+
+def reference_records(trie, site):
+    if site == "trie-node":
+        return [b"".join(chunk.to_bytes(2, "big")
+                         for chunk in sorted(node.children))
+                for node, _ in reference_targets(trie, site)]
+    return [chunk.to_bytes(2, "big") + pack_entry(node.slots[chunk])
+            for node, chunk in reference_targets(trie, site)]
+
+
+def reference_strike(trie, site, index, bit):
+    """The strike :meth:`corrupt_memory` makes, on the reference walk."""
+    node, chunk = reference_targets(trie, site)[index]
+    if site == "trie-node":
+        old_chunk = sorted(node.children)[bit // 16]
+        new_chunk = old_chunk ^ (1 << (15 - bit % 16))
+        child = node.children.pop(old_chunk)
+        lost = new_chunk in node.children
+        node.children[new_chunk] = child
+        return (f"trie-node[{index}] child {old_chunk}->{new_chunk}"
+                + (" overwriting sibling" if lost else ""))
+    if bit < 16:
+        new_chunk = chunk ^ (1 << (15 - bit))
+        entry = node.slots.pop(chunk)
+        lost = new_chunk in node.slots
+        node.slots[new_chunk] = entry
+        return (f"trie-slot[{index}] tag {chunk}->{new_chunk}"
+                + (" overwriting slot" if lost else ""))
+    node.slots[chunk] = corrupt_entry(node.slots[chunk], bit - 16)
+    return f"trie-slot[{index}] entry bit {bit - 16} (chunk {chunk})"
+
+
+@pytest.mark.parametrize("prefixes,stride,seed",
+                         [(60, 8, 1), (300, 8, 2), (120, 4, 3),
+                          (200, 6, 4), (1, 8, 5)])
+def test_trie_reads_match_the_reference_walk(prefixes, stride, seed):
+    """A random trie, struck again and again: each read gives the
+    reference walk's records in its order, and each strike lands where
+    the reference walk would have put it."""
+    routes = synthesize_fib(prefixes, seed=seed)
+    trie = MultibitTrieRoutingTable(capacity=len(routes) + 8, stride=stride)
+    trie.load(routes)
+    twin = copy.deepcopy(trie)  # struck in step, on the reference walk
+    rng = random.Random(seed)
+    sites = trie.memory_sites()
+    for _ in range(25):
+        for site in sites:
+            assert trie.memory_records(site) == \
+                reference_records(trie, site)
+        site = rng.choice([site for site in sites
+                           if trie.memory_records(site)])
+        records = trie.memory_records(site)
+        index = rng.randrange(len(records))
+        bit = rng.randrange(len(records[index]) * 8)
+        assert trie.corrupt_memory(site, index, bit) == \
+            reference_strike(twin, site, index, bit)
+        for site in sites:
+            assert reference_records(trie, site) == \
+                reference_records(twin, site)
 
 
 # -- the injector -------------------------------------------------------------------

@@ -6,7 +6,8 @@ import os
 import pytest
 
 from repro import api
-from repro.errors import CampaignError
+from repro.dse import sweep
+from repro.errors import CampaignError, RoutingTableError
 from repro.dse.sdc import (
     MemorySweepRunner,
     MemoryTrial,
@@ -14,9 +15,19 @@ from repro.dse.sdc import (
     plan_memory_trials,
 )
 from repro.faults.seeds import derive_seed
-from repro.routing import ProtectedRoutingTable, memimage
+from repro.routing import (
+    PROTECTION_MODES,
+    TABLE_KINDS,
+    ProtectedRoutingTable,
+    make_table,
+    memimage,
+)
 from repro.routing.base import TableStatistics
-from repro.verify.oracle import MemoryDifferentialOracle
+from repro.verify.oracle import (
+    CleanBuild,
+    MemoryDifferentialOracle,
+    _lookup_signature,
+)
 from repro.workload.fib import synthesize_fib, zipf_addresses
 from tests.test_routing_counters import pinned_counters
 
@@ -68,6 +79,16 @@ def test_sequential_equals_parallel():
     assert json.dumps(seq.to_dict(), sort_keys=True) == \
         json.dumps(par.to_dict(), sort_keys=True)
     assert seq.render() == par.render()
+
+
+def test_spawned_workers_get_the_parents_clean_builds(monkeypatch):
+    """A worker that inherits nothing unpickles the parent's builds
+    from its initializer argument, and answers as a forked one does."""
+    monkeypatch.setattr(sweep, "default_start_method", lambda: "spawn")
+    seq = MemorySweepRunner(**SWEEP).run()
+    par = MemorySweepRunner(jobs=2, **SWEEP).run()
+    assert json.dumps(seq.to_dict(), sort_keys=True) == \
+        json.dumps(par.to_dict(), sort_keys=True)
 
 
 def test_resume_is_byte_identical(tmp_path):
@@ -259,3 +280,88 @@ def test_trials_pack_each_route_once(monkeypatch):
     result = api.memory_sdc_sweep(prefixes=300, jobs=1)
     assert len(result.records) == 168
     assert len(layouts) <= result.prefix_count + len(result.records)
+
+
+# -- one clean build per kind ---------------------------------------------------------
+
+
+def replica_state(table):
+    """What a trial's replica of *table* starts from."""
+    twin = table.replica()
+    return ({site: twin.memory_records(site)
+             for site in twin.memory_sites()},
+            twin._route_words, twin._site_records, twin.stats,
+            twin.protection)
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+def test_a_protection_view_equals_a_fresh_build(kind):
+    """Each protection's view of one shared clean build equals a fresh
+    oracle's build of that cell, and a table loaded and checkpointed
+    under that protection alone: golden replay, pricing inputs, and the
+    replica a trial strikes (records, route words, baseline, stats)."""
+    routes = synthesize_fib(60, seed=2026)
+    addresses = zipf_addresses(routes, 30, seed=77)
+    build = CleanBuild(kind, routes, addresses)
+    for protection in PROTECTION_MODES:
+        view = MemoryDifferentialOracle.over(build, protection)
+        fresh = MemoryDifferentialOracle(kind, protection, routes,
+                                         addresses)
+        for oracle in (view, fresh):
+            assert oracle.protection == protection
+        assert view.build.golden == fresh.build.golden
+        assert view.build.golden_steps == fresh.build.golden_steps
+        assert view.step_budget == fresh.step_budget
+        assert view.build.mean_lookup_steps == \
+            fresh.build.mean_lookup_steps
+        assert view.build.table_memory_bytes == \
+            fresh.build.table_memory_bytes
+        assert view.build.protected_records == \
+            fresh.build.protected_records
+        assert replica_state(view.clean) == replica_state(fresh.clean)
+
+        alone = ProtectedRoutingTable(
+            make_table(kind, capacity=len(routes) + 8), protection)
+        alone.load(routes)
+        alone.checkpoint()
+        assert replica_state(view.clean) == replica_state(alone)
+        assert view.build.protected_records == alone.protected_records()
+        assert view.build.table_memory_bytes == alone.table_memory_bytes()
+        steps = alone.stats.total_lookup_steps
+        assert view.build.golden == [
+            _lookup_signature(alone.lookup(address))
+            for address in addresses]
+        assert view.build.golden_steps == \
+            alone.stats.total_lookup_steps - steps
+
+
+def test_a_view_needs_a_protected_checkpoint():
+    """Only a protected table's checkpoint reads the baseline its views
+    share, and a view is of a checkpoint."""
+    table = ProtectedRoutingTable(make_table("cam", capacity=68), "none")
+    table.load(SMALL_ROUTES)
+    table.checkpoint()
+    with pytest.raises(RoutingTableError, match="no scrub baseline"):
+        table.under("parity")
+    table = ProtectedRoutingTable(make_table("cam", capacity=68), "parity")
+    table.load(SMALL_ROUTES)
+    with pytest.raises(RoutingTableError, match="no scrub baseline"):
+        table.under("parity")
+    table.checkpoint()
+    with pytest.raises(RoutingTableError, match="unknown protection"):
+        table.under("voodoo")
+
+
+def test_an_answer_with_the_golden_prefix_can_still_be_silent_corruption():
+    """A strike on a CAM row's next hop keeps the answer's prefix: the
+    answer is a new entry, compared by its signature, and the trial is
+    silent corruption (an answer counts as equal without a signature
+    only when it is the golden entry itself)."""
+    outcome = MemoryDifferentialOracle(
+        "cam", "none", SMALL_ROUTES, SMALL_ADDRESSES).classify(
+        seed=20, site="cam-row", flips=1)
+    # sram bits 136-263 of a row hold the next hop
+    assert outcome.faults[0]["detail"] == \
+        "cam-row[4] sram bit 167 (25ae:c797:8e7a::/48)"
+    assert (outcome.outcome, outcome.detail) == \
+        ("sdc", "silent divergence on 1/10 lookups")

@@ -760,6 +760,43 @@ class TestQueuedUnits:
         assert processor.fu("mix0").ports["r"].value == 5
         assert processor.queued_units == set()
 
+    def test_commit_keeps_the_queue_until_a_completion_matures(self):
+        processor = self.processor()
+        slow = processor.fu("slow0")
+        slow.write("t", 4, cycle=0)  # ready in cycle 3
+        queue = slow._pending
+        for cycle in (1, 2):
+            slow.commit(cycle)
+            assert slow._pending is queue
+            assert processor.queued_units == {"slow0"}
+            assert slow.ports["r"].valid_from_cycle == 3
+        slow.commit(3)
+        assert slow._pending == []
+        assert processor.queued_units == set()
+        assert slow.ports["r"].value == 5
+
+    def test_default_table1_rebuilds_a_queue_only_when_one_matures(
+            self, monkeypatch):
+        # the commit step visits a CAM unit in every cycle of its
+        # search; only the cycle its completion matures in changes it
+        from repro import api
+
+        commit = FunctionalUnit.commit
+        calls, idle, rebuilt = [0], [0], [0]
+
+        def watched_commit(fu, cycle):
+            queue = fu._pending
+            matures = any(ready <= cycle for ready, _, _ in queue)
+            commit(fu, cycle)
+            calls[0] += 1
+            idle[0] += not matures
+            rebuilt[0] += fu._pending is not queue
+            assert matures == (fu._pending is not queue)
+
+        monkeypatch.setattr(FunctionalUnit, "commit", watched_commit)
+        api.table1(backend="interpreter")
+        assert (calls[0], idle[0], rebuilt[0]) == (780, 528, 252)
+
     @pytest.mark.parametrize("backend", ["interpreter", "compiled"])
     def test_a_finished_machine_is_freed_without_the_cycle_collector(
             self, backend):
