@@ -1,22 +1,18 @@
 """Top-level assembly pipeline: IR → (optimise) → schedule → program image.
 
-Also provides the textual TACO assembly round trip used by tools and
-tests: :func:`format_program` renders an instruction stream, and
-:func:`parse_assembly` reads the sequential IR text form.
+:func:`format_program` renders the scheduled instruction stream as text.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
-from repro.asm.ir import BasicBlock, IrProgram, SymbolicMove
+from repro.asm.ir import IrProgram
 from repro.asm.optimizer import optimize
 from repro.asm.scheduler import BusScheduler, instructions_from_schedule
 from repro.errors import AssemblyError
-from repro.tta.instruction import Instruction
 from repro.tta.memory import ProgramMemory
-from repro.tta.ports import Guard, Immediate, PortRef
+from repro.tta.ports import PortRef
 from repro.tta.processor import TacoProcessor
 
 
@@ -32,83 +28,6 @@ def assemble(program: IrProgram, processor: TacoProcessor,
     if not instructions:
         raise AssemblyError("program scheduled to zero instructions")
     return ProgramMemory(instructions)
-
-
-# -- textual form -----------------------------------------------------------------------
-
-_MOVE_RE = re.compile(
-    r"^(?:(?P<neg>!)?(?P<guard>\w+)\?\s+)?"
-    r"(?P<src>\#?-?\w+(?:\.\w+)?|@\w+)\s*->\s*"
-    r"(?P<dst>\w+\.\w+)$")
-
-
-def parse_assembly(text: str) -> IrProgram:
-    """Parse sequential TACO assembly.
-
-    Grammar (one move per line)::
-
-        label:
-            [!]fu? source -> fu.port      ; guarded move
-            #imm -> fu.port               ; immediate
-            fu.port -> fu.port            ; transport
-            @label -> nc.pc               ; jump
-
-    ``;`` starts a comment. Blocks begin at ``label:`` lines.
-    """
-    blocks: List[BasicBlock] = []
-    current: Optional[BasicBlock] = None
-    for raw_line in text.splitlines():
-        line = raw_line.split(";", 1)[0].strip()
-        if not line:
-            continue
-        if line.endswith(":"):
-            label = line[:-1].strip()
-            if not label.isidentifier():
-                raise AssemblyError(f"bad label: {label!r}")
-            current = BasicBlock(label=label)
-            blocks.append(current)
-            continue
-        if current is None:
-            current = BasicBlock(label="entry")
-            blocks.append(current)
-        current.append(_parse_move(line))
-    if not blocks:
-        raise AssemblyError("empty assembly text")
-    return IrProgram(blocks=blocks)
-
-
-def _parse_move(line: str) -> SymbolicMove:
-    match = _MOVE_RE.match(line)
-    if not match:
-        raise AssemblyError(f"cannot parse move: {line!r}")
-    guard = None
-    if match.group("guard"):
-        guard = Guard(fu=match.group("guard"), negate=bool(match.group("neg")))
-    dst_fu, dst_port = match.group("dst").split(".")
-    destination = PortRef(dst_fu, dst_port)
-    src = match.group("src")
-    if src.startswith("@"):
-        return SymbolicMove(destination=destination, label_target=src[1:],
-                            guard=guard)
-    if src.startswith("#"):
-        value = int(src[1:], 0)
-        return SymbolicMove(destination=destination, source=Immediate(value),
-                            guard=guard)
-    if "." not in src:
-        raise AssemblyError(f"source must be fu.port, #imm or @label: {src!r}")
-    src_fu, src_port = src.split(".")
-    return SymbolicMove(destination=destination,
-                        source=PortRef(src_fu, src_port), guard=guard)
-
-
-def format_ir(program: IrProgram) -> str:
-    """Render IR back to the textual form (round-trips with the parser)."""
-    lines: List[str] = []
-    for block in program.blocks:
-        lines.append(f"{block.label}:")
-        for move in block.moves:
-            lines.append(f"    {move}")
-    return "\n".join(lines) + "\n"
 
 
 def format_program(program: ProgramMemory,

@@ -27,11 +27,10 @@ with an all-ones destination denoting an idle slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import AssemblyError
 from repro.tta.instruction import Instruction, Move
-from repro.tta.memory import ProgramMemory
 from repro.tta.ports import Guard, Immediate, PortRef
 from repro.tta.processor import TacoProcessor
 
@@ -169,25 +168,3 @@ class EncodingScheme:
             slots.append(self.decode_move((word >> (i * self.slot_bits))
                                           & slot_mask))
         return Instruction(moves=tuple(slots))
-
-
-def encode_program(program: ProgramMemory,
-                   scheme: EncodingScheme) -> List[int]:
-    return [scheme.encode_instruction(i) for i in program]
-
-
-def decode_program(words: List[int],
-                   scheme: EncodingScheme) -> ProgramMemory:
-    return ProgramMemory([scheme.decode_instruction(w) for w in words])
-
-
-def describe_format(scheme: EncodingScheme) -> str:
-    """A short datasheet of the slot layout."""
-    return (
-        f"move slot: {scheme.slot_bits} bits = "
-        f"guard[{scheme.guard_bits}] + dst[{scheme.destination_bits}] + "
-        f"imm-flag/src[{scheme.source_bits}]; "
-        f"instruction word: {scheme.bus_count} x {scheme.slot_bits} = "
-        f"{scheme.instruction_bits} bits "
-        f"({len(scheme.sources)} sources, {len(scheme.destinations)} "
-        f"destinations, {len(scheme.guards)} guard codes)")

@@ -10,7 +10,7 @@ scheduler in :mod:`repro.asm.scheduler` packs them onto buses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import AssemblyError
 from repro.tta.instruction import Move
@@ -97,9 +97,6 @@ class IrProgram:
                 return block
         raise AssemblyError(f"no block labelled {label!r}")
 
-    def move_count(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
     def __str__(self) -> str:
         return "\n".join(str(b) for b in self.blocks)
 
@@ -151,11 +148,3 @@ class ProgramBuilder:
         if not self._blocks:
             raise AssemblyError("program has no blocks")
         return IrProgram(blocks=list(self._blocks))
-
-
-def sequential_moves(program: IrProgram) -> Sequence[SymbolicMove]:
-    """All moves in program order (the unscheduled, 1-bus-equivalent form)."""
-    out: List[SymbolicMove] = []
-    for block in program.blocks:
-        out.extend(block.moves)
-    return out

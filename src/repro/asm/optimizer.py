@@ -6,15 +6,17 @@ temporary storage (bypassing), using the same output register or general
 purpose register for multiple data transports (operand sharing), easy
 removing of registers that are no longer in use" — the three passes here:
 
-* :func:`bypass` — ``x -> gpr.rK`` followed by ``gpr.rK -> y`` becomes
-  ``x -> y`` when the value provably survives (no clobber of x in between);
-* :func:`eliminate_dead_writes` — register writes nothing ever reads are
-  dropped (scoped to registers declared block-local);
-* :func:`share_operands` — rewriting an operand latch with the value it
-  already holds is dropped (immediates only, conservatively).
+* :func:`bypass_block` — ``x -> gpr.rK`` followed by ``gpr.rK -> y``
+  becomes ``x -> y`` when the value provably survives (no clobber of x in
+  between);
+* :func:`eliminate_dead_writes_block` — register writes nothing ever
+  reads are dropped (scoped to registers declared block-local);
+* :func:`share_operands_block` — rewriting an operand latch with the
+  value it already holds is dropped (immediates only, conservatively).
 
-All passes work block-locally and preserve observable behaviour; tests
-check equivalence by simulating before/after.
+:func:`optimize` runs the three on every block. All passes work
+block-locally and preserve observable behaviour; tests check equivalence
+by simulating before/after.
 """
 
 from __future__ import annotations
@@ -43,12 +45,6 @@ def optimize(program: IrProgram, processor: TacoProcessor,
 
 
 # -- bypassing ---------------------------------------------------------------------
-
-
-def bypass(program: IrProgram, processor: TacoProcessor) -> IrProgram:
-    return IrProgram(blocks=[
-        BasicBlock(label=b.label, moves=bypass_block(list(b.moves), processor))
-        for b in program.blocks])
 
 
 def bypass_block(moves: List[SymbolicMove],
@@ -119,15 +115,6 @@ def _source_clobbered(moves: List[SymbolicMove], start: int, end: int,
 # -- dead register writes -------------------------------------------------------------
 
 
-def eliminate_dead_writes(program: IrProgram,
-                          temp_registers: Iterable[PortRef]) -> IrProgram:
-    temps = set(temp_registers)
-    return IrProgram(blocks=[
-        BasicBlock(label=b.label,
-                   moves=eliminate_dead_writes_block(list(b.moves), temps))
-        for b in program.blocks])
-
-
 def eliminate_dead_writes_block(moves: List[SymbolicMove],
                                 temps: Set[PortRef]) -> List[SymbolicMove]:
     keep = [True] * len(moves)
@@ -148,13 +135,6 @@ def eliminate_dead_writes_block(moves: List[SymbolicMove],
 
 
 # -- operand sharing -------------------------------------------------------------------
-
-
-def share_operands(program: IrProgram, processor: TacoProcessor) -> IrProgram:
-    return IrProgram(blocks=[
-        BasicBlock(label=b.label,
-                   moves=share_operands_block(list(b.moves), processor))
-        for b in program.blocks])
 
 
 def share_operands_block(moves: List[SymbolicMove],

@@ -72,16 +72,6 @@ class EvaluationResult:
     def system_power_w(self) -> Optional[float]:
         return self.power.system_w if self.power else None
 
-    def energy_per_packet_nj(self, packet_rate_pps: float) -> Optional[float]:
-        """System energy per forwarded datagram in nanojoules.
-
-        The natural figure of merit for comparing feasible designs: at a
-        fixed line rate, power divides out into joules per datagram.
-        """
-        if self.power is None or packet_rate_pps <= 0:
-            return None
-        return self.power.system_w / packet_rate_pps * 1e9
-
     def summary(self) -> str:
         clock = f"{self.required_clock_hz / 1e9:.2f} GHz" \
             if self.required_clock_hz >= 1e9 \

@@ -169,10 +169,6 @@ class Ipv6Address:
         """::ffff:0:0/96, the RFC 4291 §2.5.5.2 embedding."""
         return (self._value >> 32) == 0xFFFF
 
-    def is_global_unicast(self) -> bool:
-        return not (self.is_unspecified() or self.is_loopback() or
-                    self.is_multicast() or self.is_link_local())
-
     # -- formatting --------------------------------------------------------
 
     def compressed(self) -> str:
@@ -198,9 +194,6 @@ class Ipv6Address:
         head = ":".join(f"{g:x}" for g in groups[:best_start])
         tail = ":".join(f"{g:x}" for g in groups[best_start + best_len:])
         return f"{head}::{tail}"
-
-    def exploded(self) -> str:
-        return ":".join(f"{g:04x}" for g in self.groups())
 
     # -- dunder ------------------------------------------------------------
 
@@ -284,10 +277,6 @@ class Ipv6Prefix:
     def contains(self, address: Ipv6Address) -> bool:
         mask = prefix_mask(self._length)
         return (address._value & mask) == self._network._value
-
-    def overlaps(self, other: "Ipv6Prefix") -> bool:
-        short, long_ = (self, other) if self._length <= other._length else (other, self)
-        return short.contains(long_.network)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Ipv6Prefix):

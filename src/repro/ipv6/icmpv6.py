@@ -45,10 +45,6 @@ class Icmpv6Message:
         if not 0 <= self.code <= 0xFF:
             raise Ipv6Error(f"ICMPv6 code out of range: {self.code}")
 
-    def is_error(self) -> bool:
-        """Error messages have type < 128; informational ones >= 128."""
-        return self.type < 128
-
     def to_bytes(self, source: Ipv6Address, destination: Ipv6Address) -> bytes:
         without_checksum = bytes([self.type, self.code, 0, 0]) + self.body
         checksum = transport_checksum(source, destination, PROTO_ICMPV6,
@@ -92,9 +88,3 @@ def echo_request(identifier: int, sequence: int, data: bytes = b"") -> Icmpv6Mes
         raise Ipv6Error("echo identifier/sequence out of range")
     body = identifier.to_bytes(2, "big") + sequence.to_bytes(2, "big") + data
     return Icmpv6Message(type=TYPE_ECHO_REQUEST, code=0, body=body)
-
-
-def echo_reply_for(request: Icmpv6Message) -> Icmpv6Message:
-    if request.type != TYPE_ECHO_REQUEST:
-        raise Ipv6Error(f"not an echo request: type {request.type}")
-    return Icmpv6Message(type=TYPE_ECHO_REPLY, code=0, body=request.body)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import Ipv6Error
 from repro.ipv6.address import Ipv6Address
@@ -136,11 +136,3 @@ def validate_for_forwarding(raw: bytes) -> Optional[ValidationFailure]:
     if destination.is_loopback():
         return ValidationFailure.LOOPBACK_DESTINATION
     return None
-
-
-def extension_header_chain(datagram: Ipv6Datagram) -> List[int]:
-    """The protocol numbers along the header chain, ending at the payload."""
-    chain = [datagram.header.next_header]
-    for ext in datagram.extension_headers:
-        chain.append(ext.next_header)
-    return chain

@@ -135,9 +135,6 @@ class Gauge(_Scalar):
     def _set(self, value: float, labels: Dict[str, object]) -> None:
         self._values[self._key(labels)] = value
 
-    def dec(self, amount: float = 1, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
 
 class Histogram(_Instrument):
     """A distribution: cumulative bucket counts plus sum and count."""

@@ -283,9 +283,3 @@ def replay(packets: Sequence[CapturedPacket],
             REPLAY_LATENCY_QUANTILE_SECONDS.set(value, table=table_kind,
                                                 quantile=name)
     return report
-
-
-def replay_file(path: str, table_kind: str = "sequential",
-                interface: int = 0) -> ReplayReport:
-    return replay(read_pcap(path), table_kind=table_kind,
-                  interface=interface)

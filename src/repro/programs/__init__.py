@@ -4,8 +4,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".cycle_model": ("FittedCycleModel", "crossover_entries",
-                     "fit_cycle_model", "fit_paper_models",
-                     "measure_cycles"),
+                     "fit_cycle_model", "measure_cycles"),
     ".forwarding": ("ForwardingProgramFactory", "MODE_BENCH", "MODE_ROUTER",
                     "build_forwarding_program"),
     ".machine": ("RouterMachine", "build_machine"),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.dse.config import ArchitectureConfiguration, HARDWARE_SEARCH_KINDS
 from repro.errors import EstimationError
@@ -96,18 +96,6 @@ def fit_cycle_model(config: ArchitectureConfiguration,
             f"{c1} @ {n1}, {c2} @ {n2}")
     return FittedCycleModel(config=config, overhead=max(overhead, 0.0),
                             slope=slope)
-
-
-def fit_paper_models(kinds: Sequence[str] = ("sequential", "balanced-tree",
-                                             "cam"),
-                     sizes: Tuple[int, int] = DEFAULT_FIT_SIZES
-                     ) -> Dict[str, FittedCycleModel]:
-    """One fitted model per table kind at the 1-bus baseline config."""
-    out: Dict[str, FittedCycleModel] = {}
-    for kind in kinds:
-        config = ArchitectureConfiguration(bus_count=1, table_kind=kind)
-        out[kind] = fit_cycle_model(config, sizes=sizes)
-    return out
 
 
 def crossover_entries(seq_model: FittedCycleModel,

@@ -3,10 +3,8 @@
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".architecture": ("architecture_manifest", "describe_machine", "to_dot"),
+    ".architecture": ("describe_machine", "to_dot"),
     ".hazards": ("render_hazard_summary",),
     ".reliability": ("render_vulnerability_table",),
     ".tables": ("render_rows", "render_sweep"),
-    ".utilization": ("idle_units", "module_utilization",
-                     "render_utilization", "saturated_units"),
 })

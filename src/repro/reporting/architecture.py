@@ -8,14 +8,12 @@ for the Python model: given a configured machine it emits
 
 * a human-readable datasheet (:func:`describe_machine`) — unit inventory,
   port maps, interconnect, memories;
-* a Graphviz DOT rendering of Fig. 2 for the instance (:func:`to_dot`);
-* a machine-readable dict (:func:`architecture_manifest`) that external
-  tools (or a future VHDL generator) can consume.
+* a Graphviz DOT rendering of Fig. 2 for the instance (:func:`to_dot`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.programs.machine import RouterMachine
 from repro.tta.ports import PortKind
@@ -101,27 +99,3 @@ def to_dot(machine: RouterMachine) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def architecture_manifest(machine: RouterMachine) -> Dict[str, object]:
-    """Machine-readable instance description (for downstream generators)."""
-    processor = machine.processor
-    units = []
-    for fu in _sorted_units(processor):
-        units.append({
-            "name": fu.name,
-            "kind": fu.kind,
-            "latency": getattr(fu, "latency", 1),
-            "pipelined": getattr(fu, "pipelined", True),
-            "ports": {name: port.kind.value
-                      for name, port in fu.ports.items()},
-            "buses": sorted(processor.interconnect.reachable(fu.name)),
-        })
-    return {
-        "configuration": machine.config.label(),
-        "table_kind": machine.config.table_kind,
-        "bus_count": processor.bus_count,
-        "bus_width_bits": 32,
-        "data_memory_words": len(machine.memory),
-        "line_cards": len(machine.line_cards),
-        "functional_units": units,
-    }

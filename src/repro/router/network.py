@@ -282,10 +282,6 @@ class Network:
         name, interface = endpoint
         self.routers[name].line_cards[interface].deliver(frame)
 
-    @property
-    def frames_in_flight(self) -> int:
-        return len(self._in_flight)
-
     def run_until_converged(self, max_rounds: int = 600,
                             quiet_rounds: int = 20,
                             watchdog: Optional[Any] = None

@@ -54,7 +54,7 @@ class RouterStatistics:
     #: sub-message events: the carrying datagram still counts as one
     #: ``ripng_messages``, so they sit outside the per-datagram
     #: accounting identity received == forwarded + delivered_local
-    #: + ripng_messages + total_dropped.
+    #: + ripng_messages + the sum of ``dropped``.
     control_rejected: Dict[str, int] = field(default_factory=dict)
 
     def drop(self, reason: str, count: int = 1) -> None:
@@ -63,10 +63,6 @@ class RouterStatistics:
     def reject_control(self, reason: str, count: int = 1) -> None:
         self.control_rejected[reason] = \
             self.control_rejected.get(reason, 0) + count
-
-    @property
-    def total_dropped(self) -> int:
-        return sum(self.dropped.values())
 
 
 class Ipv6Router:

@@ -310,13 +310,6 @@ class BloomRoutingTable(RoutingTable):
             return f"bloom-bucket[{index}] bit {bit} ({before})"
         return super().corrupt_memory(site, index, bit)
 
-    def filter_info(self) -> "Dict[int, Tuple[int, int, int]]":
-        """length -> (entries, filter slots, set counters) for tests and
-        false-positive-rate reporting."""
-        return {length: (len(cls.entries), cls.slots,
-                         sum(1 for c in cls.counters if c))
-                for length, cls in self._classes.items()}
-
     def check_invariants(self) -> None:
         """Raise if filter/table state diverged: every stored prefix must
         be filter-positive (no false negatives), counts must add up, and

@@ -217,10 +217,6 @@ class CamRoutingTable(RoutingTable):
         line.entry = corrupt_entry(line.entry, bit - 256)
         return f"cam-row[{index}] sram bit {bit - 256} ({prefix})"
 
-    def priority_order(self) -> List[Ipv6Prefix]:
-        """Line order, for tests asserting the TCAM priority discipline."""
-        return [line.entry.prefix for line in self._lines]
-
     def table_memory_bytes(self) -> int:
         """On-chip footprint is zero: the CAM+SRAM pair is an external
         chip (its power is accounted separately, its area excluded)."""

@@ -72,7 +72,8 @@ class MultibitTrieRoutingTable(RoutingTable):
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  stride: int = DEFAULT_STRIDE):
         super().__init__(capacity)
-        if not 1 <= stride <= 32:
+        # the memory image packs a chunk key in 2 bytes
+        if not 1 <= stride <= 16:
             raise RoutingTableError(f"stride out of range: {stride}")
         self.stride = stride
         #: per-depth ``(shift, mask)`` extracting that level's chunk
@@ -242,9 +243,6 @@ class MultibitTrieRoutingTable(RoutingTable):
         return self.max_depth()
 
     # -- introspection ---------------------------------------------------------
-
-    def node_count(self) -> int:
-        return self._node_count
 
     def slot_count(self) -> int:
         """Total expanded slots — the memory footprint driver."""

@@ -420,16 +420,6 @@ class ProtectedRoutingTable(RoutingTable):
             len(self.inner.memory_records(site))
             for site in self.inner.memory_sites())
 
-    def protection_stats(self) -> Dict[str, object]:
-        return {
-            "protection": self.protection,
-            "journal_routes": len(self._journal),
-            "detected_corruptions": self.detected_corruptions,
-            "degraded_lookups": self.degraded_lookups,
-            "quarantined_routes": self.quarantined_routes,
-            "rebuilds": self.rebuilds,
-        }
-
     def __repr__(self) -> str:
         return (f"<ProtectedRoutingTable {self.protection} over "
                 f"{type(self.inner).__name__} "

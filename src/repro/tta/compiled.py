@@ -355,7 +355,6 @@ def _emit_checksum(gen, lines, fu, fu_var, trigger, value, indent):
 def _emit_liu(gen, lines, fu, fu_var, trigger, value, indent):
     if trigger not in ("t_get", "t_set"):
         return False
-    # configure() replaces the word list, so fetch it through the FU
     lines.append(f"{indent}_lw = {fu_var}._words")
     if trigger == "t_get":
         lines.append(f"{indent}if {value} >= len(_lw):")
@@ -709,7 +708,7 @@ def compile_program(processor: TacoProcessor,
 class CompiledSimulator(Simulator):
     """Drop-in :class:`Simulator` that runs the pre-decoded schedule.
 
-    ``step()``/``run_cycles()`` keep the inherited per-cycle interpreter
+    ``step()`` keeps the inherited per-cycle interpreter
     (single-stepping is a debugging activity); ``run()`` uses the
     compiled schedule unless an observation hook forces a fallback.
     """

@@ -60,9 +60,6 @@ class SlotPool:
             raise TtaError(f"double release of slot {slot_address:#x}")
         self._free.append(slot_address)
 
-    def free_count(self) -> int:
-        return len(self._free)
-
     # -- datagram storage ----------------------------------------------------------
 
     def store_datagram(self, slot_address: int, datagram: bytes,

@@ -28,9 +28,6 @@ class LocalInfoUnit(FunctionalUnit):
         self.add_port("t_set", PortKind.TRIGGER)  # value = data, index = o_idx
         self.add_port("r", PortKind.RESULT)
 
-    def configure(self, words: Sequence[int]) -> None:
-        self._words = list(words)
-
     def _execute(self, trigger_port: str, value: int, cycle: int) -> None:
         if trigger_port == "t_get":
             if not 0 <= value < len(self._words):

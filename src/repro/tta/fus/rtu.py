@@ -189,11 +189,6 @@ class RoutingTableUnit(FunctionalUnit):
             self.finish(cycle, {"r_iface": result.interface}, result_bit=True,
                         latency=self.search_latency)
 
-    # -- geometry helpers for program generators -----------------------------------
-
-    def entry_address(self, index: int) -> int:
-        return self.base_word + index * ENTRY_STRIDE_WORDS
-
     def reset(self) -> None:
         super().reset()
         # Geometry ports are statically driven; restore them after reset.

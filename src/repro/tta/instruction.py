@@ -68,12 +68,6 @@ class Instruction:
     def width(self) -> int:
         return len(self.moves)
 
-    def used_slots(self) -> int:
-        return sum(1 for m in self.moves if m is not None)
-
-    def is_nop(self) -> bool:
-        return self.used_slots() == 0
-
     def __str__(self) -> str:
         slots = [str(m) if m else "..." for m in self.moves]
         return " ; ".join(slots)

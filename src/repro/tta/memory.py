@@ -59,9 +59,6 @@ class DataMemory:
                   for i in range(words_needed)]
         return b"".join(chunks)[:length]
 
-    def snapshot_counters(self) -> "tuple[int, int]":
-        return self.reads, self.writes
-
 
 class ProgramMemory:
     """Read-only instruction store, one :class:`Instruction` per address."""

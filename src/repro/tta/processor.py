@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from repro.errors import ConfigurationError, TtaError
 from repro.tta.bus import Interconnect
@@ -47,9 +47,6 @@ class TacoProcessor:
         except KeyError:
             raise TtaError(
                 f"no functional unit {name!r} (has {sorted(self.fus)})") from None
-
-    def fus_of_kind(self, kind: str) -> List[FunctionalUnit]:
-        return [fu for fu in self.fus.values() if fu.kind == kind]
 
     def resolve(self, ref: PortRef):
         """(fu, port) for a port reference, validating both names."""

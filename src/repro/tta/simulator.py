@@ -23,16 +23,15 @@ the processor's ``queued_units`` names (an FU names itself there when it
 queues a completion; see :mod:`repro.tta.fu`), and tick on FUs whose
 class overrides it.
 
-:meth:`Simulator.run`, :meth:`Simulator.run_cycles` and
-:meth:`Simulator.step` all drive one cycle loop. Its first entry decodes
-every instruction once into slots whose FU and port references are
-already resolved, so the loop does no name lookups. It reads a source
-port's value directly once the port's flags pass, and stores a plain
-operand or register write in place; a failing read, a trigger write and
-a write that fails the writable check go through
-:class:`FunctionalUnit`, which raises the errors and runs the triggers.
-The report's counters and ``fu_triggers`` are brought up to date when
-the loop returns or raises.
+:meth:`Simulator.run` and :meth:`Simulator.step` both drive one cycle
+loop. Its first entry decodes every instruction once into slots whose FU
+and port references are already resolved, so the loop does no name
+lookups. It reads a source port's value directly once the port's flags
+pass, and stores a plain operand or register write in place; a failing
+read, a trigger write and a write that fails the writable check go
+through :class:`FunctionalUnit`, which raises the errors and runs the
+triggers. The report's counters and ``fu_triggers`` are brought up to
+date when the loop returns or raises.
 
 This mirrors the paper's SystemC simulator's role: functional verification
 plus total cycle count plus per-bus/per-FU utilisation.
@@ -161,13 +160,6 @@ class Simulator:
             delta = count - start_hazards.get(kind, 0)
             if delta > 0:
                 TTA_HAZARDS.inc(delta, kind=kind)
-
-    def run_cycles(self, count: int) -> SimulationReport:
-        """Run exactly *count* cycles (or fewer if the program halts)."""
-        if not self.processor.nc.halted:
-            self._run_until(self.cycle + count)
-        self.report.halted = self.processor.nc.halted
-        return self.report
 
     def step(self) -> None:
         """Execute one clock cycle."""

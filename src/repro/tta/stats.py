@@ -43,12 +43,6 @@ class SimulationReport:
             return [0.0] * self.bus_count
         return [busy / self.cycles for busy in self.bus_busy_cycles]
 
-    def fu_utilization(self, fu_name: str) -> float:
-        """Triggers per cycle for one FU (an upper-bound activity measure)."""
-        if self.cycles == 0:
-            return 0.0
-        return self.fu_triggers.get(fu_name, 0) / self.cycles
-
     def merge(self, other: "SimulationReport") -> "SimulationReport":
         """Accumulate a second run (used when simulating packet batches).
 

@@ -5,7 +5,7 @@ import pytest
 from repro.cli import main
 from repro.dse.config import ArchitectureConfiguration
 from repro.programs.machine import build_machine
-from repro.reporting import architecture_manifest, describe_machine, to_dot
+from repro.reporting import describe_machine, to_dot
 
 
 @pytest.fixture(scope="module")
@@ -49,28 +49,6 @@ class TestDot:
         body = dot.splitlines()[1:-1]
         assert all(line.strip().endswith((";", "{", "}")) or
                    line.strip().endswith('";') for line in body)
-
-
-class TestManifest:
-    def test_inventory_counts(self, machine):
-        manifest = architecture_manifest(machine)
-        kinds = {}
-        for unit in manifest["functional_units"]:
-            kinds[unit["kind"]] = kinds.get(unit["kind"], 0) + 1
-        assert kinds["matcher"] == 3
-        assert kinds["counter"] == 3
-        assert kinds["comparator"] == 3
-        assert kinds["mmu"] == 1
-        assert manifest["bus_count"] == 3
-        assert manifest["configuration"] == "3BUS/3CNT,3CMP,3M"
-
-    def test_port_kinds_serialised(self, machine):
-        manifest = architecture_manifest(machine)
-        matcher = next(u for u in manifest["functional_units"]
-                       if u["name"] == "mat0")
-        assert matcher["ports"]["t"] == "trigger"
-        assert matcher["ports"]["r"] == "result"
-        assert matcher["buses"] == [0, 1, 2]
 
 
 class TestCli:

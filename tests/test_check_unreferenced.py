@@ -32,8 +32,8 @@ def test_flags_a_definition_nothing_mentions(checker, tmp_path):
                           "def orphan():\n    pass\n\n"
                           "class Thing:\n    def __repr__(self):\n"
                           "        return ''\n",
-        "tests/test_mod.py": "from pkg.mod import used, Thing\n"
-                             "# orphan (a comment is no reference)\n",
+        "examples/demo.py": "from pkg.mod import used, Thing\n"
+                            "# orphan (a comment is no reference)\n",
     })
     assert checker.unreferenced(root, allowed=set()) == [
         "src/pkg/mod.py:4: orphan is defined but never referenced"]
@@ -47,6 +47,78 @@ def test_string_mentions_count_as_references(checker, tmp_path):
                           "def fstring_name():\n    pass\n",
     })
     assert checker.unreferenced(root, allowed=set()) == []
+
+
+def test_mentions_in_tests_do_not_count(checker, tmp_path):
+    root = _repo(tmp_path, {
+        "src/pkg/mod.py": "def tested_only():\n    pass\n",
+        "tests/test_mod.py": "from pkg.mod import tested_only\n"
+                             "tested_only()\n",
+    })
+    assert checker.unreferenced(root, allowed=set()) == [
+        "src/pkg/mod.py:1: tested_only is defined but never referenced"]
+
+
+_EXPORTS = ("from repro._lazy import lazy_exports\n\n"
+            "__getattr__, __dir__, __all__ = lazy_exports(__name__, {\n"
+            "    '.mod': ('exported',),\n"
+            "})\n")
+
+
+def test_a_package_export_table_does_not_count(checker, tmp_path):
+    root = _repo(tmp_path, {
+        "src/pkg/__init__.py": _EXPORTS,
+        "src/pkg/mod.py": "def exported():\n    pass\n",
+    })
+    assert checker.unreferenced(root, allowed=set()) == [
+        "src/pkg/mod.py:1: exported is defined but never referenced"]
+
+
+def test_a_module_export_table_counts(checker, tmp_path):
+    root = _repo(tmp_path, {
+        "src/pkg/api.py": _EXPORTS,
+        "src/pkg/mod.py": "def exported():\n    pass\n",
+    })
+    assert checker.unreferenced(root, allowed=set()) == []
+
+
+def test_docstring_mentions_do_not_count(checker, tmp_path):
+    root = _repo(tmp_path, {
+        "src/pkg/mod.py": '"""See documented()."""\n\n\n'
+                          "def documented():\n"
+                          '    """documented() does nothing."""\n\n\n'
+                          "class Thing:\n"
+                          '    """Calls ``documented``."""\n\n'
+                          "    def __repr__(self):\n"
+                          '        """documented"""\n'
+                          "        return ''\n",
+        "examples/demo.py": "from pkg.mod import Thing\n",
+    })
+    assert checker.unreferenced(root, allowed=set()) == [
+        "src/pkg/mod.py:4: documented is defined but never referenced"]
+
+
+@pytest.mark.parametrize("directory", ["benchmarks", "examples"])
+def test_benchmarks_and_examples_count(checker, tmp_path, directory):
+    root = _repo(tmp_path, {
+        "src/pkg/mod.py": "def measured():\n    pass\n",
+        f"{directory}/test_run.py": "from pkg.mod import measured\n",
+    })
+    assert checker.unreferenced(root, allowed=set()) == []
+
+
+def test_a_relative_root_checks_the_same_tree(checker, tmp_path,
+                                              monkeypatch):
+    root = _repo(tmp_path, {
+        "src/pkg/mod.py": "def orphan():\n    pass\n\n\n"
+                          "def _dispatched():\n    pass\n",
+    })
+    allowed = {("pkg/mod.py", "_dispatched"), ("pkg/mod.py", "gone")}
+    monkeypatch.chdir(root)
+    relative = checker.unreferenced(".", allowed=allowed)
+    assert relative == checker.unreferenced(root, allowed=allowed) == [
+        "src/pkg/mod.py:1: orphan is defined but never referenced",
+        "src/pkg/mod.py: gone is allowed but no longer defined"]
 
 
 def test_a_stale_allowance_fails(checker, tmp_path):

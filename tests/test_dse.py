@@ -22,7 +22,6 @@ from repro.dse import (
 from repro.dse.table1 import PAPER_TABLE1, format_clock
 from repro.errors import ConfigurationError
 from repro.estimation.technology import MAX_CLOCK_HZ
-from repro.estimation.frequency import packet_rate
 from repro.faults import ChaosEvaluatorFactory
 
 
@@ -281,23 +280,6 @@ class TestExplorers:
         configs = space.configurations()
         assert len(configs) == space.size() == 2
         assert {c.bus_count for c in configs} == {1, 2}
-
-
-class TestEnergyMetric:
-    def test_energy_per_packet(self, evaluator):
-        result = evaluator.evaluate(ArchitectureConfiguration(
-            bus_count=3, table_kind="cam"))
-        rate = packet_rate()
-        energy = result.energy_per_packet_nj(rate)
-        assert energy is not None and energy > 0
-        # consistency: energy * rate == system power (within float noise)
-        assert energy * rate / 1e9 == pytest.approx(
-            result.power.system_w)
-
-    def test_infeasible_design_has_no_energy(self, evaluator):
-        result = evaluator.evaluate(ArchitectureConfiguration(
-            bus_count=1, table_kind="sequential"))
-        assert result.energy_per_packet_nj(1e6) is None
 
 
 class TestPooledExplorer:

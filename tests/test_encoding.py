@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asm import ProgramBuilder, assemble
-from repro.asm.encoding import (
-    EncodingScheme,
-    decode_program,
-    describe_format,
-    encode_program,
-)
+from repro.asm.encoding import EncodingScheme
 from repro.dse.config import ArchitectureConfiguration
 from repro.errors import AssemblyError
 from repro.programs.forwarding import build_forwarding_program
@@ -52,10 +47,6 @@ class TestFormatGeometry:
 
     def test_unconditional_guard_is_code_zero(self, scheme):
         assert scheme.guards[0] is None
-
-    def test_describe(self, scheme):
-        text = describe_format(scheme)
-        assert "move slot" in text and "bits" in text
 
     def test_bigger_machines_need_wider_slots(self):
         small = EncodingScheme.for_processor(
@@ -113,9 +104,9 @@ class TestProgramRoundTrip:
         b.jump("entry", guard=Guard("cmp0"))
         b.halt()
         program = assemble(b.build(), processor, optimize_code=False)
-        words = encode_program(program, scheme)
-        decoded = decode_program(words, scheme)
-        assert list(decoded) == list(program)
+        words = [scheme.encode_instruction(i) for i in program]
+        decoded = [scheme.decode_instruction(w) for w in words]
+        assert decoded == list(program)
         assert all(0 <= w < (1 << scheme.instruction_bits) for w in words)
 
     @pytest.mark.parametrize("kind", ["sequential", "balanced-tree", "cam"])
@@ -125,8 +116,8 @@ class TestProgramRoundTrip:
         machine.load_routes(generate_routes(20, seed=2))
         program = build_forwarding_program(machine)
         scheme = EncodingScheme.for_processor(machine.processor)
-        words = encode_program(program, scheme)
-        decoded = decode_program(words, scheme)
-        assert list(decoded) == list(program)
+        words = [scheme.encode_instruction(i) for i in program]
+        decoded = [scheme.decode_instruction(w) for w in words]
+        assert decoded == list(program)
         # the whole router program fits in a small on-chip store
         assert scheme.program_bytes(len(program)) < 8192

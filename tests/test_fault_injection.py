@@ -128,7 +128,7 @@ class TestDelayQueue:
             ("r0", 1), FaultModel(seed=1, latency_steps=3))
         converged = network.run_until_converged()
         assert converged.converged
-        assert network.frames_in_flight == 0
+        assert len(network._in_flight) == 0
         prefix = Ipv6Prefix.parse("2001:db8:0:1::/64")
         assert network.tables_agree_on(prefix)
 
@@ -148,7 +148,7 @@ class TestDelayQueue:
             ("r0", 1), FaultModel(seed=1, latency_steps=5))
         report = network.run_until_converged(max_rounds=200)
         assert report.converged
-        assert network.frames_in_flight == 0
+        assert len(network._in_flight) == 0
 
     def test_down_link_loses_in_flight_frames(self):
         network = line_topology(2)
@@ -156,11 +156,11 @@ class TestDelayQueue:
             ("r0", 1), FaultModel(seed=1, latency_steps=5))
         network.step()  # boot requests emitted at tick time...
         network.step()  # ...and enter flight on the next delivery pass
-        assert network.frames_in_flight > 0
+        assert len(network._in_flight) > 0
         network.set_link_state(("r0", 1), up=False)
         for _ in range(10):
             network.step()
-        assert network.frames_in_flight == 0
+        assert len(network._in_flight) == 0
         assert network.frames_lost_link_down > 0
 
     def test_down_link_counts_vanished_frames(self):

@@ -147,14 +147,15 @@ class TestRouterMode:
             Ipv6Address.parse("2001:db8::5")))
         machine.processor.reset()
         simulator = Simulator(machine.processor, program)
-        simulator.run_cycles(400)
+        for _ in range(400):
+            simulator.step()
         assert not machine.processor.nc.halted
         total = sum(len(c.transmitted) for c in machine.line_cards)
         assert total == 1
 
     def test_datagram_delivered_mid_run_is_admitted(self, routes20):
         # the interpreter must not assume the line cards stay drained:
-        # traffic offered between run_cycles calls is picked up
+        # traffic offered between steps is picked up
         from repro.tta.simulator import Simulator
         config = ArchitectureConfiguration(bus_count=1, table_kind="cam")
         machine = build_machine(config)
@@ -162,10 +163,12 @@ class TestRouterMode:
         program = build_forwarding_program(machine, mode=MODE_ROUTER)
         machine.processor.reset()
         simulator = Simulator(machine.processor, program)
-        simulator.run_cycles(200)
+        for _ in range(200):
+            simulator.step()
         for sent in (1, 2):
             machine.offered_load(0, build_datagram(
                 Ipv6Address.parse("2001:db8::5")))
-            simulator.run_cycles(400)
+            for _ in range(400):
+                simulator.step()
             total = sum(len(c.transmitted) for c in machine.line_cards)
             assert total == sent

@@ -61,15 +61,12 @@ class TestFormatting:
         a = Ipv6Address.parse("2001:0:2:3:4:5:6:7")
         assert a.compressed() == "2001:0:2:3:4:5:6:7"
 
-    def test_exploded(self):
-        assert Ipv6Address.parse("::1").exploded() == \
-            "0000:0000:0000:0000:0000:0000:0000:0001"
-
     @given(addresses)
     def test_round_trip(self, value):
         a = Ipv6Address(value)
         assert Ipv6Address.parse(a.compressed()) == a
-        assert Ipv6Address.parse(a.exploded()) == a
+        assert Ipv6Address.parse(
+            ":".join(f"{g:04x}" for g in a.groups())) == a
 
 
 class TestViews:
@@ -114,10 +111,6 @@ class TestClassification:
         assert Ipv6Address.parse("febf::1").is_link_local()
         assert not Ipv6Address.parse("fec0::1").is_link_local()
 
-    def test_global_unicast(self):
-        assert Ipv6Address.parse("2001:db8::1").is_global_unicast()
-        assert not Ipv6Address.parse("ff02::1").is_global_unicast()
-
 
 class TestPrefix:
     def test_parse(self):
@@ -141,17 +134,6 @@ class TestPrefix:
     def test_default_contains_everything(self):
         p = Ipv6Prefix.parse("::/0")
         assert p.contains(Ipv6Address.parse("ffff:ffff::1"))
-
-    def test_overlaps_nested(self):
-        outer = Ipv6Prefix.parse("2001::/16")
-        inner = Ipv6Prefix.parse("2001:db8::/32")
-        assert outer.overlaps(inner)
-        assert inner.overlaps(outer)
-
-    def test_disjoint(self):
-        a = Ipv6Prefix.parse("2001:db8::/32")
-        b = Ipv6Prefix.parse("2002::/16")
-        assert not a.overlaps(b)
 
     def test_mask_words(self):
         p = Ipv6Prefix.parse("2001:db8::/48")

@@ -17,7 +17,6 @@ from repro.ipv6.header import (
 from repro.ipv6.packet import (
     Ipv6Datagram,
     ValidationFailure,
-    extension_header_chain,
     validate_for_forwarding,
 )
 
@@ -118,7 +117,8 @@ class TestDatagram:
                ExtensionHeader.padded(PROTO_DESTINATION_OPTIONS, 0)]
         d = Ipv6Datagram.build(SRC, DST, PROTO_UDP, b"x" * 4,
                                extension_headers=ext)
-        assert extension_header_chain(d) == [
+        assert [d.header.next_header] + [
+            e.next_header for e in d.extension_headers] == [
             PROTO_HOP_BY_HOP, PROTO_DESTINATION_OPTIONS, PROTO_UDP]
         parsed = Ipv6Datagram.from_bytes(d.to_bytes())
         assert parsed.upper_layer_protocol == PROTO_UDP

@@ -8,11 +8,9 @@ from repro.ipv6.address import Ipv6Address
 from repro.ipv6.icmpv6 import (
     MAX_ERROR_MESSAGE_BYTES,
     TYPE_DESTINATION_UNREACHABLE,
-    TYPE_ECHO_REPLY,
     TYPE_TIME_EXCEEDED,
     Icmpv6Message,
     destination_unreachable,
-    echo_reply_for,
     echo_request,
     time_exceeded,
 )
@@ -89,7 +87,6 @@ class TestIcmpv6:
         invoking = b"\x60" + b"\x01" * 60
         message = time_exceeded(invoking)
         assert message.type == TYPE_TIME_EXCEEDED
-        assert message.is_error()
         assert invoking in message.body
 
     def test_error_respects_minimum_mtu(self):
@@ -98,17 +95,6 @@ class TestIcmpv6:
         assert message.type == TYPE_DESTINATION_UNREACHABLE
         wire_size = len(message.to_bytes(SRC, DST)) + 40
         assert wire_size <= MAX_ERROR_MESSAGE_BYTES
-
-    def test_echo_pair(self):
-        request = echo_request(identifier=7, sequence=1, data=b"abc")
-        reply = echo_reply_for(request)
-        assert reply.type == TYPE_ECHO_REPLY
-        assert reply.body == request.body
-        assert not reply.is_error()
-
-    def test_echo_reply_requires_request(self):
-        with pytest.raises(Ipv6Error):
-            echo_reply_for(Icmpv6Message(type=1, code=0))
 
     def test_field_validation(self):
         with pytest.raises(Ipv6Error):

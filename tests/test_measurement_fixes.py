@@ -1,19 +1,14 @@
 """Regression tests for the measurement-correctness bugfix sweep.
 
-Each class pins one fixed reporting bug: invisible idle FUs in the
-utilisation table, lossy ``SimulationReport.merge``, silently truncated
-execution traces, and broken ``move_hook`` chaining claims. (The
+Each class pins one fixed reporting bug: lossy
+``SimulationReport.merge``, silently truncated execution traces, and
+broken ``move_hook`` chaining claims. (The
 journal-corruption fix is pinned in ``test_campaign.py``.)
 """
 
 import pytest
 
 from repro.asm import ProgramBuilder, assemble
-from repro.reporting import (
-    idle_units,
-    module_utilization,
-    render_utilization,
-)
 from repro.tta import (
     DataMemory,
     Guard,
@@ -47,44 +42,6 @@ def build_loop_ir():
     b.jump("loop", guard=Guard("cnt0", negate=True))
     b.halt()
     return b.build()
-
-
-def report_with(triggers, cycles=10, buses=2):
-    report = SimulationReport(bus_busy_cycles=[0] * buses)
-    report.cycles = cycles
-    report.fu_triggers = dict(triggers)
-    return report
-
-
-class TestModuleUtilizationSeedsIdleUnits:
-    def test_never_triggered_fu_appears_at_zero(self):
-        processor = make_processor()
-        report = report_with({"cnt0": 5})
-        rows = dict(module_utilization(report, processor))
-        # cmp0 and gpr never fired, yet the designer must see them: an
-        # idle unit is exactly the signal for removing it
-        assert rows["cnt0"] == 0.5
-        assert rows["cmp0"] == 0.0
-        assert rows["gpr"] == 0.0
-
-    def test_report_only_names_still_filtered_to_the_processor(self):
-        processor = make_processor()
-        report = report_with({"cnt0": 5, "ghost9": 3})
-        names = [name for name, _ in module_utilization(report, processor)]
-        assert "ghost9" not in names
-        # without a processor there is nothing to filter (or seed) by
-        assert "ghost9" in dict(module_utilization(report))
-
-    def test_nc_stays_excluded(self):
-        processor = make_processor()
-        report = report_with({"nc": 7})
-        assert "nc" not in dict(module_utilization(report, processor))
-
-    def test_render_and_idle_units_show_the_idle_fu(self):
-        processor = make_processor()
-        report = report_with({"cnt0": 8})
-        assert "cmp0" in render_utilization(report, processor)
-        assert "cmp0" in idle_units(report, processor)
 
 
 class TestReportMergePreservesState:

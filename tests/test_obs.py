@@ -54,7 +54,7 @@ class TestInstruments:
         depth = registry.gauge("depth")
         depth.set(5)
         depth.inc(2)
-        depth.dec(3)
+        depth.inc(-3)
         assert depth.value() == 4
 
     def test_histogram_buckets_sum_count_mean(self, registry):

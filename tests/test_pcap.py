@@ -15,7 +15,6 @@ from repro.pcap import (
     percentile,
     read_pcap,
     replay,
-    replay_file,
     to_pcap_bytes,
     write_pcap,
 )
@@ -114,7 +113,7 @@ class TestLinkTap:
 
         path = tmp_path / "convergence.pcap"
         write_pcap(str(path), capture)
-        report = replay_file(str(path), table_kind="cam")
+        report = replay(read_pcap(str(path)), table_kind="cam")
         assert report.packets == len(capture)
         # every replayed packet is accounted for by the fixture router
         assert (report.forwarded + report.delivered_local

@@ -186,16 +186,6 @@ def test_rebuild_restores_full_service(kind):
     assert table.degraded_lookups == before_degraded
 
 
-def test_protection_stats_shape():
-    table = build("bloom", "parity")
-    stats = table.protection_stats()
-    assert stats["protection"] == "parity"
-    assert stats["journal_routes"] == len(ROUTES)
-    for key in ("detected_corruptions", "degraded_lookups",
-                "quarantined_routes", "rebuilds"):
-        assert stats[key] == 0
-
-
 # -- per-route words track the journal ----------------------------------------------
 
 #: routes the invariant test draws from: each prefix twice, with two images
@@ -327,7 +317,9 @@ def table_state(table):
              for site in table.memory_sites()},
             dict(table._journal), dict(table._route_words),
             dict(table._site_records), table._scrub_armed,
-            table.protection_stats())
+            table.protection, table.detected_corruptions,
+            table.degraded_lookups, table.quarantined_routes,
+            table.rebuilds)
 
 
 @pytest.mark.parametrize("protection", PROTECTION_MODES)

@@ -1,53 +1,12 @@
-"""Module-utilisation reports and the new address/boot features."""
+"""IPv4-mapped addresses and the RIPng boot request."""
 
 import pytest
 
-from repro.dse.config import ArchitectureConfiguration
 from repro.errors import Ipv6Error
 from repro.ipv6.address import Ipv6Address
 from repro.ipv6.ripng import COMMAND_REQUEST, RipngMessage, is_full_table_request
-from repro.programs import run_forwarding
-from repro.reporting import (
-    idle_units,
-    module_utilization,
-    render_utilization,
-    saturated_units,
-)
 from repro.router.ripng_engine import RipngEngine
 from repro.routing import make_table
-
-
-class TestModuleUtilization:
-    @pytest.fixture(scope="class")
-    def run(self, routes100, worst_packets):
-        config = ArchitectureConfiguration(bus_count=3,
-                                           table_kind="sequential")
-        return run_forwarding(config, routes100, worst_packets)
-
-    def test_busy_units_ranked_first(self, run):
-        rows = module_utilization(run.report, run.machine.processor)
-        names = [name for name, _ in rows]
-        # the scan hammers the memory port, counter and matcher
-        assert names.index("mmu0") < names.index("cks0")
-        utilisations = dict(rows)
-        assert utilisations["mmu0"] > 0.3
-        assert utilisations["cks0"] == 0.0
-
-    def test_saturated_and_idle(self, run):
-        saturated = saturated_units(run.report, threshold=0.3)
-        assert "mmu0" in saturated
-        idle = idle_units(run.report, run.machine.processor)
-        assert "cks0" in idle  # checksum never used on the fast path
-        assert "mmu0" not in idle
-
-    def test_render(self, run):
-        text = render_utilization(run.report, run.machine.processor)
-        assert "mmu0" in text
-        assert "transport network" in text
-
-    def test_nc_excluded(self, run):
-        assert all(name != "nc" for name, _ in
-                   module_utilization(run.report))
 
 
 class TestIpv4MappedAddresses:

@@ -13,6 +13,7 @@ from repro.routing import (
     BloomRoutingTable,
     CamRoutingTable,
     MultibitTrieRoutingTable,
+    ProtectedRoutingTable,
     SequentialRoutingTable,
     TABLE_KINDS,
     make_table,
@@ -343,7 +344,7 @@ class TestCam:
         table.insert(entry("::/0", 0))
         table.insert(entry("2001:db8::/32", 1))
         table.insert(entry("2001::/16", 2))
-        lengths = [p.length for p in table.priority_order()]
+        lengths = [line.entry.prefix.length for line in table._lines]
         assert lengths == sorted(lengths, reverse=True)
 
     def test_physical_model_power_scales(self):
@@ -565,10 +566,25 @@ class TestMultibitTrie:
             == 10  # ceil(128/13)
 
     def test_bad_stride_rejected(self):
-        with pytest.raises(RoutingTableError):
-            MultibitTrieRoutingTable(stride=0)
-        with pytest.raises(RoutingTableError):
-            MultibitTrieRoutingTable(stride=33)
+        for stride in (0, 17, 32, 33):
+            with pytest.raises(RoutingTableError):
+                MultibitTrieRoutingTable(stride=stride)
+
+    def test_widest_stride_checkpoints_both_memory_sites(self):
+        """Stride 16 fills the 2-byte chunk keys of the memory image."""
+        routes = synthesize_fib(200, seed=37)
+        table = ProtectedRoutingTable(
+            MultibitTrieRoutingTable(capacity=len(routes), stride=16))
+        table.load(routes)
+        table.checkpoint()
+        records = {site: table.memory_records(site)
+                   for site in table.memory_sites()}
+        assert set(records) == {"trie-node", "trie-slot"}
+        assert all(records.values())
+        assert table.verify_integrity() == []
+        twin = table.replica()
+        assert {site: twin.memory_records(site)
+                for site in twin.memory_sites()} == records
 
     @pytest.mark.parametrize("stride", (4, 7, 8, 13))
     def test_non_stride_aligned_lengths(self, stride):
@@ -611,7 +627,7 @@ class TestMultibitTrie:
         rebuilt = MultibitTrieRoutingTable(capacity=len(routes))
         for route in trie:
             rebuilt.insert(route)
-        assert trie.node_count() == rebuilt.node_count()
+        assert trie._node_count == rebuilt._node_count
         assert trie.slot_count() == rebuilt.slot_count()
 
     def test_memory_grows_with_occupancy(self):
@@ -620,7 +636,14 @@ class TestMultibitTrie:
         small.load(synthesize_fib(100, seed=67))
         big.load(synthesize_fib(5_000, seed=67))
         assert big.table_memory_bytes() > small.table_memory_bytes()
-        assert big.node_count() > small.node_count()
+        assert big._node_count > small._node_count
+
+
+def filter_info(table):
+    """length -> (entries, filter slots, set counters) of a Bloom table."""
+    return {length: (len(cls.entries), cls.slots,
+                     sum(1 for c in cls.counters if c))
+            for length, cls in table._classes.items()}
 
 
 class TestBloom:
@@ -631,7 +654,7 @@ class TestBloom:
         a.load(routes)
         for route in routes:
             b.insert(route)
-        assert a.filter_info() == b.filter_info()
+        assert filter_info(a) == filter_info(b)
         probes = zipf_addresses(routes, 100, seed=73)
         for probe in probes:
             ra, rb = a.lookup(probe), b.lookup(probe)
@@ -642,7 +665,7 @@ class TestBloom:
         table.insert(entry("2001:db8::/32", 1))
         table.insert(entry("2001:db8:1::/48", 2))
         table.remove(Ipv6Prefix.parse("2001:db8:1::/48"))
-        info = table.filter_info()
+        info = filter_info(table)
         assert 48 not in info  # empty length class dropped entirely
         assert info[32][0] == 1
         table.check_invariants()

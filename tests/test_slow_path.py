@@ -109,12 +109,12 @@ class TestSlowPathLearning:
         assert len(machine.line_cards[0].transmitted) == 1
 
     def test_slots_are_released_after_punt_processing(self, machine):
-        free_before = machine.slots.free_count()
+        free_before = len(machine.slots._free)
         machine.offered_load(2, ripng_announcement())
         drain(machine)
-        assert machine.slots.free_count() == free_before - 1
+        assert len(machine.slots._free) == free_before - 1
         machine.process_punted()
-        assert machine.slots.free_count() == free_before
+        assert len(machine.slots._free) == free_before
 
     def test_non_ripng_multicast_is_consumed_harmlessly(self, machine):
         raw = build_datagram(Ipv6Address.parse("ff02::1"))

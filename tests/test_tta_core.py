@@ -90,8 +90,7 @@ class TestInstruction:
             Instruction(moves=(move, Move(I(1), P("cnt0", "o"))))
 
     def test_nop(self):
-        assert nop(3).is_nop()
-        assert nop(3).used_slots() == 0
+        assert nop(3).moves == (None, None, None)
 
 
 class TestExecutionSemantics:
@@ -335,7 +334,8 @@ class TestEagerCompletion:
             Instruction.of([Move(I(4), P("cnt0", "t_add"))], 2),  # cycle 1
             Instruction.of([Move(P("cnt0", "r"), P("gpr", "r0"))], 2),
         ])
-        sim.run_cycles(2)
+        sim.step()
+        sim.step()
         counter = processor.fu("cnt0")
         result = counter.ports["r"]
         # the trigger cycle + 1, as a next-cycle commit would set it
@@ -401,7 +401,7 @@ class TestEagerCompletion:
             Instruction.of([Move(I(0), P("tick0", "t"))], 2),
             Instruction.of([Move(I(1), P("gpr", "r0"), Guard("tick0"))], 2),
         ])
-        sim.run_cycles(1)
+        sim.step()
         assert processor.fu("tick0")._pending
         sim.run()
         assert processor.fu("gpr").ports["r0"].value == 1
@@ -534,7 +534,9 @@ class TestReportMaintenance:
         processor = make_processor()
         sim = self.simulator(processor)
         for k in (1, 2, 1):
-            report = sim.run_cycles(k)
+            for _ in range(k):
+                sim.step()
+            report = sim.report
             # every FU in processor order, untriggered ones at zero
             assert list(report.fu_triggers.items()) == self.counts(processor)
         assert report.fu_triggers["cnt0"] == 2
@@ -618,7 +620,9 @@ def _grid_run(config, drive):
 
 def _stepped(sim):
     for _ in range(100_000):
-        if sim.run_cycles(1).halted:
+        sim.step()
+        if sim.processor.nc.halted:
+            sim.run()  # marks the report halted; runs no cycle
             return
     raise AssertionError("stepped run did not halt")
 
@@ -629,8 +633,8 @@ def _hooked(sim):
 
 
 class TestOneCycleLoop:
-    """``run``, ``run_cycles`` and ``step`` drive one loop body, with or
-    without a hook."""
+    """``run`` and ``step`` drive one loop body, with or without a
+    hook."""
 
     @pytest.mark.parametrize(
         "config", table1_grid((13, 7)),
@@ -723,7 +727,7 @@ class TestQueuedUnits:
         first = Simulator(processor, ProgramMemory([
             Instruction.of([Move(I(4), P("slow0", "t"))], 2),
             Instruction.of([Move(I(0), P("nc", "halt"))], 2)]))
-        first.run_cycles(1)
+        first.step()
         assert processor.queued_units == {"slow0"}
         # the second one starts at pc 1 and counts cycles from 0, so it
         # reads in its cycle 3, when the completion matures
@@ -754,7 +758,8 @@ class TestQueuedUnits:
             Instruction.of([Move(I(8), P("mix0", "t_fast"))], 2),
             Instruction.of([], 2),
             Instruction.of([Move(I(0), P("nc", "halt"))], 2)]))
-        sim.run_cycles(3)  # cycle 2 committed the fast completion only
+        for _ in range(3):  # cycle 2 committed the fast completion only
+            sim.step()
         assert processor.queued_units == {"mix0"}
         sim.run()
         assert processor.fu("mix0").ports["r"].value == 5

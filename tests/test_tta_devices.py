@@ -100,7 +100,7 @@ class TestIppuOppu:
         assert ippu.result_bit
         ippu.tick(1)
         assert ippu.pending() == 2
-        assert pool.free_count() == 6
+        assert len(pool._free) == 6
 
     def test_ippu_pop_exposes_pointer_and_interface(self):
         _, cards, pool, ippu, _ = self.make()
@@ -141,7 +141,7 @@ class TestIppuOppu:
         oppu.write("t_send", 1, 3)
         oppu.tick(3)
         assert cards[1].transmitted == [b"PKT"]
-        assert pool.free_count() == 8
+        assert len(pool._free) == 8
         assert oppu.datagrams_sent == 1
 
     def test_oppu_drop_releases_without_sending(self):
@@ -155,7 +155,7 @@ class TestIppuOppu:
         oppu.tick(3)
         assert cards[0].transmitted == []
         assert cards[1].transmitted == []
-        assert pool.free_count() == 8
+        assert len(pool._free) == 8
 
     def test_oppu_bad_interface_rejected(self):
         _, _, _, _, oppu = self.make()
@@ -197,7 +197,7 @@ class TestRtuMaterialisation:
                 return
             assert index not in seen
             seen.add(index)
-            address = rtu.entry_address(index)
+            address = rtu.base_word + index * ENTRY_STRIDE_WORDS
             walk(memory.load(address + OFF_LEFT))
             walk(memory.load(address + OFF_RIGHT))
 
@@ -205,11 +205,11 @@ class TestRtuMaterialisation:
         assert len(seen) == len(table)
         # enclosing links point at strictly shorter prefixes
         for index in seen:
-            address = rtu.entry_address(index)
+            address = rtu.base_word + index * ENTRY_STRIDE_WORDS
             enclosing = memory.load(address + OFF_ENCLOSING)
             if enclosing != NIL_INDEX:
-                assert memory.load(rtu.entry_address(enclosing) + 9) < \
-                    memory.load(address + 9)
+                outer = rtu.base_word + enclosing * ENTRY_STRIDE_WORDS
+                assert memory.load(outer + 9) < memory.load(address + 9)
 
     def test_cam_search_via_trigger(self):
         memory = DataMemory(1 << 16)
