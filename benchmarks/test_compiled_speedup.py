@@ -33,7 +33,7 @@ import pytest
 
 from repro.dse.config import TABLE_KINDS, paper_configurations
 from repro.obs import get_registry
-from repro.programs.forwarding import MODE_BENCH, build_forwarding_program
+from repro.programs.forwarding import build_forwarding_program
 from repro.programs.machine import build_machine
 from repro.tta.backends import create_simulator
 from repro.workload import generate_routes, worst_case_workload
@@ -85,7 +85,7 @@ def test_compiled_speedup_over_table1_grid():
         machine = build_machine(config,
                                 table_capacity=max(len(routes), 100))
         machine.load_routes(routes)
-        program = build_forwarding_program(machine, mode=MODE_BENCH)
+        program = build_forwarding_program(machine)
         # warm the codegen/code-object cache for this machine shape
         _timed_run(machine, program, packets, "compiled")
         interp = _best_rate(machine, program, packets, "interpreter")

@@ -204,7 +204,7 @@ def expected_verdict(dest_class: str,
     return EXPECT_FORWARD, interface
 
 
-def build_matrix(include_mac: bool = True) -> List[ConformanceCase]:
+def build_matrix() -> List[ConformanceCase]:
     """The full cross product, plus the link-layer my-station cases."""
     cases: List[ConformanceCase] = []
     for kind in PACKET_KINDS:
@@ -219,16 +219,15 @@ def build_matrix(include_mac: bool = True) -> List[ConformanceCase]:
                     hop_limit=hop_limit, destination=destination,
                     expectation=expectation,
                     expected_interface=interface))
-    if include_mac:
-        destination, interface = DESTINATIONS["lpm"]
-        cases.append(ConformanceCase(
-            case_id="mac/not-my-station",
-            packet_kind="udpv6", dest_class="lpm", hop_limit=64,
-            destination=destination, expectation=EXPECT_LINK_DROP,
-            requires_mac=True, mac_addressing="wrong"))
-        cases.append(ConformanceCase(
-            case_id="mac/bad-ethertype",
-            packet_kind="udpv6", dest_class="lpm", hop_limit=64,
-            destination=destination, expectation=EXPECT_LINK_DROP,
-            requires_mac=True, mac_addressing="bad-ethertype"))
+    destination, interface = DESTINATIONS["lpm"]
+    cases.append(ConformanceCase(
+        case_id="mac/not-my-station",
+        packet_kind="udpv6", dest_class="lpm", hop_limit=64,
+        destination=destination, expectation=EXPECT_LINK_DROP,
+        requires_mac=True, mac_addressing="wrong"))
+    cases.append(ConformanceCase(
+        case_id="mac/bad-ethertype",
+        packet_kind="udpv6", dest_class="lpm", hop_limit=64,
+        destination=destination, expectation=EXPECT_LINK_DROP,
+        requires_mac=True, mac_addressing="bad-ethertype"))
     return cases

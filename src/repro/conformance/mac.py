@@ -92,6 +92,10 @@ def default_port_macs(count: int) -> List[MacAddress]:
             for index in range(count)]
 
 
+#: the sending host's MAC on every ingress frame
+_HOST_MAC = MacAddress.parse("02:aa:aa:aa:aa:01")
+
+
 class MacShim:
     """The link layer a conformance run wraps around one router.
 
@@ -136,12 +140,11 @@ class MacShim:
         self.router.receive(interface, frame.payload, now=now)
         return True
 
-    def frame_for(self, interface: int, datagram: bytes,
-                  source_mac: Optional[MacAddress] = None) -> bytes:
+    def frame_for(self, interface: int, datagram: bytes) -> bytes:
         """Wrap *datagram* as a host would send it to this router port."""
         return EthernetFrame(
             destination=self.port_macs[interface],
-            source=source_mac or MacAddress.parse("02:aa:aa:aa:aa:01"),
+            source=_HOST_MAC,
             ethertype=ETHERTYPE_IPV6, payload=datagram).to_bytes()
 
     def _my_station(self, interface: int, destination: MacAddress) -> bool:

@@ -15,10 +15,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro.errors import ConformanceError
-from repro.programs.forwarding import (
-    MODE_BENCH,
-    ForwardingProgramFactory,
-)
+from repro.programs.forwarding import ForwardingProgramFactory
 from repro.programs.machine import RouterMachine
 from repro.router.router import Ipv6Router
 from repro.tta.memory import ProgramMemory
@@ -103,7 +100,7 @@ class _NoDecrementProgramFactory(ForwardingProgramFactory):
 def no_decrement_program(machine: RouterMachine) -> ProgramMemory:
     """``program_factory`` for :func:`repro.programs.runner.run_forwarding`
     that plants the no-decrement bug at the TTA level."""
-    return _NoDecrementProgramFactory(machine, mode=MODE_BENCH).assemble()
+    return _NoDecrementProgramFactory(machine).assemble()
 
 
 #: name -> program factory for the datapath cross-check

@@ -36,10 +36,6 @@ class AssemblyError(ReproError):
     """Errors while parsing, scheduling, or encoding TACO assembly."""
 
 
-class ProgramError(TtaError):
-    """A generated TACO program misbehaved during simulation."""
-
-
 class EstimationError(ReproError):
     """Physical estimation was asked for an unsupported operating point."""
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 from repro.asm.assembler import assemble
 from repro.asm.ir import IrProgram, ProgramBuilder
 from repro.dse.config import HARDWARE_SEARCH_KINDS
-from repro.errors import ProgramError
 from repro.programs.machine import RouterMachine
 from repro.tta.fus.rtu import (
     NIL_INDEX,
@@ -62,9 +61,6 @@ from repro.tta.ports import Guard, PortRef
 
 P = PortRef
 
-MODE_BENCH = "bench"
-MODE_ROUTER = "router"
-
 _STRAND_ADDR = ["r7", "r12", "r13"]
 _STRAND_SCRATCH = ["r8", "r9", "r14"]
 
@@ -72,12 +68,9 @@ _STRAND_SCRATCH = ["r8", "r9", "r14"]
 class ForwardingProgramFactory:
     """Generates the per-configuration forwarding program."""
 
-    def __init__(self, machine: RouterMachine, mode: str = MODE_BENCH):
-        if mode not in (MODE_BENCH, MODE_ROUTER):
-            raise ProgramError(f"unknown mode {mode!r}")
+    def __init__(self, machine: RouterMachine):
         self.machine = machine
         self.config = machine.config
-        self.mode = mode
         self.strands = (self.config.search_fu_sets
                         if self.config.table_kind not in HARDWARE_SEARCH_KINDS
                         else 1)
@@ -114,19 +107,16 @@ class ForwardingProgramFactory:
 
     def _emit_wait(self, b: ProgramBuilder) -> None:
         # Boot: spin until the ippu DMA admits the first datagram. Without
-        # this, benchmark mode would halt in the cycle or two before the
+        # this, the program would halt in the cycle or two before the
         # autonomous input engine raises its pending signal.
         b.block("boot")
         b.jump("boot", guard=Guard("ippu0", negate=True))
         b.block("wait")
         b.jump("got", guard=Guard("ippu0"))
-        if self.mode == MODE_ROUTER:
-            b.jump("wait")
-        else:
-            # Input drained. The ippu admits one datagram per cycle while
-            # forwarding takes tens of cycles, so an empty queue here means
-            # the whole offered batch has been processed.
-            b.halt()
+        # Input drained. The ippu admits one datagram per cycle while
+        # forwarding takes tens of cycles, so an empty queue here means
+        # the whole offered batch has been processed.
+        b.halt()
 
     def _emit_receive(self, b: ProgramBuilder) -> None:
         b.block("got")
@@ -511,7 +501,6 @@ class ForwardingProgramFactory:
         b.jump("tree_chain")
 
 
-def build_forwarding_program(machine: RouterMachine,
-                             mode: str = MODE_BENCH) -> ProgramMemory:
+def build_forwarding_program(machine: RouterMachine) -> ProgramMemory:
     """Generate and assemble the forwarding program for *machine*."""
-    return ForwardingProgramFactory(machine, mode=mode).assemble()
+    return ForwardingProgramFactory(machine).assemble()

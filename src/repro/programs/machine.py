@@ -54,7 +54,7 @@ class RouterMachine:
     slots: SlotPool
     memory: DataMemory
 
-    ripng: Optional["RipngEngine"] = None
+    control: Optional["ControlPlane"] = None
 
     def load_routes(self, entries: Sequence[RouteEntry]) -> None:
         self.table.load(list(entries))
@@ -74,30 +74,25 @@ class RouterMachine:
 
         The TACO fast path punts multicast-destined datagrams (RIPng
         arrives on ff02::9) via the oppu; :meth:`process_punted` feeds
-        them to this engine and re-materialises the RTU image after any
-        table change — the paper's "builds and maintains its routing
-        table" duty.
+        them to the same control plane a software router runs and
+        re-materialises the RTU image after any table change — the
+        paper's "builds and maintains its routing table" duty.
         """
         from repro.router.ripng_engine import RipngEngine
-        self.ripng = RipngEngine(
-            router_name="taco", table=self.table,
-            interface_count=len(self.line_cards))
-        self.interface_addresses = list(interface_addresses)
-        return self.ripng
+        from repro.router.router import ControlPlane
+        engine = RipngEngine(router_name="taco", table=self.table,
+                             interface_count=len(self.line_cards))
+        self.control = ControlPlane("taco", interface_addresses,
+                                    self.line_cards, engine)
+        return engine
 
     def process_punted(self, now: float = 0.0) -> int:
         """Drain the oppu punt queue through the control plane.
 
         Returns the number of datagrams processed. Slots are released and
-        the RTU memory image refreshed when the table changed.
+        the RTU memory image refreshed when the table changed. RIPng
+        replies leave on the line card the request came in on.
         """
-        from repro.ipv6.address import Ipv6Address as _Addr
-        from repro.ipv6.header import PROTO_UDP as _UDP
-        from repro.ipv6.packet import Ipv6Datagram as _Datagram
-        from repro.ipv6.ripng import RIPNG_PORT as _PORT
-        from repro.ipv6.udp import UdpDatagram as _Udp
-        from repro.errors import Ipv6Error as _Error
-
         processed = 0
         table_before = len(self.table), self.table.stats.total_update_steps
         while self.oppu.punted:
@@ -106,21 +101,8 @@ class RouterMachine:
             raw = self.slots.load_datagram(pointer)
             self.slots.release(pointer)
             processed += 1
-            if self.ripng is None:
-                continue
-            try:
-                datagram = _Datagram.from_bytes(raw)
-                if datagram.upper_layer_protocol != _UDP:
-                    continue
-                udp = _Udp.from_bytes(datagram.payload,
-                                      datagram.header.source,
-                                      datagram.header.destination)
-            except _Error:
-                continue
-            if udp.destination_port != _PORT:
-                continue
-            self.ripng.receive(udp.payload, sender=datagram.header.source,
-                               interface=interface, now=now)
+            if self.control is not None:
+                self.control.deliver_local(interface, raw, now)
         table_after = len(self.table), self.table.stats.total_update_steps
         if processed and table_after != table_before:
             self.rtu.refresh()

@@ -16,7 +16,7 @@ from repro.dse.config import ArchitectureConfiguration
 from repro.errors import SimulationError
 from repro.ipv6.address import Ipv6Address
 from repro.ipv6.packet import validate_for_forwarding
-from repro.programs.forwarding import MODE_BENCH, build_forwarding_program
+from repro.programs.forwarding import build_forwarding_program
 from repro.programs.machine import RouterMachine, build_machine
 from repro.routing import make_table
 from repro.routing.entry import RouteEntry
@@ -144,7 +144,7 @@ def run_forwarding(config: ArchitectureConfiguration,
     machine.load_routes(routes)
     program = options.program_factory(machine) \
         if options.program_factory is not None \
-        else build_forwarding_program(machine, mode=MODE_BENCH)
+        else build_forwarding_program(machine)
 
     for iface, raw in packets:
         if not machine.offered_load(iface, raw):

@@ -3,8 +3,8 @@
 The paper's router "builds up the Routing Table by listening for specific
 datagrams broadcasted by the adjacent routers ... At regular intervals,
 the routing table information is broadcasted to the adjacent routers"
-(§3). This engine implements that: periodic full updates with split
-horizon (poisoned reverse optional), triggered updates on metric change,
+(§3). This engine implements that: periodic full updates with simple
+split horizon, triggered updates on metric change,
 route timeout and garbage collection on RFC 2080's fixed timers (30 s
 updates, 180 s timeout, 120 s garbage collection), and the
 request/response protocol.
@@ -68,13 +68,12 @@ class RipngEngine:
     """The distance-vector state machine of one router."""
 
     def __init__(self, router_name: str, table: RoutingTable,
-                 interface_count: int, poisoned_reverse: bool = False):
+                 interface_count: int):
         if interface_count < 1:
             raise RipngError("need at least one interface")
         self.router_name = router_name
         self.table = table
         self.interface_count = interface_count
-        self.poisoned_reverse = poisoned_reverse
         self.routes: Dict[Ipv6Prefix, RipngRoute] = {}
         self._next_update_at = 0.0
         self._pending_triggered = False
@@ -335,14 +334,11 @@ class RipngEngine:
         for route in self.routes.values():
             if changed_only and not route.changed:
                 continue
-            metric = route.metric
             if route.learned_from is not None and \
                     route.interface == interface:
-                if not self.poisoned_reverse:
-                    continue  # simple split horizon: omit
-                metric = METRIC_INFINITY  # poisoned reverse: advertise ∞
+                continue  # split horizon: omit
             entries.append(RouteTableEntry(
-                prefix=route.prefix, metric=min(metric, METRIC_INFINITY),
+                prefix=route.prefix, metric=min(route.metric, METRIC_INFINITY),
                 route_tag=route.route_tag))
         return entries
 

@@ -65,114 +65,27 @@ class RouterStatistics:
             self.control_rejected.get(reason, 0) + count
 
 
-class Ipv6Router:
-    """A complete software IPv6 router with a pluggable routing table."""
+class ControlPlane:
+    """The slow path of one router: local delivery and RIPng ingress.
+
+    :class:`Ipv6Router` runs it behind its data plane, and the TACO
+    machine runs every datagram its fast path punts through it
+    (:meth:`repro.programs.machine.RouterMachine.process_punted`), so
+    both refuse their own looped-back updates, answer requests on the
+    ingress interface and count rejections the same way.
+    """
 
     def __init__(self, name: str, interface_addresses: Sequence[Ipv6Address],
-                 table: Optional[RoutingTable] = None,
-                 table_kind: str = "balanced-tree",
-                 table_capacity: int = 100,
-                 enable_ripng: bool = True):
-        if not interface_addresses:
-            raise ReproError("router needs at least one interface")
+                 line_cards: List[LineCard], ripng: Optional[RipngEngine]):
         self.name = name
         self.interface_addresses = list(interface_addresses)
-        self.line_cards = [LineCard(i)
-                           for i in range(len(interface_addresses))]
-        self.table = table if table is not None else make_table(
-            table_kind, capacity=table_capacity)
+        self.line_cards = line_cards
+        self.ripng = ripng
         self.stats = RouterStatistics()
-        self.ripng: Optional[RipngEngine] = None
-        if enable_ripng:
-            self.ripng = RipngEngine(router_name=name, table=self.table,
-                                     interface_count=len(self.line_cards))
-            # interfaces are directly attached routes
-            for i, address in enumerate(self.interface_addresses):
-                self.ripng.add_connected(address, i)
 
-    def add_interface(self, address: Ipv6Address) -> int:
-        """Bring up one more interface at runtime; returns its index.
-
-        The new interface gets a line card and, when RIPng is enabled,
-        is announced as a directly attached route — exactly what
-        :meth:`__init__` does for the initial interfaces.
-        """
-        index = len(self.line_cards)
-        self.interface_addresses.append(address)
-        self.line_cards.append(LineCard(index))
-        if self.ripng is not None:
-            self.ripng.add_interface(address, index)
-        return index
-
-    # -- data plane -----------------------------------------------------------------
-
-    def receive(self, interface: int, raw: bytes,
-                now: float = 0.0) -> None:
-        """Process one datagram arriving on *interface*."""
-        self._check_interface(interface)
-        self.stats.received += 1
-        failure = validate_for_forwarding(raw)
-        if failure is ValidationFailure.HOP_LIMIT_EXCEEDED:
-            # hop limit only gates *forwarding* (RFC 2460 §8.2): a packet
-            # addressed to this router is still delivered locally below
-            if not self._is_local_delivery(raw):
-                self._icmp_error(interface, raw, kind="time-exceeded")
-                self.stats.drop(failure.value)
-                return
-        elif failure is not None and not self._is_local_delivery(raw):
-            self.stats.drop(failure.value)
-            return
-
-        destination = Ipv6Address.from_bytes(raw[24:40])
-        if self._addressed_to_router(destination):
-            self._deliver_local(interface, raw, now)
-            return
-        if destination.is_multicast():
-            self.stats.drop("multicast-scope")
-            return
-        if raw[6] == 0 and not self._hop_by_hop_permits(raw):
-            self.stats.drop("hop-by-hop-option")
-            return
-
-        result = self.table.lookup(destination)
-        if result is None:
-            self._icmp_error(interface, raw, kind="no-route")
-            self.stats.drop("no-route")
-            return
-        forwarded = raw[:7] + bytes([raw[7] - 1]) + raw[8:]
-        self.line_cards[result.interface].transmit(forwarded)
-        self.stats.forwarded += 1
-
-    def poll_inputs(self, now: float = 0.0) -> int:
-        """Drain every line card's pending input through :meth:`receive`.
-
-        No library error may escape the simulation loop: real silicon
-        counts a malformed datagram and moves on, so any
-        :class:`ReproError` a corrupted frame provokes past the targeted
-        validity checks is converted into a drop statistic here.
-        """
-        processed = 0
-        for card in self.line_cards:
-            while card.has_pending_input():
-                raw = card.pop_input()
-                assert raw is not None
-                try:
-                    self.receive(card.index, raw, now=now)
-                except ReproError:
-                    self.stats.drop("ingress-error")
-                processed += 1
-        return processed
-
-    # -- control plane -----------------------------------------------------------------
-
-    def tick(self, now: float) -> None:
-        """Advance RIPng timers; emits periodic/triggered updates."""
-        if self.ripng is None:
-            return
-        for interface, message in self.ripng.tick(now):
-            self._send_ripng(interface, message)
-
-    def _deliver_local(self, interface: int, raw: bytes, now: float) -> None:
+    def deliver_local(self, interface: int, raw: bytes, now: float) -> None:
+        """Consume one datagram the data plane handed up: RIPng goes to
+        the engine, anything else is counted as delivered."""
         try:
             datagram = Ipv6Datagram.from_bytes(raw)
         except Ipv6Error:
@@ -250,6 +163,110 @@ class Ipv6Router:
             payload=udp.to_bytes(source, destination),
             hop_limit=255)
         self.line_cards[interface].transmit(datagram.to_bytes())
+
+
+class Ipv6Router(ControlPlane):
+    """A complete software IPv6 router with a pluggable routing table."""
+
+    def __init__(self, name: str, interface_addresses: Sequence[Ipv6Address],
+                 table: Optional[RoutingTable] = None,
+                 table_kind: str = "balanced-tree",
+                 table_capacity: int = 100,
+                 enable_ripng: bool = True):
+        if not interface_addresses:
+            raise ReproError("router needs at least one interface")
+        line_cards = [LineCard(i) for i in range(len(interface_addresses))]
+        super().__init__(name, interface_addresses, line_cards, None)
+        self.table = table if table is not None else make_table(
+            table_kind, capacity=table_capacity)
+        if enable_ripng:
+            self.ripng = RipngEngine(router_name=name, table=self.table,
+                                     interface_count=len(self.line_cards))
+            # interfaces are directly attached routes
+            for i, address in enumerate(self.interface_addresses):
+                self.ripng.add_connected(address, i)
+
+    def add_interface(self, address: Ipv6Address) -> int:
+        """Bring up one more interface at runtime; returns its index.
+
+        The new interface gets a line card and, when RIPng is enabled,
+        is announced as a directly attached route — exactly what
+        :meth:`__init__` does for the initial interfaces.
+        """
+        index = len(self.line_cards)
+        self.interface_addresses.append(address)
+        self.line_cards.append(LineCard(index))
+        if self.ripng is not None:
+            self.ripng.add_interface(address, index)
+        return index
+
+    # -- data plane -----------------------------------------------------------------
+
+    def receive(self, interface: int, raw: bytes,
+                now: float = 0.0) -> None:
+        """Process one datagram arriving on *interface*."""
+        self._check_interface(interface)
+        self.stats.received += 1
+        failure = validate_for_forwarding(raw)
+        if failure is ValidationFailure.HOP_LIMIT_EXCEEDED:
+            # hop limit only gates *forwarding* (RFC 2460 §8.2): a packet
+            # addressed to this router is still delivered locally below
+            if not self._is_local_delivery(raw):
+                self._icmp_error(interface, raw, kind="time-exceeded")
+                self.stats.drop(failure.value)
+                return
+        elif failure is not None and not self._is_local_delivery(raw):
+            self.stats.drop(failure.value)
+            return
+
+        destination = Ipv6Address.from_bytes(raw[24:40])
+        if self._addressed_to_router(destination):
+            self.deliver_local(interface, raw, now)
+            return
+        if destination.is_multicast():
+            self.stats.drop("multicast-scope")
+            return
+        if raw[6] == 0 and not self._hop_by_hop_permits(raw):
+            self.stats.drop("hop-by-hop-option")
+            return
+
+        result = self.table.lookup(destination)
+        if result is None:
+            self._icmp_error(interface, raw, kind="no-route")
+            self.stats.drop("no-route")
+            return
+        forwarded = raw[:7] + bytes([raw[7] - 1]) + raw[8:]
+        self.line_cards[result.interface].transmit(forwarded)
+        self.stats.forwarded += 1
+
+    def poll_inputs(self, now: float = 0.0) -> int:
+        """Drain every line card's pending input through :meth:`receive`.
+
+        No library error may escape the simulation loop: real silicon
+        counts a malformed datagram and moves on, so any
+        :class:`ReproError` a corrupted frame provokes past the targeted
+        validity checks is converted into a drop statistic here.
+        """
+        processed = 0
+        for card in self.line_cards:
+            while card.has_pending_input():
+                raw = card.pop_input()
+                assert raw is not None
+                try:
+                    self.receive(card.index, raw, now=now)
+                except ReproError:
+                    self.stats.drop("ingress-error")
+                processed += 1
+        return processed
+
+    # -- control plane -----------------------------------------------------------------
+
+    def tick(self, now: float) -> None:
+        """Advance RIPng timers; emits periodic/triggered updates."""
+        if self.ripng is None:
+            return
+        for interface, message in self.ripng.tick(now):
+            self._send_ripng(interface, message)
 
     def _icmp_error(self, interface: int, raw: bytes, kind: str) -> None:
         """Best-effort ICMPv6 error back toward the offending source."""

@@ -10,8 +10,8 @@ Three implementations match the paper's §4 evaluation:
 Two more scale past the paper's 100-entry design point to
 million-prefix FIBs (see the CRAM-lens blueprint in PAPERS.md):
 
-* :class:`MultibitTrieRoutingTable` — stride-based leaf-pushed trie
-  (bounded ``ceil(128/stride)`` accesses regardless of size);
+* :class:`MultibitTrieRoutingTable` — leaf-pushed trie of 8-bit levels
+  (at most 16 accesses regardless of size);
 * :class:`BloomRoutingTable` — hash table per prefix length behind a
   parallel Bloom-filter bank (~1 expected memory access per lookup).
 """
@@ -46,7 +46,8 @@ TABLE_KINDS = {cls.kind: cls for cls in (
 
 def make_table(kind: str,
                capacity: int = base.DEFAULT_CAPACITY) -> base.RoutingTable:
-    """Factory over the implementations by their ``kind`` string."""
+    """Factory over the implementations by their ``kind`` string; every
+    table is built from its capacity alone."""
     try:
         cls = TABLE_KINDS[kind]
     except KeyError:

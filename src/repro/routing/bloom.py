@@ -22,7 +22,7 @@ Modelling choices
 * Hash functions are double-hashed from a keyed blake2b digest —
   deterministic across processes so campaign runs stay byte-identical.
 * Each length's filter is sized from that length's entry count
-  (``slots_per_entry`` counters each) and rebuilt on power-of-two
+  (:data:`SLOTS_PER_ENTRY` counters each) and rebuilt on power-of-two
   growth, keeping the false-positive rate roughly constant as the
   table grows.
 """
@@ -38,11 +38,11 @@ from repro.routing.base import DEFAULT_CAPACITY, RoutingTable
 from repro.routing.entry import RouteEntry
 from repro.routing.memimage import corrupt_entry, pack_entry
 
-DEFAULT_SLOTS_PER_ENTRY = 16
+SLOTS_PER_ENTRY = 16
 """Counting-filter slots per stored prefix (~1e-4 false-positive rate
 at 6 hash functions)."""
 
-DEFAULT_HASH_COUNT = 6
+HASH_COUNT = 6
 
 _MIN_FILTER_SLOTS = 64
 
@@ -77,14 +77,14 @@ class _LengthClass:
         self.slots = slots
         self.counters = bytearray(slots)
 
-    def filter_positive(self, value: int, hash_count: int) -> bool:
+    def filter_positive(self, value: int) -> bool:
         # probe i reads (h1 + i*h2) % slots; reducing h1 and h2 once and
         # stepping by addition visits the same counters
         h1, h2 = _hash_pair(self.tag, value)
         counters, slots = self.counters, self.slots
         index = h1 % slots
         step = h2 % slots
-        for _ in range(hash_count):
+        for _ in range(HASH_COUNT):
             if not counters[index]:
                 return False
             index += step
@@ -92,26 +92,26 @@ class _LengthClass:
                 index -= slots
         return True
 
-    def filter_add(self, value: int, hash_count: int) -> None:
+    def filter_add(self, value: int) -> None:
         h1, h2 = _hash_pair(self.tag, value)
         counters, slots = self.counters, self.slots
-        for i in range(hash_count):
+        for i in range(HASH_COUNT):
             index = (h1 + i * h2) % slots
             if counters[index] < 255:
                 counters[index] += 1
 
-    def filter_discard(self, value: int, hash_count: int) -> None:
+    def filter_discard(self, value: int) -> None:
         h1, h2 = _hash_pair(self.tag, value)
         counters, slots = self.counters, self.slots
-        for i in range(hash_count):
+        for i in range(HASH_COUNT):
             index = (h1 + i * h2) % slots
             if 0 < counters[index] < 255:  # 255 is sticky (saturated)
                 counters[index] -= 1
 
 
-def _sized_slots(count: int, slots_per_entry: int) -> int:
+def _sized_slots(count: int) -> int:
     slots = _MIN_FILTER_SLOTS
-    while slots < count * slots_per_entry:
+    while slots < count * SLOTS_PER_ENTRY:
         slots <<= 1
     return slots
 
@@ -122,17 +122,8 @@ class BloomRoutingTable(RoutingTable):
     kind = "bloom"
     hardware_search = True
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 slots_per_entry: int = DEFAULT_SLOTS_PER_ENTRY,
-                 hash_count: int = DEFAULT_HASH_COUNT):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         super().__init__(capacity)
-        if slots_per_entry < 2:
-            raise RoutingTableError(
-                f"slots_per_entry too small: {slots_per_entry}")
-        if hash_count < 1:
-            raise RoutingTableError(f"hash_count must be positive: {hash_count}")
-        self.slots_per_entry = slots_per_entry
-        self.hash_count = hash_count
         #: length -> class, kept keyed; probe order derived on demand
         self._classes: Dict[int, _LengthClass] = {}
         #: distinct lengths, descending (the probe order)
@@ -144,7 +135,7 @@ class BloomRoutingTable(RoutingTable):
     def _class_for(self, length: int) -> _LengthClass:
         cls = self._classes.get(length)
         if cls is None:
-            cls = _LengthClass(length, _sized_slots(1, self.slots_per_entry))
+            cls = _LengthClass(length, _sized_slots(1))
             self._classes[length] = cls
             self._lengths_desc.append(length)
             self._lengths_desc.sort(reverse=True)
@@ -156,12 +147,12 @@ class BloomRoutingTable(RoutingTable):
             self._lengths_desc.remove(cls.length)
 
     def _maybe_grow(self, cls: _LengthClass) -> None:
-        if len(cls.entries) * self.slots_per_entry <= cls.slots:
+        if len(cls.entries) * SLOTS_PER_ENTRY <= cls.slots:
             return
-        cls.slots = _sized_slots(len(cls.entries), self.slots_per_entry)
+        cls.slots = _sized_slots(len(cls.entries))
         cls.counters = bytearray(cls.slots)
         for value in cls.entries:
-            cls.filter_add(value, self.hash_count)
+            cls.filter_add(value)
 
     # -- core operations -------------------------------------------------------
 
@@ -173,11 +164,11 @@ class BloomRoutingTable(RoutingTable):
             cls.entries[value] = entry
             return 2  # one table probe + one bucket write
         cls.entries[value] = entry
-        cls.filter_add(value, self.hash_count)
+        cls.filter_add(value)
         self._maybe_grow(cls)
         self._count += 1
         # one probe + one bucket write + the filter-counter updates
-        return 2 + self.hash_count
+        return 2 + HASH_COUNT
 
     def _remove(self, prefix: Ipv6Prefix) -> int:
         cls = self._classes.get(prefix.length)
@@ -185,14 +176,14 @@ class BloomRoutingTable(RoutingTable):
         if cls is None or value not in cls.entries:
             raise RoutingTableError(f"no such route: {prefix}")
         del cls.entries[value]
-        cls.filter_discard(value, self.hash_count)
+        cls.filter_discard(value)
         self._count -= 1
         self._drop_if_empty(cls)
-        return 2 + self.hash_count
+        return 2 + HASH_COUNT
 
     def _lookup(self, address: Ipv6Address) -> Tuple[Optional[RouteEntry], int]:
         value = address.value
-        classes, hash_count = self._classes, self.hash_count
+        classes = self._classes
         steps = 1  # the parallel Bloom-bank probe counts once
         for length in self._lengths_desc:
             # .get, not []: a corrupted probe-order list must degrade to
@@ -201,7 +192,7 @@ class BloomRoutingTable(RoutingTable):
             if cls is None:
                 continue
             masked = value & cls.mask
-            if not cls.filter_positive(masked, hash_count):
+            if not cls.filter_positive(masked):
                 continue
             steps += 1  # off-filter hash-table access
             entry = cls.entries.get(masked)
@@ -241,10 +232,10 @@ class BloomRoutingTable(RoutingTable):
             cls = self._class_for(prefix.length)
             cls.entries[prefix.network.value] = entry
         for cls in self._classes.values():
-            cls.slots = _sized_slots(len(cls.entries), self.slots_per_entry)
+            cls.slots = _sized_slots(len(cls.entries))
             cls.counters = bytearray(cls.slots)
             for value in cls.entries:
-                cls.filter_add(value, self.hash_count)
+                cls.filter_add(value)
         self._count = len(merged)
         self._account_bulk_load(len(entries), len(merged))
 
@@ -320,7 +311,7 @@ class BloomRoutingTable(RoutingTable):
                 raise RoutingTableError(f"empty length class /{length}")
             total += len(cls.entries)
             for value in cls.entries:
-                if not cls.filter_positive(value, self.hash_count):
+                if not cls.filter_positive(value):
                     raise RoutingTableError(
                         f"false negative for stored prefix at /{length}")
         if total != self._count:

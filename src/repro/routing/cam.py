@@ -70,6 +70,12 @@ class CamPhysicalModel:
         return max(1, int(-(-cycles // 1)))
 
 
+#: CAM occupancy per search at the part's reference clock, which lookup
+#: accounting publishes as busy cycles
+_SEARCH_BUSY_CYCLES = CamPhysicalModel().search_cycles(
+    CamPhysicalModel.reference_clock_mhz * 1e6)
+
+
 @dataclass
 class _CamLine:
     value: int
@@ -83,17 +89,11 @@ class CamRoutingTable(RoutingTable):
     kind = "cam"
     hardware_search = True
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 physical: Optional[CamPhysicalModel] = None):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         super().__init__(capacity)
-        self.physical = physical or CamPhysicalModel()
         self._lines: List[_CamLine] = []
         #: first-match index over the lines' match pairs; writes drop it
         self._index: Optional[FirstMatchIndex] = None
-        # CAM occupancy per search at the part's reference clock, cached
-        # so lookup accounting publishes busy cycles without recomputing
-        self._search_busy_cycles = self.physical.search_cycles(
-            self.physical.reference_clock_mhz * 1e6)
 
     def _insert(self, entry: RouteEntry) -> int:
         self._index = None
@@ -143,7 +143,7 @@ class CamRoutingTable(RoutingTable):
         results = super()._account_lookups(pairs)
         if results:
             ROUTING_CAM_BUSY_CYCLES.inc(
-                self._search_busy_cycles * len(results))
+                _SEARCH_BUSY_CYCLES * len(results))
         return results
 
     def load(self, entries: "list[RouteEntry]") -> None:
@@ -168,7 +168,7 @@ class CamRoutingTable(RoutingTable):
     def search_latency_cycles(self) -> int:
         """Search latency in cycles at the part's reference clock (the
         evaluator's fixed point rederives it at the candidate clock)."""
-        return self._search_busy_cycles
+        return _SEARCH_BUSY_CYCLES
 
     def get(self, prefix: Ipv6Prefix) -> Optional[RouteEntry]:
         for line in self._lines:

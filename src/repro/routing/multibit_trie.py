@@ -2,14 +2,14 @@
 
 The modern large-FIB structure the CRAM-lens literature builds on:
 instead of inspecting one address bit per memory access (a unibit trie
-needs up to 128 accesses for IPv6), the trie consumes ``stride`` bits
-per level, so a lookup is bounded by ``ceil(128 / stride)`` memory
+needs up to 128 accesses for IPv6), the trie consumes :data:`STRIDE`
+(8) bits per level, so a lookup is bounded by :data:`DEPTH` (16) memory
 accesses regardless of table size — the property that lets it scale to
 millions of prefixes at a fixed hardware pipeline depth.
 
 Design
 ------
-Each node spans ``stride`` address bits. Prefixes whose length falls
+Each node spans :data:`STRIDE` address bits. Prefixes whose length falls
 inside a node's span are *expanded* (controlled prefix expansion — the
 within-node form of leaf pushing): a prefix covering ``t`` of the
 node's ``w`` bits is written into the ``2^(w-t)`` chunk slots it
@@ -22,7 +22,7 @@ which is the longest match:
   terminating at a shallower depth, so deeper hits always win.
 
 Children are stored sparsely (a dict keyed by chunk value), which is
-the "compressed" part: dense 2^stride child arrays would be
+the "compressed" part: dense 2^8 child arrays would be
 prohibitive for the sparse upper levels of real FIBs.
 
 Updates re-expand only the one node a prefix terminates in, from that
@@ -44,8 +44,19 @@ from repro.routing.memimage import corrupt_entry, pack_entry
 
 ADDRESS_BITS = 128
 
-DEFAULT_STRIDE = 8
-"""Eight bits per level: 16 memory accesses bound an IPv6 lookup."""
+STRIDE = 8
+"""Address bits per level. An 8-bit chunk fits the 2-byte chunk keys and
+slot tags of the memory image (``memory_records``), and 8 divides 128,
+so every level is exactly this wide."""
+
+DEPTH = ADDRESS_BITS // STRIDE
+"""Levels of the trie: 16 memory accesses bound an IPv6 lookup."""
+
+_CHUNK_MASK = (1 << STRIDE) - 1
+
+#: per-depth shift bringing that level's chunk to the low bits
+_SHIFTS: Tuple[int, ...] = tuple(
+    ADDRESS_BITS - (depth + 1) * STRIDE for depth in range(DEPTH))
 
 
 class _TrieNode:
@@ -64,23 +75,13 @@ class _TrieNode:
 
 
 class MultibitTrieRoutingTable(RoutingTable):
-    """Stride-bit trie with controlled prefix expansion per node."""
+    """8-bit-stride trie with controlled prefix expansion per node."""
 
     kind = "multibit-trie"
     hardware_search = True
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 stride: int = DEFAULT_STRIDE):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         super().__init__(capacity)
-        # the memory image packs a chunk key in 2 bytes
-        if not 1 <= stride <= 16:
-            raise RoutingTableError(f"stride out of range: {stride}")
-        self.stride = stride
-        #: per-depth ``(shift, mask)`` extracting that level's chunk
-        self._levels: Tuple[Tuple[int, int], ...] = tuple(
-            (ADDRESS_BITS - depth * stride - self._level_width(depth),
-             (1 << self._level_width(depth)) - 1)
-            for depth in range(self.max_depth()))
         self._root = _TrieNode()
         self._node_count = 1
         #: exact-prefix ground truth, insertion-ordered (O(1) get/len)
@@ -88,26 +89,19 @@ class MultibitTrieRoutingTable(RoutingTable):
 
     # -- bit plumbing ----------------------------------------------------------
 
-    def _level_width(self, depth: int) -> int:
-        """Bits the node at *depth* spans (the last level may be short)."""
-        return min(self.stride, ADDRESS_BITS - depth * self.stride)
-
-    def _terminal_depth(self, length: int) -> int:
+    @staticmethod
+    def _terminal_depth(length: int) -> int:
         """Depth of the node a prefix of *length* terminates in."""
-        return (length - 1) // self.stride if length else 0
-
-    def max_depth(self) -> int:
-        return (ADDRESS_BITS + self.stride - 1) // self.stride
+        return (length - 1) // STRIDE if length else 0
 
     # -- expansion -------------------------------------------------------------
 
-    def _expansion(self, prefix: Ipv6Prefix,
-                   depth: int) -> Tuple[int, int]:
+    @staticmethod
+    def _expansion(prefix: Ipv6Prefix, depth: int) -> Tuple[int, int]:
         """(first chunk, slot count) *prefix* covers in its node."""
-        shift, mask = self._levels[depth]
-        in_node = prefix.length - depth * self.stride  # 0 for ::/0
-        base = (prefix.network.value >> shift) & mask
-        span = 1 << (self._level_width(depth) - in_node)
+        in_node = prefix.length - depth * STRIDE  # 0 for ::/0
+        base = (prefix.network.value >> _SHIFTS[depth]) & _CHUNK_MASK
+        span = 1 << (STRIDE - in_node)
         return base, span
 
     def _reexpand(self, node: _TrieNode, depth: int) -> int:
@@ -133,8 +127,8 @@ class MultibitTrieRoutingTable(RoutingTable):
         value = prefix.network.value
         node = self._root
         steps = 1
-        for shift, mask in self._levels[:target_depth]:
-            chunk = (value >> shift) & mask
+        for shift in _SHIFTS[:target_depth]:
+            chunk = (value >> shift) & _CHUNK_MASK
             child = node.children.get(chunk)
             if child is None:
                 child = node.children[chunk] = _TrieNode()
@@ -153,8 +147,8 @@ class MultibitTrieRoutingTable(RoutingTable):
         path: List[Tuple[_TrieNode, int]] = []  # (parent, chunk taken)
         node = self._root
         steps = 1
-        for shift, mask in self._levels[:target_depth]:
-            chunk = (value >> shift) & mask
+        for shift in _SHIFTS[:target_depth]:
+            chunk = (value >> shift) & _CHUNK_MASK
             path.append((node, chunk))
             node = node.children[chunk]
             steps += 1
@@ -175,7 +169,8 @@ class MultibitTrieRoutingTable(RoutingTable):
         node = self._root
         best: Optional[RouteEntry] = None
         steps = 0
-        for shift, mask in self._levels:
+        mask = _CHUNK_MASK
+        for shift in _SHIFTS:
             steps += 1  # one memory access per level
             chunk = (value >> shift) & mask
             slot = node.slots.get(chunk)
@@ -215,12 +210,13 @@ class MultibitTrieRoutingTable(RoutingTable):
             merged[entry.prefix] = entry
         dirty: Dict[int, Tuple[_TrieNode, int]] = {}
         steps = 0
+        mask = _CHUNK_MASK
         for prefix, entry in merged.items():
             target_depth = self._terminal_depth(prefix.length)
             value = prefix.network.value
             node = self._root
             steps += 1
-            for shift, mask in self._levels[:target_depth]:
+            for shift in _SHIFTS[:target_depth]:
                 chunk = (value >> shift) & mask
                 child = node.children.get(chunk)
                 if child is None:
@@ -240,7 +236,7 @@ class MultibitTrieRoutingTable(RoutingTable):
     def search_latency_cycles(self) -> int:
         """Static pipeline depth: one on-chip SRAM access per level,
         provisioned for the worst-case (full-depth) descent."""
-        return self.max_depth()
+        return DEPTH
 
     # -- introspection ---------------------------------------------------------
 
@@ -362,7 +358,6 @@ class MultibitTrieRoutingTable(RoutingTable):
             if node is not self._root and node.is_empty():
                 raise RoutingTableError(
                     f"empty interior node at depth {depth}")
-            width = self._level_width(depth)
             for prefix, entry in node.terminals.items():
                 if self._terminal_depth(prefix.length) != depth:
                     raise RoutingTableError(
@@ -380,7 +375,7 @@ class MultibitTrieRoutingTable(RoutingTable):
                 raise RoutingTableError(
                     f"stale slot expansion at depth {depth}")
             for chunk, child in node.children.items():
-                if not 0 <= chunk < (1 << width):
+                if not 0 <= chunk <= _CHUNK_MASK:
                     raise RoutingTableError(
                         f"chunk {chunk} out of range at depth {depth}")
                 visit(child, depth + 1)

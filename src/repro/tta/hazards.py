@@ -42,6 +42,9 @@ _MIN_LOOP_REPEATS = 2
 
 _REGISTER_FILE_KIND = "gpr"
 
+#: hazards a detector records before it marks its report truncated
+MAX_HAZARDS = 200
+
 
 @dataclass(frozen=True)
 class LoopSignature:
@@ -129,10 +132,9 @@ class HazardDetector:
     and hazard detection compose.
     """
 
-    def __init__(self, processor, max_hazards: int = 200):
+    def __init__(self, processor):
         self.processor = processor
         self.report = HazardReport()
-        self.max_hazards = max_hazards
         self.pc_history: Deque[int] = deque(maxlen=PC_WINDOW)
         self._written_registers: Set[Tuple[str, str]] = set()
         self._cycle_writes: List[Tuple[str, str]] = []
@@ -213,7 +215,7 @@ class HazardDetector:
             self._cycle_writes.append((fu.name, port.name))
 
     def _record(self, hazard: Hazard) -> None:
-        if len(self.report.hazards) >= self.max_hazards:
+        if len(self.report.hazards) >= MAX_HAZARDS:
             self.report.truncated = True
             return
         self.report.hazards.append(hazard)

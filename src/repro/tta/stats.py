@@ -43,41 +43,6 @@ class SimulationReport:
             return [0.0] * self.bus_count
         return [busy / self.cycles for busy in self.bus_busy_cycles]
 
-    def merge(self, other: "SimulationReport") -> "SimulationReport":
-        """Accumulate a second run (used when simulating packet batches).
-
-        ``halted`` is sticky: the merged report is halted if *either*
-        side halted, so a batch that ran to completion is not reported
-        un-halted because a later zero-cycle report was folded in. Bus
-        counts are validated whenever both sides carry bus data — an
-        empty side (a freshly constructed accumulator) adopts the other
-        side's bus layout instead of silently truncating it.
-        """
-        if self.bus_busy_cycles and other.bus_busy_cycles:
-            if other.bus_count != self.bus_count:
-                raise ValueError(
-                    f"cannot merge reports with different bus counts "
-                    f"({self.bus_count} vs {other.bus_count})")
-            busy = [a + b for a, b in zip(self.bus_busy_cycles,
-                                          other.bus_busy_cycles)]
-        else:
-            busy = list(self.bus_busy_cycles or other.bus_busy_cycles)
-        merged = SimulationReport(
-            cycles=self.cycles + other.cycles,
-            instructions_fetched=self.instructions_fetched + other.instructions_fetched,
-            moves_executed=self.moves_executed + other.moves_executed,
-            moves_squashed=self.moves_squashed + other.moves_squashed,
-            bus_busy_cycles=busy,
-            fu_triggers=dict(self.fu_triggers),
-            halted=self.halted or other.halted,
-            hazards=dict(self.hazards),
-        )
-        for name, count in other.fu_triggers.items():
-            merged.fu_triggers[name] = merged.fu_triggers.get(name, 0) + count
-        for kind, count in other.hazards.items():
-            merged.hazards[kind] = merged.hazards.get(kind, 0) + count
-        return merged
-
     def summary(self) -> str:
         lines = [
             f"cycles:             {self.cycles}",

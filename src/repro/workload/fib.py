@@ -29,12 +29,15 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.routing.entry import RouteEntry
-from repro.workload.tables import GLOBAL_UNICAST_PREFIX, address_inside
+from repro.workload.tables import (
+    GLOBAL_UNICAST_PREFIX,
+    INTERFACE_COUNT,
+    address_inside,
+)
 
 #: (prefix length, weight) histogram shaped like a contemporary BGP
 #: IPv6 table: /48 site routes dominate, /32 provider allocations next,
@@ -51,23 +54,7 @@ AGGREGATABLE_FRACTION = 0.8
 #: lengths at or below this are treated as provider blocks
 PROVIDER_MAX_LENGTH = 32
 
-DEFAULT_ZIPF_EXPONENT = 1.1
-
-
-@dataclass(frozen=True)
-class FibProfile:
-    """Tunable knobs of the synthesizer (defaults model a BGP table)."""
-
-    length_weights: Tuple[Tuple[int, int], ...] = FIB_LENGTH_WEIGHTS
-    aggregatable_fraction: float = AGGREGATABLE_FRACTION
-    provider_max_length: int = PROVIDER_MAX_LENGTH
-    include_default: bool = True
-
-    def lengths(self) -> List[int]:
-        return [length for length, _ in self.length_weights]
-
-    def weights(self) -> List[int]:
-        return [weight for _, weight in self.length_weights]
+ZIPF_EXPONENT = 1.1
 
 
 def _global_unicast(value: int) -> int:
@@ -75,9 +62,7 @@ def _global_unicast(value: int) -> int:
     return (value & ~(0b111 << 125)) | (0b001 << 125)
 
 
-def synthesize_fib(prefix_count: int, interface_count: int = 4,
-                   seed: int = 2026,
-                   profile: FibProfile = FibProfile()) -> List[RouteEntry]:
+def synthesize_fib(prefix_count: int, seed: int = 2026) -> List[RouteEntry]:
     """*prefix_count* unique routes with realistic FIB structure.
 
     The default route is included in the count (as in
@@ -97,17 +82,16 @@ def synthesize_fib(prefix_count: int, interface_count: int = 4,
         routes.append(RouteEntry(
             prefix=prefix,
             next_hop=Ipv6Address(GLOBAL_UNICAST_PREFIX | len(routes)),
-            interface=len(routes) % interface_count,
+            interface=len(routes) % INTERFACE_COUNT,
             metric=metric))
         return True
 
-    if profile.include_default:
-        emit(Ipv6Prefix.parse("::/0"))
+    emit(Ipv6Prefix.parse("::/0"))
 
-    lengths = profile.lengths()
-    weights = profile.weights()
+    lengths = [length for length, _ in FIB_LENGTH_WEIGHTS]
+    weights = [weight for _, weight in FIB_LENGTH_WEIGHTS]
     provider_lengths = [length for length in lengths
-                        if length <= profile.provider_max_length]
+                        if length <= PROVIDER_MAX_LENGTH]
     providers: List[Ipv6Prefix] = []
     # Zipf-ranked providers: provider i is chosen with weight 1/(i+1),
     # so early (large) providers accumulate the most customer routes.
@@ -120,8 +104,8 @@ def synthesize_fib(prefix_count: int, interface_count: int = 4,
 
     while len(routes) < prefix_count:
         length = rng.choices(lengths, weights=weights)[0]
-        if length <= profile.provider_max_length or not providers \
-                or rng.random() >= profile.aggregatable_fraction:
+        if length <= PROVIDER_MAX_LENGTH or not providers \
+                or rng.random() >= AGGREGATABLE_FRACTION:
             # Independent allocation anywhere in 2000::/3.
             value = _global_unicast(rng.getrandbits(128))
             prefix = Ipv6Prefix.of(Ipv6Address(value), length)
@@ -143,12 +127,11 @@ def synthesize_fib(prefix_count: int, interface_count: int = 4,
 
 
 def zipf_addresses(routes: Sequence[RouteEntry], count: int,
-                   seed: int = 77,
-                   exponent: float = DEFAULT_ZIPF_EXPONENT) -> List[Ipv6Address]:
-    """*count* destination addresses, Zipf(*exponent*)-skewed over *routes*.
+                   seed: int = 77) -> List[Ipv6Address]:
+    """*count* destination addresses, Zipf-skewed over *routes*.
 
     Routes are ranked in a seed-deterministic shuffle; rank r receives
-    weight ``1/(r+1)^exponent``, so a few hot prefixes dominate the
+    weight ``1/(r+1)^ZIPF_EXPONENT``, so a few hot prefixes dominate the
     traffic. Sampling bisects the cumulative weights, O(log n) per
     address, so million-route tables stay cheap.
     """
@@ -161,6 +144,7 @@ def zipf_addresses(routes: Sequence[RouteEntry], count: int,
     rng.shuffle(ranked)
     cumulative: List[float] = []
     total = 0.0
+    exponent = ZIPF_EXPONENT
     for rank in range(len(ranked)):
         total += 1.0 / ((rank + 1) ** exponent)
         cumulative.append(total)

@@ -15,50 +15,43 @@ from repro.ipv6.address import Ipv6Address
 from repro.ipv6.header import PROTO_UDP
 from repro.ipv6.packet import Ipv6Datagram
 from repro.routing.entry import RouteEntry
-from repro.workload.tables import addresses_for_routes
+from repro.workload.tables import INTERFACE_COUNT, addresses_for_routes
 
 DEFAULT_HOP_LIMIT = 64
 
-#: a simple 2003-era size mix (IMIX-like): many small, some medium, few big
-PACKET_SIZE_MIX: Tuple[Tuple[int, float], ...] = (
-    (64, 0.55), (506, 0.30), (1280, 0.15))
+#: bytes of UDP-ish payload every generated datagram carries
+PAYLOAD_BYTES = 26
+
+_PAYLOAD = bytes((i * 31 + 7) & 0xFF for i in range(PAYLOAD_BYTES))
 
 
-def mean_packet_bytes(mix: Sequence[Tuple[int, float]] = PACKET_SIZE_MIX) -> float:
-    return sum(size * share for size, share in mix)
-
-
-def build_datagram(destination: Ipv6Address, payload_bytes: int = 26,
+def build_datagram(destination: Ipv6Address,
                    source: Optional[Ipv6Address] = None,
                    hop_limit: int = DEFAULT_HOP_LIMIT) -> bytes:
-    """One forwardable UDP-ish datagram of the requested payload size."""
+    """One forwardable UDP-ish datagram of :data:`PAYLOAD_BYTES` payload."""
     if source is None:
         source = Ipv6Address.parse("2001:db8:feed::1")
-    payload = bytes((i * 31 + 7) & 0xFF for i in range(payload_bytes))
     datagram = Ipv6Datagram.build(source=source, destination=destination,
-                                  next_header=PROTO_UDP, payload=payload,
+                                  next_header=PROTO_UDP, payload=_PAYLOAD,
                                   hop_limit=hop_limit)
     return datagram.to_bytes()
 
 
 def forwarding_workload(routes: Sequence[RouteEntry], packet_count: int,
                         seed: int = 77,
-                        default_route_fraction: float = 0.0,
-                        payload_bytes: int = 26,
-                        interface_count: int = 4) -> List[Tuple[int, bytes]]:
+                        default_route_fraction: float = 0.0
+                        ) -> List[Tuple[int, bytes]]:
     """(input interface, datagram bytes) pairs for a forwarding run."""
     rng = random.Random(seed + 1)
     addresses = addresses_for_routes(routes, packet_count, seed=seed,
                                      default_route_fraction=default_route_fraction)
-    return [(rng.randrange(interface_count), build_datagram(a, payload_bytes))
+    return [(rng.randrange(INTERFACE_COUNT), build_datagram(a))
             for a in addresses]
 
 
 def worst_case_workload(routes: Sequence[RouteEntry], packet_count: int,
-                        seed: int = 77,
-                        interface_count: int = 4) -> List[Tuple[int, bytes]]:
+                        seed: int = 77) -> List[Tuple[int, bytes]]:
     """Every packet matches only the default route: the full-scan case the
     paper's minimum-clock figures must guarantee."""
     return forwarding_workload(routes, packet_count, seed=seed,
-                               default_route_fraction=1.0,
-                               interface_count=interface_count)
+                               default_route_fraction=1.0)

@@ -22,6 +22,10 @@ PREFIX_LENGTH_MIX = (16, 24, 32, 32, 48, 48, 48, 64)
 #: multicast/link-local ranges the router's validation stage filters out
 GLOBAL_UNICAST_PREFIX = 0x2000 << 112
 
+#: interfaces generated routes and traffic are spread over, one per line
+#: card of the router machine
+INTERFACE_COUNT = 4
+
 
 def random_prefix(rng: random.Random,
                   length: Optional[int] = None) -> Ipv6Prefix:
@@ -34,8 +38,7 @@ def random_prefix(rng: random.Random,
     return Ipv6Prefix.of(Ipv6Address(value), length)
 
 
-def generate_routes(entry_count: int, interface_count: int = 4,
-                    seed: int = 2003,
+def generate_routes(entry_count: int, seed: int = 2003,
                     include_default: bool = True) -> List[RouteEntry]:
     """*entry_count* unique routes, default route included in the count."""
     if entry_count < 1:
@@ -57,7 +60,7 @@ def generate_routes(entry_count: int, interface_count: int = 4,
         routes.append(RouteEntry(
             prefix=prefix,
             next_hop=Ipv6Address(GLOBAL_UNICAST_PREFIX | len(routes)),
-            interface=len(routes) % interface_count,
+            interface=len(routes) % INTERFACE_COUNT,
             metric=1 + rng.randrange(8)))
     return routes
 

@@ -12,7 +12,7 @@ from repro.dse.config import ArchitectureConfiguration, paper_configurations
 from repro.errors import ConfigurationError, CycleBudgetError, \
     SimulationError
 from repro.obs import MetricsRegistry, set_registry
-from repro.programs.forwarding import MODE_BENCH, build_forwarding_program
+from repro.programs.forwarding import build_forwarding_program
 from repro.programs.machine import build_machine
 from repro.programs.runner import RunOptions, run_forwarding
 from repro.tta import compiled as compiled_backend
@@ -63,7 +63,7 @@ def _machine_and_program(config=CONFIG, entries=10):
     routes, packets = _workload(entries)
     machine = build_machine(config, table_capacity=max(len(routes), 100))
     machine.load_routes(routes)
-    program = build_forwarding_program(machine, mode=MODE_BENCH)
+    program = build_forwarding_program(machine)
     for iface, raw in packets:
         assert machine.offered_load(iface, raw)
     machine.processor.reset()

@@ -41,7 +41,7 @@ class TestMatrixShape:
         assert "mac/not-my-station" in ids
 
     def test_hop_limit_expiry_outranks_routing(self):
-        for case in build_matrix(include_mac=False):
+        for case in build_matrix():
             if case.hop_limit <= 1:
                 assert case.expectation == "time-exceeded"
 

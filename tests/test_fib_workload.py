@@ -7,7 +7,6 @@ import pytest
 from repro.ipv6.address import Ipv6Address
 from repro.workload.fib import (
     FIB_LENGTH_WEIGHTS,
-    FibProfile,
     synthesize_fib,
     zipf_addresses,
 )
@@ -26,9 +25,7 @@ class TestSynthesizeFib:
     def test_default_route_included_in_count(self):
         routes = synthesize_fib(50, seed=4)
         assert routes[0].prefix.length == 0
-        routes = synthesize_fib(
-            50, seed=4, profile=FibProfile(include_default=False))
-        assert all(r.prefix.length > 0 for r in routes)
+        assert all(r.prefix.length > 0 for r in routes[1:])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -72,8 +69,7 @@ class TestZipfAddresses:
     def test_every_address_matches_some_route(self):
         # Even without a default route every drawn address must hit:
         # each one is sampled inside a chosen route's own prefix.
-        routes = synthesize_fib(
-            200, seed=10, profile=FibProfile(include_default=False))
+        routes = synthesize_fib(200, seed=10)[1:]
         prefixes = [r.prefix for r in routes]
         for address in zipf_addresses(routes, 100, seed=11):
             assert any(p.contains(address) for p in prefixes)

@@ -22,6 +22,7 @@ from repro.tta import (
 )
 from repro.tta.fu import FunctionalUnit
 from repro.tta.fus import Counter
+from repro.tta.hazards import MAX_HAZARDS
 
 P = PortRef
 I = Immediate
@@ -242,20 +243,16 @@ class TestDetectorWiring:
         assert "hazard read-never-written: 1" in simulator.report.summary()
 
     def test_truncation_at_max_hazards(self):
+        # two unwritten-register reads per instruction, one past the cap
         processor = make_processor()
-        program = ProgramMemory([
+        detector, simulator = run_with_detector(processor, [
             Instruction.of([Move(P("gpr", "r5"), P("gpr", "r0")),
                             Move(P("gpr", "r6"), P("gpr", "r1"))], 2),
-            Instruction.of([Move(I(0), P("nc", "halt"))], 2),
-        ])
-        processor.reset()
-        simulator = Simulator(processor, program)
-        detector = HazardDetector(processor, max_hazards=1)
-        detector.attach(simulator)
-        simulator.run()
-        assert len(detector.report.hazards) == 1
+        ] * (MAX_HAZARDS // 2 + 1))
+        assert len(detector.report.hazards) == MAX_HAZARDS
         assert detector.report.truncated
         assert "(truncated)" in detector.report.render()
+        assert simulator.report.hazards == {"read-never-written": MAX_HAZARDS}
 
     def test_report_render(self):
         processor = make_processor()

@@ -27,6 +27,7 @@ from repro.routing import (
     make_table,
 )
 from repro.routing.entry import LookupResult, RouteEntry
+from repro.routing.multibit_trie import DEPTH
 from repro.workload.fib import synthesize_fib, zipf_addresses
 
 ROUTES = synthesize_fib(200, seed=5)
@@ -304,5 +305,5 @@ def test_trie_finds_a_host_route_at_the_last_level():
     trie = MultibitTrieRoutingTable()
     trie.load([route("::/0"), host])
     result = trie.lookup(addr("2001:db8::1"))
-    assert (result.entry, result.steps) == (host, trie.max_depth())
+    assert (result.entry, result.steps) == (host, DEPTH)
     assert trie.lookup(addr("2001:db8::2")).entry.prefix.length == 0

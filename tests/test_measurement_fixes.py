@@ -1,12 +1,9 @@
 """Regression tests for the measurement-correctness bugfix sweep.
 
-Each class pins one fixed reporting bug: lossy
-``SimulationReport.merge``, silently truncated execution traces, and
-broken ``move_hook`` chaining claims. (The
+Each class pins one fixed reporting bug: silently truncated execution
+traces and broken ``move_hook`` chaining claims. (The
 journal-corruption fix is pinned in ``test_campaign.py``.)
 """
-
-import pytest
 
 from repro.asm import ProgramBuilder, assemble
 from repro.tta import (
@@ -19,7 +16,6 @@ from repro.tta import (
     TacoProcessor,
 )
 from repro.tta.fus import Comparator, Counter
-from repro.tta.stats import SimulationReport
 from repro.tta.trace import TracingSimulator, trace_program
 
 P = PortRef
@@ -42,37 +38,6 @@ def build_loop_ir():
     b.jump("loop", guard=Guard("cnt0", negate=True))
     b.halt()
     return b.build()
-
-
-class TestReportMergePreservesState:
-    def test_halted_is_sticky_in_both_directions(self):
-        halted = SimulationReport(halted=True)
-        fresh = SimulationReport(halted=False)
-        assert halted.merge(fresh).halted
-        assert fresh.merge(halted).halted
-        assert not fresh.merge(SimulationReport()).halted
-
-    def test_empty_accumulator_adopts_bus_layout(self):
-        accumulator = SimulationReport()
-        run = SimulationReport(bus_busy_cycles=[3, 1, 2])
-        merged = accumulator.merge(run)
-        assert merged.bus_busy_cycles == [3, 1, 2]
-
-    def test_empty_other_keeps_bus_layout(self):
-        run = SimulationReport(bus_busy_cycles=[3, 1, 2])
-        merged = run.merge(SimulationReport())
-        assert merged.bus_busy_cycles == [3, 1, 2]
-
-    def test_bus_count_mismatch_raises_even_at_zero_cycles(self):
-        two = SimulationReport(bus_busy_cycles=[0, 0])
-        three = SimulationReport(bus_busy_cycles=[0, 0, 0])
-        with pytest.raises(ValueError, match="bus counts"):
-            two.merge(three)
-
-    def test_busy_cycles_accumulate_when_layouts_match(self):
-        a = SimulationReport(bus_busy_cycles=[1, 2])
-        b = SimulationReport(bus_busy_cycles=[10, 20])
-        assert a.merge(b).bus_busy_cycles == [11, 22]
 
 
 class TestTraceTruncationIsVisible:

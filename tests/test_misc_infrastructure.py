@@ -63,26 +63,6 @@ class TestProgramMemory:
 
 
 class TestSimulationReport:
-    def test_merge_accumulates(self):
-        a = SimulationReport(cycles=10, moves_executed=8,
-                             bus_busy_cycles=[10, 5],
-                             fu_triggers={"cnt0": 3})
-        b = SimulationReport(cycles=6, moves_executed=4, moves_squashed=1,
-                             bus_busy_cycles=[6, 2],
-                             fu_triggers={"cnt0": 1, "shf0": 2})
-        merged = a.merge(b)
-        assert merged.cycles == 16
-        assert merged.moves_executed == 12
-        assert merged.moves_squashed == 1
-        assert merged.bus_busy_cycles == [16, 7]
-        assert merged.fu_triggers == {"cnt0": 4, "shf0": 2}
-
-    def test_merge_rejects_width_mismatch(self):
-        a = SimulationReport(cycles=1, bus_busy_cycles=[1])
-        b = SimulationReport(cycles=1, bus_busy_cycles=[1, 1])
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_utilization_and_summary(self):
         report = SimulationReport(cycles=10, moves_executed=12,
                                   bus_busy_cycles=[10, 2],

@@ -107,15 +107,6 @@ class TestSplitHorizon:
         assert all(e.prefix != P_A for e in entries0)
         assert any(e.prefix == P_A for e in entries1)
 
-    def test_poisoned_reverse_advertises_infinity(self):
-        table = make_table("sequential", capacity=64)
-        engine = RipngEngine("r", table, interface_count=2,
-                             poisoned_reverse=True)
-        feed(engine, P_A, 2, interface=0)
-        entries0 = engine._export_entries(0)
-        poisoned = [e for e in entries0 if e.prefix == P_A]
-        assert poisoned and poisoned[0].metric == METRIC_INFINITY
-
 
 class TestRequests:
     def test_full_table_request_answered(self, engine):

@@ -1,5 +1,6 @@
 """Routing-table implementations: semantics, invariants, cost shapes."""
 
+import inspect
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from repro.routing import (
     BloomRoutingTable,
     CamRoutingTable,
     MultibitTrieRoutingTable,
-    ProtectedRoutingTable,
     SequentialRoutingTable,
     TABLE_KINDS,
     make_table,
@@ -21,7 +21,8 @@ from repro.routing import (
 from repro.routing.balanced_tree import _key
 from repro.routing.cam import CamPhysicalModel
 from repro.routing.entry import RouteEntry
-from repro.workload.fib import FibProfile, synthesize_fib, zipf_addresses
+from repro.routing.multibit_trie import DEPTH
+from repro.workload.fib import synthesize_fib, zipf_addresses
 
 ALL_TABLES = [SequentialRoutingTable, BalancedTreeRoutingTable,
               CamRoutingTable, MultibitTrieRoutingTable,
@@ -106,6 +107,14 @@ class TestCommonSemantics:
         assert table.stats.lookups == 2
         assert table.stats.hits == 2
         assert table.stats.inserts == 1
+
+
+def test_every_table_kind_is_built_from_capacity_alone():
+    """``make_table`` passes only the capacity, so no table kind takes a
+    geometry setting that only a direct constructor call could vary."""
+    assert {kind: list(inspect.signature(cls).parameters)
+            for kind, cls in TABLE_KINDS.items()} == \
+        {kind: ["capacity"] for kind in TABLE_KINDS}
 
 
 prefix_strategy = st.tuples(
@@ -438,8 +447,7 @@ class TestAccountingRegressions:
     def test_bulk_load_into_populated_table(self, table_cls):
         table = table_cls(capacity=40)
         table.insert(entry("::/0", 0))
-        routes = synthesize_fib(
-            20, seed=7, profile=FibProfile(include_default=False))
+        routes = synthesize_fib(21, seed=7)[1:]  # without its default route
         table.load(routes)
         assert len(table) == 21
         assert table.lookup(addr("9::1")).interface == 0
@@ -558,43 +566,15 @@ class TestScalingEquivalence:
 
 class TestMultibitTrie:
     def test_search_latency_is_pipeline_depth(self):
-        assert MultibitTrieRoutingTable(stride=8).search_latency_cycles() \
-            == 16
-        assert MultibitTrieRoutingTable(stride=4).search_latency_cycles() \
-            == 32
-        assert MultibitTrieRoutingTable(stride=13).search_latency_cycles() \
-            == 10  # ceil(128/13)
+        assert MultibitTrieRoutingTable().search_latency_cycles() == 16
 
-    def test_bad_stride_rejected(self):
-        for stride in (0, 17, 32, 33):
-            with pytest.raises(RoutingTableError):
-                MultibitTrieRoutingTable(stride=stride)
-
-    def test_widest_stride_checkpoints_both_memory_sites(self):
-        """Stride 16 fills the 2-byte chunk keys of the memory image."""
-        routes = synthesize_fib(200, seed=37)
-        table = ProtectedRoutingTable(
-            MultibitTrieRoutingTable(capacity=len(routes), stride=16))
-        table.load(routes)
-        table.checkpoint()
-        records = {site: table.memory_records(site)
-                   for site in table.memory_sites()}
-        assert set(records) == {"trie-node", "trie-slot"}
-        assert all(records.values())
-        assert table.verify_integrity() == []
-        twin = table.replica()
-        assert {site: twin.memory_records(site)
-                for site in twin.memory_sites()} == records
-
-    @pytest.mark.parametrize("stride", (4, 7, 8, 13))
-    def test_non_stride_aligned_lengths(self, stride):
+    def test_non_stride_aligned_lengths(self):
         """Prefix lengths that fall inside a node's span (/29, /36, ...)
-        exercise controlled prefix expansion; every stride must agree
-        with the sequential reference."""
+        exercise controlled prefix expansion; the trie must agree with
+        the sequential reference."""
         routes = synthesize_fib(300, seed=31)
         reference = SequentialRoutingTable(capacity=len(routes))
-        trie = MultibitTrieRoutingTable(capacity=len(routes),
-                                        stride=stride)
+        trie = MultibitTrieRoutingTable(capacity=len(routes))
         reference.load(routes)
         trie.load(routes)
         trie.check_invariants()
@@ -612,7 +592,7 @@ class TestMultibitTrie:
         probes = zipf_addresses(routes, 200, seed=53)
         for probe in probes:
             result = trie.lookup(probe)
-            assert result.steps <= trie.max_depth()
+            assert result.steps <= DEPTH
 
     def test_pruning_restores_insert_built_state(self):
         """Removal must leave exactly the structure repeated inserts
@@ -701,9 +681,3 @@ class TestBloom:
         assert means[200] < 4.0
         assert means[2_000] < 4.0
         assert abs(means[2_000] - means[200]) < 1.0
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(RoutingTableError):
-            BloomRoutingTable(slots_per_entry=1)
-        with pytest.raises(RoutingTableError):
-            BloomRoutingTable(hash_count=0)

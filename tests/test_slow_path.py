@@ -14,9 +14,12 @@ from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.ipv6.header import PROTO_UDP
 from repro.ipv6.packet import Ipv6Datagram
 from repro.ipv6.ripng import (
+    COMMAND_RESPONSE,
     RIPNG_MULTICAST_GROUP,
     RIPNG_PORT,
+    RipngMessage,
     RouteTableEntry,
+    request_full_table,
     response,
 )
 from repro.ipv6.udp import UdpDatagram
@@ -28,17 +31,22 @@ from repro.workload import build_datagram
 
 NEIGHBOUR = Ipv6Address.parse("fe80::beef")
 LEARNED_PREFIX = Ipv6Prefix.parse("2001:bb::/32")
+ADDRESSES = [Ipv6Address.parse(f"2001:db8:{i:x}::1") for i in range(4)]
 
 
-def ripng_announcement(prefix=LEARNED_PREFIX, metric=2):
-    entry = RouteTableEntry(prefix=prefix, metric=metric)
-    udp = UdpDatagram(RIPNG_PORT, RIPNG_PORT, response([entry]).to_bytes())
+def ripng_datagram(message, source=NEIGHBOUR):
+    udp = UdpDatagram(RIPNG_PORT, RIPNG_PORT, message.to_bytes())
     datagram = Ipv6Datagram.build(
-        source=NEIGHBOUR, destination=RIPNG_MULTICAST_GROUP,
+        source=source, destination=RIPNG_MULTICAST_GROUP,
         next_header=PROTO_UDP,
-        payload=udp.to_bytes(NEIGHBOUR, RIPNG_MULTICAST_GROUP),
+        payload=udp.to_bytes(source, RIPNG_MULTICAST_GROUP),
         hop_limit=255)
     return datagram.to_bytes()
+
+
+def ripng_announcement(prefix=LEARNED_PREFIX, metric=2, source=NEIGHBOUR):
+    entry = RouteTableEntry(prefix=prefix, metric=metric)
+    return ripng_datagram(response([entry]), source=source)
 
 
 @pytest.fixture(params=["sequential", "balanced-tree", "cam"])
@@ -49,13 +57,12 @@ def machine(request):
     m.load_routes([RouteEntry(prefix=Ipv6Prefix.parse("::/0"),
                               next_hop=Ipv6Address.parse("fe80::1"),
                               interface=0)])
-    m.attach_ripng([Ipv6Address.parse(f"2001:db8:{i:x}::1")
-                    for i in range(4)])
+    m.attach_ripng(ADDRESSES)
     return m
 
 
 def drain(machine):
-    """Run the bench-mode program until the offered batch is consumed."""
+    """Run the forwarding program until the offered batch is consumed."""
     program = build_forwarding_program(machine)
     machine.processor.reset()
     simulator = Simulator(machine.processor, program)
@@ -123,3 +130,29 @@ class TestSlowPathLearning:
         routes_before = len(machine.table)
         assert machine.process_punted() == 1
         assert len(machine.table) == routes_before
+
+    def test_own_looped_back_update_installs_nothing(self, machine):
+        routes_before = len(machine.table)
+        machine.offered_load(2, ripng_announcement(source=ADDRESSES[2]))
+        drain(machine)
+        assert machine.process_punted(now=1.0) == 1
+        assert len(machine.table) == routes_before
+        assert machine.table.get(LEARNED_PREFIX) is None
+        assert machine.control.stats.dropped == {"ripng-own-source": 1}
+
+    def test_request_is_answered_on_its_ingress_card(self, machine):
+        machine.offered_load(1, ripng_announcement())
+        machine.offered_load(2, ripng_datagram(request_full_table()))
+        drain(machine)
+        assert machine.process_punted(now=1.0) == 2
+        assert [len(c.transmitted) for c in machine.line_cards] == \
+            [0, 0, 1, 0]
+        reply = Ipv6Datagram.from_bytes(machine.line_cards[2].transmitted[0])
+        assert reply.header.source == ADDRESSES[2]
+        assert reply.header.destination == NEIGHBOUR
+        udp = UdpDatagram.from_bytes(reply.payload, reply.header.source,
+                                     reply.header.destination)
+        message = RipngMessage.from_bytes(udp.payload)
+        assert message.command == COMMAND_RESPONSE
+        assert [(entry.prefix, entry.metric)
+                for entry, _ in message.routes()] == [(LEARNED_PREFIX, 3)]

@@ -31,8 +31,8 @@ class TestBackpressure:
         config = ArchitectureConfiguration(bus_count=1, table_kind="cam")
         machine = build_machine(config)
         machine.line_cards[0].queue_depth = 2
-        packets = forwarding_workload(routes20, 10, seed=9,
-                                      interface_count=1)
+        packets = [(0, raw) for _iface, raw in
+                   forwarding_workload(routes20, 10, seed=9)]
         with pytest.raises(SimulationError):
             run_forwarding(config, routes20, packets, machine=machine)
 

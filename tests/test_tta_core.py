@@ -28,7 +28,7 @@ from repro.tta import (
     simulate,
     truncate,
 )
-from repro.programs.forwarding import MODE_BENCH, build_forwarding_program
+from repro.programs.forwarding import build_forwarding_program
 from repro.programs.machine import build_machine
 from repro.programs.runner import RunOptions, run_forwarding
 from repro.tta.fu import FunctionalUnit
@@ -601,7 +601,7 @@ def _grid_run(config, drive):
     routes = generate_routes(12)
     machine = build_machine(config, table_capacity=100)
     machine.load_routes(routes)
-    program = build_forwarding_program(machine, mode=MODE_BENCH)
+    program = build_forwarding_program(machine)
     for iface, raw in worst_case_workload(routes, 3):
         assert machine.offered_load(iface, raw)
     processor = machine.processor

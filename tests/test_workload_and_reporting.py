@@ -17,10 +17,10 @@ from repro.workload import (
     build_datagram,
     forwarding_workload,
     generate_routes,
-    mean_packet_bytes,
     random_prefix,
     worst_case_workload,
 )
+from repro.workload.packets import PAYLOAD_BYTES
 
 
 class TestRouteGeneration:
@@ -69,12 +69,9 @@ class TestPacketGeneration:
         for address in addresses:
             assert any(r.prefix.contains(address) for r in routes)
 
-    def test_mean_packet_size(self):
-        assert 100 < mean_packet_bytes() < 1000
-
     def test_build_datagram_size(self):
-        raw = build_datagram(Ipv6Address.parse("2001::1"), payload_bytes=60)
-        assert len(raw) == 40 + 60
+        raw = build_datagram(Ipv6Address.parse("2001::1"))
+        assert len(raw) == 40 + PAYLOAD_BYTES
 
 
 class TestCycleModel:
