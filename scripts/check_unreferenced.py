@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail on any ``def`` or ``class`` in ``src/`` that nothing refers to.
+"""Fail on any ``def``, ``class`` or import in ``src/`` that nothing refers to.
 
 A definition is referenced when its name occurs in the repository's
 Python outside ``tests/`` anywhere other than at a definition of that
@@ -10,6 +10,11 @@ and neither does the name table of a package ``__init__``'s
 public surface, does. Dunder methods are called by the interpreter and
 are skipped. The few names kept without a reference are listed in
 :data:`ALLOWED`, each with its reason.
+
+A module-level import of a module in ``src/`` other than a package
+``__init__`` (which imports to re-export) is unused when the rest of its
+module never mentions the name it binds, by the same measure. Imports
+from ``__future__`` bind nothing and are exempt.
 
 Usage: ``python scripts/check_unreferenced.py [REPO_ROOT]``. Standard
 library only; exits 1 and names each unreferenced definition.
@@ -121,12 +126,45 @@ def definitions(source: str, export_table: bool = False
     return found, sorted(ignored)
 
 
+def _module_imports(body: Sequence[ast.stmt]
+                    ) -> Iterator[Tuple[ast.stmt, List[str]]]:
+    """Each import statement among *body*, also inside a module-level
+    ``if`` or ``try``, with the names it binds."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            yield node, [(alias.asname or alias.name).split(".")[0]
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                yield node, [alias.asname or alias.name
+                             for alias in node.names if alias.name != "*"]
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse,
+                          getattr(node, "finalbody", []),
+                          *(handler.body for handler
+                            in getattr(node, "handlers", []))):
+                yield from _module_imports(block)
+
+
+def unused_imports(source: str, docstrings: Sequence[Span]
+                   ) -> List[Tuple[int, str]]:
+    """(line, name) of every name a module-level import of *source*
+    binds that the rest of the module, outside its *docstrings* spans,
+    never mentions."""
+    imports = list(_module_imports(ast.parse(source).body))
+    counts = mentions(source, sorted([*docstrings, *(
+        _span(node) for node, _ in imports)]))
+    return [(node.lineno, name) for node, names in imports
+            for name in names if not counts[name]]
+
+
 def unreferenced(root: str, allowed=ALLOWED) -> List[str]:
     root = os.path.abspath(root)
     src = os.path.join(root, "src")
     counts: Counter[str] = collections.Counter()
     defined: Counter[str] = collections.Counter()
     sites: List[Tuple[str, int, str]] = []
+    unused: List[str] = []
     for path in python_files(root):
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
@@ -137,12 +175,16 @@ def unreferenced(root: str, allowed=ALLOWED) -> List[str]:
         if os.path.commonpath([src, path]) == src:
             relative = os.path.relpath(path, src).replace(os.sep, "/")
             sites += [(relative, line, name) for line, name in found]
+            if os.path.basename(path) != "__init__.py":
+                unused += [f"src/{relative}:{line}: {name} is imported "
+                           f"but never used"
+                           for line, name in unused_imports(source, ignored)]
     stale = allowed - {(path, name) for path, _, name in sites}
     return [f"src/{path}:{line}: {name} is defined but never referenced"
             for path, line, name in sites
             if not (name.startswith("__") and name.endswith("__"))
             and (path, name) not in allowed
-            and counts[name] <= defined[name]] + [
+            and counts[name] <= defined[name]] + unused + [
         f"src/{path}: {name} is allowed but no longer defined"
         for path, name in sorted(stale)]
 

@@ -11,7 +11,7 @@ The paper's Table 1 uses three configurations per routing-table option;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError

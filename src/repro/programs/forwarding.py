@@ -52,9 +52,7 @@ from repro.programs.machine import RouterMachine
 from repro.tta.fus.rtu import (
     NIL_INDEX,
     OFF_ENCLOSING,
-    OFF_INTERFACE,
     OFF_LEFT,
-    OFF_RIGHT,
 )
 from repro.tta.memory import ProgramMemory
 from repro.tta.ports import Guard, PortRef

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix

@@ -18,13 +18,12 @@ deletion operations become much more complex").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RipngError, RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.ipv6.ripng import (
     COMMAND_REQUEST,
-    COMMAND_RESPONSE,
     GARBAGE_COLLECTION_S,
     MAX_RTES_PER_MESSAGE,
     METRIC_INFINITY,

@@ -14,7 +14,7 @@ the paper leaves to the slow path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import Ipv6Error, ReproError
 from repro.ipv6.address import Ipv6Address

@@ -175,6 +175,40 @@ class BalancedTreeRoutingTable(RoutingTable):
             candidate = chain_node.enclosing
         return None, steps
 
+    def lookup_reads(self, address: Ipv6Address
+                     ) -> Tuple[Optional[RouteEntry], int, Tuple[_Node, ...]]:
+        """The walk of :meth:`_lookup`, read by every node it examines:
+        the descent to the floor, then the enclosing chain."""
+        value = address.value
+        target = (value, _ADDRESS_SENTINEL_LENGTH)
+        floor: Optional[_Node] = None
+        node = self._root
+        descent: List[_Node] = []
+        while node is not None:
+            descent.append(node)
+            if node.key <= target:
+                floor = node
+                node = node.right
+            else:
+                node = node.left
+        candidate = floor.entry.prefix if floor else None
+        nodes = self._nodes
+        chain: List[_Node] = []
+        answer: Optional[RouteEntry] = None
+        while candidate is not None:
+            if len(chain) > len(nodes):
+                raise RoutingTableError(
+                    "balanced-tree enclosing chain does not terminate "
+                    "(corrupted enclosing pointer)")
+            chain_node = nodes[candidate]
+            chain.append(chain_node)
+            network, length = chain_node.key
+            if value & prefix_mask(length) == network:
+                answer = chain_node.entry
+                break
+            candidate = chain_node.enclosing
+        return answer, len(descent) + len(chain), tuple(descent + chain)
+
     def get(self, prefix: Ipv6Prefix) -> Optional[RouteEntry]:
         node = self._nodes.get(prefix)
         return node.entry if node else None
@@ -427,6 +461,14 @@ class BalancedTreeRoutingTable(RoutingTable):
         else:
             node.enclosing = None
         return f"tree-node[{index}] enclosing bit {bit - ENTRY_BITS} ({before})"
+
+    def strike_reads(self, site: str, index: int, bit: int
+                     ) -> Tuple[Tuple[_Node, ...], None]:
+        """The struck node: a walk that examines no damaged node takes
+        the same path to the same answer."""
+        if site != "tree-node":
+            return super().strike_reads(site, index, bit)
+        return (self._ordered_nodes()[index],), None
 
     # -- introspection (tests assert the AVL invariant) --------------------------
 

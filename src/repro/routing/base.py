@@ -17,9 +17,9 @@ for the TCAM).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
-    Tuple
+from dataclasses import dataclass
+from typing import Callable, Container, Dict, Hashable, Iterable, \
+    Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
@@ -104,6 +104,10 @@ class RoutingTable(ABC):
     #: one search operation instead of walking a memory image.
     hardware_search: bool = False
 
+    #: corruptions its lookups detected live; only a protected table
+    #: (:mod:`repro.routing.protected`) detects any
+    detected_corruptions: int = 0
+
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise RoutingTableError(f"capacity must be positive: {capacity}")
@@ -167,7 +171,10 @@ class RoutingTable(ABC):
 
     def lookup_within(
             self, addresses: Iterable[Ipv6Address],
-            budget: Optional[int] = None
+            budget: Optional[int] = None,
+            golden: Optional[
+                Sequence[Tuple[Optional[RouteEntry], int]]] = None,
+            reached: Optional[Container[int]] = None
     ) -> Tuple[List[Optional[LookupResult]], int]:
         """Look up *addresses* in order until their steps pass *budget*.
 
@@ -177,21 +184,37 @@ class RoutingTable(ABC):
         keeps the fail-stop contract of :meth:`lookup`. However the call
         ends, by an overrun or a raise too, every lookup that answered is
         accounted, in one update; one that raised is not.
+
+        A fault trial replays only what its strike can reach: with
+        *reached*, only the positions it holds are looked up, and every
+        other position takes its raw ``(entry, steps)`` pair from
+        *golden*, the answers the same addresses got from the clean
+        table. Results, steps, overrun and raise are then those of a
+        full replay, as long as *reached* holds every position whose
+        answer the strike can change. A lookup that makes a live
+        detection can quarantine a record, which may change any later
+        answer, so every position after it is looked up.
         """
         pairs: List[Tuple[Optional[RouteEntry], int]] = []
         append = pairs.append
         lookup = self._lookup
+        detected = self.detected_corruptions
         total = 0
         try:
-            for address in addresses:
-                try:
-                    pair = lookup(address)
-                except RoutingTableError:
-                    raise
-                except Exception as exc:
-                    raise RoutingTableError(
-                        f"corrupt {self.kind} state during lookup: "
-                        f"{type(exc).__name__}: {exc}") from exc
+            for position, address in enumerate(addresses):
+                if reached is not None and position not in reached:
+                    pair = golden[position]
+                else:
+                    try:
+                        pair = lookup(address)
+                    except RoutingTableError:
+                        raise
+                    except Exception as exc:
+                        raise RoutingTableError(
+                            f"corrupt {self.kind} state during lookup: "
+                            f"{type(exc).__name__}: {exc}") from exc
+                    if self.detected_corruptions != detected:
+                        reached = None
                 append(pair)
                 total += pair[1]
                 if budget is not None and total > budget:
@@ -313,10 +336,13 @@ class RoutingTable(ABC):
     #
     # The table-state fault injector (repro.faults.memory) and the
     # integrity wrapper (repro.routing.protected) see every structure
-    # through these three methods. A site is one physical memory bank
+    # through the first three methods. A site is one physical memory bank
     # (entry array, node pool, match lines, counter vector); its records
     # enumerate deterministically so that seeded strikes and scrub
-    # baselines agree across processes.
+    # baselines agree across processes. The memory oracle
+    # (repro.verify.oracle) maps a strike to the lookups it can reach
+    # through the last two: both are asked of the clean table, and they
+    # name what a lookup reads by the same kind-specific read keys.
 
     def memory_sites(self) -> Tuple[str, ...]:
         """Physical state banks this structure exposes for injection."""
@@ -335,6 +361,26 @@ class RoutingTable(ABC):
         (kept in the fault record for post-mortem). Must bypass all
         software validation — this models an SEU, not an API call.
         """
+        raise RoutingTableError(
+            f"{self.kind} table has no memory site {site!r}")
+
+    def lookup_reads(self, address: Ipv6Address
+                     ) -> Tuple[Optional[RouteEntry], int,
+                                Tuple[Hashable, ...]]:
+        """:meth:`_lookup`'s ``(entry, steps)`` for *address*, and the
+        read keys of what that lookup read. Publishes nothing and
+        changes no ``stats``."""
+        raise RoutingTableError(f"{self.kind} table records no reads")
+
+    def strike_reads(self, site: str, index: int, bit: int
+                     ) -> Tuple[Tuple[Hashable, ...],
+                                Optional[Callable[[int], bool]]]:
+        """What :meth:`corrupt_memory` of ``(site, index, bit)`` would
+        change, in read keys: a lookup that read none of them answers
+        as before, unless the struck record's new content captures its
+        address. The second item tests an address value for that
+        capture; it is None when the new content captures nothing the
+        old did not."""
         raise RoutingTableError(
             f"{self.kind} table has no memory site {site!r}")
 

@@ -30,7 +30,7 @@ Modelling choices
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix, prefix_mask
@@ -200,6 +200,43 @@ class BloomRoutingTable(RoutingTable):
                 return entry, steps
         return None, steps
 
+    def lookup_reads(self, address: Ipv6Address
+                     ) -> Tuple[Optional[RouteEntry], int,
+                                Tuple[Hashable, ...]]:
+        """The probe of :meth:`_lookup`, read by the ``(class, counter)``
+        of every filter counter it tests and, on a hit, by the
+        answering bucket's entry."""
+        value = address.value
+        classes = self._classes
+        steps = 1
+        read: List[Hashable] = []
+        for length in self._lengths_desc:
+            cls = classes.get(length)
+            if cls is None:
+                continue
+            masked = value & cls.mask
+            h1, h2 = _hash_pair(cls.tag, masked)
+            counters, slots = cls.counters, cls.slots
+            index = h1 % slots
+            step = h2 % slots
+            positive = True
+            for _ in range(HASH_COUNT):
+                read.append((cls, index))
+                if not counters[index]:
+                    positive = False
+                    break
+                index += step
+                if index >= slots:
+                    index -= slots
+            if not positive:
+                continue
+            steps += 1
+            entry = cls.entries.get(masked)
+            if entry is not None:
+                read.append(entry)
+                return entry, steps, tuple(read)
+        return None, steps, tuple(read)
+
     def get(self, prefix: Ipv6Prefix) -> Optional[RouteEntry]:
         cls = self._classes.get(prefix.length)
         if cls is None:
@@ -300,6 +337,18 @@ class BloomRoutingTable(RoutingTable):
             cls.entries[value] = corrupt_entry(cls.entries[value], bit)
             return f"bloom-bucket[{index}] bit {bit} ({before})"
         return super().corrupt_memory(site, index, bit)
+
+    def strike_reads(self, site: str, index: int, bit: int
+                     ) -> Tuple[Tuple[Hashable, ...], None]:
+        """The struck counter, or the struck bucket's entry: a bucket is
+        read only by the lookup it answers."""
+        if site == "bloom-filter":
+            cls = self._classes[self._lengths_desc[index]]
+            return ((cls, bit // 8),), None
+        if site == "bloom-bucket":
+            cls, value = self._bucket_records()[index]
+            return (cls.entries[value],), None
+        return super().strike_reads(site, index, bit)
 
     def check_invariants(self) -> None:
         """Raise if filter/table state diverged: every stored prefix must

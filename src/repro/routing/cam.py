@@ -18,7 +18,8 @@ layer can include them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
+    Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
@@ -216,6 +217,36 @@ class CamRoutingTable(RoutingTable):
             return f"cam-row[{index}] mask bit {bit - 128} ({prefix})"
         line.entry = corrupt_entry(line.entry, bit - 256)
         return f"cam-row[{index}] sram bit {bit - 256} ({prefix})"
+
+    def lookup_reads(self, address: Ipv6Address
+                     ) -> Tuple[Optional[RouteEntry], int, Tuple[int, ...]]:
+        """The search's answer, read by the position of the answering
+        line (a miss answers from no line)."""
+        index = self._index
+        if index is None:
+            index = self._index = self._build_index()
+        match = index.find(address.value)
+        if match is None:
+            return None, 1, ()
+        return match[1], 1, (match[0],)
+
+    def strike_reads(self, site: str, index: int, bit: int
+                     ) -> Tuple[Tuple[int, ...],
+                                Optional[Callable[[int], bool]]]:
+        """The searches the struck line answered, and every address its
+        new value/mask pair matches (a line above it keeps the ones it
+        answers, so this is a superset). An SRAM bit leaves the pair."""
+        if site != "cam-row":
+            return super().strike_reads(site, index, bit)
+        line = self._lines[index]
+        value, mask = line.value, line.mask
+        if bit < 128:
+            value ^= 1 << (127 - bit)
+        elif bit < 256:
+            mask ^= 1 << (255 - bit)
+        else:
+            return (index,), None
+        return (index,), lambda address: address & mask == value
 
     def table_memory_bytes(self) -> int:
         """On-chip footprint is zero: the CAM+SRAM pair is an external

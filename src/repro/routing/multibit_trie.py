@@ -186,6 +186,29 @@ class MultibitTrieRoutingTable(RoutingTable):
             "multibit-trie descent exceeds the pipeline depth "
             "(corrupted child page)")
 
+    def lookup_reads(self, address: Ipv6Address
+                     ) -> Tuple[Optional[RouteEntry], int,
+                                Tuple[Tuple[_TrieNode, int], ...]]:
+        """The descent of :meth:`_lookup`, read by its ``(node, chunk)``
+        probes: each level reads the node's slot and child pointer at
+        that chunk."""
+        value = address.value
+        node = self._root
+        best: Optional[RouteEntry] = None
+        probes: List[Tuple[_TrieNode, int]] = []
+        for shift in _SHIFTS:
+            chunk = (value >> shift) & _CHUNK_MASK
+            probes.append((node, chunk))
+            slot = node.slots.get(chunk)
+            if slot is not None:
+                best = slot
+            node = node.children.get(chunk)
+            if node is None:
+                return best, len(probes), tuple(probes)
+        raise RoutingTableError(
+            "multibit-trie descent exceeds the pipeline depth "
+            "(corrupted child page)")
+
     def get(self, prefix: Ipv6Prefix) -> Optional[RouteEntry]:
         return self._routes.get(prefix)
 
@@ -344,6 +367,23 @@ class MultibitTrieRoutingTable(RoutingTable):
             node.slots[chunk] = corrupt_entry(node.slots[chunk], bit - 16)
             return f"trie-slot[{index}] entry bit {bit - 16} (chunk {chunk})"
         return super().corrupt_memory(site, index, bit)
+
+    def strike_reads(self, site: str, index: int, bit: int
+                     ) -> Tuple[Tuple[Tuple[_TrieNode, int], ...], None]:
+        """The struck page's or slot's node at its chunk and, for a
+        re-keyed pointer or tag, at the flipped chunk it moves to."""
+        if site == "trie-node":
+            node, keys = self._pointer_pages()[index]
+            chunk = keys[bit // 16]
+            return ((node, chunk),
+                    (node, chunk ^ (1 << (15 - bit % 16)))), None
+        if site == "trie-slot":
+            node, chunk = self._slot_records()[index]
+            if bit < 16:
+                return ((node, chunk),
+                        (node, chunk ^ (1 << (15 - bit)))), None
+            return ((node, chunk),), None
+        return super().strike_reads(site, index, bit)
 
     def check_invariants(self) -> None:
         """Raise if the trie's structural invariants are violated:

@@ -59,7 +59,8 @@ import io
 import pickle
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, \
+    Sequence, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import Ipv6Address, Ipv6Prefix
@@ -407,6 +408,16 @@ class ProtectedRoutingTable(RoutingTable):
 
     def corrupt_memory(self, site: str, index: int, bit: int) -> str:
         return self.inner.corrupt_memory(site, index, bit)
+
+    def lookup_reads(self, address: Ipv6Address
+                     ) -> Tuple[Optional[RouteEntry], int,
+                                Tuple[Hashable, ...]]:
+        return self.inner.lookup_reads(address)
+
+    def strike_reads(self, site: str, index: int, bit: int
+                     ) -> Tuple[Tuple[Hashable, ...],
+                                Optional[Callable[[int], bool]]]:
+        return self.inner.strike_reads(site, index, bit)
 
     # -- introspection ----------------------------------------------------------
 

@@ -11,7 +11,7 @@ behaviour that drives the 6 GHz requirement in Table 1.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import RoutingTableError
 from repro.ipv6.address import ADDRESS_BITS, Ipv6Address, Ipv6Prefix, \
@@ -143,6 +143,29 @@ class SequentialRoutingTable(RoutingTable):
         self._entries[index] = corrupt_entry(before, bit)
         self._index = None
         return f"entry[{index}] bit {bit} ({before.prefix})"
+
+    def lookup_reads(self, address: Ipv6Address
+                     ) -> Tuple[Optional[RouteEntry], int, Tuple[int, ...]]:
+        """The scan's answer and cost, read by the scan position of the
+        answering entry (a miss answers from no entry)."""
+        entry, steps = self._lookup(address)
+        return entry, steps, () if entry is None else (steps - 1,)
+
+    def strike_reads(self, site: str, index: int, bit: int
+                     ) -> Tuple[Tuple[int, ...],
+                                Optional[Callable[[int], bool]]]:
+        """The lookups the struck entry answered, and every address its
+        new prefix matches (one an earlier entry answers keeps its
+        answer, so this is a superset). A length with no mask fails the
+        scan of every lookup that reaches the entry: every address."""
+        if site != "entry":
+            return super().strike_reads(site, index, bit)
+        prefix = corrupt_entry(self._entries[index], bit).prefix
+        if not 0 <= prefix.length <= ADDRESS_BITS:
+            return (index,), lambda value: True
+        mask = prefix_mask(prefix.length)
+        network = prefix.network.value
+        return (index,), lambda value: value & mask == network
 
     # -- memory image (for the TACO data memory) ------------------------------
 

@@ -37,7 +37,7 @@ word  sequential entry            balanced-tree node
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.ipv6.address import Ipv6Address

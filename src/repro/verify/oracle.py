@@ -29,12 +29,12 @@ campaign pays for exactly one fault-free simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.dse.config import ArchitectureConfiguration
 from repro.errors import CycleBudgetError, ReproError
 from repro.faults.datapath import DatapathFaultInjector
-from repro.faults.memory import MemoryFaultInjector
+from repro.faults.memory import MemoryFault, MemoryFaultInjector
 from repro.ipv6.address import Ipv6Address
 from repro.programs.runner import (
     ForwardingRunResult,
@@ -279,12 +279,17 @@ class CleanBuild:
 
     One load of the FIB and one checkpoint (its image and its scrub
     baseline), then one golden replay of the lookups: their signatures,
-    their steps and the entries they answered. The footprint and the
-    protected records, the inputs that price a protection, are read off
-    the same build. None of it depends on the protection: a
-    :class:`MemoryDifferentialOracle` takes the build's table
-    :meth:`~ProtectedRoutingTable.under` its own, and a sweep builds
-    each kind once and hands the builds to every process.
+    their steps and their raw ``(entry, steps)`` pairs, misses included.
+    A recording pass over the same clean table, which publishes
+    nothing, maps each record a lookup read to the positions of the
+    lookups that read it (:meth:`~RoutingTable.lookup_reads`), so a
+    trial replays only the lookups its strike can reach
+    (:meth:`reached`). The footprint and the protected records, the
+    inputs that price a protection, are read off the same build. None
+    of it depends on the protection: a :class:`MemoryDifferentialOracle`
+    takes the build's table :meth:`~ProtectedRoutingTable.under` its
+    own, and a sweep builds each kind once and hands the builds to
+    every process.
     """
 
     def __init__(self, kind: str, routes: Sequence[RouteEntry],
@@ -302,13 +307,42 @@ class CleanBuild:
         self.table.checkpoint()
         results, self.golden_steps = self.table.lookup_within(
             self.addresses)
-        #: the entry each golden lookup answered (None for a miss)
-        self.golden_entries = [None if result is None else result.entry
-                               for result in results]
         #: per-address signatures of the golden lookups
         self.golden = [_lookup_signature(result) for result in results]
+        #: the raw ``(entry, steps)`` of each golden lookup
+        self.golden_pairs: List[Tuple[Optional[RouteEntry], int]] = []
+        #: read key -> positions of the golden lookups that read it
+        self._readers: Dict[Hashable, Tuple[int, ...]] = {}
+        readers = self._readers
+        for position, address in enumerate(self.addresses):
+            entry, steps, reads = self.table.lookup_reads(address)
+            self.golden_pairs.append((entry, steps))
+            for read in reads:
+                positions = readers.get(read, ())
+                if not positions or positions[-1] != position:
+                    readers[read] = positions + (position,)
         self.table_memory_bytes = self.table.table_memory_bytes()
         self.protected_records = self.table.protected_records()
+
+    def reached(self, faults: Sequence[MemoryFault]) -> Optional[Set[int]]:
+        """The positions of the lookups whose answers *faults* can
+        change: those that read the struck record, and those whose
+        address its new content captures. None (every position) for
+        more than one strike, which can reorder a site's records."""
+        if len(faults) > 1:
+            return None
+        reached: Set[int] = set()
+        for fault in faults:  # none, or the one strike
+            keys, captures = self.table.strike_reads(
+                fault.site, fault.index, fault.bit)
+            for key in keys:
+                reached.update(self._readers.get(key, ()))
+            if captures is not None:
+                reached.update(
+                    position
+                    for position, address in enumerate(self.addresses)
+                    if captures(address.value))
+        return reached
 
     @property
     def mean_lookup_steps(self) -> float:
@@ -397,6 +431,13 @@ class MemoryDifferentialOracle:
     def classify(self, seed: int, site: str, flips: int = 1) -> TrialOutcome:
         """Corrupt a replica of the clean table and classify the outcome.
 
+        The replay looks up only the positions the strike can reach
+        (:meth:`CleanBuild.reached`), every position after a live
+        detection, and every position of a trial of more than one
+        strike; the rest take their golden answers. The outcome record,
+        the replica's ``stats`` and the published counters are those of
+        a full replay.
+
         Deterministic: the same ``(cell, seed, site, flips)`` always
         produces the identical outcome record.
         """
@@ -407,7 +448,9 @@ class MemoryDifferentialOracle:
         detected_before = table.detected_corruptions
         budget = self.step_budget
         try:
-            results, steps = table.lookup_within(self.addresses, budget)
+            results, steps = table.lookup_within(
+                self.addresses, budget, build.golden_pairs,
+                build.reached(faults))
         except Exception as exc:  # noqa: BLE001 — any escape is a crash
             return _trial_outcome(
                 injector, OUTCOME_CRASH, str(exc),
@@ -436,8 +479,8 @@ class MemoryDifferentialOracle:
         # its signature
         golden = build.golden
         diffs = 0
-        for result, entry, want in zip(results, build.golden_entries,
-                                       golden):
+        for result, (entry, _), want in zip(results, build.golden_pairs,
+                                            golden):
             got = None if result is None else result.entry
             if got is not entry and _lookup_signature(result) != want:
                 diffs += 1

@@ -127,6 +127,28 @@ def test_a_stale_allowance_fails(checker, tmp_path):
         == ["src/pkg/mod.py: gone is allowed but no longer defined"]
 
 
+def test_flags_a_module_level_import_its_module_never_uses(checker,
+                                                           tmp_path):
+    root = _repo(tmp_path, {
+        "src/pkg/__init__.py": "from pkg.mod import Used\n",
+        "src/pkg/mod.py": "from __future__ import annotations\n\n"
+                          "import os.path\n"
+                          "from typing import Dict, Optional\n"
+                          "try:\n    import json as codec\n"
+                          "except ImportError:\n    pass\n\n\n"
+                          "class Used:\n"
+                          '    """Optional (a docstring is no use)."""\n\n'
+                          "    table: \"Dict[str, int]\"\n\n"
+                          "    def load(self):\n"
+                          "        import sys\n"
+                          "        return os.path.join('a', 'b')\n",
+        "examples/demo.py": "from pkg import Used\nUsed().load()\n",
+    })
+    assert checker.unreferenced(root, allowed=set()) == [
+        "src/pkg/mod.py:4: Optional is imported but never used",
+        "src/pkg/mod.py:6: codec is imported but never used"]
+
+
 def test_the_repository_has_no_unreferenced_definition(checker):
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     assert checker.unreferenced(root) == []

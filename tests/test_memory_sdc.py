@@ -1,5 +1,6 @@
 """Memory-state SDC sweep: determinism, resume, coverage, pinned SDC."""
 
+import copy
 import json
 import os
 
@@ -9,12 +10,16 @@ from repro import api
 from repro.dse import sweep
 from repro.errors import CampaignError, RoutingTableError
 from repro.dse.sdc import (
+    DEFAULT_MEMORY_LOOKUPS,
+    DEFAULT_TRAFFIC_SEED,
     MemorySweepRunner,
     MemoryTrial,
     memory_sites_for,
     plan_memory_trials,
 )
+from repro.faults.memory import MemoryFault
 from repro.faults.seeds import derive_seed
+from repro.ipv6.address import Ipv6Address, Ipv6Prefix
 from repro.routing import (
     PROTECTION_MODES,
     TABLE_KINDS,
@@ -23,13 +28,14 @@ from repro.routing import (
     memimage,
 )
 from repro.routing.base import TableStatistics
+from repro.routing.entry import RouteEntry
 from repro.verify.oracle import (
     CleanBuild,
     MemoryDifferentialOracle,
     _lookup_signature,
 )
 from repro.workload.fib import synthesize_fib, zipf_addresses
-from tests.test_routing_counters import pinned_counters
+from tests.test_routing_counters import PINNED, pinned_counters
 
 SWEEP = dict(kinds=("sequential", "bloom"), prefixes=60, lookups=30,
              trials=2, seed=5)
@@ -365,3 +371,172 @@ def test_an_answer_with_the_golden_prefix_can_still_be_silent_corruption():
         "cam-row[4] sram bit 167 (25ae:c797:8e7a::/48)"
     assert (outcome.outcome, outcome.detail) == \
         ("sdc", "silent divergence on 1/10 lookups")
+
+
+# -- replaying only the lookups a strike can reach ----------------------------------
+
+
+@pytest.mark.parametrize("fib_seed", [2026, 7])
+@pytest.mark.parametrize("prefixes", [60, 300])
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+def test_each_read_recorder_answers_as_its_lookup(kind, prefixes, fib_seed):
+    """A kind's read recorder returns ``_lookup``'s own ``(entry,
+    steps)`` for every golden address, publishes nothing, and the build
+    keeps those pairs as its golden ones."""
+    routes = synthesize_fib(prefixes, seed=fib_seed)
+    addresses = zipf_addresses(routes, DEFAULT_MEMORY_LOOKUPS,
+                               seed=DEFAULT_TRAFFIC_SEED)
+    table = make_table(kind, capacity=len(routes) + 8)
+    table.load(routes)
+    stats = copy.copy(table.stats)
+    recorded = [table.lookup_reads(address) for address in addresses]
+    assert table.stats == stats
+    for (entry, steps, _), address in zip(recorded, addresses):
+        want_entry, want_steps = table._lookup(address)
+        assert entry is want_entry
+        assert steps == want_steps
+    build = CleanBuild(kind, routes, addresses)
+    assert build.golden_pairs == [(entry, steps)
+                                  for entry, steps, _ in recorded]
+
+
+def full_replay(build):
+    """The reference: *build*'s trials with every position reached, as
+    every trial ran before a strike's readers were recorded."""
+    reference = copy.copy(build)
+    reference.reached = lambda faults: None
+    return reference
+
+
+def cell_trials(build, protection, flips, seeds, replicas):
+    """Each trial's outcome and replica stats over *seeds* of every
+    site of *build*'s cell, and the routing counters they publish."""
+    oracle = MemoryDifferentialOracle.over(build, protection)
+    trials = []
+
+    def run():
+        for site in memory_sites_for(build.kind):
+            for seed in seeds:
+                outcome = oracle.classify(seed=seed, site=site, flips=flips)
+                trials.append((site, seed, outcome.to_dict(),
+                               replicas[-1].stats))
+
+    return trials, pinned_counters(run, names=PINNED)
+
+
+#: every kind x protection x site, 40 seeds, at the default FIB seed
+#: and at a held-out one
+PRUNED_CELLS = [(kind, protection, fib_seed)
+                for kind in sorted(TABLE_KINDS)
+                for protection in PROTECTION_MODES
+                for fib_seed in (2026, 11)]
+
+
+@pytest.mark.parametrize("kind,protection,fib_seed", PRUNED_CELLS)
+def test_a_pruned_replay_equals_a_full_one(kind, protection, fib_seed,
+                                           monkeypatch):
+    """Replaying only the positions a strike reaches classifies every
+    trial as a full replay does: the same outcome record, the same
+    replica stats and the same published routing counters, at one flip
+    (pruned) and at three (replayed in full)."""
+    routes = synthesize_fib(60, seed=fib_seed)
+    addresses = zipf_addresses(routes, 60, seed=DEFAULT_TRAFFIC_SEED)
+    build = CleanBuild(kind, routes, addresses)
+    reference = full_replay(build)
+    replicas = struck_replicas(monkeypatch)
+    for flips in (1, 3):
+        seeds = range(100 * flips, 100 * flips + 40)
+        assert cell_trials(build, protection, flips, seeds, replicas) == \
+            cell_trials(reference, protection, flips, seeds, replicas)
+
+
+def route(prefix, interface):
+    return RouteEntry(Ipv6Prefix.parse(prefix),
+                      Ipv6Address.parse("fe80::1"), interface)
+
+
+#: a /48 under its /32, and two of the /48's siblings the /32 answers
+NESTED = [route("2001:db8::/32", 1), route("2001:db8:1::/48", 2)]
+NESTED_ADDRESSES = [Ipv6Address.parse("2001:db8:1::1"),
+                    Ipv6Address.parse("2001:db8::1"),
+                    Ipv6Address.parse("2001:db8:3::1")]
+#: two /32s in one trie node; the second address probes the node above
+#: at the chunk its child page is filed under, with the low bit cleared
+TRIE_PAIR = [route("2001:db8::/32", 1), route("2001:db9::/32", 2)]
+TRIE_ADDRESSES = [Ipv6Address.parse("2001:db8::1"),
+                  Ipv6Address.parse("2001:cb8::1")]
+
+#: a strike, the positions it reaches (the lookup the struck record
+#: answered and every address its new content matches), and the one of
+#: them it changes without the record having answered it
+CAPTURES = {
+    # network bit 47 of the /48 entry (its image numbers bits from the
+    # low end of each byte): the entry becomes the sibling 2001:db8::/48
+    "sequential-network": ("sequential", NESTED, NESTED_ADDRESSES,
+                           "entry", 0, 40, {0, 1}, 1),
+    # the /48 line's value bit 47 does the same; clearing its mask bit
+    # 46 instead makes the line match 2001:db8:3::/48 too
+    "cam-value": ("cam", NESTED, NESTED_ADDRESSES, "cam-row", 0, 47,
+                  {0, 1}, 1),
+    "cam-mask": ("cam", NESTED, NESTED_ADDRESSES, "cam-row", 0, 128 + 46,
+                 {0, 2}, 2),
+    # the depth-2 node's one child pointer re-keyed from chunk 0x0d to
+    # 0x0c: the second address now descends to the /32s' node
+    "trie-child": ("multibit-trie", TRIE_PAIR, TRIE_ADDRESSES,
+                   "trie-node", 2, 15, {0, 1}, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAPTURES))
+def test_a_strike_reaches_the_lookups_its_new_content_captures(case):
+    """A strike can change the answer of a lookup that never read the
+    struck record; that lookup is reached, and the pruned replay equals
+    the full one under every protection."""
+    kind, routes, addresses, site, index, bit, reached, captured = \
+        CAPTURES[case]
+    build = CleanBuild(kind, routes, addresses)
+    fault = MemoryFault(site=site, index=index, bit=bit, detail="")
+    assert build.reached([fault]) == reached
+    table = build.table.under("none").replica()
+    table.corrupt_memory(site, index, bit)
+    changed = {position for position, (address, pair)
+               in enumerate(zip(addresses, build.golden_pairs))
+               if table._lookup(address) != pair}
+    assert captured in changed <= reached
+    for protection in PROTECTION_MODES:
+        replays = []
+        for replayed in (reached, None):
+            table = build.table.under(protection).replica()
+            table.corrupt_memory(site, index, bit)
+            replays.append((*table.lookup_within(
+                addresses, None, build.golden_pairs, replayed),
+                table.stats, table.detected_corruptions))
+        assert replays[0] == replays[1]
+
+
+def test_a_trial_of_more_than_one_strike_reaches_every_position():
+    """One SRAM strike reaches the lookup its line answered; a second
+    strike can reorder a site's records, so two reach every position."""
+    build = CleanBuild("cam", NESTED, NESTED_ADDRESSES)
+    faults = [MemoryFault(site="cam-row", index=index, bit=300, detail="")
+              for index in (0, 1)]
+    assert build.reached(faults[:1]) == {0}
+    assert build.reached(faults) is None
+
+
+def test_trials_replay_only_the_lookups_their_strikes_reach(monkeypatch):
+    """Work floor: the default 300-prefix sweep's 168 trials made 200
+    inner lookups each, 34,600 with the five golden replays. Now a trial
+    looks up the positions its strike reaches, and every position after
+    a live detection: 1,706 lookups, beside the 1,000 golden ones and
+    the 200 of the sequential kind's recording pass."""
+    lookups = []
+    for cls in TABLE_KINDS.values():
+        def counting(self, address, lookup=cls._lookup):
+            lookups.append(address)
+            return lookup(self, address)
+
+        monkeypatch.setattr(cls, "_lookup", counting)
+    result = api.memory_sdc_sweep(prefixes=300, jobs=1)
+    assert len(result.records) == 168
+    assert len(lookups) == 2906
